@@ -28,7 +28,7 @@ from .errors import (
     QSkewRejected,
 )
 from .freealg import as_coeff, check_budget
-from .pbw import PBWElement, Presentation
+from .pbw import _ONE, PBWElement, Presentation
 
 
 # ----- tensor elements ------------------------------------------------------
@@ -58,6 +58,36 @@ def _render_tensor_terms(pairs):
         else:
             chunks.append(f" - {body}" if negative else f" + {body}")
     return "".join(chunks)
+
+
+def _tensor_product(pres, xs, ys):
+    """Product of two {(left, right): coeff} maps in the tensor square.
+
+    Each leg is multiplied by mono_product, whose interned monomials make
+    the (left, right) keys share their tuples; a coefficient that is the
+    interned one is not multiplied.
+    """
+    mono_product = pres.mono_product
+    out = {}
+    for (a1, a2), c in xs.items():
+        for (b1, b2), d in ys.items():
+            cd = d if c is _ONE else c * d
+            left = mono_product(a1, b1).terms
+            right = mono_product(a2, b2).terms
+            for u, cu in left.items():
+                cu_cd = cd if cu is _ONE else cd * cu
+                for v, cv in right.items():
+                    key = (u, v)
+                    term = cu_cd if cv is _ONE else cu_cd * cv
+                    old = out.get(key)
+                    if old is None:
+                        out[key] = term
+                    elif new := old + term:
+                        out[key] = new
+                    else:
+                        del out[key]
+    check_budget(len(out))
+    return out
 
 
 class TensorElement:
@@ -130,24 +160,7 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check(other)
-        pres = self.pres
-        terms = {}
-        for (a1, a2), c in self.terms.items():
-            for (b1, b2), d in other.terms.items():
-                cd = c * d
-                left = pres.mono_product(a1, b1)
-                right = pres.mono_product(a2, b2)
-                for u, cu in left.terms.items():
-                    cu_cd = cd * cu
-                    for v, cv in right.terms.items():
-                        key = (u, v)
-                        new = terms.get(key, Fraction(0)) + cu_cd * cv
-                        if new:
-                            terms[key] = new
-                        else:
-                            terms.pop(key, None)
-        check_budget(len(terms))
-        return TensorElement._raw(self.pres, terms)
+        return TensorElement._raw(self.pres, _tensor_product(self.pres, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -287,7 +300,7 @@ class _Machine:
             unit = [0] * n
             unit[gi] = 1
             unit = tuple(unit)
-            full = {(unit, self.empty): Fraction(1), (self.empty, unit): Fraction(1)}
+            full = {(unit, self.empty): _ONE, (self.empty, unit): _ONE}
             for key, coeff in self.gen_delta[gi].items():
                 full[key] = full.get(key, Fraction(0)) + coeff
             self.gen_full[gi] = {k: c for k, c in full.items() if c}
@@ -301,24 +314,7 @@ class _Machine:
         gi = next(i for i, e in enumerate(mono) if e)
         rest = list(mono)
         rest[gi] -= 1
-        rest = tuple(rest)
-        out = {}
-        mono_product = self.p.mono_product
-        for (a1, a2), c in self.gen_full[gi].items():
-            for (b1, b2), d in self.full_mono(rest).items():
-                cd = c * d
-                left = mono_product(a1, b1)
-                right = mono_product(a2, b2)
-                for u, cu in left.terms.items():
-                    cu_cd = cd * cu
-                    for v, cv in right.terms.items():
-                        key = (u, v)
-                        new = out.get(key, Fraction(0)) + cu_cd * cv
-                        if new:
-                            out[key] = new
-                        else:
-                            out.pop(key, None)
-        check_budget(len(out))
+        out = _tensor_product(self.p, self.gen_full[gi], self.full_mono(tuple(rest)))
         self._full[mono] = out
         return out
 

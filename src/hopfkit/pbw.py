@@ -34,6 +34,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from operator import add
 
 from .errors import (
     AlphabetMismatch,
@@ -55,6 +56,8 @@ from .freealg import (
 Monomial = tuple
 
 PSI_SEARCH_BOUND = 6
+
+_ONE = Fraction(1)
 
 _DEBUG_ORDER = bool(os.environ.get("HOPFKIT_DEBUG_ORDER"))
 
@@ -139,6 +142,14 @@ class Presentation:
         self.delta = self._build_coproduct(coproduct)
         self._confluence = None
         self._mono_product_cache = {}
+        self._basis_elements = {}
+        self._coefficients = {_ONE: _ONE}
+        self._tailed_pairs = tuple(
+            (hi, lo) for (hi, lo), rel in sorted(self.relations.items()) if rel.tail
+        )
+        self._skew_pairs = tuple(
+            (hi, lo, rel.q) for (hi, lo), rel in sorted(self.relations.items()) if rel.q != 1
+        )
 
     # ----- construction helpers -------------------------------------
 
@@ -449,29 +460,89 @@ class Presentation:
         return PBWElement(self, out)
 
     def multiply(self, x, y):
-        """Product of two elements of this algebra, in normal form."""
+        """Product of two elements of this algebra, in normal form.
+
+        normal_form applies one fixed rewrite to each word, so it is
+        linear: NF(sum c w) = sum c NF(w).  With x = sum c1 m1 and
+        y = sum c2 m2 in normal form, the product is therefore
+        sum c1 c2 NF(m1 m2) = sum c1 c2 mono_product(m1, m2), exactly, for
+        every presentation, confluent or not.  No concatenated word is
+        straightened here, a product coefficient that is the interned one
+        is not multiplied, and the accumulated terms are checked against
+        the term budget.
+        """
         x, y = self.normal_form(x), self.normal_form(y)
-        words = {}
+        mono_product = self.mono_product
+        out = {}
         for m1, c1 in x.terms.items():
-            w1 = self.mono_word(m1)
             for m2, c2 in y.terms.items():
-                word = w1 + self.mono_word(m2)
-                words[word] = words.get(word, Fraction(0)) + c1 * c2
-        check_budget(len(words))
-        return self.normal_form(words)
+                c12 = c1 * c2
+                for mono, coeff in mono_product(m1, m2).terms.items():
+                    term = c12 if coeff is _ONE else c12 * coeff
+                    old = out.get(mono)
+                    if old is None:
+                        out[mono] = term
+                    elif new := old + term:
+                        out[mono] = new
+                    else:
+                        del out[mono]
+        check_budget(len(out))
+        result = PBWElement(self)
+        result.terms = out
+        return result
 
     def mono_product(self, m1, m2):
-        """Normal form of the product of two basis monomials, cached.
+        """Normal form of the product of two basis monomials.
 
-        Tensor-component arithmetic multiplies the same small monomials
-        over and over; the cache keeps that quadratic churn cheap.
+        Closed form: when no pair hi > lo with hi in m1 and lo in m2 has a
+        relation with a tail, straightening only swaps letters, and each
+        such inversion exactly once.  The product is then the single
+        monomial m1 + m2 with coefficient prod q_{hi,lo}^(m1[hi] m2[lo]);
+        it is returned without being stored.
+
+        Every other pair is straightened once and memoized (the rewrite
+        steps are budgeted in normal_form).  Result monomials and memoized
+        coefficients are interned per presentation, so tensor keys built
+        from products share tuples and the memo holds few distinct
+        fractions.  The returned element is shared: do not modify it.
         """
+        for hi, lo in self._tailed_pairs:
+            if m1[hi] and m2[lo]:
+                break
+        else:
+            coeff = _ONE
+            for hi, lo, q in self._skew_pairs:
+                e = m1[hi] * m2[lo]
+                if e:
+                    coeff *= q**e
+            mono = tuple(map(add, m1, m2))
+            unit = self._basis_elements.get(mono) or self._basis_element(mono)
+            if coeff is _ONE:
+                return unit
+            (mono,) = unit.terms
+            out = PBWElement(self)
+            out.terms = {mono: coeff}
+            return out
         key = (m1, m2)
         hit = self._mono_product_cache.get(key)
         if hit is None:
-            hit = self.normal_form({self.mono_word(m1) + self.mono_word(m2): Fraction(1)})
+            straightened = self.normal_form({self.mono_word(m1) + self.mono_word(m2): _ONE})
+            hit = PBWElement(self)
+            coefficients = self._coefficients
+            for mono, coeff in straightened.terms.items():
+                (mono,) = self._basis_element(mono).terms
+                hit.terms[mono] = coefficients.setdefault(coeff, coeff)
             self._mono_product_cache[key] = hit
         return hit
+
+    def _basis_element(self, mono):
+        """The shared element 1·mono; its one key is the interned monomial."""
+        unit = self._basis_elements.get(mono)
+        if unit is None:
+            unit = PBWElement(self)
+            unit.terms = {mono: _ONE}
+            self._basis_elements[mono] = unit
+        return unit
 
     def commutator(self, x, y):
         return self.multiply(x, y) - self.multiply(y, x)

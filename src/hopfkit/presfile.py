@@ -93,7 +93,7 @@ def _parse_word(cur, alphabet):
             return tuple(letters)
         try:
             idx = alphabet.index_of(tok)
-        except Exception:
+        except KeyError:
             cur.fail(f"unknown generator {tok!r}")
         cur.take()
         count = 1
@@ -257,7 +257,7 @@ def parse_presentation(text):
                     raise ParseError(f"generator name expected, found {tok!r}", line_no)
                 try:
                     alphabet.index_of(tok)
-                except Exception:
+                except KeyError:
                     raise ParseError(f"unknown generator {tok!r}", line_no)
             hi, lo = alphabet.index_of(first), alphabet.index_of(second)
             if hi <= lo:
@@ -285,7 +285,7 @@ def parse_presentation(text):
                 raise ParseError("delta needs an = sign", line_no)
             try:
                 gi = alphabet.index_of(gname)
-            except Exception:
+            except KeyError:
                 raise ParseError(f"unknown generator {gname!r}", line_no)
             if gi in deltas:
                 raise ParseError(f"duplicate delta for {gname}", line_no)

@@ -12,7 +12,7 @@ All arithmetic is over Fraction; ranks and memberships are exact.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlphabetMismatch, WindowTooSmall
+from .errors import AlphabetMismatch, NotHopfAdmissible, WindowTooSmall
 from .pbw import PBWElement
 from . import hopf as _hopf
 from .grading import factor_series, gk_dimension, hilbert_series
@@ -577,7 +577,7 @@ def signature(p, weight_bound):
     try:
         exponents = factor_series(hilbert_series(p, max(10, 2 * weight_bound)))
         gk = gk_dimension(exponents)
-    except Exception:
+    except NotHopfAdmissible:
         gk = None
     return SignatureReport(
         weight_bound, tuple(entries), tuple(by_level), gk, gk is not None and len(entries) == gk

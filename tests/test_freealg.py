@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfkit import builtin
 from hopfkit.errors import AlphabetMismatch, BudgetExceeded
 from hopfkit.freealg import (
     Alphabet,
@@ -126,5 +127,10 @@ def test_term_budget(monkeypatch):
     s = a + b + c
     with pytest.raises(BudgetExceeded):
         s * s  # nine distinct words, over the budget of three
+    J = builtin("J")
+    t = J.gen("a") + J.gen("b") + J.gen("c")
+    with pytest.raises(BudgetExceeded):
+        t * t  # seven ordered monomials, over the budget of three
     monkeypatch.delenv("HOPFKIT_MAX_TERMS")
     assert len((s * s).terms) == 9
+    assert len((t * t).terms) == 7

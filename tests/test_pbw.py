@@ -1,5 +1,6 @@
 """Straightening engine: normal forms, confluence, builtins, validation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -190,12 +191,46 @@ def test_basis_is_sorted_and_unique():
     assert len(set(basis)) == len(basis)
 
 
+def _seeded_element(p, rng, max_weight, size):
+    basis = p.enumerate_basis(max_weight)
+    return p.element(
+        {m: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)) for m in rng.sample(basis, size)}
+    )
+
+
 def test_multiply_matches_normal_form_of_concatenation():
     J = builtin("J")
     w, z, b = J.gen("w"), J.gen("z"), J.gen("b")
-    lhs = (w * z) * b
-    rhs = w * (z * b)
-    assert lhs == rhs
+    assert (w * z) * b == w * (z * b)
+    qskew_with_tail = Presentation(
+        [("x", 1), ("y", 1), ("z", 2)],
+        relations={("y", "x"): (Fraction(2), {(2,): Fraction(1)})},
+    )
+    # [x, z] = x breaks the Jacobi identity; the product is still exact
+    residual = Presentation(
+        [("x", 1), ("y", 1), ("z", 1)],
+        relations={("y", "x"): (1, {(2,): Fraction(1)}), ("z", "x"): (1, {(0,): Fraction(1)})},
+    )
+    assert not residual.confluence().ok
+    rng = random.Random(5)
+    for p in (J, builtin("L"), builtin("U_n5"), builtin("qplane(3/2)"), qskew_with_tail, residual):
+        for _ in range(4):
+            x = _seeded_element(p, rng, 3, 4)
+            y = _seeded_element(p, rng, 3, 3)
+            words = {}
+            for m1, c1 in x.terms.items():
+                for m2, c2 in y.terms.items():
+                    word = p.mono_word(m1) + p.mono_word(m2)
+                    words[word] = words.get(word, 0) + c1 * c2
+            assert p.multiply(x, y) == p.normal_form(words)
+
+
+def test_mono_product_closed_form():
+    p = builtin("qplane(3/2)")
+    x, y = p.gen("x"), p.gen("y")
+    expected = p.element({(3, 2): Fraction(3, 2) ** 6})
+    assert p.mono_product((0, 2), (3, 0)) == expected
+    assert y**2 * x**3 == expected
 
 
 def test_qplane_straightening():
@@ -215,3 +250,7 @@ def test_mono_product_caching():
     second = L.mono_product(m1, m2)
     assert first == second
     assert str(first) == "ab - c"
+    # result monomials are interned: equal monomials are one tuple
+    ab = (1, 1, 0, 0, 0)
+    (closed,) = L.mono_product(m2, m1).terms
+    assert closed == ab and any(mono is closed for mono in first.terms)
