@@ -38,6 +38,17 @@ def check_budget(count):
         )
 
 
+def _acc(store, key, coeff):
+    """Add a nonzero coeff to store[key] in place, dropping the key on cancellation."""
+    old = store.get(key)
+    if old is None:
+        store[key] = coeff
+    elif new := old + coeff:
+        store[key] = new
+    else:
+        del store[key]
+
+
 def as_coeff(value):
     """Coerce to an exact rational; floats are forbidden everywhere."""
     if isinstance(value, Fraction):
@@ -201,11 +212,7 @@ class FreeElement:
         self._check(other)
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
-            new = terms.get(word, 0) + coeff
-            if new:
-                terms[word] = new
-            else:
-                terms.pop(word, None)
+            _acc(terms, word, coeff)
         out = FreeElement(self.alphabet)
         out.terms = terms
         return out
@@ -226,12 +233,7 @@ class FreeElement:
             terms = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
-                    word = w1 + w2
-                    new = terms.get(word, 0) + c1 * c2
-                    if new:
-                        terms[word] = new
-                    else:
-                        terms.pop(word, None)
+                    _acc(terms, w1 + w2, c1 * c2)
             check_budget(len(terms))
             out = FreeElement(self.alphabet)
             out.terms = terms

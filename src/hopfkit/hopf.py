@@ -27,7 +27,7 @@ from .errors import (
     NonzeroConstantTerm,
     QSkewRejected,
 )
-from .freealg import as_coeff, check_budget
+from .freealg import _acc, as_coeff, check_budget
 from .pbw import _ONE, PBWElement, Presentation
 
 
@@ -77,21 +77,19 @@ def _tensor_product(pres, xs, ys):
             for u, cu in left.items():
                 cu_cd = cd if cu is _ONE else cd * cu
                 for v, cv in right.items():
-                    key = (u, v)
-                    term = cu_cd if cv is _ONE else cu_cd * cv
-                    old = out.get(key)
-                    if old is None:
-                        out[key] = term
-                    elif new := old + term:
-                        out[key] = new
-                    else:
-                        del out[key]
+                    _acc(out, (u, v), cu_cd if cv is _ONE else cu_cd * cv)
     check_budget(len(out))
     return out
 
 
 class TensorElement:
-    """Element of the tensor square, both legs in normal form."""
+    """Element of a tensor power of the algebra, every leg in normal form.
+
+    Terms are keyed by tuples of monomials, one per leg, so the key length
+    is the arity: two for the tensor square, three for the triple power
+    that coassociativity compares.  Sums and scalar multiples work in any
+    arity; products are defined on the tensor square only.
+    """
 
     __slots__ = ("pres", "terms")
 
@@ -102,8 +100,7 @@ class TensorElement:
             for key, coeff in terms.items():
                 coeff = as_coeff(coeff)
                 if coeff:
-                    m1, m2 = key
-                    self.terms[(tuple(m1), tuple(m2))] = coeff
+                    self.terms[tuple(tuple(m) for m in key)] = coeff
 
     @classmethod
     def _raw(cls, pres, terms):
@@ -112,9 +109,16 @@ class TensorElement:
         out.terms = terms
         return out
 
+    @property
+    def arity(self):
+        """Number of legs; None for the zero tensor, which has every arity."""
+        return len(next(iter(self.terms))) if self.terms else None
+
     def _check(self, other):
         if self.pres is not other.pres and self.pres != other.pres:
             raise AlphabetMismatch("tensors belong to different presentations")
+        if len({self.arity, other.arity} - {None}) > 1:
+            raise TypeError("tensors of different arity")
 
     def is_zero(self):
         return not self.terms
@@ -134,11 +138,7 @@ class TensorElement:
         self._check(other)
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            new = terms.get(key, Fraction(0)) + coeff
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
+            _acc(terms, key, coeff)
         return TensorElement._raw(self.pres, terms)
 
     def __neg__(self):
@@ -160,6 +160,8 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check(other)
+        if self.arity not in (2, None) or other.arity not in (2, None):
+            raise TypeError("products are defined on the tensor square only")
         return TensorElement._raw(self.pres, _tensor_product(self.pres, self.terms, other.terms))
 
     def __rmul__(self, other):
@@ -169,90 +171,20 @@ class TensorElement:
 
     def sorted_terms(self):
         key = self.pres.mono_key
-        return sorted(self.terms.items(), key=lambda item: (key(item[0][0]), key(item[0][1])))
+        return sorted(self.terms.items(), key=lambda item: tuple(key(m) for m in item[0]))
 
     def __str__(self):
         render = self.pres.render_mono
         return _render_tensor_terms(
-            [(c, f"{render(m1)} (x) {render(m2)}") for (m1, m2), c in self.sorted_terms()]
+            [(c, " (x) ".join(render(m) for m in legs)) for legs, c in self.sorted_terms()]
         )
 
     def __repr__(self):
         return f"TensorElement({self})"
 
 
-class Tensor3Element:
-    """Element of the triple tensor power; only linear structure is needed."""
-
-    __slots__ = ("pres", "terms")
-
-    def __init__(self, pres, terms=None):
-        self.pres = pres
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = as_coeff(coeff)
-                if coeff:
-                    m1, m2, m3 = key
-                    self.terms[(tuple(m1), tuple(m2), tuple(m3))] = coeff
-
-    @classmethod
-    def _raw(cls, pres, terms):
-        out = cls.__new__(cls)
-        out.pres = pres
-        out.terms = terms
-        return out
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tensor3Element)
-            and not (self.pres is not other.pres and self.pres != other.pres)
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, Tensor3Element):
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = terms.get(key, Fraction(0)) + coeff
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-        return Tensor3Element._raw(self.pres, terms)
-
-    def __neg__(self):
-        return Tensor3Element._raw(self.pres, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Tensor3Element):
-            return NotImplemented
-        return self + (-other)
-
-    def sorted_terms(self):
-        key = self.pres.mono_key
-        return sorted(
-            self.terms.items(),
-            key=lambda item: tuple(key(m) for m in item[0]),
-        )
-
-    def __str__(self):
-        render = self.pres.render_mono
-        return _render_tensor_terms(
-            [
-                (c, f"{render(m1)} (x) {render(m2)} (x) {render(m3)}")
-                for (m1, m2, m3), c in self.sorted_terms()
-            ]
-        )
-
-    def __repr__(self):
-        return f"Tensor3Element({self})"
+# the triple tensor power is the same class with three legs per key
+Tensor3Element = TensorElement
 
 
 def tensor(x, y):
@@ -302,8 +234,8 @@ class _Machine:
             unit = tuple(unit)
             full = {(unit, self.empty): _ONE, (self.empty, unit): _ONE}
             for key, coeff in self.gen_delta[gi].items():
-                full[key] = full.get(key, Fraction(0)) + coeff
-            self.gen_full[gi] = {k: c for k, c in full.items() if c}
+                _acc(full, key, coeff)
+            self.gen_full[gi] = full
         self._full = {self.empty: {(self.empty, self.empty): Fraction(1)}}
 
     def full_mono(self, mono):
@@ -322,22 +254,14 @@ class _Machine:
         """delta of a basis monomial: Delta(m) - m (x) 1 - 1 (x) m."""
         out = dict(self.full_mono(mono))
         for key in ((mono, self.empty), (self.empty, mono)):
-            new = out.get(key, Fraction(0)) - 1
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+            _acc(out, key, -_ONE)
         return out
 
     def full(self, x):
         terms = {}
         for mono, coeff in x.terms.items():
             for key, c in self.full_mono(mono).items():
-                new = terms.get(key, Fraction(0)) + coeff * c
-                if new:
-                    terms[key] = new
-                else:
-                    terms.pop(key, None)
+                _acc(terms, key, coeff * c)
         return TensorElement._raw(self.p, terms)
 
 
@@ -441,53 +365,24 @@ def check_relation_compatibility(p):
 # ----- coassociativity -------------------------------------------------------
 
 
-def _acc3(store, key, coeff):
-    new = store.get(key, Fraction(0)) + coeff
-    if new:
-        store[key] = new
-    else:
-        store.pop(key, None)
+def _expand_leg(pairs, leg, delta):
+    """(delta (x) id) for leg 0, (id (x) delta) for leg 1, on a {(u, v): c} map.
 
-
-def _reduced_left(mach, pairs):
-    """(delta (x) id) applied to a {(u, v): c} map."""
+    delta maps a monomial to its {(a, b): d} map; the result is keyed by
+    triples of monomials.
+    """
     out = {}
     for (u, v), c in pairs.items():
-        for (a, b), d in mach.reduced_mono(u).items():
-            _acc3(out, (a, b, v), c * d)
-    return out
-
-
-def _reduced_right(mach, pairs):
-    """(id (x) delta) applied to a {(u, v): c} map."""
-    out = {}
-    for (u, v), c in pairs.items():
-        for (a, b), d in mach.reduced_mono(v).items():
-            _acc3(out, (u, a, b), c * d)
-    return out
-
-
-def _full_left(mach, pairs):
-    out = {}
-    for (u, v), c in pairs.items():
-        for (a, b), d in mach.full_mono(u).items():
-            _acc3(out, (a, b, v), c * d)
-    return out
-
-
-def _full_right(mach, pairs):
-    out = {}
-    for (u, v), c in pairs.items():
-        for (a, b), d in mach.full_mono(v).items():
-            _acc3(out, (u, a, b), c * d)
+        for (a, b), d in delta(v if leg else u).items():
+            _acc(out, (u, a, b) if leg else (a, b, v), c * d)
     return out
 
 
 @dataclass
 class GeneratorCoassoc:
     name: str
-    left: Tensor3Element
-    right: Tensor3Element
+    left: TensorElement
+    right: TensorElement
 
     @property
     def ok(self):
@@ -517,8 +412,8 @@ def check_coassociativity(p, weight_bound=None, samples=20, seed=0):
     gens = []
     for gi in range(len(p.alphabet)):
         pairs = mach.gen_delta[gi]
-        left = Tensor3Element._raw(p, _reduced_left(mach, pairs))
-        right = Tensor3Element._raw(p, _reduced_right(mach, pairs))
+        left = TensorElement._raw(p, _expand_leg(pairs, 0, mach.reduced_mono))
+        right = TensorElement._raw(p, _expand_leg(pairs, 1, mach.reduced_mono))
         gens.append(GeneratorCoassoc(p.alphabet.names[gi], left, right))
     bound = weight_bound if weight_bound is not None else p.max_weight + 2
     basis = [m for m in p.enumerate_basis(bound) if any(m)]
@@ -527,7 +422,7 @@ def check_coassociativity(p, weight_bound=None, samples=20, seed=0):
     monos = []
     for m in basis:
         pairs = mach.full_mono(m)
-        ok = _full_left(mach, pairs) == _full_right(mach, pairs)
+        ok = _expand_leg(pairs, 0, mach.full_mono) == _expand_leg(pairs, 1, mach.full_mono)
         monos.append((m, ok))
     return CoassocReport(tuple(gens), tuple(monos))
 
@@ -564,15 +459,13 @@ def check_counit(p):
     generator_checks = []
     empty = mach.empty
     for gi in range(len(p.alphabet)):
-        g = p.gen(gi)
-        left = p.zero()
-        right = p.zero()
+        left, right = {}, {}
         for (u, v), c in mach.gen_full[gi].items():
             if u == empty:
-                left = left + c * p.element({v: 1})
+                _acc(left, v, c)
             if v == empty:
-                right = right + c * p.element({u: 1})
-        generator_checks.append((p.alphabet.names[gi], left == g and right == g))
+                _acc(right, u, c)
+        generator_checks.append((p.alphabet.names[gi], left == p.gen(gi).terms == right))
     return CounitReport(tuple(relation_checks), tuple(generator_checks))
 
 
@@ -610,11 +503,12 @@ class AntipodeTable:
         return result
 
     def apply(self, x):
-        x = self.pres.normal_form(x)
-        total = self.pres.zero()
-        for mono, coeff in x.terms.items():
-            total = total + coeff * self.apply_mono(mono)
-        return total
+        p = self.pres
+        total = {}
+        for mono, coeff in p.normal_form(x).terms.items():
+            for m, c in self.apply_mono(mono).terms.items():
+                _acc(total, m, coeff * c)
+        return p.element(total)
 
 
 def solve_antipode(p, weight_bound=None):
@@ -630,26 +524,29 @@ def solve_antipode(p, weight_bound=None):
     if weight_bound is None:
         weight_bound = 2 * p.max_weight + 2
     table = AntipodeTable(p, {}, weight_bound)
+    unit = p._basis_element
+
+    def add_product(out, c, x, y):
+        for m, d in p.multiply(x, y).terms.items():
+            _acc(out, m, c * d)
+
     weights = p.alphabet.weights
     for gi in sorted(range(len(p.alphabet)), key=lambda i: (weights[i], i)):
-        correction = p.zero()
+        correction = {}
         for (u, v), c in mach.gen_delta[gi].items():
-            correction = correction + c * p.multiply(
-                table.apply_mono(u), p.element({v: 1})
-            )
-        table.by_gen[gi] = -p.gen(gi) - correction
+            add_product(correction, c, table.apply_mono(u), unit(v))
+        table.by_gen[gi] = -p.gen(gi) - p.element(correction)
     checked = 0
     for mono in p.enumerate_basis(weight_bound):
-        eps = p.one() if not any(mono) else p.zero()
-        left = -eps
-        right = -eps
+        left = {} if any(mono) else {mono: -_ONE}
+        right = dict(left)
         for (u, v), c in mach.full_mono(mono).items():
-            left = left + c * p.multiply(table.apply_mono(u), p.element({v: 1}))
-            right = right + c * p.multiply(p.element({u: 1}), table.apply_mono(v))
-        if not left.is_zero():
-            raise AxiomFailure(p.render_mono(mono), left, "left")
-        if not right.is_zero():
-            raise AxiomFailure(p.render_mono(mono), right, "right")
+            add_product(left, c, table.apply_mono(u), unit(v))
+            add_product(right, c, unit(u), table.apply_mono(v))
+        if left:
+            raise AxiomFailure(p.render_mono(mono), p.element(left), "left")
+        if right:
+            raise AxiomFailure(p.render_mono(mono), p.element(right), "right")
         checked += 1
     table.monomials_checked = checked
     return table

@@ -48,6 +48,7 @@ from .errors import (
 from .freealg import (
     Alphabet,
     FreeElement,
+    _acc,
     as_coeff,
     check_budget,
     render_terms,
@@ -192,8 +193,7 @@ class Presentation:
                         f"{self.alphabet.names[hi]} {self.alphabet.names[lo]} is not an "
                         "ordered monomial"
                     )
-                clean[word] = clean.get(word, Fraction(0)) + coeff
-            clean = {w: c for w, c in clean.items() if c}
+                _acc(clean, word, coeff)
             rels[(hi, lo)] = Relation(hi, lo, q, clean)
         # total relation map: unspecified pairs commute
         for hi in range(n):
@@ -306,8 +306,7 @@ class Presentation:
                         f"delta({names[gi]}) term exceeds the weight of {names[gi]}"
                     )
                 key = (_word_to_monomial(left, n), _word_to_monomial(right, n))
-                clean[key] = clean.get(key, Fraction(0)) + coeff
-            clean = {k: c for k, c in clean.items() if c}
+                _acc(clean, key, coeff)
             if clean:
                 delta[gi] = clean
         return delta
@@ -413,28 +412,20 @@ class Presentation:
             for word, coeff in x.items():
                 coeff = as_coeff(coeff)
                 if coeff:
-                    word = tuple(word)
-                    work[word] = work.get(word, Fraction(0)) + coeff
+                    _acc(work, tuple(word), coeff)
         out = {}
         key = self.rewrite_key
         n = len(self.alphabet)
         while work:
             word = max(work, key=key)
             coeff = work.pop(word)
-            if not coeff:
-                continue
             pos = -1
             for i in range(len(word) - 1):
                 if word[i] > word[i + 1]:
                     pos = i
                     break
             if pos < 0:
-                mono = _word_to_monomial(word, n)
-                new = out.get(mono, 0) + coeff
-                if new:
-                    out[mono] = new
-                else:
-                    del out[mono]
+                _acc(out, _word_to_monomial(word, n), coeff)
                 continue
             hi, lo = word[pos], word[pos + 1]
             rel = self.relations[(hi, lo)]
@@ -442,20 +433,12 @@ class Presentation:
             swapped = prefix + (lo, hi) + suffix
             if _DEBUG_ORDER:
                 assert key(swapped) < key(word)
-            new = work.get(swapped, 0) + coeff * rel.q
-            if new:
-                work[swapped] = new
-            else:
-                work.pop(swapped, None)
+            _acc(work, swapped, coeff * rel.q)
             for tail_word, tail_coeff in rel.tail.items():
                 produced = prefix + tail_word + suffix
                 if _DEBUG_ORDER:
                     assert key(produced) < key(word)
-                new = work.get(produced, 0) + coeff * tail_coeff
-                if new:
-                    work[produced] = new
-                else:
-                    work.pop(produced, None)
+                _acc(work, produced, coeff * tail_coeff)
             check_budget(len(work) + len(out))
         return PBWElement(self, out)
 
@@ -478,14 +461,7 @@ class Presentation:
             for m2, c2 in y.terms.items():
                 c12 = c1 * c2
                 for mono, coeff in mono_product(m1, m2).terms.items():
-                    term = c12 if coeff is _ONE else c12 * coeff
-                    old = out.get(mono)
-                    if old is None:
-                        out[mono] = term
-                    elif new := old + term:
-                        out[mono] = new
-                    else:
-                        del out[mono]
+                    _acc(out, mono, c12 if coeff is _ONE else c12 * coeff)
         check_budget(len(out))
         result = PBWElement(self)
         result.terms = out
@@ -597,9 +573,8 @@ class Presentation:
         prefix, suffix = word[:pos], word[pos + 2:]
         terms = {prefix + (lo, hi) + suffix: rel.q}
         for tail_word, coeff in rel.tail.items():
-            produced = prefix + tail_word + suffix
-            terms[produced] = terms.get(produced, Fraction(0)) + coeff
-        return {w: c for w, c in terms.items() if c}
+            _acc(terms, prefix + tail_word + suffix, coeff)
+        return terms
 
     def require_confluent(self):
         report = self.confluence()
@@ -653,11 +628,7 @@ class PBWElement:
             self._check(other)
             terms = dict(self.terms)
             for mono, coeff in other.terms.items():
-                new = terms.get(mono, 0) + coeff
-                if new:
-                    terms[mono] = new
-                else:
-                    terms.pop(mono, None)
+                _acc(terms, mono, coeff)
             out = PBWElement(self.pres)
             out.terms = terms
             return out

@@ -31,7 +31,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .freealg import Alphabet, FreeElement
+from .freealg import Alphabet, FreeElement, _acc
 from .pbw import Presentation
 
 _TOKEN_RE = re.compile(r"\d+/\d+|\d+|\(x\)|[A-Za-z_][A-Za-z0-9_]*|[\^+\-=:]|\S")
@@ -137,12 +137,8 @@ def _parse_free(cur, alphabet):
         word = _parse_word(cur, alphabet)
         if not word and not saw_number:
             cur.fail("empty term")
-        coeff *= sign
-        new = terms.get(word, Fraction(0)) + coeff
-        if new:
-            terms[word] = new
-        else:
-            terms.pop(word, None)
+        if coeff:
+            _acc(terms, word, sign * coeff)
     if first:
         cur.fail("empty expression")
     return FreeElement(alphabet, terms)
@@ -178,13 +174,8 @@ def _parse_tensor(cur, alphabet):
         left = _parse_leg(cur, alphabet)
         cur.expect("(x)")
         right = _parse_leg(cur, alphabet)
-        coeff *= sign
-        key = (left, right)
-        new = terms.get(key, Fraction(0)) + coeff
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
+        if coeff:
+            _acc(terms, (left, right), sign * coeff)
     if first:
         cur.fail("empty tensor expression")
     return terms

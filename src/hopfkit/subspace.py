@@ -6,13 +6,20 @@ is weight-first, the window for a smaller bound is a prefix of the
 window for a larger one; the signature computation leans on that to
 count how much of a product span lands back inside the window.
 
+Every rank, kernel and remainder comes from one sparse echelon engine
+that puts each pivot at its row's smallest column.  A dimension of the
+form dim(span intersected with a column prefix) is read off by feeding
+the columns in reversed order: a row whose pivot falls in the reversed
+prefix has all its support there.
+
 All arithmetic is over Fraction; ranks and memberships are exact.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlphabetMismatch, NotHopfAdmissible, WindowTooSmall
+from .errors import NotHopfAdmissible, WindowTooSmall
+from .freealg import _acc
 from .pbw import PBWElement
 from . import hopf as _hopf
 from .grading import factor_series, gk_dimension, hilbert_series
@@ -59,115 +66,77 @@ class MonomialIndex:
 # ----- sparse elimination ----------------------------------------------------
 
 
-class _Elim:
-    """Sparse Gauss elimination with a fixed pivot strategy.
+class _Echelon:
+    """Sparse row echelon form, each pivot at its row's smallest column.
 
-    pivot="min" places each row's pivot at its smallest column, which
-    with back-elimination yields the reduced echelon form used for
-    canonical spans.  pivot="max" places it at the largest column; then
-    a row whose pivot falls inside a prefix of the column order has all
-    its support inside that prefix, which turns intersection-with-window
-    dimensions into a pivot count.
+    Rows are forward-reduced only: row p has row[p] == 1 and support at
+    columns >= p, but may keep entries at later pivot columns until
+    back_substitute() clears them.  Remainders are canonical either way,
+    because reduction clears the pivot columns in increasing order and a
+    vector of the span is fixed by its pivot coordinates.
+
+    A vector may be inserted with a tag, a {preimage: coeff} map that
+    follows the same row operations; when the vector reduces to zero its
+    tag is a kernel element and is appended to `kernel`.  Insert every
+    vector with a tag or none.
     """
 
-    def __init__(self, pivot="min"):
-        if pivot not in ("min", "max"):
-            raise ValueError("pivot must be 'min' or 'max'")
-        self._extreme = min if pivot == "min" else max
-        self.rows = {}  # pivot column -> row dict, row[pivot] == 1
+    def __init__(self):
+        self.rows = {}  # pivot column -> row dict
+        self.tags = {}  # pivot column -> tag of that row
+        self.kernel = []  # tags of inserted vectors that reduced to zero
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        """Remainder of a vector modulo the current span."""
-        vec = {c: v for c, v in vec.items() if v}
-        extreme = self._extreme
-        while vec:
-            col = extreme(vec)
-            row = self.rows.get(col)
-            if row is None:
-                # rows are inter-reduced, so no stored pivot can reappear
-                # below (min) or above (max) this column; scan the rest
-                rest = [c for c in vec if c != col and c in self.rows]
-                if not rest:
-                    return vec
-                col = extreme(rest)
-                row = self.rows[col]
-            coeff = vec[col]
-            for c, v in row.items():
-                new = vec.get(c, Fraction(0)) - coeff * v
-                if new:
-                    vec[c] = new
-                else:
-                    vec.pop(c, None)
-        return vec
+    def _subtract(self, vec, tag, col, coeff):
+        """vec -= coeff * rows[col], and the same on the tag when given."""
+        neg = -coeff
+        for c, v in self.rows[col].items():
+            _acc(vec, c, neg * v)
+        if tag is not None:
+            for c, v in self.tags[col].items():
+                _acc(tag, c, neg * v)
 
-    def insert(self, vec):
+    def reduce(self, vec, tag=None):
+        """Remainder of a vector modulo the span; a given tag is updated in place."""
+        vec = {c: v for c, v in vec.items() if v}
+        rows = self.rows
+        while True:
+            pivots = [c for c in vec if c in rows]
+            if not pivots:
+                return vec
+            col = min(pivots)
+            self._subtract(vec, tag, col, vec[col])
+
+    def insert(self, vec, tag=None):
         """Add a vector; returns its pivot column, or None if dependent."""
-        rem = self.reduce(vec)
+        if tag is not None:
+            tag = dict(tag)
+        rem = self.reduce(vec, tag)
         if not rem:
-            return None
-        pivot = self._extreme(rem)
-        inv = 1 / rem[pivot]
-        row = {c: v * inv for c, v in rem.items()}
-        for other in self.rows.values():
-            coeff = other.get(pivot)
-            if coeff:
-                for c, v in row.items():
-                    new = other.get(c, Fraction(0)) - coeff * v
-                    if new:
-                        other[c] = new
-                    else:
-                        other.pop(c, None)
-        self.rows[pivot] = row
-        return pivot
-
-
-class _TaggedElim:
-    """Elimination that carries preimage tags and collects the kernel."""
-
-    def __init__(self):
-        self.rows = {}  # pivot column -> (row dict, tag dict)
-        self.kernel = []  # tag dicts of vectors that reduced to zero
-
-    def feed(self, vec, tag):
-        vec = {c: v for c, v in vec.items() if v}
-        tag = dict(tag)
-        while vec:
-            col = min(vec)
-            hit = self.rows.get(col)
-            if hit is None:
-                candidates = [c for c in vec if c in self.rows]
-                if not candidates:
-                    break
-                col = min(candidates)
-                hit = self.rows[col]
-            row, row_tag = hit
-            coeff = vec[col]
-            for c, v in row.items():
-                new = vec.get(c, Fraction(0)) - coeff * v
-                if new:
-                    vec[c] = new
-                else:
-                    vec.pop(c, None)
-            for c, v in row_tag.items():
-                new = tag.get(c, Fraction(0)) - coeff * v
-                if new:
-                    tag[c] = new
-                else:
-                    tag.pop(c, None)
-        if not vec:
             if tag:
                 self.kernel.append(tag)
-            return
-        pivot = min(vec)
-        inv = 1 / vec[pivot]
-        self.rows[pivot] = (
-            {c: v * inv for c, v in vec.items()},
-            {c: v * inv for c, v in tag.items()},
-        )
+            return None
+        pivot = min(rem)
+        inv = 1 / rem[pivot]
+        self.rows[pivot] = {c: v * inv for c, v in rem.items()}
+        if tag is not None:
+            self.tags[pivot] = {c: v * inv for c, v in tag.items()}
+        return pivot
+
+    def back_substitute(self):
+        """Clear every row at the other pivot columns, in place.
+
+        Rows are done from the largest pivot down, so each row used for
+        clearing is already reduced and brings in no pivot column.
+        """
+        rows = self.rows
+        for pivot in sorted(rows, reverse=True):
+            row, tag = rows[pivot], self.tags.get(pivot)
+            for col in [c for c in row if c != pivot and c in rows]:
+                self._subtract(row, tag, col, row[col])
 
 
 # ----- public spans ----------------------------------------------------------
@@ -178,7 +147,7 @@ class Subspace:
 
     def __init__(self, index, elements=()):
         self.index = index
-        self._elim = _Elim("min")
+        self._elim = _Echelon()
         for x in elements:
             self.add(x)
 
@@ -212,7 +181,9 @@ class Subspace:
 
     def basis(self):
         """Row-reduced basis, one element per pivot, in window order."""
-        return [self.index.element(self._elim.rows[p]) for p in sorted(self._elim.rows)]
+        self._elim.back_substitute()
+        rows = self._elim.rows
+        return [self.index.element(rows[p]) for p in sorted(rows)]
 
     def contains_space(self, other):
         return all(self.member(b) for b in other.basis())
@@ -341,13 +312,8 @@ class Truncation:
             for m2, c2 in coords2.items():
                 if d1 + p.mono_degree(m2) >= self.power:
                     continue  # lands in the ideal
-                prod = p.mono_product(m1, m2)
-                for m, c in self.project(prod).items():
-                    new = out.get(m, Fraction(0)) + c1 * c2 * c
-                    if new:
-                        out[m] = new
-                    else:
-                        out.pop(m, None)
+                for m, c in self.project(p.mono_product(m1, m2)).items():
+                    _acc(out, m, c1 * c2 * c)
         return out
 
     def gen_image(self, g):
@@ -361,39 +327,20 @@ class Truncation:
         """
         p = self.pres
         gens = [self.gen_image(gi) for gi in range(len(p.alphabet))]
-        elim = _TaggedElim()
+        elim = _Echelon()
         for m in self.basis:
             coords = {m: Fraction(1)}
             commutators = {}
             for gi, g in enumerate(gens):
-                left = self.multiply_classes(coords, g)
-                right = self.multiply_classes(g, coords)
-                for mm, c in left.items():
-                    key = (gi, self._slot[mm])
-                    new = commutators.get(key, Fraction(0)) + c
-                    if new:
-                        commutators[key] = new
-                    else:
-                        commutators.pop(key, None)
-                for mm, c in right.items():
-                    key = (gi, self._slot[mm])
-                    new = commutators.get(key, Fraction(0)) - c
-                    if new:
-                        commutators[key] = new
-                    else:
-                        commutators.pop(key, None)
-            elim.feed(commutators, {m: Fraction(1)})
-        vectors = []
-        for tag in elim.kernel:
-            vectors.append({m: c for m, c in tag.items()})
-        # canonicalize and double-check against every basis class
-        canon = _Elim("min")
-        reps = []
-        for coords in vectors:
-            vec = {self._slot[m]: c for m, c in coords.items()}
-            if canon.insert(vec) is not None:
-                reps.append(coords)
-        for coords in reps:
+                for mm, c in self.multiply_classes(coords, g).items():
+                    _acc(commutators, (gi, self._slot[mm]), c)
+                for mm, c in self.multiply_classes(g, coords).items():
+                    _acc(commutators, (gi, self._slot[mm]), -c)
+            elim.insert(commutators, {m: Fraction(1)})
+        # each kernel tag has coefficient 1 on its own class and otherwise
+        # only classes inserted before it, so the tags are independent
+        reps = elim.kernel
+        for coords in reps:  # double-check against every basis class
             for m in self.basis:
                 other = {m: Fraction(1)}
                 if self.multiply_classes(coords, other) != self.multiply_classes(
@@ -446,25 +393,15 @@ class _CoradicalState:
                 kappa[mono] = hit
             return hit
 
-        elim = _TaggedElim()
+        elim = _Echelon()
         for m in self.aug:
             image = {}
             for (u, v), c in self.deltas[m].items():
                 for col, cv in reduce_leg(u).items():
-                    key = (0, col, index.index(v))
-                    new = image.get(key, Fraction(0)) + c * cv
-                    if new:
-                        image[key] = new
-                    else:
-                        image.pop(key, None)
+                    _acc(image, (0, col, index.index(v)), c * cv)
                 for col, cv in reduce_leg(v).items():
-                    key = (1, index.index(u), col)
-                    new = image.get(key, Fraction(0)) + c * cv
-                    if new:
-                        image[key] = new
-                    else:
-                        image.pop(key, None)
-            elim.feed(image, {index.index(m): Fraction(1)})
+                    _acc(image, (1, index.index(u), col), c * cv)
+            elim.insert(image, {index.index(m): Fraction(1)})
         level = Subspace(index)
         for tag in elim.kernel:
             level.add_vector(tag)
@@ -538,10 +475,12 @@ def signature(p, weight_bound):
     For each level n, count the dimensions of S_n beyond
     S_{n-1} + (products of pairs of levels summing to n), the product
     span intersected with the window.  Products of window elements live
-    in the doubled window; the max-pivot strategy makes the intersection
-    dimension a pivot count, since the window is a prefix of the doubled
-    one.  The multiset is complete when its size reaches the geometric
-    growth dimension of the series.
+    in the doubled window, of which the window is a prefix.  Columns are
+    fed in reversed order, c -> full - 1 - c, so the window becomes the
+    last window_size columns; a row whose smallest-column pivot falls
+    there has all its support inside the window, and the intersection
+    dimension is the number of such pivots.  The multiset is complete
+    when its size reaches the geometric growth dimension of the series.
     """
     chain = _coradical_chain(p, weight_bound)
     index = MonomialIndex(p, weight_bound)
@@ -550,11 +489,15 @@ def signature(p, weight_bound):
         assert wide.monomials[pos] == m, "window is not a prefix of its double"
     window_size = len(index)
     bases = [[]] + [s.basis() for s in chain]  # bases[n] = basis of S_n
-    elim = _Elim("max")
+    elim = _Echelon()
     full = len(wide)
+    window_start = full - window_size
+
+    def insert(x):
+        elim.insert({full - 1 - c: v for c, v in wide.vector(x).items()})
 
     def window_rank():
-        return sum(1 for pivot in elim.rows if pivot < window_size)
+        return sum(1 for pivot in elim.rows if pivot >= window_start)
 
     entries = []
     by_level = []
@@ -565,14 +508,14 @@ def signature(p, weight_bound):
                 if elim.rank == full:
                     break
                 for b2 in bases[q]:
-                    elim.insert(wide.vector(p.multiply(b1, b2)))
+                    insert(p.multiply(b1, b2))
         explained = window_rank()
         count = chain[n - 1].dim - explained
         if count > 0:
             entries.extend([n] * count)
             by_level.append((n, count))
         for b in bases[n]:
-            elim.insert(wide.vector(b))
+            insert(b)
     gk = None
     try:
         exponents = factor_series(hilbert_series(p, max(10, 2 * weight_bound)))

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from hopfkit import (
+    Tensor3Element,
+    TensorElement,
     antipode,
     builtin,
     check_coassociativity,
@@ -77,6 +79,25 @@ def test_tensor_element_arithmetic_and_rendering():
     w = J.gen("w")
     left = tensor(w, J.one()) * tensor(z, J.one())
     assert str(left) == "-d (x) 1 + zw (x) 1"
+
+
+def test_tensor_element_arities():
+    J = builtin("J")
+    one, a, c = (0,) * 6, (1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)
+    pair = TensorElement(J, {(c, a): 2, (a, one): -1})
+    assert str(pair) == "-a (x) 1 + 2c (x) a"
+    assert pair == tensor(J.gen("c"), 2 * J.gen("a")) - tensor(J.gen("a"), J.one())
+    triple = Tensor3Element(J, {(a, one, c): Fraction(1, 2), (c, c, a): -1})
+    assert isinstance(triple, TensorElement)
+    assert str(triple) == "1/2 a (x) 1 (x) c - c (x) c (x) a"
+    assert triple == TensorElement(J, {(c, c, a): -1}) + TensorElement(J, {(a, one, c): Fraction(1, 2)})
+    assert triple != pair
+    assert str(triple - triple) == "0"
+    assert triple - triple == pair - pair  # the zero tensor has every arity
+    with pytest.raises(TypeError):
+        triple + pair
+    with pytest.raises(TypeError):
+        triple * triple  # products live on the tensor square only
 
 
 def test_counit_values():

@@ -1,5 +1,6 @@
 """Exact linear algebra over monomial windows: spans, filtrations, quotients."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -206,3 +207,74 @@ def test_signature_admits_small_windows():
     sig = signature(builtin("L"), 2)
     assert sig.entries == (1, 1, 1)
     assert not sig.complete
+
+
+def random_sparse_rows(rng, n_rows, n_cols):
+    """Sparse rational rows, some of them combinations of earlier ones."""
+    rows = []
+    for _ in range(n_rows):
+        if rows and rng.random() < 0.3:
+            row = {}
+            for earlier in rng.sample(rows, min(len(rows), 2)):
+                scale = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for c, v in earlier.items():
+                    row[c] = row.get(c, 0) + scale * v
+        else:
+            row = {
+                c: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                for c in rng.sample(range(n_cols), rng.randint(1, max(1, n_cols // 3)))
+            }
+        rows.append({c: v for c, v in row.items() if v})
+    return rows
+
+
+def test_echelon_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from hopfkit.subspace import _Echelon
+
+    def matrix(rows, n_cols):
+        return sympy.Matrix(
+            [[sympy.Rational(r.get(c, 0)) for c in range(n_cols)] for r in rows]
+        )
+
+    rng = random.Random(20160127)
+    for _ in range(30):
+        n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 10)
+        rows = random_sparse_rows(rng, n_rows, n_cols)
+        M = matrix(rows, n_cols)
+        rank = M.rank()
+
+        elim = _Echelon()
+        for i, row in enumerate(rows):
+            elim.insert(row, {i: Fraction(1)})
+        assert elim.rank == rank
+        # kernel tags: rows minus rank of them, each combining the rows to zero
+        assert len(elim.kernel) == n_rows - rank
+        for tag in elim.kernel:
+            combo = {}
+            for i, t in tag.items():
+                for c, v in rows[i].items():
+                    combo[c] = combo.get(c, 0) + t * v
+            assert not any(combo.values())
+        # remainders vanish at the pivots and differ from the vector by the span
+        probe = {c: Fraction(rng.randint(-3, 3)) for c in range(n_cols)}
+        rem = elim.reduce(probe)
+        assert not set(rem) & set(elim.rows)
+        diff = {c: probe.get(c, 0) - rem.get(c, 0) for c in range(n_cols)}
+        assert matrix(rows + [diff], n_cols).rank() == rank
+        # back substitution gives exactly the reduced row echelon form
+        elim.back_substitute()
+        R, pivots = M.rref()
+        assert tuple(sorted(elim.rows)) == pivots
+        assert [[elim.rows[p].get(c, 0) for c in range(n_cols)] for p in pivots] == [
+            [Fraction(str(x)) for x in R.row(i)] for i in range(len(pivots))
+        ]
+
+        # reversed columns: pivots in the reversed prefix count the
+        # dimension of the row space inside the first k columns
+        reversed_elim = _Echelon()
+        for row in rows:
+            reversed_elim.insert({n_cols - 1 - c: v for c, v in row.items()})
+        for k in range(n_cols + 1):
+            inside = sum(1 for p in reversed_elim.rows if p >= n_cols - k)
+            assert inside == rank - M[:, k:].rank()
