@@ -26,8 +26,10 @@ class TailNotNormal(PresentationError):
 
 
 class TailNotSmaller(PresentationError):
-    """A relation tail is not strictly below its head, so rewriting
-    has no termination certificate."""
+    """A relation tail is not strictly below its head: it outweighs the
+    head, or no positive auxiliary weight vector psi puts every
+    equal-weight tail below its head, so rewriting has no termination
+    certificate."""
 
 
 class InvalidCoproduct(PresentationError):

@@ -23,9 +23,18 @@ the order
 
 All four components are compatible with concatenation, so each rewrite
 step strictly decreases the multiset of term words and straightening
-terminates.  If no psi up to the search bound certifies the tails, the
-presentation is rejected with TailNotSmaller; systems such as
-yx -> xy + yy - xx, where rewriting genuinely cycles, are refused this way.
+terminates.
+
+The conditions on psi are linear: each equal-weight tail asks that the
+head's psi-weight exceed the tail's, or merely reach it when the (length,
+lex) tie-break already puts the tail below.  Whether some psi >= 1 meets
+them all is decided exactly, by a phase-1 simplex over Fraction, so a
+valid presentation is never refused because a search gave up.  A rational
+solution scales to an integer one, and psi is the canonical integer
+certificate: the smallest largest entry, then the lexicographically first.
+When the system is infeasible the presentation is rejected with
+TailNotSmaller; systems such as yx -> xy + yy - xx, where rewriting
+genuinely cycles, are refused this way.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from operator import add
 
 from .errors import (
@@ -56,8 +65,6 @@ from .freealg import (
 
 Monomial = tuple
 
-PSI_SEARCH_BOUND = 6
-
 _ONE = Fraction(1)
 
 _DEBUG_ORDER = bool(os.environ.get("HOPFKIT_DEBUG_ORDER"))
@@ -72,6 +79,134 @@ def _word_to_monomial(word, size):
     for letter in word:
         expo[letter] += 1
     return tuple(expo)
+
+
+def _psi_rows(constraints, n):
+    """One linear row (a, r) per equal-weight tail: psi certifies it iff a.psi >= r.
+
+    a counts the head letters minus the tail letters.  r is 1 when the
+    (length, word) tie-break does not already put the tail below the head,
+    so its psi-weight must drop, and 0 when a tie in psi-weight suffices.
+    """
+    rows = {}
+    for (hi, lo), word in constraints:
+        a = [0] * n
+        a[hi] += 1
+        a[lo] += 1
+        for letter in word:
+            a[letter] -= 1
+        rows[(tuple(a), 0 if (len(word), word) < (2, (hi, lo)) else 1)] = None
+    return list(rows)
+
+
+def _lp_feasible(rows, n):
+    """Whether some real psi >= 1 satisfies a.psi >= r for every row (a, r).
+
+    Phase 1 of the simplex method, exact over Fraction.  With psi = 1 + x,
+    row i reads a.x - s_i = r - sum(a) with x, s >= 0; each row whose right
+    side is positive also gets an artificial variable, and the system is
+    feasible iff their sum can be driven to zero.  Bland's rule (smallest
+    entering column, ratio ties to the smallest basic column) rules out
+    cycling, so the loop ends (Bland, Math. Oper. Res. 2, 1977).
+    """
+    m = len(rows)
+    artificial = n + m
+    width = artificial + sum(1 for a, r in rows if r > sum(a))
+    tableau, basis = [], []
+    for i, (a, r) in enumerate(rows):
+        line = [Fraction(c) for c in a] + [Fraction(0)] * (width - n) + [Fraction(r - sum(a))]
+        line[n + i] = Fraction(-1)
+        if line[-1] > 0:
+            line[artificial] = _ONE
+            basis.append(artificial)
+            artificial += 1
+        else:
+            line = [-v for v in line]
+            basis.append(n + i)
+        tableau.append(line)
+    # reduced costs of "minimise the sum of the artificials"; cost[-1] is minus that sum
+    cost = [Fraction(0)] * (width + 1)
+    for line, b in zip(tableau, basis):
+        if b >= n + m:
+            cost = [c - v for c, v in zip(cost, line)]
+    cost[n + m:width] = [Fraction(0)] * (width - n - m)
+    while True:
+        enter = next((j for j in range(width) if cost[j] < 0), None)
+        if enter is None:
+            return cost[-1] == 0
+        # the sum of the artificials is bounded below, so some entry is positive
+        _, _, row = min(
+            (line[-1] / line[enter], basis[i], i)
+            for i, line in enumerate(tableau)
+            if line[enter] > 0
+        )
+        pivot = tableau[row][enter]
+        pivot_line = tableau[row] = [v / pivot for v in tableau[row]]
+        for i, line in enumerate(tableau):
+            if i != row and line[enter]:
+                f = line[enter]
+                tableau[i] = [v - f * w for v, w in zip(line, pivot_line)]
+        f = cost[enter]
+        cost = [v - f * w for v, w in zip(cost, pivot_line)]
+        basis[row] = enter
+
+
+def _least_psi(rows, n, accept):
+    """The smallest-max, then lexicographically first integer psi >= 1 for rows.
+
+    The rows must be feasible: a rational solution then scales to an
+    integer one, so raising the bound from 2 ends.  Each bound is a
+    depth-first search over the boxes [1, bound]; generators in no row stay
+    at 1, the others are fixed left to right, smallest value first.  At
+    every node each row shrinks the boxes to what it still allows with the
+    other entries at their best ends, until nothing changes; a box left
+    empty cuts the branch.  A complete vector is returned once accept(psi)
+    confirms it.
+    """
+    free = [j for j in range(n) if any(a[j] for a, _ in rows)]
+
+    def tighten(lo, hi):
+        changed = True
+        while changed:
+            changed = False
+            for a, r in rows:
+                top = sum(c * (hi[j] if c > 0 else lo[j]) for j, c in enumerate(a) if c)
+                if top < r:
+                    return False
+                for j, c in enumerate(a):
+                    # the row still needs c * psi[j] >= r - (top without entry j)
+                    if c > 0:
+                        need = -((top - c * hi[j] - r) // c)
+                        if need > lo[j]:
+                            lo[j], changed = need, True
+                    elif c < 0:
+                        cap = (top - c * lo[j] - r) // -c
+                        if cap < hi[j]:
+                            hi[j], changed = cap, True
+                    if lo[j] > hi[j]:
+                        return False
+        return True
+
+    def descend(k, lo, hi):
+        if not tighten(lo, hi):
+            return None
+        if k == len(free):
+            return tuple(lo) if accept(tuple(lo)) else None
+        j = free[k]
+        for value in range(lo[j], hi[j] + 1):
+            lo2, hi2 = lo[:], hi[:]
+            lo2[j] = hi2[j] = value
+            found = descend(k + 1, lo2, hi2)
+            if found:
+                return found
+        return None
+
+    bound = 1
+    while True:
+        bound += 1
+        found = descend(0, [1] * n, [bound if j in free else 1 for j in range(n)])
+        if found:
+            return found
 
 
 @dataclass(frozen=True)
@@ -228,8 +363,8 @@ class Presentation:
         psi = self._find_psi(constraints)
         if psi is None:
             raise TailNotSmaller(
-                "no termination certificate: equal-weight tails admit no auxiliary "
-                f"weight vector up to bound {PSI_SEARCH_BOUND}"
+                "no termination certificate: no positive auxiliary weight vector "
+                "puts every equal-weight tail below its head"
             )
         label = "weight-graded" if graded else "filtered"
         messages.append(f"presentation is {label}")
@@ -252,22 +387,20 @@ class Presentation:
         return True
 
     def _find_psi(self, constraints):
+        """The canonical certificate, or None when no psi >= 1 exists.
+
+        Among integer certificates this is the one with the smallest largest
+        entry, then the lexicographically first: exactly what trying the
+        vectors of [1, bound]^n in order, for bound = 1, 2, ..., would find.
+        """
         n = len(self.alphabet)
-        if not constraints:
-            return tuple([1] * n)
-        if n > 8:
-            # keep the search bounded on large alphabets
-            for psi in ((1,) * n, self.alphabet.weights):
-                if self._psi_ok(psi, constraints):
-                    return tuple(psi)
+        ones = (1,) * n
+        if self._psi_ok(ones, constraints):
+            return ones
+        rows = _psi_rows(constraints, n)
+        if not _lp_feasible(rows, n):
             return None
-        for bound in range(1, PSI_SEARCH_BOUND + 1):
-            for psi in product(range(1, bound + 1), repeat=n):
-                if max(psi) != bound:
-                    continue
-                if self._psi_ok(psi, constraints):
-                    return psi
-        return None
+        return _least_psi(rows, n, lambda psi: self._psi_ok(psi, constraints))
 
     def _build_coproduct(self, given):
         if given is None:

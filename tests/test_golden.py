@@ -1,10 +1,14 @@
-"""CLI outputs replayed against goldens captured before the echelon refactor.
+"""CLI outputs replayed against recorded goldens.
 
 `golden/manifest.json` lists each invocation with its exit code and
-stderr; `golden/<name>.out` holds its stdout byte for byte.  The files
-were recorded once from the code as it stood before the elimination
-engines, tensor classes and accumulation loops were merged, and are
-never regenerated: a mismatch means the refactor changed an answer.
+stderr; `golden/<name>.out` holds its stdout byte for byte.  Each file
+was recorded once from the code as it stood before a refactor (the
+`check` to `compare-centers` cases before the elimination engines,
+tensor classes and accumulation loops were merged; the `nf`, `hilbert`,
+`gr`, `obstruct`, `dump-builtin` and `check --file` cases before the psi
+search became an exact LP) and is never regenerated: a mismatch means a
+change altered an answer.  `--file` paths are relative to the repository
+root.
 """
 
 import json
@@ -14,12 +18,14 @@ import pytest
 
 from hopfkit import cli
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
-def test_golden_output(case, capsys):
+def test_golden_output(case, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
     code = cli.main(case["argv"])
     captured = capsys.readouterr()
     assert code == case["exit"]

@@ -2,10 +2,19 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
-from hopfkit import BUILTIN_NAMES, Presentation, builtin
+from hopfkit import (
+    BUILTIN_NAMES,
+    Presentation,
+    builtin,
+    dump_presentation,
+    parse_presentation,
+    pbw,
+)
 from hopfkit.errors import (
     NotConfluent,
     PresentationError,
@@ -254,3 +263,158 @@ def test_mono_product_caching():
     ab = (1, 1, 0, 0, 0)
     (closed,) = L.mono_product(m2, m1).terms
     assert closed == ab and any(mono is closed for mono in first.terms)
+
+
+# ----- the termination certificate psi -------------------------------------
+
+# yx = xy + y^2 - x^2 rewrites in a cycle; six commuting spectators make n = 8
+CYCLING_TEXT = """\
+name: cycling
+generators: x:1 y:1 u1:1 u2:1 u3:1 u4:1 u5:1 u6:1
+rel: y x = x y + y^2 - x^2
+coproduct: none
+"""
+
+
+def _l_plus(extra):
+    names = " ".join(f"e{i}:1" for i in range(1, extra + 1))
+    return f"""\
+name: L_plus{extra}
+generators: a:1 b:1 c:2 z:3 w:3 {names}
+rel: b a = a b - c
+rel: w z = z w - 1/3 c^3
+delta: z = z (x) 1 + 1 (x) z + a (x) c - c (x) a
+delta: w = w (x) 1 + 1 (x) w + b (x) c - c (x) b
+"""
+
+
+# the tail c^12 keeps the head's weight and is longer, so psi must drop by
+# at least one across it: psi(z) + psi(w) >= 12 psi(c) + 1 needs an entry 7
+HEAVY_TAIL_TEXT = """\
+name: heavy_tail
+generators: c:1 z:6 w:6
+rel: w z = z w + c^12
+coproduct: none
+"""
+
+ACCEPTED_TEXTS = {
+    _l_plus(3): (1, 1, 1, 2, 2, 1, 1, 1),
+    _l_plus(4): (1, 1, 1, 2, 2, 1, 1, 1, 1),
+    HEAVY_TAIL_TEXT: (1, 6, 7),
+}
+
+
+def test_cycling_system_rejected():
+    with pytest.raises(TailNotSmaller):
+        parse_presentation(CYCLING_TEXT)
+
+
+@pytest.mark.parametrize("text,psi", ACCEPTED_TEXTS.items(), ids=["L+3", "L+4", "heavy_tail"])
+def test_certificate_psi(text, psi):
+    p = parse_presentation(text)
+    assert p.psi == psi
+    assert all(type(entry) is int for entry in p.psi)
+    report = p.confluence()
+    assert report.ok
+    assert report.triples_checked == comb(len(p.alphabet), 3)
+
+
+@pytest.mark.parametrize("text", [_l_plus(4), HEAVY_TAIL_TEXT], ids=["L+4", "heavy_tail"])
+def test_certificate_orders_every_rewrite(text, monkeypatch):
+    # with the debug flag on, normal_form asserts that each rewrite lowers the key
+    monkeypatch.setattr(pbw, "_DEBUG_ORDER", True)
+    p = parse_presentation(text)
+    gens = [p.gen(name) for name in p.alphabet.names]
+    rng = random.Random(4)
+    for _ in range(60):
+        word = tuple(rng.randrange(len(gens)) for _ in range(rng.randint(2, 9)))
+        product_of_gens = p.one()
+        for letter in word:
+            product_of_gens = product_of_gens * gens[letter]
+        assert p.normal_form({word: 1}) == product_of_gens
+
+
+@pytest.mark.parametrize("text", list(ACCEPTED_TEXTS), ids=["L+3", "L+4", "heavy_tail"])
+def test_dump_round_trip_keeps_psi(text):
+    p = parse_presentation(text)
+    again = parse_presentation(dump_presentation(p))
+    assert again == p
+    assert again.psi == p.psi
+
+
+def _brute_force_psi(p, constraints):
+    """The exhaustive search the exact certificate replaced: every vector of
+    [1, bound]^n in itertools.product order, for bound = 1, ..., 6."""
+    n = len(p.alphabet)
+    if not constraints:
+        return tuple([1] * n)
+    for bound in range(1, 7):
+        for psi in product(range(1, bound + 1), repeat=n):
+            if max(psi) != bound:
+                continue
+            if p._psi_ok(psi, constraints):
+                return psi
+    return None
+
+
+def test_psi_matches_brute_force():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def row_systems(draw):
+        n = draw(st.integers(2, 6))
+        pairs = [(hi, lo) for hi in range(n) for lo in range(hi)]
+        constraints = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(pairs),
+                    st.lists(st.integers(0, n - 1), min_size=1, max_size=4).map(
+                        lambda letters: tuple(sorted(letters))
+                    ),
+                ),
+                max_size=4,
+            )
+        )
+        return n, constraints
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+    @hypothesis.given(row_systems())
+    def check(system):
+        n, constraints = system
+        p = builtin(f"poly({n})")
+        expected = _brute_force_psi(p, constraints)
+        got = p._find_psi(constraints)
+        if expected is not None:
+            assert got == expected
+        if got is None:
+            assert expected is None
+        else:
+            assert p._psi_ok(got, constraints)
+
+    check()
+
+
+def test_lp_feasibility_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.solvers.simplex import InfeasibleLPError, linprog
+
+    rng = random.Random(1977)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        rows = [
+            (tuple(rng.choice((-3, -2, -1, 0, 0, 1, 2)) for _ in range(n)), rng.randint(0, 1))
+            for _ in range(rng.randint(1, 5))
+        ]
+        # with psi = 1 + x and x >= 0, a.psi >= r reads -a.x <= sum(a) - r
+        A = sympy.Matrix([[-c for c in a] for a, _ in rows])
+        b = sympy.Matrix([sum(a) - r for a, r in rows])
+        try:
+            linprog(sympy.zeros(n, 1), A, b)
+            expected = True
+        except InfeasibleLPError:
+            expected = False
+        assert pbw._lp_feasible(rows, n) == expected, rows
+        verdicts.add(expected)
+    assert verdicts == {True, False}

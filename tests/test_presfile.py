@@ -41,6 +41,7 @@ def test_dump_builtin_round_trip():
         text = dump_presentation(p)
         again = parse_presentation(text)
         assert again == p, name
+        assert again.psi == p.psi, name
         assert dump_presentation(again) == text, name
 
 
