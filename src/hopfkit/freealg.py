@@ -29,13 +29,18 @@ def term_budget():
     return int(raw)
 
 
+def over_budget(count, budget):
+    """The error for an expression of count terms against the budget."""
+    return BudgetExceeded(
+        f"intermediate expression has {count} terms, budget is {budget} "
+        "(raise HOPFKIT_MAX_TERMS to override)"
+    )
+
+
 def check_budget(count):
     budget = term_budget()
     if count > budget:
-        raise BudgetExceeded(
-            f"intermediate expression has {count} terms, budget is {budget} "
-            "(raise HOPFKIT_MAX_TERMS to override)"
-        )
+        raise over_budget(count, budget)
 
 
 def _acc(store, key, coeff):

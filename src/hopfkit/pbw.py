@@ -60,7 +60,9 @@ from .freealg import (
     _acc,
     as_coeff,
     check_budget,
+    over_budget,
     render_terms,
+    term_budget,
 )
 
 Monomial = tuple
@@ -530,7 +532,7 @@ class Presentation:
         Accepts a FreeElement over the same alphabet, a PBWElement over
         this presentation, or a plain {word: coefficient} map.  Rewrites
         the largest reducible word (leftmost misordered pair first) until
-        none remains.
+        none remains.  The term budget is read once per call.
         """
         if isinstance(x, PBWElement):
             if x.pres is not self and x.pres != self:
@@ -549,6 +551,7 @@ class Presentation:
         out = {}
         key = self.rewrite_key
         n = len(self.alphabet)
+        budget = term_budget()
         while work:
             word = max(work, key=key)
             coeff = work.pop(word)
@@ -572,7 +575,8 @@ class Presentation:
                 if _DEBUG_ORDER:
                     assert key(produced) < key(word)
                 _acc(work, produced, coeff * tail_coeff)
-            check_budget(len(work) + len(out))
+            if len(work) + len(out) > budget:
+                raise over_budget(len(work) + len(out), budget)
         return PBWElement(self, out)
 
     def multiply(self, x, y):

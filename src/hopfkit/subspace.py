@@ -12,11 +12,15 @@ form dim(span intersected with a column prefix) is read off by feeding
 the columns in reversed order: a row whose pivot falls in the reversed
 prefix has all its support there.
 
-All arithmetic is over Fraction; ranks and memberships are exact.
+Ranks, memberships, remainders and kernels are exact.  Values come in
+and go out as Fraction, but the engine keeps its rows as primitive
+integer vectors and reduces fraction-free, with one integer scale per
+reduction; Fraction is built only where a result is handed back.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NotHopfAdmissible, WindowTooSmall
 from .freealg import _acc
@@ -66,77 +70,206 @@ class MonomialIndex:
 # ----- sparse elimination ----------------------------------------------------
 
 
-class _Echelon:
-    """Sparse row echelon form, each pivot at its row's smallest column.
+def _clear(vec, tag=None):
+    """Integer copies of vec and tag over one common denominator.
 
-    Rows are forward-reduced only: row p has row[p] == 1 and support at
-    columns >= p, but may keep entries at later pivot columns until
-    back_substitute() clears them.  Remainders are canonical either way,
-    because reduction clears the pivot columns in increasing order and a
-    vector of the span is fixed by its pivot coordinates.
+    Returns (vec, tag, den): the copies are den times the given maps,
+    zero entries dropped, and tag stays None when none is given.
+    """
+    den = 1
+    for v in (*vec.values(), *(tag or {}).values()):
+        d = v.denominator
+        if den % d:
+            den = lcm(den, d)
+    if tag is not None:
+        tag = {k: v.numerator * (den // v.denominator) for k, v in tag.items() if v}
+    vec = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
+    return vec, tag, den
+
+
+def _combine(vec, r, a, row):
+    """vec = r * vec - a * row over the integers, in place.
+
+    r == 1 skips the scaling pass; entries that cancel are dropped.
+    """
+    if r != 1:
+        for c in vec:
+            vec[c] *= r
+    for c, v in row.items():
+        _acc(vec, c, -a * v)
+
+
+class _Echelon:
+    """Sparse row echelon form over the integers, pivots at smallest columns.
+
+    Each row is a primitive integer vector (the gcd of its entries is 1)
+    whose pivot entry, at its smallest column, is positive.  Rows are
+    forward-reduced only: row p has support at columns >= p but may keep
+    entries at later pivot columns until back_substitute() clears them.
+    Remainders are canonical either way, because reduction clears the
+    pivot columns in increasing order and a vector of the span is fixed
+    by its pivot coordinates.
+
+    Reduction is fraction-free: at pivot p, with a = vec[p], r = row[p]
+    and g = gcd(a, r), vec becomes (r/g) vec - (a/g) row, and a running
+    integer scale is multiplied by r/g.  Fraction appears only at the
+    boundary: insert() and reduce() clear their input by the lcm of its
+    denominators, reduce() returns exact Fraction remainders, and
+    row(p) reads a row as row / row[p].
 
     A vector may be inserted with a tag, a {preimage: coeff} map that
     follows the same row operations; when the vector reduces to zero its
-    tag is a kernel element and is appended to `kernel`.  Insert every
-    vector with a tag or none.
+    tag is a kernel element and is appended to `kernel` as exact
+    Fractions.  A row's tag is kept at the row's scale as an integer map
+    and a positive denominator in lowest terms, which is 1 unless making
+    the row primitive divided it by more than the tag's content.  Insert
+    every vector with a tag or none.
     """
 
     def __init__(self):
-        self.rows = {}  # pivot column -> row dict
-        self.tags = {}  # pivot column -> tag of that row
+        self.rows = {}  # pivot column -> primitive integer row
+        self.tags = {}  # pivot column -> (integer tag, denominator)
         self.kernel = []  # tags of inserted vectors that reduced to zero
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _subtract(self, vec, tag, col, coeff):
-        """vec -= coeff * rows[col], and the same on the tag when given."""
-        neg = -coeff
-        for c, v in self.rows[col].items():
-            _acc(vec, c, neg * v)
-        if tag is not None:
-            for c, v in self.tags[col].items():
-                _acc(tag, c, neg * v)
+    def _tag_step(self, tag, den, r, a, col):
+        """tag / den -> r * tag / den - a * (tag of row col), in place.
 
-    def reduce(self, vec, tag=None):
-        """Remainder of a vector modulo the span; a given tag is updated in place."""
-        vec = {c: v for c, v in vec.items() if v}
+        Returns the new denominator.
+        """
+        other, d = self.tags[col]
+        if d != 1:
+            h = gcd(a, d)
+            a //= h
+            d //= h
+        if den % d:
+            new = lcm(den, d)
+            r *= new // den
+            a *= new // d
+            den = new
+        else:
+            a *= den // d
+        _combine(tag, r, a, other)
+        return den
+
+    def _reduce(self, vec, tag):
+        """Clear the pivot columns of an integer vec in place.
+
+        The tag, when given, follows.  Returns (scale, den): vec is scale
+        times its remainder, and the tag divided by den follows vec.
+        """
         rows = self.rows
+        scale = den = 1
         while True:
             pivots = [c for c in vec if c in rows]
             if not pivots:
-                return vec
+                return scale, den
             col = min(pivots)
-            self._subtract(vec, tag, col, vec[col])
+            row = rows[col]
+            a, r = vec[col], row[col]
+            g = gcd(a, r)
+            if g != 1:
+                a //= g
+                r //= g
+            _combine(vec, r, a, row)
+            if tag is not None:
+                den = self._tag_step(tag, den, r, a, col)
+            scale *= r
+
+    def remainder(self, vec):
+        """Remainder of a vector modulo the span, as (integer map, den).
+
+        The remainder is the map divided by den, with den > 0 and no
+        common factor of den and the map's entries.
+        """
+        vec, _, den = _clear(vec)
+        den *= self._reduce(vec, None)[0]
+        g = gcd(den, *vec.values())
+        if g != 1:
+            den //= g
+            for c in vec:
+                vec[c] //= g
+        return vec, den
+
+    def reduce(self, vec):
+        """Remainder of a vector modulo the span, as exact Fractions."""
+        vec, den = self.remainder(vec)
+        return {c: Fraction(v, den) for c, v in vec.items()}
 
     def insert(self, vec, tag=None):
-        """Add a vector; returns its pivot column, or None if dependent."""
-        if tag is not None:
-            tag = dict(tag)
-        rem = self.reduce(vec, tag)
-        if not rem:
+        """Add a rational vector; returns its pivot column, or None if dependent."""
+        return self.insert_cleared(*_clear(vec, tag))
+
+    def insert_cleared(self, vec, tag, scale):
+        """Add an integer vector that is scale times the one meant.
+
+        vec and tag (or None) are integer maps with no zero entries,
+        both scale times their values; the engine takes them over.
+        Returns the pivot column, or None if dependent.
+        """
+        factor, den = self._reduce(vec, tag)
+        if not vec:
             if tag:
-                self.kernel.append(tag)
+                den *= scale * factor
+                self.kernel.append({k: Fraction(v, den) for k, v in tag.items()})
             return None
-        pivot = min(rem)
-        inv = 1 / rem[pivot]
-        self.rows[pivot] = {c: v * inv for c, v in rem.items()}
+        pivot = min(vec)
+        self.rows[pivot] = vec
         if tag is not None:
-            self.tags[pivot] = {c: v * inv for c, v in tag.items()}
+            self.tags[pivot] = (tag, den)
+        self._normalize(pivot)
         return pivot
+
+    def _normalize(self, pivot):
+        """Make a row primitive with a positive pivot; its tag follows."""
+        row = self.rows[pivot]
+        g = gcd(*row.values())
+        if row[pivot] < 0:
+            g = -g
+        if g != 1:
+            for c in row:
+                row[c] //= g
+        if pivot in self.tags:
+            tag, den = self.tags[pivot]
+            den *= g
+            h = gcd(den, *tag.values())
+            if den < 0:
+                h = -h
+            if h != 1:
+                den //= h
+                for k in tag:
+                    tag[k] //= h
+            self.tags[pivot] = (tag, den)
+
+    def row(self, pivot):
+        """The row with the given pivot, as exact Fractions with 1 at the pivot."""
+        row = self.rows[pivot]
+        lead = row[pivot]
+        return {c: Fraction(v, lead) for c, v in row.items()}
 
     def back_substitute(self):
         """Clear every row at the other pivot columns, in place.
 
         Rows are done from the largest pivot down, so each row used for
-        clearing is already reduced and brings in no pivot column.
+        clearing is already reduced and brings in no pivot column; a
+        row is never cleared by its own pivot.
         """
-        rows = self.rows
+        rows, tags = self.rows, self.tags
         for pivot in sorted(rows, reverse=True):
-            row, tag = rows[pivot], self.tags.get(pivot)
-            for col in [c for c in row if c != pivot and c in rows]:
-                self._subtract(row, tag, col, row[col])
+            row = rows[pivot]
+            cols = [c for c in row if c != pivot and c in rows]
+            for col in cols:
+                a, r = row[col], rows[col][col]
+                g = gcd(a, r)
+                _combine(row, r // g, a // g, rows[col])
+                if pivot in tags:
+                    tag, den = tags[pivot]
+                    tags[pivot] = (tag, self._tag_step(tag, den, r // g, a // g, col))
+            if cols:
+                self._normalize(pivot)
 
 
 # ----- public spans ----------------------------------------------------------
@@ -167,7 +300,7 @@ class Subspace:
         return self._elim.insert(vec) is not None
 
     def member(self, x):
-        return not self._elim.reduce(self.index.vector(x))
+        return not self._elim.remainder(self.index.vector(x))[0]
 
     def reduce(self, x):
         """Canonical remainder of x modulo the span."""
@@ -181,9 +314,9 @@ class Subspace:
 
     def basis(self):
         """Row-reduced basis, one element per pivot, in window order."""
-        self._elim.back_substitute()
-        rows = self._elim.rows
-        return [self.index.element(rows[p]) for p in sorted(rows)]
+        elim = self._elim
+        elim.back_substitute()
+        return [self.index.element(elim.row(p)) for p in sorted(elim.rows)]
 
     def contains_space(self, other):
         return all(self.member(b) for b in other.basis())
@@ -373,37 +506,76 @@ def primitive_space(p, weight_bound):
 
 
 class _CoradicalState:
+    """The coradical chain of one window, one level at a time.
+
+    Each reduced coproduct is kept, in window order, as the position of
+    its monomial, integer (u, v, coeff) position triples and the factor
+    that cleared its denominators.
+    """
+
     def __init__(self, p, weight_bound):
         self.index = MonomialIndex(p, weight_bound)
         self.aug = [m for m in self.index if any(m)]
         mach = _hopf._machine(p)
-        self.deltas = {m: mach.reduced_mono(m) for m in self.aug}
+        position = self.index.position
+        self.deltas = []
+        legs = set()
+        for m in self.aug:
+            delta = mach.reduced_mono(m)
+            terms, _, den = _clear(
+                {(position[u], position[v]): c for (u, v), c in delta.items()}
+            )
+            self.deltas.append(
+                (position[m], [(u, v, c) for (u, v), c in terms.items()], den)
+            )
+            legs.update(pos for pair in terms for pos in pair)
+        self.legs = legs
         self.chain = []
         self.stable = False
 
-    def next_level(self):
-        index = self.index
-        previous = self.chain[-1] if self.chain else Subspace(index)
-        kappa = {}
+    def kernel(self):
+        """Kernel of delta followed by the quotient map on both legs.
 
-        def reduce_leg(mono):
-            hit = kappa.get(mono)
-            if hit is None:
-                hit = previous.reduce_vector({index.index(mono): Fraction(1)})
-                kappa[mono] = hit
-            return hit
-
+        The quotient map kappa (the remainder modulo the last level, or
+        the identity before the first) of every leg monomial is brought
+        to one integer denominator for the level, so each image is built
+        in integers, at that denominator times the factor that cleared
+        its coproduct.  A tensor u (x) v is column u * size + v on the
+        left leg and size^2 + u * size + v on the right, so both legs
+        keep the window order.  The tag of each monomial is scaled by the
+        factor of its own coproduct; the level's denominator is common to
+        every image and cancels, so the kernel tags, {position: Fraction}
+        maps, are exactly those of the rational images.
+        """
+        size = len(self.index)
+        previous = self.chain[-1]._elim if self.chain else _Echelon()
+        rems = {pos: previous.remainder({pos: 1}) for pos in self.legs}
+        den = lcm(*(d for _, d in rems.values()))
+        kappa = {
+            pos: rem if d == den else {c: v * (den // d) for c, v in rem.items()}
+            for pos, (rem, d) in rems.items()
+        }
+        right = size * size
         elim = _Echelon()
-        for m in self.aug:
+        for pos, terms, factor in self.deltas:
             image = {}
-            for (u, v), c in self.deltas[m].items():
-                for col, cv in reduce_leg(u).items():
-                    _acc(image, (0, col, index.index(v)), c * cv)
-                for col, cv in reduce_leg(v).items():
-                    _acc(image, (1, index.index(u), col), c * cv)
-            elim.insert(image, {index.index(m): Fraction(1)})
-        level = Subspace(index)
-        for tag in elim.kernel:
+            get = image.get
+            for u, v, c in terms:
+                for col, cv in kappa[u].items():
+                    key = col * size + v
+                    image[key] = get(key, 0) + c * cv
+                start = right + u * size
+                for col, cv in kappa[v].items():
+                    key = start + col
+                    image[key] = get(key, 0) + c * cv
+            image = {k: x for k, x in image.items() if x}
+            elim.insert_cleared(image, {pos: factor}, factor)
+        return elim.kernel
+
+    def next_level(self):
+        """Add the next level S_n, or mark the chain stable."""
+        level = Subspace(self.index)
+        for tag in self.kernel():
             level.add_vector(tag)
         if self.chain and level.dim == self.chain[-1].dim:
             self.stable = True

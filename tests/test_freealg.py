@@ -131,6 +131,20 @@ def test_term_budget(monkeypatch):
     t = J.gen("a") + J.gen("b") + J.gen("c")
     with pytest.raises(BudgetExceeded):
         t * t  # seven ordered monomials, over the budget of three
+    # normal_form reads the budget once per call: the same message, and a
+    # changed budget takes effect on the next call
+    word = {(5, 4, 3, 2, 1, 0): 1}  # d w z c b a, straightened through the tails
+    with pytest.raises(
+        BudgetExceeded,
+        match=r"^intermediate expression has 4 terms, budget is 3 "
+        r"\(raise HOPFKIT_MAX_TERMS to override\)$",
+    ):
+        J.normal_form(word)
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "4")
+    assert len(J.normal_form(word).terms) == 4
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "3")
+    with pytest.raises(BudgetExceeded):
+        J.normal_form(word)
     monkeypatch.delenv("HOPFKIT_MAX_TERMS")
     assert len((s * s).terms) == 9
     assert len((t * t).terms) == 7

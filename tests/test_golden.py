@@ -6,8 +6,10 @@ was recorded once from the code as it stood before a refactor (the
 `check` to `compare-centers` cases before the elimination engines,
 tensor classes and accumulation loops were merged; the `nf`, `hilbert`,
 `gr`, `obstruct`, `dump-builtin` and `check --file` cases before the psi
-search became an exact LP) and is never regenerated: a mismatch means a
-change altered an answer.  `--file` paths are relative to the repository
+search became an exact LP; the `coradical`, `primitives` and `truncate`
+cases at larger windows, and `coradical --file`, before the echelon
+engine moved from Fraction to integer rows) and is never regenerated: a
+mismatch means a change altered an answer.  `--file` paths are relative to the repository
 root.
 """
 

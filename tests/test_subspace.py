@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from hopfkit import (
     builtin,
     coradical_levels,
     member,
+    parse_presentation,
     power_ideal_span,
     primitive_space,
     signature,
@@ -17,6 +19,7 @@ from hopfkit import (
     truncation_algebra,
 )
 from hopfkit.errors import WindowTooSmall
+from hopfkit.freealg import _acc
 
 
 def test_monomial_index_layout():
@@ -266,7 +269,7 @@ def test_echelon_matches_sympy():
         elim.back_substitute()
         R, pivots = M.rref()
         assert tuple(sorted(elim.rows)) == pivots
-        assert [[elim.rows[p].get(c, 0) for c in range(n_cols)] for p in pivots] == [
+        assert [[elim.row(p).get(c, 0) for c in range(n_cols)] for p in pivots] == [
             [Fraction(str(x)) for x in R.row(i)] for i in range(len(pivots))
         ]
 
@@ -278,3 +281,194 @@ def test_echelon_matches_sympy():
         for k in range(n_cols + 1):
             inside = sum(1 for p in reversed_elim.rows if p >= n_cols - k)
             assert inside == rank - M[:, k:].rank()
+
+
+class _FractionEchelon:
+    """The Fraction echelon engine that the integer one replaced, kept as
+    a reference: rows normalised to 1 at their pivot, tags alongside."""
+
+    def __init__(self):
+        self.rows = {}
+        self.tags = {}
+        self.kernel = []
+
+    def _subtract(self, vec, tag, col, coeff):
+        neg = -coeff
+        for c, v in self.rows[col].items():
+            _acc(vec, c, neg * v)
+        if tag is not None:
+            for c, v in self.tags[col].items():
+                _acc(tag, c, neg * v)
+
+    def reduce(self, vec, tag=None):
+        vec = {c: v for c, v in vec.items() if v}
+        rows = self.rows
+        while True:
+            pivots = [c for c in vec if c in rows]
+            if not pivots:
+                return vec
+            col = min(pivots)
+            self._subtract(vec, tag, col, vec[col])
+
+    def insert(self, vec, tag=None):
+        if tag is not None:
+            tag = dict(tag)
+        rem = self.reduce(vec, tag)
+        if not rem:
+            if tag:
+                self.kernel.append(tag)
+            return None
+        pivot = min(rem)
+        inv = 1 / rem[pivot]
+        self.rows[pivot] = {c: v * inv for c, v in rem.items()}
+        if tag is not None:
+            self.tags[pivot] = {c: v * inv for c, v in tag.items()}
+        return pivot
+
+    def back_substitute(self):
+        rows = self.rows
+        for pivot in sorted(rows, reverse=True):
+            row, tag = rows[pivot], self.tags.get(pivot)
+            for col in [c for c in row if c != pivot and c in rows]:
+                self._subtract(row, tag, col, row[col])
+
+
+def test_integer_echelon_matches_fraction_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from hopfkit.subspace import _Echelon
+
+    denominators = st.sampled_from((1, 2, 3, 4, 6, 9, 10, 35))
+    coeff = st.builds(Fraction, st.integers(-6, 6), denominators)
+    nonzero = st.builds(Fraction, st.integers(1, 6) | st.integers(-6, -1), denominators)
+
+    @st.composite
+    def systems(draw):
+        """Sparse rational rows with mixed denominators, some of them
+        combinations of earlier ones, optional tags, and probes."""
+        n_cols = draw(st.integers(1, 12))
+        entries = st.dictionaries(
+            st.integers(0, n_cols - 1), coeff, min_size=1, max_size=max(1, n_cols // 2)
+        )
+        rows = []
+        for _ in range(draw(st.integers(1, 10))):
+            if rows and draw(st.booleans()):
+                row = {}
+                earlier = st.integers(0, len(rows) - 1)
+                for i in draw(st.lists(earlier, min_size=1, max_size=3)):
+                    scale = draw(coeff)
+                    for c, v in rows[i].items():
+                        row[c] = row.get(c, 0) + scale * v
+            else:
+                row = draw(entries)
+            rows.append(row)
+        tags = None
+        if draw(st.booleans()):
+            tag = st.dictionaries(st.integers(0, 5), nonzero, min_size=1, max_size=3)
+            tags = [draw(tag) for _ in rows]
+        probes = draw(st.lists(entries, max_size=3))
+        split = draw(st.integers(0, len(rows)))
+        return rows, tags, probes, split
+
+    def tag_fractions(elim, pivot):
+        tag, den = elim.tags[pivot]
+        lead = elim.rows[pivot][pivot]
+        return {k: Fraction(v, den * lead) for k, v in tag.items()}
+
+    def agree(elim, ref, probes):
+        assert sorted(elim.rows) == sorted(ref.rows)
+        for pivot, row in elim.rows.items():
+            assert all(type(v) is int for v in row.values())
+            assert row[pivot] > 0 and gcd(*row.values()) == 1
+            assert min(row) == pivot
+            assert elim.row(pivot) == ref.rows[pivot]
+            if ref.tags:
+                tag, den = elim.tags[pivot]
+                assert den > 0 and gcd(den, *tag.values()) == 1
+                assert tag_fractions(elim, pivot) == ref.tags[pivot]
+        assert elim.kernel == ref.kernel
+        assert all(type(v) is Fraction for tag in elim.kernel for v in tag.values())
+        for probe in probes:
+            rem = elim.reduce(probe)
+            assert rem == ref.reduce(probe)
+            assert all(type(v) is Fraction for v in rem.values())
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None)
+    @hypothesis.given(systems())
+    def check(system):
+        rows, tags, probes, split = system
+        elim, ref = _Echelon(), _FractionEchelon()
+        for i, row in enumerate(rows):
+            tag = tags[i] if tags else None
+            assert elim.insert(row, tag) == ref.insert(row, tag)
+            if i + 1 == split:  # rows may arrive after a back-substitution
+                elim.back_substitute()
+                ref.back_substitute()
+                agree(elim, ref, probes)
+        agree(elim, ref, probes)
+        elim.back_substitute()
+        ref.back_substitute()
+        agree(elim, ref, probes)
+
+    check()
+
+
+# J with d scaled by 6/5: the correction of its coproduct is fractional,
+# and the primitive c^3 - 5/2 d mixes a monomial whose coproduct is
+# integral with one whose coproduct is not, so the quotient maps of the
+# levels have denominators too
+J_SCALED_D = """name: J_scaled_d
+generators: a:1 b:1 c:1 z:2 w:2 d:3
+rel: b a = a b - c
+rel: w z = z w - 5/6 d
+delta: z = z (x) 1 + 1 (x) z + a (x) c - c (x) a
+delta: w = w (x) 1 + 1 (x) w + b (x) c - c (x) b
+delta: d = d (x) 1 + 1 (x) d + 6/5 c (x) c^2 + 6/5 c^2 (x) c
+"""
+
+
+@pytest.mark.parametrize(
+    "make,bound",
+    [(lambda: builtin("L"), 7), (lambda: parse_presentation(J_SCALED_D), 6)],
+    ids=["L", "J_scaled_d"],
+)
+def test_coradical_kernels_match_fraction_reference(make, bound):
+    """Each level's kernel tags equal, as exact Fractions, the ones the
+    Fraction engine gets from Fraction images built the way it did."""
+    from hopfkit import hopf
+    from hopfkit.subspace import _CoradicalState
+
+    p = make()
+    state = _CoradicalState(p, bound)
+    index, mach = state.index, hopf._machine(p)
+    previous = _FractionEchelon()  # the scalars: no augmentation part
+    while not state.stable:
+        kappa = {
+            m: previous.reduce({index.index(m): Fraction(1)}) for m in index.monomials
+        }
+        ref = _FractionEchelon()
+        for m in state.aug:
+            image = {}
+            for (u, v), c in mach.reduced_mono(m).items():
+                for col, cv in kappa[u].items():
+                    _acc(image, (0, col, index.index(v)), c * cv)
+                for col, cv in kappa[v].items():
+                    _acc(image, (1, index.index(u), col), c * cv)
+            ref.insert(image, {index.index(m): Fraction(1)})
+        assert ref.kernel
+        assert state.kernel() == ref.kernel
+        previous = _FractionEchelon()
+        for tag in ref.kernel:
+            previous.insert(tag)
+        state.next_level()
+        if not state.stable:
+            assert state.chain[-1].dim == len(previous.rows)
+
+
+def test_rescaled_j_keeps_the_invariants_of_j():
+    from hopfkit import hopf
+
+    p = parse_presentation(J_SCALED_D)
+    assert hopf.check_relation_compatibility(p).ok
+    assert coradical_levels(p, 8).dims == coradical_levels(builtin("J"), 8).dims
+    assert [str(b) for b in primitive_space(p, 8).basis()] == ["a", "b", "c", "c^3 - 5/2 d"]
