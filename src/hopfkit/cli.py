@@ -16,14 +16,11 @@ import sys
 from . import grading, hopf, pbw, presfile, subspace
 from .errors import (
     AxiomFailure,
-    BudgetExceeded,
     HopfkitError,
     NoCoproductAttached,
-    NotConfluent,
     NotHopfAdmissible,
     ParseError,
     PresentationError,
-    QSkewRejected,
     UnknownBuiltin,
     WindowTooSmall,
 )
@@ -72,7 +69,7 @@ def _fmt(value):
 # ----- presentation loading --------------------------------------------------
 
 
-def _add_source(sub, multi=False):
+def _add_source(sub):
     sub.add_argument(
         "--builtin",
         action="append",
@@ -103,11 +100,15 @@ def _load_sources(args, multi=False):
     return targets
 
 
+def _nonnegative(value, flag):
+    if value < 0:
+        raise _UsageError(f"{flag} must be nonnegative")
+    return value
+
+
 def _bound(args, p):
     if getattr(args, "weight_bound", None) is not None:
-        if args.weight_bound < 0:
-            raise _UsageError("--weight-bound must be nonnegative")
-        return args.weight_bound
+        return _nonnegative(args.weight_bound, "--weight-bound")
     return 2 * p.max_weight + 2
 
 
@@ -239,7 +240,7 @@ def cmd_nf(args):
 
 def cmd_hilbert(args):
     label, p = _load_sources(args)[0]
-    series = grading.hilbert_series(p, args.degree)
+    series = grading.hilbert_series(p, _nonnegative(args.degree, "--degree"))
     rep = Report()
     rep.say(f"series of {label}: {series}")
     rep.set("hilbert.series", series.coeffs)
@@ -256,7 +257,7 @@ def cmd_hilbert(args):
         return MATH_EXIT
     rep.say(f"factorization: {exponents.product_form()}")
     rep.set("hilbert.exponents", exponents.entries)
-    gk = grading.gk_dimension(exponents)
+    gk = grading.gk_dimension(exponents) if grading.series_settles(p, args.degree) else None
     if gk is None:
         rep.say("growth: not settled inside this degree range")
     else:
@@ -269,7 +270,7 @@ def cmd_hilbert(args):
 def cmd_truncate(args):
     label, p = _load_sources(args)[0]
     bound = _bound(args, p)
-    trunc = subspace.truncation_algebra(p, args.power, bound)
+    trunc = subspace.truncation_algebra(p, _nonnegative(args.power, "--power"), bound)
     center = trunc.center()
     rep = Report()
     rep.say(
@@ -367,6 +368,8 @@ def cmd_gr(args):
 
 def cmd_obstruct(args):
     label, p = _load_sources(args)[0]
+    if args.degree is not None:
+        _nonnegative(args.degree, "--degree")
     verdict = grading.hopf_obstruction(p, args.degree)
     rep = Report()
     rep.say(f"{label}: {verdict.message}")
@@ -380,6 +383,7 @@ def cmd_compare_centers(args):
     targets = _load_sources(args, multi=True)
     if len(targets) < 2:
         raise _UsageError("compare-centers needs at least two presentations")
+    _nonnegative(args.power, "--power")
     bounds = args.weight_bound or []
     if len(bounds) == 0:
         bounds = [2 * p.max_weight + 2 for _, p in targets]
@@ -431,9 +435,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, func, help_text, source_multi=False):
+    def add(name, func, help_text):
         sp = sub.add_parser(name, help=help_text)
-        _add_source(sp, multi=source_multi)
+        _add_source(sp)
         sp.set_defaults(func=func)
         return sp
 
@@ -474,12 +478,7 @@ def build_parser():
     sp = add("obstruct", cmd_obstruct, "check for structural obstructions")
     sp.add_argument("--degree", type=int, default=None)
 
-    sp = add(
-        "compare-centers",
-        cmd_compare_centers,
-        "compare truncated center dimensions",
-        source_multi=True,
-    )
+    sp = add("compare-centers", cmd_compare_centers, "compare truncated center dimensions")
     sp.add_argument("--power", type=int, required=True)
     sp.add_argument("--weight-bound", type=int, action="append", default=None)
 
@@ -496,27 +495,17 @@ def main(argv=None):
         return USAGE_EXIT
     try:
         return args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_EXIT
-    except (ParseError, UnknownBuiltin, WindowTooSmall, PresentationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_EXIT
-    except NoCoproductAttached as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_EXIT
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_EXIT
     except (
-        NotConfluent,
-        AxiomFailure,
-        NotHopfAdmissible,
-        QSkewRejected,
-        BudgetExceeded,
+        _UsageError,
+        OSError,
+        ParseError,
+        UnknownBuiltin,
+        WindowTooSmall,
+        PresentationError,
+        NoCoproductAttached,
     ) as err:
-        print(f"failure: {err}", file=sys.stderr)
-        return MATH_EXIT
+        print(f"error: {err}", file=sys.stderr)
+        return USAGE_EXIT
     except HopfkitError as err:
         print(f"failure: {err}", file=sys.stderr)
         return MATH_EXIT

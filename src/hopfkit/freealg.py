@@ -7,6 +7,13 @@ to nonzero rational coefficients.  Everything is exact: coefficients are
 The canonical order on words is (total weight, then lexicographic by
 generator index, a proper prefix counting as smaller); all rendering and
 iteration follows it, so printed output is reproducible byte for byte.
+
+The linear-combination core lives here too: `_LinearCombination` holds
+the terms and their owner and implements the clean-up constructor, sums,
+differences, negation, scalar multiples, equality, canonical ordering and
+printing once, for free elements, PBW elements (`pbw`) and tensors
+(`hopf`) alike.  `render_terms` is the one signed-sum printer, used for
+display and for the file format.
 """
 
 from __future__ import annotations
@@ -123,8 +130,12 @@ class Alphabet:
         """Canonical sort key: weight, then the letter sequence itself."""
         return (self.word_weight(word), word)
 
-    def render_word(self, word):
-        """Juxtaposed generator names, runs of a letter shown as powers."""
+    def render_word(self, word, sep=""):
+        """Generator names joined by sep, runs of a letter shown as powers.
+
+        Display juxtaposes them ("ab^2"); the file format needs a space
+        ("a b^2") so that multi-character names stay unambiguous.
+        """
         if not word:
             return "1"
         parts = []
@@ -136,33 +147,36 @@ class Alphabet:
                 parts.append(self._run(run_letter, run_len))
                 run_letter, run_len = letter, 1
         parts.append(self._run(run_letter, run_len))
-        return "".join(parts)
+        return sep.join(parts)
 
     def _run(self, letter, count):
         name = self.names[letter]
         return name if count == 1 else f"{name}^{count}"
 
 
-def render_terms(pairs):
-    """Join (coefficient, rendered word) pairs into a signed sum.
+def render_terms(pairs, juxtapose=True):
+    """Join (coefficient, rendered body) pairs into a signed sum.
 
-    `pairs` must already be in canonical order; a word of "1" stands for
-    the empty word.  Returns "0" for an empty list.
+    `pairs` must already be in canonical order; a body of "1" stands for
+    the empty word.  An integer coefficient is written against its body
+    ("2ab") when `juxtapose` is set, unless the body starts with "1" (an
+    empty tensor leg); otherwise a space separates them, the spacing the
+    file format parses back.  Returns "0" for an empty list.
     """
     if not pairs:
         return "0"
     chunks = []
-    for coeff, word_text in pairs:
+    for coeff, text in pairs:
         negative = coeff < 0
         mag = -coeff if negative else coeff
-        if word_text == "1":
+        if text == "1":
             body = str(mag)
         elif mag == 1:
-            body = word_text
-        elif mag.denominator == 1:
-            body = f"{mag}{word_text}"
+            body = text
+        elif juxtapose and mag.denominator == 1 and not text.startswith("1"):
+            body = f"{mag}{text}"
         else:
-            body = f"{mag} {word_text}"
+            body = f"{mag} {text}"
         if not chunks:
             chunks.append(f"-{body}" if negative else body)
         else:
@@ -170,20 +184,116 @@ def render_terms(pairs):
     return "".join(chunks)
 
 
-class FreeElement:
-    """Finite rational linear combination of words."""
+class _LinearCombination:
+    """Finite rational linear combination of basis keys, the shared core.
 
-    __slots__ = ("alphabet", "terms")
+    `terms` maps keys to nonzero Fractions, and `owner` is the alphabet or
+    presentation the keys belong to; each subclass reads the owner slot
+    under its public name.  Subclasses supply `_order` and `_show` (the
+    canonical sort key and the rendering of one key), `_product`, and the
+    `_mismatch` and `_repr` texts; they may override `_key` (clean-up of
+    one key) and `_coerce` (which right operands + and - accept).
+    """
 
-    def __init__(self, alphabet, terms=None):
-        self.alphabet = alphabet
+    __slots__ = ("owner", "terms")
+
+    def __init__(self, owner, terms=None):
+        self.owner = owner
         clean = {}
         if terms:
-            for word, coeff in terms.items():
+            for key, coeff in terms.items():
                 coeff = as_coeff(coeff)
                 if coeff:
-                    clean[tuple(word)] = coeff
+                    clean[self._key(key)] = coeff
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, owner, terms):
+        """Wrap an already clean {key: nonzero Fraction} map without copying."""
+        out = cls.__new__(cls)
+        out.owner = owner
+        out.terms = terms
+        return out
+
+    @staticmethod
+    def _key(key):
+        return tuple(key)
+
+    def _check(self, other):
+        if self.owner is not other.owner and self.owner != other.owner:
+            raise AlphabetMismatch(self._mismatch)
+
+    def _coerce(self, other):
+        """other as an element of this kind, or NotImplemented."""
+        return other if isinstance(other, type(self)) else NotImplemented
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            _acc(terms, key, coeff)
+        return self._raw(self.owner, terms)
+
+    def __neg__(self):
+        return self._raw(self.owner, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            self._check(other)
+            return self._product(other)
+        return self._scaled(as_coeff(other))
+
+    def __rmul__(self, other):
+        return self._scaled(as_coeff(other))
+
+    def _scaled(self, coeff):
+        if not coeff:
+            return self._raw(self.owner, {})
+        return self._raw(self.owner, {k: c * coeff for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and (self.owner is other.owner or self.owner == other.owner)
+            and self.terms == other.terms
+        )
+
+    __hash__ = None
+
+    def sorted_terms(self):
+        order = self._order
+        return sorted(self.terms.items(), key=lambda item: order(item[0]))
+
+    def __str__(self):
+        show = self._show
+        return render_terms([(c, show(k)) for k, c in self.sorted_terms()])
+
+    def __repr__(self):
+        return self._repr.format(self)
+
+
+class FreeElement(_LinearCombination):
+    """Finite rational linear combination of words."""
+
+    __slots__ = ()
+    alphabet = _LinearCombination.owner
+    _mismatch = "elements live over different alphabets"
+    _repr = "<free {}>"
+
+    def __init__(self, alphabet, terms=None):
+        super().__init__(alphabet, terms)
 
     @classmethod
     def zero(cls, alphabet):
@@ -201,77 +311,22 @@ class FreeElement:
     def from_word(cls, alphabet, word, coeff=1):
         return cls(alphabet, {tuple(word): as_coeff(coeff)})
 
-    def is_zero(self):
-        return not self.terms
-
     def constant_term(self):
         return self.terms.get((), Fraction(0))
 
-    def _check(self, other):
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatch("elements live over different alphabets")
+    def _product(self, other):
+        terms = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                _acc(terms, w1 + w2, c1 * c2)
+        check_budget(len(terms))
+        return self._raw(self.alphabet, terms)
 
-    def __add__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            _acc(terms, word, coeff)
-        out = FreeElement(self.alphabet)
-        out.terms = terms
-        return out
+    def _order(self, word):
+        return self.alphabet.word_key(word)
 
-    def __neg__(self):
-        out = FreeElement(self.alphabet)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, FreeElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, FreeElement):
-            self._check(other)
-            terms = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    _acc(terms, w1 + w2, c1 * c2)
-            check_budget(len(terms))
-            out = FreeElement(self.alphabet)
-            out.terms = terms
-            return out
-        coeff = as_coeff(other)
-        if not coeff:
-            return FreeElement.zero(self.alphabet)
-        out = FreeElement(self.alphabet)
-        out.terms = {w: c * coeff for w, c in self.terms.items()}
-        return out
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeElement)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def sorted_terms(self):
-        key = self.alphabet.word_key
-        return sorted(self.terms.items(), key=lambda item: key(item[0]))
-
-    def __str__(self):
-        render = self.alphabet.render_word
-        return render_terms([(c, render(w)) for w, c in self.sorted_terms()])
-
-    def __repr__(self):
-        return f"<free {self}>"
+    def _show(self, word):
+        return self.alphabet.render_word(word)
 
 
 def word_weight(alphabet, word):

@@ -42,6 +42,8 @@ class PowerSeries:
     @classmethod
     def geometric_product(cls, weights, degree):
         """Expansion of prod 1/(1 - t^w) for the given generator weights."""
+        if degree < 0:
+            raise ValueError("series degree must be nonnegative")
         coeffs = [0] * (degree + 1)
         coeffs[0] = 1
         for w in weights:
@@ -137,6 +139,17 @@ def hilbert_series(p, degree):
     return PowerSeries.geometric_product(p.alphabet.weights, degree)
 
 
+def series_settles(p, degree):
+    """Whether p's series truncated at `degree` can settle anything.
+
+    Below the largest generator weight some generator is missing from the
+    truncated series, which then reads like the series of a smaller
+    algebra.  So neither the growth dimension nor the polynomial-series
+    certificate is settled unless degree >= p.max_weight.
+    """
+    return degree >= p.max_weight
+
+
 def factor_series(series):
     """Peel a series into prod (1 - t^i)^(-n_i) by iterated elimination.
 
@@ -170,19 +183,6 @@ def gk_dimension(exponents):
     if entries and entries[-1]:
         return None
     return sum(entries)
-
-
-def support_interval_check(exponents):
-    """Whether the support of n is an interval starting at 1.
-
-    Returns (ok, ell) with ell one past the largest supported degree.
-    This is a necessary condition only for algebras generated in degree 1.
-    """
-    support = exponents.support()
-    if not support:
-        return True, 1
-    ell = max(support) + 1
-    return support == list(range(1, ell)), ell
 
 
 def is_commutative(p):
@@ -231,6 +231,14 @@ def hopf_obstruction(p, degree=None):
             )
     if degree is None:
         degree = 2 * p.max_weight + 2
+    if not series_settles(p, degree):
+        return ObstructionReport(
+            code="none",
+            message=(
+                f"no obstruction found: degree {degree} is below the largest "
+                f"generator weight {p.max_weight}, so the series settles nothing"
+            ),
+        )
     series = hilbert_series(p, degree)
     try:
         exponents = factor_series(series)

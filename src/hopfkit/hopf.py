@@ -27,37 +27,11 @@ from .errors import (
     NonzeroConstantTerm,
     QSkewRejected,
 )
-from .freealg import _acc, as_coeff, check_budget
+from .freealg import _LinearCombination, _acc, check_budget
 from .pbw import _ONE, PBWElement, Presentation
 
 
 # ----- tensor elements ------------------------------------------------------
-
-
-def _render_tensor_terms(pairs):
-    """Signed-sum joiner for tensor terms.
-
-    Same contract as freealg.render_terms, except the body may start
-    with the digit "1" (an empty leg), so non-unit coefficients only
-    juxtapose when that cannot be misread.
-    """
-    if not pairs:
-        return "0"
-    chunks = []
-    for coeff, body_text in pairs:
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        if mag == 1:
-            body = body_text
-        elif mag.denominator == 1 and not body_text.startswith("1"):
-            body = f"{mag}{body_text}"
-        else:
-            body = f"{mag} {body_text}"
-        if not chunks:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f" - {body}" if negative else f" + {body}")
-    return "".join(chunks)
 
 
 def _tensor_product(pres, xs, ys):
@@ -82,7 +56,7 @@ def _tensor_product(pres, xs, ys):
     return out
 
 
-class TensorElement:
+class TensorElement(_LinearCombination):
     """Element of a tensor power of the algebra, every leg in normal form.
 
     Terms are keyed by tuples of monomials, one per leg, so the key length
@@ -91,23 +65,17 @@ class TensorElement:
     arity; products are defined on the tensor square only.
     """
 
-    __slots__ = ("pres", "terms")
+    __slots__ = ()
+    pres = _LinearCombination.owner
+    _mismatch = "tensors belong to different presentations"
+    _repr = "TensorElement({})"
 
     def __init__(self, pres, terms=None):
-        self.pres = pres
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = as_coeff(coeff)
-                if coeff:
-                    self.terms[tuple(tuple(m) for m in key)] = coeff
+        super().__init__(pres, terms)
 
-    @classmethod
-    def _raw(cls, pres, terms):
-        out = cls.__new__(cls)
-        out.pres = pres
-        out.terms = terms
-        return out
+    @staticmethod
+    def _key(key):
+        return tuple(tuple(m) for m in key)
 
     @property
     def arity(self):
@@ -115,72 +83,21 @@ class TensorElement:
         return len(next(iter(self.terms))) if self.terms else None
 
     def _check(self, other):
-        if self.pres is not other.pres and self.pres != other.pres:
-            raise AlphabetMismatch("tensors belong to different presentations")
+        super()._check(other)
         if len({self.arity, other.arity} - {None}) > 1:
             raise TypeError("tensors of different arity")
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and not (self.pres is not other.pres and self.pres != other.pres)
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            _acc(terms, key, coeff)
-        return TensorElement._raw(self.pres, terms)
-
-    def __neg__(self):
-        return TensorElement._raw(self.pres, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            coeff = as_coeff(other)
-            if not coeff:
-                return TensorElement._raw(self.pres, {})
-            return TensorElement._raw(
-                self.pres, {k: c * coeff for k, c in self.terms.items()}
-            )
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
+    def _product(self, other):
         if self.arity not in (2, None) or other.arity not in (2, None):
             raise TypeError("products are defined on the tensor square only")
-        return TensorElement._raw(self.pres, _tensor_product(self.pres, self.terms, other.terms))
+        return self._raw(self.pres, _tensor_product(self.pres, self.terms, other.terms))
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def sorted_terms(self):
+    def _order(self, legs):
         key = self.pres.mono_key
-        return sorted(self.terms.items(), key=lambda item: tuple(key(m) for m in item[0]))
+        return tuple(key(m) for m in legs)
 
-    def __str__(self):
-        render = self.pres.render_mono
-        return _render_tensor_terms(
-            [(c, " (x) ".join(render(m) for m in legs)) for legs, c in self.sorted_terms()]
-        )
-
-    def __repr__(self):
-        return f"TensorElement({self})"
+    def _show(self, legs):
+        return " (x) ".join(self.pres.render_mono(m) for m in legs)
 
 
 # the triple tensor power is the same class with three legs per key

@@ -57,11 +57,11 @@ from .errors import (
 from .freealg import (
     Alphabet,
     FreeElement,
+    _LinearCombination,
     _acc,
     as_coeff,
     check_budget,
     over_budget,
-    render_terms,
     term_budget,
 )
 
@@ -577,7 +577,7 @@ class Presentation:
                 _acc(work, produced, coeff * tail_coeff)
             if len(work) + len(out) > budget:
                 raise over_budget(len(work) + len(out), budget)
-        return PBWElement(self, out)
+        return PBWElement._raw(self, out)
 
     def multiply(self, x, y):
         """Product of two elements of this algebra, in normal form.
@@ -600,9 +600,7 @@ class Presentation:
                 for mono, coeff in mono_product(m1, m2).terms.items():
                     _acc(out, mono, c12 if coeff is _ONE else c12 * coeff)
         check_budget(len(out))
-        result = PBWElement(self)
-        result.terms = out
-        return result
+        return PBWElement._raw(self, out)
 
     def mono_product(self, m1, m2):
         """Normal form of the product of two basis monomials.
@@ -633,9 +631,7 @@ class Presentation:
             if coeff is _ONE:
                 return unit
             (mono,) = unit.terms
-            out = PBWElement(self)
-            out.terms = {mono: coeff}
-            return out
+            return PBWElement._raw(self, {mono: coeff})
         key = (m1, m2)
         hit = self._mono_product_cache.get(key)
         if hit is None:
@@ -652,8 +648,7 @@ class Presentation:
         """The shared element 1·mono; its one key is the interned monomial."""
         unit = self._basis_elements.get(mono)
         if unit is None:
-            unit = PBWElement(self)
-            unit.terms = {mono: _ONE}
+            unit = PBWElement._raw(self, {mono: _ONE})
             self._basis_elements[mono] = unit
         return unit
 
@@ -723,27 +718,16 @@ class Presentation:
         return report
 
 
-class PBWElement:
+class PBWElement(_LinearCombination):
     """Rational linear combination of ordered monomials of a presentation."""
 
-    __slots__ = ("pres", "terms")
+    __slots__ = ()
+    pres = _LinearCombination.owner
+    _mismatch = "elements belong to different presentations"
+    _repr = "<pbw {}>"
 
     def __init__(self, pres, terms=None):
-        self.pres = pres
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = as_coeff(coeff)
-                if coeff:
-                    clean[tuple(mono)] = coeff
-        self.terms = clean
-
-    def _check(self, other):
-        if self.pres is not other.pres and self.pres != other.pres:
-            raise AlphabetMismatch("elements belong to different presentations")
-
-    def is_zero(self):
-        return not self.terms
+        super().__init__(pres, terms)
 
     def constant_term(self):
         empty = (0,) * len(self.pres.alphabet)
@@ -760,42 +744,15 @@ class PBWElement:
         terms = {m: c for m, c in self.terms.items() if m != empty}
         return PBWElement(self.pres, terms)
 
-    def __add__(self, other):
-        if isinstance(other, PBWElement):
-            self._check(other)
-            terms = dict(self.terms)
-            for mono, coeff in other.terms.items():
-                _acc(terms, mono, coeff)
-            out = PBWElement(self.pres)
-            out.terms = terms
-            return out
-        return self + self.pres.scalar(other)
+    def _coerce(self, other):
+        """Rational scalars add as multiples of the unit."""
+        return other if isinstance(other, PBWElement) else self.pres.scalar(other)
 
     def __radd__(self, other):
         return self + other
 
-    def __neg__(self):
-        out = PBWElement(self.pres)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, PBWElement):
-            return self + (-other)
-        return self + (-self.pres.scalar(other))
-
-    def __mul__(self, other):
-        if isinstance(other, PBWElement):
-            return self.pres.multiply(self, other)
-        coeff = as_coeff(other)
-        out = PBWElement(self.pres)
-        if coeff:
-            out.terms = {m: c * coeff for m, c in self.terms.items()}
-        return out
-
-    def __rmul__(self, other):
-        coeff = as_coeff(other)
-        return self.__mul__(coeff)
+    def _product(self, other):
+        return self.pres.multiply(self, other)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -805,25 +762,11 @@ class PBWElement:
             result = self.pres.multiply(result, self)
         return result
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PBWElement)
-            and (self.pres is other.pres or self.pres == other.pres)
-            and self.terms == other.terms
-        )
+    def _order(self, mono):
+        return self.pres.mono_key(mono)
 
-    __hash__ = None
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: self.pres.mono_key(item[0]))
-
-    def __str__(self):
-        return render_terms(
-            [(c, self.pres.render_mono(m)) for m, c in self.sorted_terms()]
-        )
-
-    def __repr__(self):
-        return f"<pbw {self}>"
+    def _show(self, mono):
+        return self.pres.render_mono(mono)
 
 
 # ----- module-level operation surface ------------------------------------

@@ -29,9 +29,10 @@ powers, so multi-character names like x1 stay unambiguous.
 
 import re
 from fractions import Fraction
+from functools import partial
 
 from .errors import ParseError
-from .freealg import Alphabet, FreeElement, _acc
+from .freealg import Alphabet, FreeElement, _acc, render_terms
 from .pbw import Presentation
 
 _TOKEN_RE = re.compile(r"\d+/\d+|\d+|\(x\)|[A-Za-z_][A-Za-z0-9_]*|[\^+\-=:]|\S")
@@ -76,6 +77,13 @@ class _Cursor:
         got = self.take()
         if got != tok:
             raise ParseError(f"expected {tok!r}, found {got!r}", self.line)
+
+    def number(self):
+        tok = self.take()
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            self.fail(f"zero denominator in {tok!r}")
 
     def done(self):
         return self.pos >= len(self.tokens)
@@ -132,7 +140,7 @@ def _parse_free(cur, alphabet):
         saw_number = False
         tok = cur.peek()
         if tok is not None and _is_number(tok):
-            coeff = Fraction(cur.take())
+            coeff = cur.number()
             saw_number = True
         word = _parse_word(cur, alphabet)
         if not word and not saw_number:
@@ -170,7 +178,7 @@ def _parse_tensor(cur, alphabet):
         if tok is not None and _is_number(tok):
             after = cur.tokens[cur.pos + 1] if cur.pos + 1 < len(cur.tokens) else None
             if after != "(x)":
-                coeff = Fraction(cur.take())
+                coeff = cur.number()
         left = _parse_leg(cur, alphabet)
         cur.expect("(x)")
         right = _parse_leg(cur, alphabet)
@@ -316,48 +324,11 @@ def load_presentation(path):
 # ----- dumping ---------------------------------------------------------------
 
 
-def _dump_word(alphabet, word):
-    if not word:
-        return "1"
-    parts = []
-    run_letter, run_len = word[0], 1
-    for letter in word[1:]:
-        if letter == run_letter:
-            run_len += 1
-        else:
-            parts.append(_dump_run(alphabet, run_letter, run_len))
-            run_letter, run_len = letter, 1
-    parts.append(_dump_run(alphabet, run_letter, run_len))
-    return " ".join(parts)
-
-
-def _dump_run(alphabet, letter, count):
-    name = alphabet.names[letter]
-    return name if count == 1 else f"{name}^{count}"
-
-
-def _dump_sum(pairs):
-    """Signed sum of (coefficient, body) pairs in parse-safe spacing."""
-    chunks = []
-    for coeff, body_text in pairs:
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        if body_text == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = body_text
-        else:
-            body = f"{mag} {body_text}"
-        if not chunks:
-            chunks.append(f"-{body}" if negative else body)
-        else:
-            chunks.append(f" - {body}" if negative else f" + {body}")
-    return "".join(chunks) if chunks else "0"
-
-
 def dump_presentation(p):
     """Render a presentation in the file format; parses back equal."""
     alphabet = p.alphabet
+    word = partial(alphabet.render_word, sep=" ")
+    dump_sum = partial(render_terms, juxtapose=False)
     for gname in alphabet.names:
         if not _IDENT_RE.match(gname):
             raise ParseError(f"generator name {gname!r} cannot be written")
@@ -371,11 +342,11 @@ def dump_presentation(p):
     for (hi, lo), rel in sorted(p.relations.items()):
         if rel.is_default():
             continue
-        pairs = [(rel.q, _dump_word(alphabet, (lo, hi)))] if rel.q else []
-        for word, coeff in sorted(rel.tail.items(), key=lambda kv: alphabet.word_key(kv[0])):
-            pairs.append((coeff, _dump_word(alphabet, word)))
+        pairs = [(rel.q, word((lo, hi)))] if rel.q else []
+        for tail, coeff in sorted(rel.tail.items(), key=lambda kv: alphabet.word_key(kv[0])):
+            pairs.append((coeff, word(tail)))
         lines.append(
-            f"rel: {alphabet.names[hi]} {alphabet.names[lo]} = {_dump_sum(pairs)}"
+            f"rel: {alphabet.names[hi]} {alphabet.names[lo]} = {dump_sum(pairs)}"
         )
     if p.delta is None:
         lines.append("coproduct: none")
@@ -388,8 +359,6 @@ def dump_presentation(p):
                 key=lambda kv: (p.mono_key(kv[0][0]), p.mono_key(kv[0][1])),
             )
             for (m1, m2), coeff in entries:
-                left = _dump_word(alphabet, p.mono_word(m1))
-                right = _dump_word(alphabet, p.mono_word(m2))
-                pairs.append((coeff, f"{left} (x) {right}"))
-            lines.append(f"delta: {gname} = {_dump_sum(pairs)}")
+                pairs.append((coeff, f"{word(p.mono_word(m1))} (x) {word(p.mono_word(m2))}"))
+            lines.append(f"delta: {gname} = {dump_sum(pairs)}")
     return "\n".join(lines) + "\n"

@@ -26,7 +26,7 @@ from .errors import NotHopfAdmissible, WindowTooSmall
 from .freealg import _acc
 from .pbw import PBWElement
 from . import hopf as _hopf
-from .grading import factor_series, gk_dimension, hilbert_series
+from .grading import factor_series, gk_dimension, hilbert_series, series_settles
 
 
 # ----- windows ---------------------------------------------------------------
@@ -689,11 +689,12 @@ def signature(p, weight_bound):
         for b in bases[n]:
             insert(b)
     gk = None
-    try:
-        exponents = factor_series(hilbert_series(p, max(10, 2 * weight_bound)))
-        gk = gk_dimension(exponents)
-    except NotHopfAdmissible:
-        gk = None
+    degree = max(10, 2 * weight_bound)
+    if series_settles(p, degree):
+        try:
+            gk = gk_dimension(factor_series(hilbert_series(p, degree)))
+        except NotHopfAdmissible:
+            pass
     return SignatureReport(
         weight_bound, tuple(entries), tuple(by_level), gk, gk is not None and len(entries) == gk
     )

@@ -189,6 +189,38 @@ def test_obstruct_exit_codes(capsys):
     assert keyvalues(out)["obstruct.obstructed"] == "false"
 
 
+def test_short_truncations_settle_nothing(tmp_path, capsys):
+    # heis3 = U(heis) is Hopf; its weight-2 generator is outside degree 1
+    code, out, err = run(capsys, "obstruct", "--builtin", "heis3", "--degree", "1")
+    assert code == 0
+    assert keyvalues(out)["obstruct.code"] == "none"
+
+    # degree 0 holds no factor at all (this raised IndexError before)
+    code, out, err = run(capsys, "obstruct", "--builtin", "L", "--degree", "0")
+    assert code == 0
+    assert keyvalues(out)["obstruct.code"] == "none"
+
+    code, out, err = run(capsys, "hilbert", "--builtin", "L", "--degree", "0")
+    assert code == 0
+    assert keyvalues(out)["hilbert.gk"] == "unknown"
+
+    heavy = tmp_path / "heavy.hopf"
+    heavy.write_text("generators: a:1 b:3\n")
+    code, out, err = run(capsys, "hilbert", "--file", str(heavy), "--degree", "2")
+    assert code == 0
+    assert keyvalues(out)["hilbert.gk"] == "unknown"
+    code, out, err = run(capsys, "hilbert", "--file", str(heavy), "--degree", "4")
+    assert keyvalues(out)["hilbert.gk"] == "2"
+
+    # signature reads its series at degree max(10, 2 * window)
+    heavy.write_text("generators: a:1 b:11\n")
+    code, out, err = run(capsys, "signature", "--file", str(heavy), "--weight-bound", "2")
+    assert code == 0
+    kv = keyvalues(out)
+    assert kv["signature.gk"] == "unknown"
+    assert kv["signature.complete"] == "false"
+
+
 def test_compare_centers(capsys):
     code, out, err = run(
         capsys, "compare-centers", "--builtin", "L", "--builtin", "U_n5",
@@ -235,6 +267,39 @@ def test_missing_file_is_usage_error(capsys):
     code, out, err = run(capsys, "hilbert", "--file", "/nonexistent.hopf")
     assert code == 2
     assert "No such file" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("truncate", "--builtin", "L", "--power", "-1"), "--power"),
+        (("compare-centers", "--builtin", "L", "--builtin", "J", "--power", "-1"), "--power"),
+        (("hilbert", "--builtin", "L", "--degree", "-1"), "--degree"),
+        (("obstruct", "--builtin", "L", "--degree", "-1"), "--degree"),
+    ],
+)
+def test_negative_flag_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {flag} must be nonnegative\n"
+    assert out == ""
+
+
+def test_zero_denominator_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "nf", "--builtin", "L", "--expr", "2/0 a")
+    assert code == 2
+    assert err == "error: zero denominator in '2/0'\n"
+
+    bad = tmp_path / "bad.hopf"
+    bad.write_text("generators: a:1 b:1 c:2\nrel: b a = a b + 1/0 c\n")
+    code, out, err = run(capsys, "check", "--file", str(bad))
+    assert code == 2
+    assert err == "error: line 2: zero denominator in '1/0'\n"
+
+    bad.write_text("generators: a:1 b:1 c:2\ndelta: c = c (x) 1 + 1 (x) c + 3/0 a (x) b\n")
+    code, out, err = run(capsys, "check", "--file", str(bad))
+    assert code == 2
+    assert err == "error: line 2: zero denominator in '3/0'\n"
 
 
 def test_window_too_small_is_usage_error(capsys):

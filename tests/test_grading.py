@@ -15,7 +15,7 @@ from hopfkit import (
     load_presentation,
 )
 from hopfkit.errors import NotHopfAdmissible
-from hopfkit.grading import PowerSeries
+from hopfkit.grading import PowerSeries, series_settles
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 
@@ -107,6 +107,17 @@ def test_obstruction_none_for_hopf_builtins():
         report = hopf_obstruction(builtin(name))
         assert not report.obstructed, name
         assert report.code == "none"
+
+
+def test_series_below_the_heaviest_generator_settles_nothing():
+    heis3, L = builtin("heis3"), builtin("L")
+    assert not series_settles(heis3, 1) and series_settles(heis3, 2)
+    # (1-t)^-2 at degree 1 is not the polynomial-series certificate
+    assert hopf_obstruction(heis3, 1).code == "none"
+    assert hopf_obstruction(L, 0).code == "none"
+    assert hopf_obstruction(load_presentation(PRESENTATIONS / "jordan.hopf"), 1).obstructed
+    with pytest.raises(ValueError):
+        hilbert_series(L, -1)
 
 
 def test_is_commutative():

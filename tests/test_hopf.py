@@ -98,6 +98,10 @@ def test_tensor_element_arities():
         triple + pair
     with pytest.raises(TypeError):
         triple * triple  # products live on the tensor square only
+    # an integer never juxtaposes with an empty leg: "2 1 (x) a", not "21 (x) a"
+    legs = TensorElement(J, {(one, a): 2, (one, one): -3, (a, one): 4})
+    assert str(legs) == "-3 1 (x) 1 + 2 1 (x) a + 4a (x) 1"
+    assert str(-legs) == "3 1 (x) 1 - 2 1 (x) a - 4a (x) 1"
 
 
 def test_counit_values():

@@ -43,6 +43,17 @@ def test_dump_builtin_round_trip():
         assert again == p, name
         assert again.psi == p.psi, name
         assert dump_presentation(again) == text, name
+    # integer coefficients are dumped with a space, "2 c" and "2 a (x) b",
+    # never "2c" as on display, and parse back equal
+    text = (
+        "generators: a:1 b:1 c:2\n"
+        "rel: b a = a b + 2 c\n"
+        "delta: c = c (x) 1 + 1 (x) c + 2 a (x) b\n"
+    )
+    p = parse_presentation(text)
+    assert str(2 * p.gen("c")) == "2c"  # display juxtaposes
+    assert dump_presentation(p) == text
+    assert parse_presentation(dump_presentation(p)) == p
 
 
 def test_dump_exact_text():
