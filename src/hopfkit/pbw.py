@@ -7,8 +7,8 @@ every pair j > i, a straightening rule
 
 with q a nonzero rational and tail a combination of ordered monomials.
 Pairs without an explicit rule commute.  Normal forms are computed by
-repeatedly rewriting the largest reducible word, and validation certifies
-termination before any rewriting is attempted.
+rewriting the largest live word, popped from an integer-keyed heap, and
+validation certifies termination before any rewriting is attempted.
 
 Termination certificate.  Rewriting must strictly decrease every produced
 word in some monomial order.  Weight alone is not enough when a tail keeps
@@ -42,6 +42,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import add
 
@@ -74,6 +75,14 @@ _DEBUG_ORDER = bool(os.environ.get("HOPFKIT_DEBUG_ORDER"))
 
 def _is_ordered(word):
     return all(word[i] <= word[i + 1] for i in range(len(word) - 1))
+
+
+def _word_code(word, n):
+    """The word read as an integer in base n, most significant letter first."""
+    code = 0
+    for letter in word:
+        code = code * n + letter
+    return code
 
 
 def _word_to_monomial(word, size):
@@ -288,6 +297,16 @@ class Presentation:
         self._skew_pairs = tuple(
             (hi, lo, rel.q) for (hi, lo), rel in sorted(self.relations.items()) if rel.q != 1
         )
+        # per pair: q, and per tail word its drops below the head, code and n^len
+        n, key = len(self.alphabet), self.rewrite_key
+        self._rewrites = {
+            pair: (_ONE if rel.q == 1 else rel.q, tuple(
+                (word, coeff, *(h - t for h, t in zip(key(pair)[:3], key(word))),
+                 _word_code(word, n), n ** len(word))
+                for word, coeff in rel.tail.items()
+            ))
+            for pair, rel in self.relations.items()
+        }
 
     # ----- construction helpers -------------------------------------
 
@@ -518,21 +537,28 @@ class Presentation:
     # ----- rewriting ---------------------------------------------------
 
     def rewrite_key(self, word):
-        psi = self.psi
-        return (
-            self.alphabet.word_weight(word),
-            sum(psi[letter] for letter in word),
-            len(word),
-            word,
-        )
+        """The rewrite order, the reference for the HOPFKIT_DEBUG_ORDER checks."""
+        weight = self.alphabet.word_weight(word)
+        return weight, sum(self.psi[letter] for letter in word), len(word), word
 
     def normal_form(self, x):
         """Straighten to the ordered-monomial basis.
 
         Accepts a FreeElement over the same alphabet, a PBWElement over
-        this presentation, or a plain {word: coefficient} map.  Rewrites
-        the largest reducible word (leftmost misordered pair first) until
+        this presentation, or a plain {word: coefficient} map; a letter
+        outside the alphabet raises AlphabetMismatch.  Rewrites the largest
+        live word under rewrite_key (leftmost misordered pair first) until
         none remains.  The term budget is read once per call.
+
+        Live words wait in a binary heap of entries (-weight, -psi-weight,
+        -length, -code, word), code being the word read in base n: on equal
+        lengths codes order as the words do, so the heap pops the largest
+        word.  Produced entries come from the parent's: a swap of hi > lo
+        lowers only the code, by (hi - lo)(n - 1) n^|suffix|; a tail word
+        adds its relation's drops and splices its code between prefix and
+        suffix.  A word is pushed when it enters the live map; a popped
+        entry whose word is gone is skipped (lazy deletion).  Every rewrite
+        lowers the key, so a popped word never comes back.
         """
         if isinstance(x, PBWElement):
             if x.pres is not self and x.pres != self:
@@ -548,33 +574,52 @@ class Presentation:
                 coeff = as_coeff(coeff)
                 if coeff:
                     _acc(work, tuple(word), coeff)
-        out = {}
-        key = self.rewrite_key
-        n = len(self.alphabet)
+        n, weights, psi = len(self.alphabet), self.alphabet.weights, self.psi
+        letters, heap = range(n), []
+        for word in work:
+            for letter in word:
+                if letter not in letters:
+                    raise AlphabetMismatch(f"letter {letter!r} of {word!r} is not a generator")
+            heap.append((-sum(weights[g] for g in word), -sum(psi[g] for g in word),
+                         -len(word), -_word_code(word, n), word))
+        heapify(heap)
+        rewrites, out = self._rewrites, {}
         budget = term_budget()
-        while work:
-            word = max(work, key=key)
-            coeff = work.pop(word)
-            pos = -1
-            for i in range(len(word) - 1):
-                if word[i] > word[i + 1]:
-                    pos = i
+        while heap:
+            entry = heappop(heap)
+            kw, kpsi, klen, kcode, word = entry
+            coeff = work.pop(word, None)
+            if coeff is None:
+                continue
+            if _DEBUG_ORDER:
+                weight, psi_weight, length, _ = self.rewrite_key(word)
+                assert entry == (-weight, -psi_weight, -length, -_word_code(word, n), word)
+            for pos in range(len(word) - 1):
+                if word[pos] > word[pos + 1]:
                     break
-            if pos < 0:
+            else:
                 _acc(out, _word_to_monomial(word, n), coeff)
                 continue
             hi, lo = word[pos], word[pos + 1]
-            rel = self.relations[(hi, lo)]
+            q, tails = rewrites[hi, lo]
             prefix, suffix = word[:pos], word[pos + 2:]
+            shift = n ** len(suffix)
             swapped = prefix + (lo, hi) + suffix
             if _DEBUG_ORDER:
-                assert key(swapped) < key(word)
-            _acc(work, swapped, coeff * rel.q)
-            for tail_word, tail_coeff in rel.tail.items():
-                produced = prefix + tail_word + suffix
-                if _DEBUG_ORDER:
-                    assert key(produced) < key(word)
-                _acc(work, produced, coeff * tail_coeff)
+                assert self.rewrite_key(swapped) < self.rewrite_key(word)
+            if swapped not in work:
+                heappush(heap, (kw, kpsi, klen, kcode + (hi - lo) * (n - 1) * shift, swapped))
+            _acc(work, swapped, coeff if q is _ONE else coeff * q)
+            if tails:
+                prefix_code, suffix_code = -kcode // (shift * n * n), -kcode % shift
+                for tail_word, tail_coeff, dw, dpsi, dlen, tcode, tscale in tails:
+                    produced = prefix + tail_word + suffix
+                    if _DEBUG_ORDER:
+                        assert self.rewrite_key(produced) < self.rewrite_key(word)
+                    if produced not in work:
+                        code = (prefix_code * tscale + tcode) * shift + suffix_code
+                        heappush(heap, (kw + dw, kpsi + dpsi, klen + dlen, -code, produced))
+                    _acc(work, produced, coeff * tail_coeff)
             if len(work) + len(out) > budget:
                 raise over_budget(len(work) + len(out), budget)
         return PBWElement._raw(self, out)

@@ -16,6 +16,8 @@ from hopfkit import (
     pbw,
 )
 from hopfkit.errors import (
+    AlphabetMismatch,
+    BudgetExceeded,
     NotConfluent,
     PresentationError,
     TailNotNormal,
@@ -23,6 +25,7 @@ from hopfkit.errors import (
     UnknownBuiltin,
     ZeroQ,
 )
+from hopfkit.freealg import FreeElement, _acc, over_budget, term_budget
 
 
 def test_builtin_names_and_loading():
@@ -319,15 +322,23 @@ def test_certificate_psi(text, psi):
     assert report.triples_checked == comb(len(p.alphabet), 3)
 
 
-@pytest.mark.parametrize("text", [_l_plus(4), HEAVY_TAIL_TEXT], ids=["L+4", "heavy_tail"])
-def test_certificate_orders_every_rewrite(text, monkeypatch):
-    # with the debug flag on, normal_form asserts that each rewrite lowers the key
+DEBUG_BUILTINS = ("H6", "J", "L", "U_n5", "heis3", "poly(1)", "poly(3)", "qplane(3/2)", "qplane(-1)")
+
+
+@pytest.mark.parametrize(
+    "source,longest",
+    [(_l_plus(4), 9), (HEAVY_TAIL_TEXT, 9)] + [(name, 14) for name in DEBUG_BUILTINS],
+    ids=["L+4", "heavy_tail", *DEBUG_BUILTINS],
+)
+def test_certificate_orders_every_rewrite(source, longest, monkeypatch):
+    # with the debug flag on, normal_form asserts that each popped heap entry
+    # is the key rewrite_key gives its word, and that each rewrite lowers it
     monkeypatch.setattr(pbw, "_DEBUG_ORDER", True)
-    p = parse_presentation(text)
+    p = builtin(source) if source in DEBUG_BUILTINS else parse_presentation(source)
     gens = [p.gen(name) for name in p.alphabet.names]
     rng = random.Random(4)
     for _ in range(60):
-        word = tuple(rng.randrange(len(gens)) for _ in range(rng.randint(2, 9)))
+        word = tuple(rng.randrange(len(gens)) for _ in range(rng.randint(2, longest)))
         product_of_gens = p.one()
         for letter in word:
             product_of_gens = product_of_gens * gens[letter]
@@ -418,3 +429,124 @@ def test_lp_feasibility_matches_sympy():
         assert pbw._lp_feasible(rows, n) == expected, rows
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+# ----- the rewrite heap against the max() scan it replaced -------------------
+
+
+def _reference_normal_form(p, x):
+    """The straightening loop the rewrite heap replaced: every step takes the
+    largest live word by a max() scan over p.rewrite_key.  Returns the terms."""
+    work = {}
+    for word, coeff in x.items():
+        if coeff:
+            _acc(work, tuple(word), Fraction(coeff))
+    out = {}
+    key = p.rewrite_key
+    n = len(p.alphabet)
+    budget = term_budget()
+    while work:
+        word = max(work, key=key)
+        coeff = work.pop(word)
+        pos = -1
+        for i in range(len(word) - 1):
+            if word[i] > word[i + 1]:
+                pos = i
+                break
+        if pos < 0:
+            _acc(out, pbw._word_to_monomial(word, n), coeff)
+            continue
+        hi, lo = word[pos], word[pos + 1]
+        rel = p.relations[(hi, lo)]
+        prefix, suffix = word[:pos], word[pos + 2:]
+        _acc(work, prefix + (lo, hi) + suffix, coeff * rel.q)
+        for tail_word, tail_coeff in rel.tail.items():
+            _acc(work, prefix + tail_word + suffix, coeff * tail_coeff)
+        if len(work) + len(out) > budget:
+            raise over_budget(len(work) + len(out), budget)
+    return out
+
+
+def _outcome(straighten):
+    """The terms in the order they came out, or the budget error's text."""
+    try:
+        return list(straighten().items())
+    except BudgetExceeded as err:
+        return str(err)
+
+
+QS = (Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-3, 2))
+EQUIVALENCE_BUILTINS = (
+    "H6", "J", "L", "U_n5", "heis3", "poly(1)", "poly(2)", "qplane(-1)", "qplane(2/3)", "qplane(-3/2)",
+)
+
+
+def test_heap_matches_max_scan(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def random_presentations(draw):
+        # tails of lower or equal weight; most of these systems are not
+        # confluent, and equal-weight ones without a certificate are refused
+        n = draw(st.integers(1, 6))
+        weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        relations = {}
+        pairs = [(hi, lo) for hi in range(n) for lo in range(hi)]
+        for hi, lo in draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(())):
+            tail = {}
+            for letters in draw(st.lists(st.lists(st.integers(0, n - 1), max_size=3), max_size=2)):
+                word = tuple(sorted(letters))
+                if sum(weights[letter] for letter in word) <= weights[hi] + weights[lo]:
+                    tail[word] = draw(st.sampled_from(QS))
+            relations[(hi, lo)] = (draw(st.sampled_from(QS)), tail)
+        try:
+            return Presentation([(f"g{i}", w) for i, w in enumerate(weights)], relations)
+        except TailNotSmaller:
+            hypothesis.reject()
+
+    @st.composite
+    def cases(draw):
+        if draw(st.booleans()):
+            p = builtin(draw(st.sampled_from(EQUIVALENCE_BUILTINS)))
+        else:
+            p = draw(random_presentations())
+        letters = st.lists(st.integers(0, len(p.alphabet) - 1), max_size=8)
+        if draw(st.booleans()):
+            # rearrangements of one word pass through the same words, so with
+            # unit coefficients their terms cancel and come back
+            words = draw(st.lists(st.permutations(draw(letters)), min_size=2, max_size=4))
+            coeffs = st.sampled_from(QS[:2])
+        else:
+            words = draw(st.lists(letters, min_size=1, max_size=4))
+            coeffs = st.sampled_from(QS)
+        return p, {tuple(word): draw(coeffs) for word in words}
+
+    @hypothesis.settings(derandomize=True, max_examples=400, deadline=None)
+    @hypothesis.given(cases())
+    # in L, z w z a cancels a w z^2 early on and brings it back later
+    @hypothesis.example((builtin("L"), {(0, 4, 3, 3): 1, (3, 4, 3, 0): -1}))
+    @hypothesis.example((builtin("poly(1)"), {(0, 0): 2, (): -1}))
+    @hypothesis.example((builtin("qplane(-1)"), {(1, 0, 1, 0): 1, (0, 1, 1, 0): 1}))
+    def check(case):
+        p, x = case
+        for budget in ("2000", "5"):
+            monkeypatch.setenv("HOPFKIT_MAX_TERMS", budget)
+            expected = _outcome(lambda: _reference_normal_form(p, x))
+            assert _outcome(lambda: p.normal_form(x).terms) == expected
+            assert _outcome(lambda: p.normal_form(FreeElement(p.alphabet, x)).terms) == expected
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "x",
+    [{(-1,): 1}, {(6,): 1}, {(6, 0): 1}, {(0, -1): 1}, "free"],
+    ids=["negative", "past_end", "past_end_first", "negative_second", "free_element"],
+)
+def test_out_of_range_letters_rejected(x):
+    J = builtin("J")
+    if x == "free":
+        x = FreeElement(J.alphabet, {(-1,): 1})
+    with pytest.raises(AlphabetMismatch, match=r"letter (-1|6) "):
+        J.normal_form(x)
