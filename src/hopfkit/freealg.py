@@ -285,7 +285,12 @@ class _LinearCombination:
 
 
 class FreeElement(_LinearCombination):
-    """Finite rational linear combination of words."""
+    """Finite rational linear combination of words.
+
+    Every letter must be an index of the alphabet: construction and the
+    operands of sums and products are checked, and a stray letter raises
+    AlphabetMismatch naming it.  `_raw` stays unchecked.
+    """
 
     __slots__ = ()
     alphabet = _LinearCombination.owner
@@ -294,6 +299,19 @@ class FreeElement(_LinearCombination):
 
     def __init__(self, alphabet, terms=None):
         super().__init__(alphabet, terms)
+
+    def _key(self, word):
+        word = tuple(word)
+        letters = range(len(self.alphabet))
+        for letter in word:
+            if letter not in letters:
+                raise AlphabetMismatch(f"letter {letter!r} of {word!r} is not a generator")
+        return word
+
+    def _check(self, other):
+        super()._check(other)
+        for word in (*self.terms, *other.terms):
+            self._key(word)
 
     @classmethod
     def zero(cls, alphabet):

@@ -34,23 +34,25 @@ from .pbw import _ONE, PBWElement, Presentation
 # ----- tensor elements ------------------------------------------------------
 
 
-def _tensor_product(pres, xs, ys):
+def _tensor_product(pres, xs, ys, legs=None):
     """Product of two {(left, right): coeff} maps in the tensor square.
 
-    Each leg is multiplied by mono_product, whose interned monomials make
-    the (left, right) keys share their tuples; a coefficient that is the
-    interned one is not multiplied.
+    legs(a, b) gives the product of two leg monomials as (monomial,
+    coeff) pairs; by default the terms of mono_product, whose interned
+    monomials make the (left, right) keys share their tuples.  A
+    coefficient that is the interned one is not multiplied.
     """
-    mono_product = pres.mono_product
+    if legs is None:
+        mono_product = pres.mono_product
+        legs = lambda a, b: mono_product(a, b).terms.items()
     out = {}
     for (a1, a2), c in xs.items():
         for (b1, b2), d in ys.items():
             cd = d if c is _ONE else c * d
-            left = mono_product(a1, b1).terms
-            right = mono_product(a2, b2).terms
-            for u, cu in left.items():
+            right = legs(a2, b2)
+            for u, cu in legs(a1, b1):
                 cu_cd = cd if cu is _ONE else cd * cu
-                for v, cv in right.items():
+                for v, cv in right:
                     _acc(out, (u, v), cu_cd if cv is _ONE else cu_cd * cv)
     check_budget(len(out))
     return out
@@ -135,8 +137,21 @@ def _require_hopf(p):
     p.require_confluent()
 
 
+def _integral(c):
+    """c as an int when it is integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class _Machine:
-    """Per-presentation cache of Delta on basis monomials."""
+    """Per-presentation cache of Delta on basis monomials.
+
+    Delta(m) = Delta(g) Delta(m / g), with g the first letter of m, is
+    built from a memo of leg products: one entry per (leg of some
+    Delta(g), window monomial) pair, closed forms included, as (monomial,
+    coeff) pairs.  Coefficients in the memo and in the cached coproducts
+    are ints where integral, Fractions otherwise; the public values built
+    from them (coproduct, the reports) are Fractions.
+    """
 
     def __init__(self, p):
         _require_hopf(p)
@@ -149,29 +164,51 @@ class _Machine:
             unit = [0] * n
             unit[gi] = 1
             unit = tuple(unit)
-            full = {(unit, self.empty): _ONE, (self.empty, unit): _ONE}
+            full = {(unit, self.empty): 1, (self.empty, unit): 1}
             for key, coeff in self.gen_delta[gi].items():
-                _acc(full, key, coeff)
+                _acc(full, key, _integral(coeff))
             self.gen_full[gi] = full
-        self._full = {self.empty: {(self.empty, self.empty): Fraction(1)}}
+        self._legs = {}
+        self._full = {self.empty: {(self.empty, self.empty): 1}}
+
+    def _leg_product(self, a, b):
+        """The product of leg monomials a and b, as (monomial, coeff) pairs."""
+        key = (a, b)
+        hit = self._legs.get(key)
+        if hit is None:
+            terms = self.p.mono_product(a, b).terms
+            hit = tuple((m, _integral(c)) for m, c in terms.items())
+            self._legs[key] = hit
+        return hit
 
     def full_mono(self, mono):
-        """Delta of a basis monomial, as a {(left, right): coeff} map."""
+        """Delta of a basis monomial, as a {(left, right): coeff} map.
+
+        The map is shared and its coefficients are ints where integral.
+        """
         hit = self._full.get(mono)
         if hit is not None:
             return hit
         gi = next(i for i, e in enumerate(mono) if e)
         rest = list(mono)
         rest[gi] -= 1
-        out = _tensor_product(self.p, self.gen_full[gi], self.full_mono(tuple(rest)))
+        out = _tensor_product(
+            self.p, self.gen_full[gi], self.full_mono(tuple(rest)), self._leg_product
+        )
+        for key, c in out.items():
+            if type(c) is not int:
+                out[key] = _integral(c)
         self._full[mono] = out
         return out
 
     def reduced_mono(self, mono):
-        """delta of a basis monomial: Delta(m) - m (x) 1 - 1 (x) m."""
+        """delta of a basis monomial: Delta(m) - m (x) 1 - 1 (x) m.
+
+        A fresh map, with full_mono's coefficients.
+        """
         out = dict(self.full_mono(mono))
         for key in ((mono, self.empty), (self.empty, mono)):
-            _acc(out, key, -_ONE)
+            _acc(out, key, -1)
         return out
 
     def full(self, x):

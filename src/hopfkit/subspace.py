@@ -510,7 +510,7 @@ class _CoradicalState:
 
     Each reduced coproduct is kept, in window order, as the position of
     its monomial, integer (u, v, coeff) position triples and the factor
-    that cleared its denominators.
+    that cleared its denominators (1 when its coefficients are ints).
     """
 
     def __init__(self, p, weight_bound):
@@ -522,19 +522,25 @@ class _CoradicalState:
         legs = set()
         for m in self.aug:
             delta = mach.reduced_mono(m)
-            terms, _, den = _clear(
-                {(position[u], position[v]): c for (u, v), c in delta.items()}
-            )
-            self.deltas.append(
-                (position[m], [(u, v, c) for (u, v), c in terms.items()], den)
-            )
-            legs.update(pos for pair in terms for pos in pair)
+            den = lcm(*(c.denominator for c in delta.values() if type(c) is not int))
+            terms = [
+                (position[u], position[v], c if den == 1 else c.numerator * (den // c.denominator))
+                for (u, v), c in delta.items()
+            ]
+            self.deltas.append((position[m], terms, den))
+            legs.update(pos for u, v, _ in terms for pos in (u, v))
         self.legs = legs
         self.chain = []
         self.stable = False
 
     def kernel(self):
-        """Kernel of delta followed by the quotient map on both legs.
+        """Kernel of delta followed by the quotient map on both legs,
+        restricted to the monomials that are not pivots of the last level.
+
+        Those monomials span a complement of S_{n-1}, and S_{n-1} lies in
+        S_n, so S_n = S_{n-1} + (S_n intersected with that span): a
+        member of S_n minus its remainder modulo S_{n-1} is in S_{n-1}.
+        The kernel found here is that intersection.
 
         The quotient map kappa (the remainder modulo the last level, or
         the identity before the first) of every leg monomial is brought
@@ -556,8 +562,11 @@ class _CoradicalState:
             for pos, (rem, d) in rems.items()
         }
         right = size * size
+        pivots = previous.rows
         elim = _Echelon()
         for pos, terms, factor in self.deltas:
+            if pos in pivots:
+                continue
             image = {}
             get = image.get
             for u, v, c in terms:
@@ -573,8 +582,11 @@ class _CoradicalState:
         return elim.kernel
 
     def next_level(self):
-        """Add the next level S_n, or mark the chain stable."""
+        """Add the next level S_n = S_{n-1} + kernel(), or mark the chain stable."""
         level = Subspace(self.index)
+        if self.chain:
+            rows = self.chain[-1]._elim.rows
+            level._elim.rows = {pivot: dict(row) for pivot, row in rows.items()}
         for tag in self.kernel():
             level.add_vector(tag)
         if self.chain and level.dim == self.chain[-1].dim:
@@ -651,38 +663,55 @@ def signature(p, weight_bound):
     fed in reversed order, c -> full - 1 - c, so the window becomes the
     last window_size columns; a row whose smallest-column pivot falls
     there has all its support inside the window, and the intersection
-    dimension is the number of such pivots.  The multiset is complete
-    when its size reaches the geometric growth dimension of the series.
+    dimension, `explained`, is the number of such pivots, kept as a
+    running count since rows never change their pivots.  The multiset
+    is complete when its size reaches the geometric growth dimension of
+    the series.
+
+    A level's products stop as soon as explained == dim S_n.  The
+    coradical filtration is an algebra filtration, C_i C_j <= C_{i+j},
+    and the window is closed under the legs of Delta, so S_n is C_n
+    intersected with the window: everything fed so far lies in C_n, and
+    explained <= dim S_n always (a violation raises AssertionError).
+    Once equal, the count of level n is 0 whatever is fed next.  The
+    skipped products are never needed later either: at a level n' > n
+    the products S_{n'-q} S_q span every S_{n-q} S_q, since the levels
+    are nested, so a level that runs its products to the end has the
+    full product span of every earlier level inside it.
     """
     chain = _coradical_chain(p, weight_bound)
     index = MonomialIndex(p, weight_bound)
     wide = MonomialIndex(p, 2 * weight_bound)
     for pos, m in enumerate(index.monomials):
         assert wide.monomials[pos] == m, "window is not a prefix of its double"
-    window_size = len(index)
     bases = [[]] + [s.basis() for s in chain]  # bases[n] = basis of S_n
     elim = _Echelon()
     full = len(wide)
-    window_start = full - window_size
+    window_start = full - len(index)
+    explained = 0
 
     def insert(x):
-        elim.insert({full - 1 - c: v for c, v in wide.vector(x).items()})
-
-    def window_rank():
-        return sum(1 for pivot in elim.rows if pivot >= window_start)
+        nonlocal explained
+        pivot = elim.insert({full - 1 - c: v for c, v in wide.vector(x).items()})
+        if pivot is not None and pivot >= window_start:
+            explained += 1
 
     entries = []
     by_level = []
     top = len(chain)
     for n in range(1, top + 1):
-        for q in range(1, n):
-            for b1 in bases[n - q]:
-                if elim.rank == full:
-                    break
-                for b2 in bases[q]:
-                    insert(p.multiply(b1, b2))
-        explained = window_rank()
-        count = chain[n - 1].dim - explained
+        dim = chain[n - 1].dim
+        products = ((b1, b2) for q in range(1, n) for b1 in bases[n - q] for b2 in bases[q])
+        for b1, b2 in products:
+            if explained == dim:
+                break
+            insert(p.multiply(b1, b2))
+        if explained > dim:  # it never falls and products stop at dim
+            raise AssertionError(
+                f"signature level {n}: products explain {explained} window "
+                f"dimensions, but the level has dimension {dim}"
+            )
+        count = dim - explained
         if count > 0:
             entries.extend([n] * count)
             by_level.append((n, count))

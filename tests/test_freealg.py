@@ -1,5 +1,6 @@
 """Free-algebra layer: words, weights, exact arithmetic, rendering."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,45 @@ def test_alphabet_mismatch():
     B = Alphabet([("x", 1)])
     with pytest.raises(AlphabetMismatch):
         FreeElement.letter(A, 0) + FreeElement.letter(B, 0)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [(-1,), (3,), (0, 3), (1, -1), (0, "a")],
+    ids=["negative", "past_end", "past_end_second", "negative_second", "not_an_index"],
+)
+def test_letters_outside_the_alphabet_rejected(word):
+    A = make_alphabet()
+    letter = word[-1]
+    message = "^" + re.escape(f"letter {letter!r} of {word!r} is not a generator") + "$"
+    a = FreeElement.letter(A, 0)
+    with pytest.raises(AlphabetMismatch, match=message):
+        FreeElement(A, {word: 1})
+    with pytest.raises(AlphabetMismatch, match=message):
+        FreeElement(A, {(0,): 1, word: 2})
+    with pytest.raises(AlphabetMismatch, match=message):
+        FreeElement.from_word(A, word)
+    # sums and concatenations check both operands, raw-built ones too
+    stray = FreeElement._raw(A, {word: Fraction(1)})
+    for combine in (
+        lambda: a + stray,
+        lambda: stray + a,
+        lambda: a - stray,
+        lambda: free_add(a, stray),
+        lambda: a * stray,
+        lambda: stray * a,
+        lambda: free_mul(a, stray),
+    ):
+        with pytest.raises(AlphabetMismatch, match=message):
+            combine()
+
+
+def test_letters_inside_the_alphabet_accepted():
+    A = make_alphabet()
+    x = FreeElement(A, {(2, 0, 1): 1, (): 3})
+    assert str(x) == "3 + cab"
+    assert str(x + FreeElement.letter(A, 2)) == "3 + c + cab"
+    assert str(x * FreeElement.letter(A, 2)) == "3c + cabc"
 
 
 def test_term_budget(monkeypatch):

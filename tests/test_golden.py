@@ -8,9 +8,12 @@ tensor classes and accumulation loops were merged; the `nf`, `hilbert`,
 `gr`, `obstruct`, `dump-builtin` and `check --file` cases before the psi
 search became an exact LP; the `coradical`, `primitives` and `truncate`
 cases at larger windows, and `coradical --file`, before the echelon
-engine moved from Fraction to integer rows) and is never regenerated: a
-mismatch means a change altered an answer.  `--file` paths are relative to the repository
-root.
+engine moved from Fraction to integer rows; `signature` on L 9, J 7 and
+heis3 10, `primitives J --weight-bound 10`, `coradical J --weight-bound 9`
+and `coradical U_n5 --weight-bound 7` before the signature and the
+coradical chain stopped early and the coproducts moved to integers) and
+is never regenerated: a mismatch means a change altered an answer.
+`--file` paths are relative to the repository root.
 """
 
 import json

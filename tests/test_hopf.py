@@ -17,16 +17,19 @@ from hopfkit import (
     counit,
     drop_correction,
     is_primitive,
+    parse_presentation,
     reduced_coproduct,
     solve_antipode,
     tensor,
 )
 from hopfkit.errors import (
     AxiomFailure,
+    BudgetExceeded,
     NoCoproductAttached,
     NonzeroConstantTerm,
     QSkewRejected,
 )
+from hopfkit.freealg import _acc, check_budget
 from hopfkit.pbw import Presentation
 
 
@@ -274,3 +277,126 @@ def test_default_coproduct_makes_all_generators_primitive():
         assert is_primitive(h, h.gen(g)), g
     report = check_relation_compatibility(h)
     assert report.ok
+
+
+# ----- the coproduct engine against the recursion it replaced ----------------
+
+
+def _reference_tensor_product(p, xs, ys):
+    """The tensor-square product as it was: every leg product through
+    mono_product, Fraction coefficients, one budget check per product."""
+    out = {}
+    for (a1, a2), c in xs.items():
+        for (b1, b2), d in ys.items():
+            for u, cu in p.mono_product(a1, b1).terms.items():
+                for v, cv in p.mono_product(a2, b2).terms.items():
+                    _acc(out, (u, v), c * d * cu * cv)
+    check_budget(len(out))
+    return out
+
+
+def _reference_full_mono(p, mono, memo):
+    """Delta(m) = Delta(g) Delta(m / g), g the first letter, over Fraction."""
+    hit = memo.get(mono)
+    if hit is None:
+        n = len(p.alphabet)
+        if not any(mono):
+            return {(mono, mono): Fraction(1)}
+        gi = next(i for i, e in enumerate(mono) if e)
+        unit = tuple(int(i == gi) for i in range(n))
+        gen = {(unit, (0,) * n): Fraction(1), ((0,) * n, unit): Fraction(1)}
+        for key, c in p.delta.get(gi, {}).items():
+            _acc(gen, key, c)
+        rest = tuple(e - (i == gi) for i, e in enumerate(mono))
+        hit = _reference_tensor_product(p, gen, _reference_full_mono(p, rest, memo))
+        memo[mono] = hit
+    return hit
+
+
+def _hopf_presentations():
+    from test_subspace import J_SCALED_D
+
+    for name in ("H6", "J", "L", "U_n5", "heis3", "poly(1)", "poly(3)"):
+        p = builtin(name)
+        yield name, p, 2 * p.max_weight + 2
+    yield "J_scaled_d", parse_presentation(J_SCALED_D), 7
+
+
+def test_full_mono_matches_the_reference_recursion():
+    from hopfkit import hopf
+
+    fractional = 0
+    for name, p, bound in _hopf_presentations():
+        mach, memo = hopf._machine(p), {}
+        for m in p.enumerate_basis(bound):
+            delta = mach.full_mono(m)
+            assert delta == _reference_full_mono(p, m, memo), (name, m)
+            # ints where integral, Fractions otherwise
+            for c in delta.values():
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (name, m)
+            fractional += sum(type(c) is Fraction for c in delta.values())
+            expected = dict(memo.get(m) or _reference_full_mono(p, m, memo))
+            for key in ((m, mach.empty), (mach.empty, m)):
+                _acc(expected, key, Fraction(-1))
+            assert mach.reduced_mono(m) == expected, (name, m)
+        # the leg memo holds one entry per (leg of some Delta(g), window monomial)
+        legs = {leg for full in mach.gen_full.values() for pair in full for leg in pair}
+        assert {a for a, _ in mach._legs} <= legs, name
+    assert fractional  # J_scaled_d has fractional coproducts
+
+
+def test_full_mono_keeps_the_term_budget(monkeypatch):
+    from hopfkit import hopf
+
+    J = builtin("J")
+    memo = {}
+    m = max(J.enumerate_basis(6), key=lambda m: len(_reference_full_mono(J, m, memo)))
+    budget = len(memo[m]) - 1
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", str(budget))
+
+    def outcome(run):
+        try:
+            run()
+        except BudgetExceeded as error:
+            return str(error)
+        return None
+
+    expected = outcome(lambda: _reference_full_mono(J, m, {}))
+    assert expected and expected.endswith(f", budget is {budget} (raise HOPFKIT_MAX_TERMS to override)")
+    assert outcome(lambda: hopf._machine(J).full_mono(m)) == expected
+    assert outcome(lambda: coproduct(J, J.element({m: 1}))) == expected
+
+
+def _fractions(terms):
+    return all(type(c) is Fraction for c in terms.values())
+
+
+def test_public_values_stay_fractions():
+    from hopfkit.subspace import _CoradicalState
+
+    for name, p, bound in _hopf_presentations():
+        for m in p.enumerate_basis(min(bound, 5)):
+            x = p.element({m: 1})
+            assert _fractions(coproduct(p, x).terms), name
+            assert _fractions(reduced_coproduct(p, x).terms), name
+        report = check_coassociativity(p, weight_bound=4, samples=5)
+        assert report.ok
+        for g in report.generators:
+            assert _fractions(g.left.terms) and _fractions(g.right.terms), name
+        table = solve_antipode(p, weight_bound=4)
+        for gi in range(len(p.alphabet)):
+            assert _fractions(table.of_gen(gi).terms), name
+        state = _CoradicalState(p, 4)
+        while not state.stable:
+            for tag in state.kernel():
+                assert _fractions(tag), name
+            state.next_level()
+    p = Presentation(
+        [("a", 1), ("z", 2), ("u", 3)],
+        {},
+        coproduct={"z": {((0,), (0,)): 1}, "u": {((1,), (0,)): 1}},
+        name="lopsided",
+    )
+    with pytest.raises(AxiomFailure) as info:
+        solve_antipode(p, weight_bound=4)
+    assert _fractions(info.value.residual.terms)

@@ -546,7 +546,7 @@ def test_heap_matches_max_scan(monkeypatch):
 )
 def test_out_of_range_letters_rejected(x):
     J = builtin("J")
-    if x == "free":
-        x = FreeElement(J.alphabet, {(-1,): 1})
+    if x == "free":  # construction rejects the letter too, so build it raw
+        x = FreeElement._raw(J.alphabet, {(-1,): Fraction(1)})
     with pytest.raises(AlphabetMismatch, match=r"letter (-1|6) "):
         J.normal_form(x)

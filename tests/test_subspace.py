@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -19,6 +19,7 @@ from hopfkit import (
     truncation_algebra,
 )
 from hopfkit.errors import WindowTooSmall
+from hopfkit.pbw import Presentation
 from hopfkit.freealg import _acc
 
 
@@ -434,7 +435,8 @@ delta: d = d (x) 1 + 1 (x) d + 6/5 c (x) c^2 + 6/5 c^2 (x) c
 )
 def test_coradical_kernels_match_fraction_reference(make, bound):
     """Each level's kernel tags equal, as exact Fractions, the ones the
-    Fraction engine gets from Fraction images built the way it did."""
+    Fraction engine gets from Fraction images built the way it did, fed
+    the monomials that are not pivots of the last level."""
     from hopfkit import hopf
     from hopfkit.subspace import _CoradicalState
 
@@ -448,6 +450,8 @@ def test_coradical_kernels_match_fraction_reference(make, bound):
         }
         ref = _FractionEchelon()
         for m in state.aug:
+            if index.index(m) in previous.rows:
+                continue
             image = {}
             for (u, v), c in mach.reduced_mono(m).items():
                 for col, cv in kappa[u].items():
@@ -457,8 +461,7 @@ def test_coradical_kernels_match_fraction_reference(make, bound):
             ref.insert(image, {index.index(m): Fraction(1)})
         assert ref.kernel
         assert state.kernel() == ref.kernel
-        previous = _FractionEchelon()
-        for tag in ref.kernel:
+        for tag in ref.kernel:  # S_n = S_{n-1} + the kernel
             previous.insert(tag)
         state.next_level()
         if not state.stable:
@@ -472,3 +475,241 @@ def test_rescaled_j_keeps_the_invariants_of_j():
     assert hopf.check_relation_compatibility(p).ok
     assert coradical_levels(p, 8).dims == coradical_levels(builtin("J"), 8).dims
     assert [str(b) for b in primitive_space(p, 8).basis()] == ["a", "b", "c", "c^3 - 5/2 d"]
+
+
+# ----- early exits against the full computations they replaced ---------------
+
+
+def _reference_chain(p, bound):
+    """The coradical chain as it was computed with every augmentation
+    monomial fed to the kernel: each level is the span of its kernel
+    tags alone, and the coproducts are cleared from Fractions."""
+    from hopfkit import hopf
+    from hopfkit.subspace import Subspace, _Echelon, _clear
+
+    index = MonomialIndex(p, bound)
+    aug = [m for m in index if any(m)]
+    mach, position, size = hopf._machine(p), index.position, len(index)
+    deltas, legs = [], set()
+    for m in aug:
+        delta = {(position[u], position[v]): Fraction(c) for (u, v), c in mach.reduced_mono(m).items()}
+        terms, _, den = _clear(delta)
+        deltas.append((position[m], [(u, v, c) for (u, v), c in terms.items()], den))
+        legs.update(pos for pair in terms for pos in pair)
+    chain = []
+    while True:
+        previous = chain[-1]._elim if chain else _Echelon()
+        rems = {pos: previous.remainder({pos: 1}) for pos in legs}
+        den = lcm(*(d for _, d in rems.values()))
+        kappa = {pos: {c: v * (den // d) for c, v in rem.items()} for pos, (rem, d) in rems.items()}
+        elim = _Echelon()
+        for pos, terms, factor in deltas:
+            image = {}
+            for u, v, c in terms:
+                for col, cv in kappa[u].items():
+                    _acc(image, col * size + v, c * cv)
+                for col, cv in kappa[v].items():
+                    _acc(image, size * size + u * size + col, c * cv)
+            elim.insert_cleared(image, {pos: factor}, factor)
+        level = Subspace(index)
+        for tag in elim.kernel:
+            level.add_vector(tag)
+        if chain and level.dim == chain[-1].dim:
+            return chain
+        chain.append(level)
+        if level.dim == len(aug):
+            return chain
+
+
+def _reference_signature(p, bound, chain):
+    """(entries, by_level) as computed with every product of every level."""
+    from hopfkit.subspace import _Echelon
+
+    index, wide = MonomialIndex(p, bound), MonomialIndex(p, 2 * bound)
+    bases = [[]] + [s.basis() for s in chain]
+    elim = _Echelon()
+    full = len(wide)
+    window_start = full - len(index)
+
+    def insert(x):
+        elim.insert({full - 1 - c: v for c, v in wide.vector(x).items()})
+
+    entries, by_level = [], []
+    for n in range(1, len(chain) + 1):
+        for q in range(1, n):
+            for b1 in bases[n - q]:
+                if elim.rank == full:
+                    break
+                for b2 in bases[q]:
+                    insert(p.multiply(b1, b2))
+        count = chain[n - 1].dim - sum(1 for pivot in elim.rows if pivot >= window_start)
+        if count > 0:
+            entries.extend([n] * count)
+            by_level.append((n, count))
+        for b in bases[n]:
+            insert(b)
+    return tuple(entries), tuple(by_level)
+
+
+def _assert_matches_references(p, bound):
+    """The complement-fed chain and the settled signature equal the
+    references: the same levels, basis for basis, and the same counts."""
+    from hopfkit.subspace import _coradical_chain
+
+    reference = _reference_chain(p, bound)
+    chain = _coradical_chain(p, bound)
+    assert [s.dim for s in chain] == [s.dim for s in reference]
+    for level, ref in zip(chain, reference):
+        assert level.pivots() == ref.pivots()
+        assert [b.terms for b in level.basis()] == [b.terms for b in ref.basis()]
+    sig = signature(p, bound)
+    assert (sig.entries, sig.by_level) == _reference_signature(p, bound, reference)
+    return chain, sig
+
+
+@pytest.mark.parametrize(
+    "name,bound",
+    [("H6", 6), ("J", 6), ("L", 6), ("U_n5", 5), ("heis3", 6), ("poly(1)", 4),
+     ("poly(3)", 4), ("L", 9), ("J", 7), ("heis3", 10)],
+)
+def test_settled_signature_and_complement_chain_match_references(name, bound):
+    _assert_matches_references(builtin(name), bound)
+
+
+def test_signature_raises_when_products_overshoot_a_level(monkeypatch):
+    # explained <= dim S_n is a theorem; a level 2 smaller than level 1,
+    # whose basis is fed before level 2's products, must trip it
+    from hopfkit import subspace
+
+    L = builtin("L")
+    chain = subspace._coradical_chain(L, 4)
+    smaller = subspace.Subspace(chain[0].index, chain[0].basis()[:-1])
+    monkeypatch.setattr(subspace, "_coradical_chain", lambda p, bound: [chain[0], smaller, *chain[2:]])
+    with pytest.raises(AssertionError, match=r"^signature level 2: products explain \d+ "):
+        signature(L, 4)
+
+
+def _row_reduce(rows, vec):
+    """(remainder, combination): vec is the remainder plus the combination
+    of the labels of the rows added by _add_row.
+
+    rows is a list of (pivot, row, combination) triples, each row 1 at
+    its pivot and combination its value in the labels; vectors are
+    {key: Fraction} maps.
+    """
+    vec, combo = dict(vec), {}
+    for pivot, row, comb in rows:
+        a = vec.get(pivot, 0)
+        if a:
+            for k, v in row.items():
+                _acc(vec, k, -a * v)
+            for k, v in comb.items():
+                _acc(combo, k, a * v)
+    return vec, combo
+
+
+def _add_row(rows, vec, label):
+    """Append vec, labelled, if it is independent; True when it was."""
+    rem, combo = _row_reduce(rows, vec)
+    if not rem:
+        return False
+    pivot = min(rem)
+    inv = 1 / rem[pivot]
+    comb = {k: -v * inv for k, v in combo.items()}
+    comb[label] = inv
+    rows.append((pivot, {k: v * inv for k, v in rem.items()}, comb))
+    return True
+
+
+def _bracket(x, y):
+    """xy - yx for sparse matrices {(i, j): Fraction}."""
+    out = {}
+    for (i, j), u in x.items():
+        for (k, l), v in y.items():
+            if j == k:
+                _acc(out, (i, l), u * v)
+            if l == i:
+                _acc(out, (k, j), -u * v)
+    return out
+
+
+def _nilpotent_lie_algebras():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def algebras(draw):
+        """U(g) with primitive generators, for a random graded nilpotent g.
+
+        g is the Lie algebra generated by a few random strictly upper
+        triangular matrices, each on one superdiagonal d, which is its
+        degree, cut above a random top degree: the part of higher degree
+        is an ideal, so the quotient is again a graded nilpotent Lie
+        algebra, and the Jacobi identity holds because brackets are
+        matrix commutators.  Its basis, by degree, becomes the generators
+        x0, x1, ... with weight the degree, and [x_i, x_j] = sum_k c_k x_k
+        with k > j (every k has degree deg i + deg j > deg j) becomes
+        x_j x_i = x_i x_j - sum_k c_k x_k.  Returns (presentation, degrees).
+        """
+        size = draw(st.integers(4, 5))
+        top = draw(st.integers(2, size - 1))
+        seeds = []
+        for _ in range(draw(st.integers(2, 3))):
+            d = draw(st.sampled_from((1, 1, 2)))
+            values = draw(st.lists(st.integers(-2, 2), min_size=size - d, max_size=size - d))
+            matrix = {(i, i + d): Fraction(v) for i, v in enumerate(values) if v}
+            if matrix:
+                seeds.append((d, matrix))
+        hypothesis.assume(seeds)
+        basis = []  # (degree, matrix), degree by degree
+        for degree in range(1, top + 1):
+            rows = []
+            candidates = [m for d, m in seeds if d == degree]
+            candidates += [
+                _bracket(m, x) for d, m in seeds for e, x in basis if d + e == degree
+            ]
+            for matrix in candidates:
+                if _add_row(rows, matrix, len(basis)):
+                    basis.append((degree, matrix))
+        hypothesis.assume(len(basis) <= 7)
+        degrees = [d for d, _ in basis]
+        relations = {}
+        for j, (dj, xj) in enumerate(basis):
+            for i in range(j):
+                di, xi = basis[i]
+                if di + dj > top:
+                    continue  # the bracket lies in the ideal cut off
+                rows = []
+                for k, (dk, xk) in enumerate(basis):
+                    if dk == di + dj:
+                        _add_row(rows, xk, k)
+                rem, combo = _row_reduce(rows, _bracket(xi, xj))
+                assert not rem, "g is closed under brackets"
+                assert all(k > j for k in combo)
+                if combo:
+                    relations[(j, i)] = (1, {(k,): -c for k, c in combo.items()})
+        gens = [(f"x{i}", d) for i, d in enumerate(degrees)]
+        return Presentation(gens, relations, coproduct={}, name="U(g)"), degrees
+
+    return algebras()
+
+
+def test_early_exits_on_random_enveloping_algebras():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+    @hypothesis.given(_nilpotent_lie_algebras(), st.integers(0, 1))
+    def check(algebra, extra):
+        p, degrees = algebra
+        bound = max(degrees) + extra + 1
+        chain, sig = _assert_matches_references(p, bound)
+        # primitive generators: C_n is spanned by the monomials of degree <= n
+        window = p.enumerate_basis(bound)
+        top = max(sum(m) for m in window)
+        dims = tuple(sum(1 for m in window if sum(m) <= n) for n in range(top + 1))
+        assert coradical_levels(p, bound).dims == dims
+        # and every level past the first is explained by products
+        assert sig.entries == (1,) * len(degrees)
+
+    check()
