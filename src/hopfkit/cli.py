@@ -118,6 +118,12 @@ def _bound(args, p):
 def cmd_check(args):
     label, p = _load_sources(args)[0]
     rep = Report()
+
+    def fail():
+        rep.set("check.ok", False)
+        rep.emit()
+        return MATH_EXIT
+
     if args.corrupt:
         if not p.has_coproduct:
             raise _UsageError("--corrupt needs a presentation with a coproduct")
@@ -143,9 +149,7 @@ def cmd_check(args):
         rep.say(
             f"confluence: FAIL on overlap {triple}; residual {residual}"
         )
-        rep.set("check.ok", False)
-        rep.emit()
-        return MATH_EXIT
+        return fail()
     rep.say(f"confluence: {conf.triples_checked} overlap triples agree")
     if not p.has_coproduct:
         rep.say("coproduct: none attached, algebra checks only")
@@ -161,9 +165,7 @@ def cmd_check(args):
         rep.say("coproduct compatibility: FAIL")
         for chk in compat.failures:
             rep.say(f"  {chk.label}: residual {chk.residual}")
-        rep.set("check.ok", False)
-        rep.emit()
-        return MATH_EXIT
+        return fail()
     rep.say(f"coproduct respects all {len(compat.checks)} relations")
     coassoc = hopf.check_coassociativity(p, seed=args.seed)
     rep.set("coassoc.generators", len(coassoc.generators))
@@ -177,9 +179,7 @@ def cmd_check(args):
         for mono, ok in coassoc.monomials:
             if not ok:
                 rep.say(f"  monomial {p.render_mono(mono)}")
-        rep.set("check.ok", False)
-        rep.emit()
-        return MATH_EXIT
+        return fail()
     rep.say(
         f"coassociativity holds on generators and {len(coassoc.monomials)} "
         f"sampled monomials (seed {args.seed})"
@@ -191,9 +191,7 @@ def cmd_check(args):
         for lab, residual in counit.relation_checks:
             if residual:
                 rep.say(f"  {lab}: epsilon residual {residual}")
-        rep.set("check.ok", False)
-        rep.emit()
-        return MATH_EXIT
+        return fail()
     rep.say("counit laws hold")
     try:
         table = hopf.solve_antipode(p, bound)
@@ -201,9 +199,7 @@ def cmd_check(args):
         rep.say(f"antipode axiom ({failure.side}): FAIL on {failure.monomial}")
         rep.say(f"  residual {failure.residual}")
         rep.set("antipode.ok", False)
-        rep.set("check.ok", False)
-        rep.emit()
-        return MATH_EXIT
+        return fail()
     rep.say(
         f"antipode solved; two-sided axiom verified on "
         f"{table.monomials_checked} monomials up to weight {bound}"
@@ -215,9 +211,7 @@ def cmd_check(args):
     if not involutive.ok:
         mono, twice = involutive.failures[0]
         rep.say(f"antipode square: FAIL, S(S({p.render_mono(mono)})) = {twice}")
-        rep.set("check.ok", False)
-        rep.emit()
-        return MATH_EXIT
+        return fail()
     rep.say(f"antipode is an involution on {involutive.checked} monomials")
     rep.set("check.ok", True)
     rep.emit()

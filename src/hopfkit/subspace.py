@@ -3,8 +3,9 @@
 Everything here works inside a window: the finite list of basis
 monomials up to a weight bound, in canonical order.  Because the order
 is weight-first, the window for a smaller bound is a prefix of the
-window for a larger one; the signature computation leans on that to
-count how much of a product span lands back inside the window.
+window for a larger one; the signature leans on that to count how much
+of a product span lands back inside the window.  Powers I^k of the
+augmentation ideal are exact and do not depend on the window.
 
 Every rank, kernel and remainder comes from one sparse echelon engine
 that puts each pivot at its row's smallest column.  A dimension of the
@@ -62,9 +63,7 @@ class MonomialIndex:
         return {self.index(m): c for m, c in x.terms.items()}
 
     def element(self, vec):
-        return PBWElement(
-            self.pres, {self.monomials[pos]: c for pos, c in vec.items() if c}
-        )
+        return PBWElement(self.pres, {self.monomials[pos]: c for pos, c in vec.items() if c})
 
 
 # ----- sparse elimination ----------------------------------------------------
@@ -347,39 +346,59 @@ def member(space, x):
 
 
 def power_ideal_span(p, k, weight_bound):
-    """Span of normal forms of all words of length >= k up to the bound.
+    """I^k in the window: the span of normal forms of words of >= k letters.
 
-    Built by the recursion A_j = sum_g g * A_{j-1}, with A_0 the whole
-    window.  Normal forms never raise weight, so the recursion is
-    complete inside the window.
+    V and D_k are spanned by the normal monomials with fewer than k
+    letters and with k or more; pi projects onto V along D_k.  From
+    J_0 = V, J_j = pi(span{g b : g a generator, b in a basis of J_{j-1}})
+    and I^j = J_j + D_k, a direct sum, for j <= k.  In the window, J_k
+    keeps the rows whose reversed-column pivot falls there and D_k its unit
+    vectors; from window (k - 1) * max weight on, V lies inside and nothing
+    is cut, so the answer does not depend on the window.
+
+    D_k lies in I^k (a normal monomial is the product of its letters) and
+    pi moves by elements of D_k, so by induction J_j + D_k lies in I^j.
+    Conversely NF(w) lies in J_j + D_k for every word w of j or more
+    letters, by induction on j and, inside j, on w in the rewrite order,
+    which respects concatenation.  Split w = g w' with NF(w') = a + d, a in
+    J_{j-1}, d in D_k; g a is in J_j + D_k by definition.  If w' is not
+    normal, each monomial m of d comes from w' by rewriting, so g m is a
+    smaller word with more than k letters.  The circular case is w' = m,
+    normal with k or more letters: w = g m is in D_k if normal, else its
+    first pair rewrites it to q h g m'' + t m'', m = h m''.  The swap word
+    is smaller with as many letters, and each nonempty word u of the tail
+    t gives a smaller u m'' with at least k letters.  The gap is a constant
+    in t (epsilon is then no algebra map): it leaves m'', maybe of k - 1 < j letters.
     """
     p.require_confluent()
     if k < 0:
         raise ValueError("power must be nonnegative")
     index = MonomialIndex(p, weight_bound)
-    cache = {}
-
-    def level(j, bound):
-        if bound < 0:
-            return Subspace(index)
-        key = (j, bound)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        space = Subspace(index)
-        if j == 0:
-            for m in p.enumerate_basis(bound):
-                space.add(PBWElement(p, {m: Fraction(1)}))
-        else:
-            weights = p.alphabet.weights
-            for gi in range(len(p.alphabet)):
-                g = p.gen(gi)
-                for b in level(j - 1, bound - weights[gi]).basis():
-                    space.add(p.multiply(g, b))
-        cache[key] = space
-        return space
-
-    return level(k, weight_bound)
+    needed = (k - 1) * p.max_weight
+    wide = index if needed <= weight_bound else MonomialIndex(p, needed)
+    monomials, last = wide.monomials, len(wide) - 1
+    column = {m: last - pos for pos, m in enumerate(monomials) if p.mono_degree(m) < k}
+    gens = [next(iter(p.gen(gi).terms)) for gi in range(len(p.alphabet))]
+    rows = {col: {col: 1} for col in column.values()}  # J_0 = V
+    for _ in range(k):
+        elim = _Echelon()
+        for g in gens:
+            for row in rows.values():
+                image = {}
+                for col, c in row.items():
+                    for m, v in p.mono_product(g, monomials[last - col]).terms.items():
+                        if m in column:  # pi drops the monomials of D_k
+                            _acc(image, column[m], c * v)
+                elim.insert(image)
+        rows = elim.rows
+    space = Subspace(index)
+    for pivot, row in rows.items():
+        if pivot >= len(wide) - len(index):  # the row lies in the window
+            space.add_vector({last - col: v for col, v in row.items()})
+    for pos, m in enumerate(index.monomials):
+        if p.mono_degree(m) >= k:
+            space.add_vector({pos: 1})
+    return space
 
 
 # ----- truncated algebras ----------------------------------------------------
@@ -403,35 +422,24 @@ class Truncation:
         needed = (power - 1) * pres.max_weight
         if needed > weight_bound:
             raise WindowTooSmall(
-                f"truncation at power {power} needs window {needed}, "
-                f"got {weight_bound}"
+                f"truncation at power {power} needs window {needed}, got {weight_bound}"
             )
-        self.pres = pres
-        self.power = power
-        self.weight_bound = weight_bound
-        self.index = MonomialIndex(pres, weight_bound)
+        self.pres, self.power, self.weight_bound = pres, power, weight_bound
         self.ideal = power_ideal_span(pres, power, weight_bound)
+        self.index = self.ideal.index
+        # D_k's monomials are pivots, so the classes are light non-pivots
         pivots = set(self.ideal.pivots())
-        light = [
-            m
-            for pos, m in enumerate(self.index.monomials)
-            if pos not in pivots and pres.mono_degree(m) < power
-        ]
-        # every monomial with >= power letters lies in the ideal, so the
-        # surviving classes are exactly the light non-pivot monomials
-        self.basis = tuple(m for m in light if any(m))
+        self.basis = tuple(
+            m for pos, m in enumerate(self.index.monomials) if any(m) and pos not in pivots
+        )
         self.dim = len(self.basis)
         self._slot = {m: i for i, m in enumerate(self.basis)}
 
     def project(self, x):
         """Class of x as {basis monomial: coeff}, constant term dropped."""
         rem = self.ideal.reduce_vector(self.index.vector(x))
-        out = {}
-        for pos, c in rem.items():
-            m = self.index.monomials[pos]
-            if any(m):
-                out[m] = c
-        return out
+        monomials = self.index.monomials
+        return {monomials[pos]: c for pos, c in rem.items() if any(monomials[pos])}
 
     def class_element(self, coords):
         return PBWElement(self.pres, dict(coords))
@@ -458,8 +466,7 @@ class Truncation:
         Solved against the generator classes, then verified against the
         whole basis; generators generate, so the two must agree.
         """
-        p = self.pres
-        gens = [self.gen_image(gi) for gi in range(len(p.alphabet))]
+        gens = [self.gen_image(gi) for gi in range(len(self.pres.alphabet))]
         elim = _Echelon()
         for m in self.basis:
             coords = {m: Fraction(1)}
@@ -476,20 +483,13 @@ class Truncation:
         for coords in reps:  # double-check against every basis class
             for m in self.basis:
                 other = {m: Fraction(1)}
-                if self.multiply_classes(coords, other) != self.multiply_classes(
-                    other, coords
-                ):
-                    raise AssertionError(
-                        "center candidate fails against a non-generator class"
-                    )
+                if self.multiply_classes(coords, other) != self.multiply_classes(other, coords):
+                    raise AssertionError("center candidate fails against a non-generator class")
         reps.sort(key=lambda coords: min(self._slot[m] for m in coords))
         return CenterReport(len(reps), tuple(self.class_element(c) for c in reps))
 
     def __repr__(self):
-        return (
-            f"<Truncation power {self.power} window {self.weight_bound} "
-            f"dim {self.dim}>"
-        )
+        return f"<Truncation power {self.power} window {self.weight_bound} dim {self.dim}>"
 
 
 def truncation_algebra(p, power, weight_bound):
@@ -682,8 +682,7 @@ def signature(p, weight_bound):
     chain = _coradical_chain(p, weight_bound)
     index = MonomialIndex(p, weight_bound)
     wide = MonomialIndex(p, 2 * weight_bound)
-    for pos, m in enumerate(index.monomials):
-        assert wide.monomials[pos] == m, "window is not a prefix of its double"
+    assert wide.monomials[: len(index)] == index.monomials, "window is not a prefix of its double"
     bases = [[]] + [s.basis() for s in chain]  # bases[n] = basis of S_n
     elim = _Echelon()
     full = len(wide)

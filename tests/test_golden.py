@@ -11,7 +11,10 @@ cases at larger windows, and `coradical --file`, before the echelon
 engine moved from Fraction to integer rows; `signature` on L 9, J 7 and
 heis3 10, `primitives J --weight-bound 10`, `coradical J --weight-bound 9`
 and `coradical U_n5 --weight-bound 7` before the signature and the
-coradical chain stopped early and the coproducts moved to integers) and
+coradical chain stopped early and the coproducts moved to integers;
+`truncate` on U_n5 at power 6 window 8 and power 4 window 4, on heis3
+at power 5 window 10, and `compare-centers L U_n5` at power 3 before
+the powers of the augmentation ideal were built in H/D_k) and
 is never regenerated: a mismatch means a change altered an answer.
 `--file` paths are relative to the repository root.
 """

@@ -1,5 +1,6 @@
 """Exact linear algebra over monomial windows: spans, filtrations, quotients."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -20,6 +21,7 @@ from hopfkit import (
 )
 from hopfkit.errors import WindowTooSmall
 from hopfkit.pbw import Presentation
+from hopfkit.subspace import Subspace, _Echelon
 from hopfkit.freealg import _acc
 
 
@@ -144,6 +146,124 @@ def test_truncation_class_products():
     wa = T.project(L.gen("w") * L.gen("a"))
     assert T.multiply_classes(za, wa) == {}
     assert T.multiply_classes(ab, a) == {}
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_truncation_of_u_n5_matches_the_closed_form_at_every_window(k):
+    # x = [x1, x2] lies in I^2, so U_n5/I^k has the monomials with
+    # 2 e(x) + deg(x1..x4) < k, whatever the window
+    U = builtin("U_n5")
+    expected = [m for m in U.enumerate_basis(k - 1) if any(m) and 2 * m[0] + sum(m[1:]) < k]
+    light = []  # the ideal's basis elements on the monomials with < k letters
+    for bound in (k - 1, k, 2 * k):
+        T = truncation_algebra(U, k, bound)
+        assert T.dim == len(expected)
+        assert list(T.basis) == expected
+        light.append([str(b) for b in T.ideal.basis() if all(sum(m) < k for m in b.terms)])
+    assert light[0] == light[1] == light[2]
+
+
+def test_filtered_members_of_powers_of_u_n5():
+    U = builtin("U_n5")
+    x, x1 = U.gen("x"), U.gen("x1")
+    assert member(power_ideal_span(U, 2, 1), x)  # x = x1 x2 - x2 x1
+    assert member(power_ideal_span(U, 3, 2), x * x1)
+
+
+def _words_oracle(p, k, bound):
+    """I^k in the window, from normal forms of words alone.
+
+    pi drops the monomials of k or more letters, which all lie in I^k.
+    The span of pi(NF(w)) over the words of k to k + 2 letters stands in
+    for pi(I^k): longer words are left out to keep the count small.  Its
+    part inside the window is cut out as the kernel of the coordinates
+    outside it, so no reversed columns are involved.
+    """
+    wide = MonomialIndex(p, max(bound, (k - 1) * p.max_weight))
+    light = Subspace(wide)
+    n = len(p.alphabet)
+    for length in range(k, k + 3):
+        for word in itertools.product(range(n), repeat=length):
+            nf = p.normal_form({word: 1})
+            light.add(p.element({m: c for m, c in nf.terms.items() if sum(m) < k}))
+    basis = light.basis()
+    index = MonomialIndex(p, bound)
+    outside = _Echelon()
+    for i, b in enumerate(basis):
+        vec = wide.vector(b)
+        outside.insert({c: v for c, v in vec.items() if c >= len(index)}, {i: Fraction(1)})
+    space = Subspace(index)
+    for tag in outside.kernel:
+        space.add(sum((c * basis[i] for i, c in tag.items()), p.zero()))
+    for m in index:
+        if sum(m) >= k:
+            space.add(p.element({m: 1}))
+    return space
+
+
+def _assert_matches_words_oracle(p, k, bound):
+    got = power_ideal_span(p, k, bound)
+    want = _words_oracle(p, k, bound)
+    assert got.dim == want.dim, (p, k, bound)
+    assert [str(b) for b in got.basis()] == [str(b) for b in want.basis()], (p, k, bound)
+
+
+def _filiform(n):
+    """[x1, xi] = x(i+1) for 1 < i < n, every weight 1: a filtered presentation."""
+    relations = {(i, 0): (1, {(i + 1,): Fraction(-1)}) for i in range(1, n - 1)}
+    return Presentation([(f"x{i}", 1) for i in range(1, n + 1)], relations, name=f"filiform({n})")
+
+
+AFFINE = "generators: x:1 y:1\nrel: y x = x y + x\n"  # [y, x] = x, so x is in every I^k
+WEYL = "generators: x:1 y:1\nrel: y x = x y + 1\n"  # a constant tail: 1 = [y, x] is in I^2
+
+
+@pytest.mark.parametrize(
+    "make, powers",
+    [
+        (lambda: builtin("U_n5"), range(1, 4)),
+        (lambda: builtin("L"), range(1, 4)),
+        (lambda: builtin("J"), range(1, 4)),
+        (lambda: builtin("H6"), range(1, 3)),
+        (lambda: builtin("heis3"), range(1, 6)),
+        (lambda: builtin("poly(3)"), range(1, 4)),
+        (lambda: builtin("qplane(2)"), range(1, 5)),
+        (lambda: _filiform(4), range(1, 5)),
+        (lambda: _filiform(5), range(1, 4)),
+        (lambda: parse_presentation(AFFINE), range(1, 6)),
+        # at k = 1 the words oracle has 1 = yx - xy in I: the gap with a
+        # constant tail that the power_ideal_span docstring names
+        (lambda: parse_presentation(WEYL), range(2, 6)),
+    ],
+    ids=["U_n5", "L", "J", "H6", "heis3", "poly3", "qplane2", "filiform4", "filiform5", "affine", "weyl"],
+)
+def test_power_ideal_span_matches_words_oracle(make, powers):
+    p = make()
+    for k in powers:
+        least = (k - 1) * p.max_weight
+        for bound in sorted({max(least - 1, 0), least, least + 2}):
+            _assert_matches_words_oracle(p, k, bound)
+
+
+def test_constant_tail_keeps_an_empty_truncation():
+    p = parse_presentation(WEYL)
+    for k in range(1, 5):
+        assert truncation_algebra(p, k, k + 1).dim == 0
+
+
+def test_power_ideal_span_matches_words_oracle_on_enveloping_algebras():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, max_examples=25, deadline=None)
+    @hypothesis.given(_nilpotent_lie_algebras(), st.integers(1, 3), st.integers(-1, 2))
+    def check(algebra, k, extra):
+        p, _ = algebra
+        while len(p.alphabet) ** (k + 2) > 5000:  # keeps the oracle's word count small
+            k -= 1
+        _assert_matches_words_oracle(p, k, max((k - 1) * p.max_weight + extra, 0))
+
+    check()
 
 
 def test_primitive_space_of_j():
