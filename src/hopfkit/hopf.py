@@ -18,6 +18,7 @@ tensors, never as tolerances.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 import random
 
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
     NonzeroConstantTerm,
     QSkewRejected,
 )
-from .freealg import _LinearCombination, _acc, check_budget
+from .freealg import _LinearCombination, _acc, check_budget, over_budget, term_budget
 from .pbw import _ONE, PBWElement, Presentation
 
 
@@ -473,6 +474,15 @@ def solve_antipode(p, weight_bound=None):
     is already known.  The two-sided axiom is then re-derived on every
     basis monomial up to the bound, and the first failure raises
     AxiomFailure with the offending monomial and residual.
+
+    The verification regroups each Delta(m) = sum c u (x) v by bilinearity,
+    left = sum_v (sum_u c S(u)) v and right = sum_u u (sum_v c S(v)), so
+    each distinct leg takes part in one product, with int coefficients
+    where integral.  A product of monomials that no tailed relation
+    straightens is their sum with coefficient 1 (q = 1 here), formed
+    inline; the others are straightened once into a memo that lives for
+    this call only.  Both sides are checked against the term budget, read
+    once per call.
     """
     mach = _machine(p)
     if weight_bound is None:
@@ -490,15 +500,58 @@ def solve_antipode(p, weight_bound=None):
         for (u, v), c in mach.gen_delta[gi].items():
             add_product(correction, c, table.apply_mono(u), unit(v))
         table.by_gen[gi] = -p.gen(gi) - p.element(correction)
+
+    budget = term_budget()
+    tailed, word, normal_form = p._tailed_pairs, p.mono_word, p.normal_form
+    images, straightened = {}, {}
+
+    def image(m):
+        """S(m) as (monomial, coeff) pairs, ints where integral."""
+        hit = images.get(m)
+        if hit is None:
+            hit = tuple((w, _integral(c)) for w, c in table.apply_mono(m).terms.items())
+            images[m] = hit
+        return hit
+
+    def accumulate(out, sums, leg_first):
+        """Add x a, or a x when leg_first, to out for each leg a and sum x in sums."""
+        for a, x in sums.items():
+            for w, c in x.items():
+                l, r = (a, w) if leg_first else (w, a)
+                for hi, lo in tailed:
+                    if l[hi] and r[lo]:
+                        break
+                else:
+                    _acc(out, tuple(map(add, l, r)), c)
+                    continue
+                hit = straightened.get((l, r))
+                if hit is None:
+                    hit = []
+                    for m, d in normal_form({word(l) + word(r): _ONE}).terms.items():
+                        (m,) = unit(m).terms  # the interned tuple
+                        hit.append((m, _integral(d)))
+                    hit = straightened[l, r] = tuple(hit)
+                for m, d in hit:
+                    _acc(out, m, c * d)
+            if len(out) > budget:
+                raise over_budget(len(out), budget)
+        return out
+
     checked = 0
     for mono in p.enumerate_basis(weight_bound):
-        left = {} if any(mono) else {mono: -_ONE}
-        right = dict(left)
+        by_right, by_left = {}, {}  # v -> sum_u c S(u), u -> sum_v c S(v)
         for (u, v), c in mach.full_mono(mono).items():
-            add_product(left, c, table.apply_mono(u), unit(v))
-            add_product(right, c, unit(u), table.apply_mono(v))
+            x = by_right.setdefault(v, {})
+            for w, d in image(u):
+                _acc(x, w, c * d)
+            x = by_left.setdefault(u, {})
+            for w, d in image(v):
+                _acc(x, w, c * d)
+        eps = {} if any(mono) else {mono: -1}  # -epsilon(m) 1
+        left = accumulate(dict(eps), by_right, False)
         if left:
             raise AxiomFailure(p.render_mono(mono), p.element(left), "left")
+        right = accumulate(eps, by_left, True)
         if right:
             raise AxiomFailure(p.render_mono(mono), p.element(right), "right")
         checked += 1

@@ -458,6 +458,8 @@ class Truncation:
         return out
 
     def gen_image(self, g):
+        if self.power <= 1:
+            return {}  # every generator lies in the ideal, whatever the window
         return self.project(self.pres.gen(g))
 
     def center(self):

@@ -116,6 +116,18 @@ def test_truncate(capsys):
     ]
 
 
+@pytest.mark.parametrize("power,bound", [("1", "1"), ("1", "0"), ("0", "0")])
+def test_truncate_at_power_at_most_one_needs_no_window(capsys, power, bound):
+    # every generator lies in I, so H/I^k is 0 for k <= 1 at any window,
+    # including windows lighter than some generator (heis3's z has weight 2)
+    expected = run(capsys, "truncate", "--builtin", "heis3", "--power", power, "--weight-bound", "2")
+    code, out, err = run(capsys, "truncate", "--builtin", "heis3", "--power", power, "--weight-bound", bound)
+    assert (code, err) == (0, "")
+    assert out == expected[1].replace("window 2:", f"window {bound}:")
+    kv = keyvalues(out)
+    assert (kv["truncation.dim"], kv["truncation.basis"], kv["center.dim"]) == ("0", "", "0")
+
+
 def test_antipode(capsys):
     code, out, err = run(capsys, "antipode", "--builtin", "L", "--weight-bound", "6")
     assert code == 0

@@ -14,7 +14,9 @@ and `coradical U_n5 --weight-bound 7` before the signature and the
 coradical chain stopped early and the coproducts moved to integers;
 `truncate` on U_n5 at power 6 window 8 and power 4 window 4, on heis3
 at power 5 window 10, and `compare-centers L U_n5` at power 3 before
-the powers of the augmentation ideal were built in H/D_k) and
+the powers of the augmentation ideal were built in H/D_k; `antipode` on
+J and L at window 9 and `check J --weight-bound 10` before the antipode
+axiom was verified in integers, one product per distinct leg) and
 is never regenerated: a mismatch means a change altered an answer.
 `--file` paths are relative to the repository root.
 """

@@ -29,8 +29,8 @@ from hopfkit.errors import (
     NonzeroConstantTerm,
     QSkewRejected,
 )
-from hopfkit.freealg import _acc, check_budget
-from hopfkit.pbw import Presentation
+from hopfkit.freealg import DEFAULT_MAX_TERMS, _acc, check_budget
+from hopfkit.pbw import _ONE, PBWElement, Presentation
 
 
 def test_coproduct_of_primitive_generator():
@@ -400,3 +400,127 @@ def test_public_values_stay_fractions():
     with pytest.raises(AxiomFailure) as info:
         solve_antipode(p, weight_bound=4)
     assert _fractions(info.value.residual.terms)
+
+
+# ----- the antipode verification against the loop it replaced ---------------
+
+
+def _reference_verify(p, table):
+    """The verification as it was: two multiply calls per term of each
+    Delta(m), Fraction coefficients; returns the monomials checked."""
+    from hopfkit import hopf
+
+    mach = hopf._machine(p)
+    unit = p._basis_element
+
+    def add_product(out, c, x, y):
+        for m, d in p.multiply(x, y).terms.items():
+            _acc(out, m, c * d)
+
+    checked = 0
+    for mono in p.enumerate_basis(table.weight_bound):
+        left = {} if any(mono) else {mono: -_ONE}
+        right = dict(left)
+        for (u, v), c in mach.full_mono(mono).items():
+            add_product(left, c, table.apply_mono(u), unit(v))
+            add_product(right, c, unit(u), table.apply_mono(v))
+        if left:
+            raise AxiomFailure(p.render_mono(mono), p.element(left), "left")
+        if right:
+            raise AxiomFailure(p.render_mono(mono), p.element(right), "right")
+        checked += 1
+    return checked
+
+
+def _solved(p, bound, table_class=None):
+    """A table of S on the generators, to be verified up to bound.
+
+    The solve at bound 0 verifies the unit alone, which always holds.
+    """
+    from hopfkit import hopf
+
+    by_gen = solve_antipode(p, 0).by_gen
+    return (table_class or hopf.AntipodeTable)(p, dict(by_gen), bound)
+
+
+def _failure(run):
+    with pytest.raises(AxiomFailure) as info:
+        run()
+    error = info.value
+    return error.monomial, error.side, error.residual
+
+
+def test_verification_matches_the_reference_loop():
+    for name, p, bound in _hopf_presentations():
+        table = solve_antipode(p, bound)
+        assert table.monomials_checked == len(p.enumerate_basis(bound)), name
+        assert _reference_verify(p, _solved(p, bound)) == table.monomials_checked, name
+        assert table.by_gen == _solved(p, bound).by_gen, name
+    lopsided = Presentation(
+        [("a", 1), ("z", 2), ("u", 3)],
+        {},
+        coproduct={"z": {((0,), (0,)): 1}, "u": {((1,), (0,)): 1}},
+        name="lopsided",
+    )
+    # delta(c) = a (x) b breaks compatibility with b a = a b - c; legs
+    # multiplied in the wrong order would fail on c, not on bc
+    skew = parse_presentation(
+        "name: skew\ngenerators: a:1 b:1 c:2 z:3\nrel: b a = a b - c\n"
+        "delta: z = z (x) 1 + 1 (x) z + a (x) c\n"
+        "delta: c = c (x) 1 + 1 (x) c + a (x) b\n"
+    )
+    for p, monomial, side in ((lopsided, "u", "right"), (skew, "bc", "left")):
+        expected = _failure(lambda: _reference_verify(p, _solved(p, 6)))
+        assert expected[:2] == (monomial, side)
+        assert _failure(lambda: solve_antipode(p, weight_bound=6)) == expected
+
+
+def test_both_loops_reject_a_flipped_antipode_entry(monkeypatch):
+    from hopfkit import hopf
+
+    J = builtin("J")
+    ab = (1, 1, 0, 0, 0, 0)  # S(ab) = ba = ab - c, not a leg of any delta(g)
+
+    class Flipped(hopf.AntipodeTable):
+        def apply_mono(self, mono):
+            value = super().apply_mono(mono)
+            if mono != ab:
+                return value
+            terms = dict(value.terms)
+            first = min(terms, key=J.mono_key)
+            terms[first] = -terms[first]
+            return PBWElement._raw(J, terms)
+
+    table = _solved(J, 6, Flipped)
+    assert str(table.apply_mono(ab)) == "c + ab"
+    expected = _failure(lambda: _reference_verify(J, table))
+    assert expected[0] == "ab"
+    monkeypatch.setattr(hopf, "AntipodeTable", Flipped)
+    assert _failure(lambda: solve_antipode(J, 6)) == expected
+
+
+def test_solve_antipode_keeps_the_term_budget(monkeypatch):
+    from hopfkit import hopf
+
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "8")
+    with pytest.raises(BudgetExceeded) as info:
+        solve_antipode(builtin("J"), 6)
+    assert str(info.value).endswith(", budget is 8 (raise HOPFKIT_MAX_TERMS to override)")
+    monkeypatch.delenv("HOPFKIT_MAX_TERMS")
+    assert solve_antipode(builtin("J"), 6).monomials_checked == 217
+
+    # both sides of the verification are held to the budget, read once per call
+    reads = []
+
+    def solve_under(budget):
+        monkeypatch.setattr(hopf, "term_budget", lambda: reads.append(budget) or budget)
+        return solve_antipode(builtin("J"), 6)
+
+    with pytest.raises(BudgetExceeded) as info:
+        solve_under(4)
+    count = int(str(info.value).split()[3])
+    assert count > 4
+    assert str(info.value) == str(hopf.over_budget(count, 4))
+    assert reads == [4]
+    assert solve_under(DEFAULT_MAX_TERMS).monomials_checked == 217
+    assert reads == [4, DEFAULT_MAX_TERMS]
