@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NotHopfAdmissible, WindowTooSmall
-from .freealg import _acc
+from .freealg import _acc, over_budget, term_budget
 from .pbw import PBWElement
 from . import hopf as _hopf
 from .grading import factor_series, gk_dimension, hilbert_series, series_settles
@@ -521,7 +521,6 @@ class _CoradicalState:
         mach = _hopf._machine(p)
         position = self.index.position
         self.deltas = []
-        legs = set()
         for m in self.aug:
             delta = mach.reduced_mono(m)
             den = lcm(*(c.denominator for c in delta.values() if type(c) is not int))
@@ -530,30 +529,29 @@ class _CoradicalState:
                 for (u, v), c in delta.items()
             ]
             self.deltas.append((position[m], terms, den))
-            legs.update(pos for u, v, _ in terms for pos in (u, v))
-        self.legs = legs
+        self.legs = {v for _, terms, _ in self.deltas for _, v, _ in terms}  # kappa's domain
         self.chain = []
         self.stable = False
 
     def kernel(self):
-        """Kernel of delta followed by the quotient map on both legs,
-        restricted to the monomials that are not pivots of the last level.
+        """Kernel of (id (x) kappa) delta on the monomials that are not
+        pivots of the last level, kappa the remainder modulo S_{n-1} (the
+        identity before the first level); see _coradical_chain for why
+        the right leg alone decides.
 
         Those monomials span a complement of S_{n-1}, and S_{n-1} lies in
         S_n, so S_n = S_{n-1} + (S_n intersected with that span): a
         member of S_n minus its remainder modulo S_{n-1} is in S_{n-1}.
         The kernel found here is that intersection.
 
-        The quotient map kappa (the remainder modulo the last level, or
-        the identity before the first) of every leg monomial is brought
-        to one integer denominator for the level, so each image is built
-        in integers, at that denominator times the factor that cleared
-        its coproduct.  A tensor u (x) v is column u * size + v on the
-        left leg and size^2 + u * size + v on the right, so both legs
-        keep the window order.  The tag of each monomial is scaled by the
-        factor of its own coproduct; the level's denominator is common to
-        every image and cancels, so the kernel tags, {position: Fraction}
-        maps, are exactly those of the rational images.
+        kappa of every right-leg monomial is brought to one integer
+        denominator for the level, so each image is built in integers,
+        at that denominator times the factor that cleared its coproduct;
+        u (x) v is column u * size + v, in window order.  Each tag is
+        scaled by its own coproduct's factor and the level's denominator
+        cancels, so the kernel tags, {position: Fraction} maps, are
+        exactly those of the rational images.  An image of more terms
+        than the term budget raises BudgetExceeded.
         """
         size = len(self.index)
         previous = self.chain[-1]._elim if self.chain else _Echelon()
@@ -563,8 +561,8 @@ class _CoradicalState:
             pos: rem if d == den else {c: v * (den // d) for c, v in rem.items()}
             for pos, (rem, d) in rems.items()
         }
-        right = size * size
         pivots = previous.rows
+        budget = term_budget()
         elim = _Echelon()
         for pos, terms, factor in self.deltas:
             if pos in pivots:
@@ -572,14 +570,13 @@ class _CoradicalState:
             image = {}
             get = image.get
             for u, v, c in terms:
-                for col, cv in kappa[u].items():
-                    key = col * size + v
-                    image[key] = get(key, 0) + c * cv
-                start = right + u * size
+                start = u * size
                 for col, cv in kappa[v].items():
                     key = start + col
                     image[key] = get(key, 0) + c * cv
             image = {k: x for k, x in image.items() if x}
+            if len(image) > budget:
+                raise over_budget(len(image), budget)
             elim.insert_cleared(image, {pos: factor}, factor)
         return elim.kernel
 
@@ -602,12 +599,13 @@ class _CoradicalState:
 def _coradical_chain(p, weight_bound, levels=None):
     """Augmentation-part levels S_1 <= S_2 <= ... inside the window.
 
-    S_n collects the x whose reduced coproduct lies in
-    S_{n-1} (x) S_{n-1}; the test maps both tensor legs through the
-    quotient by S_{n-1} and intersects the kernels, with S_0 the
-    scalars, whose augmentation part is zero.  Levels are computed on
-    demand, cached per window on the presentation, and stop for good
-    once one repeats.
+    S_n collects the x in H+ whose reduced coproduct lies in
+    H+ (x) S_{n-1}, with S_0 the scalars, whose augmentation part is
+    zero.  This is Sweedler's wedge C_n = Delta^-1(H (x) C_{n-1} +
+    C_0 (x) H): for x in H+, x (x) 1 and 1 (x) x already lie in that
+    sum, and both legs of the reduced coproduct lie in H+, so only its
+    right leg is tested.  Levels are computed on demand, cached per
+    window on the presentation, and stop for good once one repeats.
     """
     cache = getattr(p, "_coradical_cache", None)
     if cache is None:

@@ -24,6 +24,8 @@ from hopfkit.pbw import Presentation
 from hopfkit.subspace import Subspace, _Echelon
 from hopfkit.freealg import _acc
 
+from strategies import nilpotent_lie_algebras
+
 
 def test_monomial_index_layout():
     L = builtin("L")
@@ -256,7 +258,7 @@ def test_power_ideal_span_matches_words_oracle_on_enveloping_algebras():
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(derandomize=True, max_examples=25, deadline=None)
-    @hypothesis.given(_nilpotent_lie_algebras(), st.integers(1, 3), st.integers(-1, 2))
+    @hypothesis.given(nilpotent_lie_algebras(), st.integers(1, 3), st.integers(-1, 2))
     def check(algebra, k, extra):
         p, _ = algebra
         while len(p.alphabet) ** (k + 2) > 5000:  # keeps the oracle's word count small
@@ -690,10 +692,33 @@ def _assert_matches_references(p, bound):
 @pytest.mark.parametrize(
     "name,bound",
     [("H6", 6), ("J", 6), ("L", 6), ("U_n5", 5), ("heis3", 6), ("poly(1)", 4),
-     ("poly(3)", 4), ("L", 9), ("J", 7), ("heis3", 10)],
+     ("poly(3)", 4), ("L", 9), ("J", 7), ("heis3", 10), ("J", 9)],
 )
 def test_settled_signature_and_complement_chain_match_references(name, bound):
     _assert_matches_references(builtin(name), bound)
+
+
+def test_one_sided_chain_matches_references_on_rescaled_j():
+    # 6/5 in delta(d): coproducts are cleared by factors 5 and 25, and
+    # kappa of a right leg has denominator 2 from level 1 on
+    chain, _ = _assert_matches_references(parse_presentation(J_SCALED_D), 7)
+    assert [str(b) for b in chain[0].basis()] == ["a", "b", "c", "c^3 - 5/2 d"]
+
+
+def test_coradical_kernel_keeps_the_term_budget(monkeypatch):
+    """kernel() reads the budget once per level and stops an image that
+    exceeds it with the standard message; the coproducts, built first
+    under the default budget, are not what trips it."""
+    from hopfkit.errors import BudgetExceeded
+    from hopfkit.subspace import _coradical_chain
+
+    J = builtin("J")
+    _coradical_chain(J, 6, levels=0)  # builds and caches the window's coproducts
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "40")
+    with pytest.raises(BudgetExceeded, match=r"^intermediate expression has \d+ terms, budget is 40 "):
+        coradical_levels(J, 6)
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "61")  # the widest level-1 image of J at window 6
+    assert coradical_levels(J, 6).dims == (1, 5, 17, 41, 87, 137, 217)
 
 
 def test_signature_raises_when_products_overshoot_a_level(monkeypatch):
@@ -709,117 +734,12 @@ def test_signature_raises_when_products_overshoot_a_level(monkeypatch):
         signature(L, 4)
 
 
-def _row_reduce(rows, vec):
-    """(remainder, combination): vec is the remainder plus the combination
-    of the labels of the rows added by _add_row.
-
-    rows is a list of (pivot, row, combination) triples, each row 1 at
-    its pivot and combination its value in the labels; vectors are
-    {key: Fraction} maps.
-    """
-    vec, combo = dict(vec), {}
-    for pivot, row, comb in rows:
-        a = vec.get(pivot, 0)
-        if a:
-            for k, v in row.items():
-                _acc(vec, k, -a * v)
-            for k, v in comb.items():
-                _acc(combo, k, a * v)
-    return vec, combo
-
-
-def _add_row(rows, vec, label):
-    """Append vec, labelled, if it is independent; True when it was."""
-    rem, combo = _row_reduce(rows, vec)
-    if not rem:
-        return False
-    pivot = min(rem)
-    inv = 1 / rem[pivot]
-    comb = {k: -v * inv for k, v in combo.items()}
-    comb[label] = inv
-    rows.append((pivot, {k: v * inv for k, v in rem.items()}, comb))
-    return True
-
-
-def _bracket(x, y):
-    """xy - yx for sparse matrices {(i, j): Fraction}."""
-    out = {}
-    for (i, j), u in x.items():
-        for (k, l), v in y.items():
-            if j == k:
-                _acc(out, (i, l), u * v)
-            if l == i:
-                _acc(out, (k, j), -u * v)
-    return out
-
-
-def _nilpotent_lie_algebras():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-
-    @st.composite
-    def algebras(draw):
-        """U(g) with primitive generators, for a random graded nilpotent g.
-
-        g is the Lie algebra generated by a few random strictly upper
-        triangular matrices, each on one superdiagonal d, which is its
-        degree, cut above a random top degree: the part of higher degree
-        is an ideal, so the quotient is again a graded nilpotent Lie
-        algebra, and the Jacobi identity holds because brackets are
-        matrix commutators.  Its basis, by degree, becomes the generators
-        x0, x1, ... with weight the degree, and [x_i, x_j] = sum_k c_k x_k
-        with k > j (every k has degree deg i + deg j > deg j) becomes
-        x_j x_i = x_i x_j - sum_k c_k x_k.  Returns (presentation, degrees).
-        """
-        size = draw(st.integers(4, 5))
-        top = draw(st.integers(2, size - 1))
-        seeds = []
-        for _ in range(draw(st.integers(2, 3))):
-            d = draw(st.sampled_from((1, 1, 2)))
-            values = draw(st.lists(st.integers(-2, 2), min_size=size - d, max_size=size - d))
-            matrix = {(i, i + d): Fraction(v) for i, v in enumerate(values) if v}
-            if matrix:
-                seeds.append((d, matrix))
-        hypothesis.assume(seeds)
-        basis = []  # (degree, matrix), degree by degree
-        for degree in range(1, top + 1):
-            rows = []
-            candidates = [m for d, m in seeds if d == degree]
-            candidates += [
-                _bracket(m, x) for d, m in seeds for e, x in basis if d + e == degree
-            ]
-            for matrix in candidates:
-                if _add_row(rows, matrix, len(basis)):
-                    basis.append((degree, matrix))
-        hypothesis.assume(len(basis) <= 7)
-        degrees = [d for d, _ in basis]
-        relations = {}
-        for j, (dj, xj) in enumerate(basis):
-            for i in range(j):
-                di, xi = basis[i]
-                if di + dj > top:
-                    continue  # the bracket lies in the ideal cut off
-                rows = []
-                for k, (dk, xk) in enumerate(basis):
-                    if dk == di + dj:
-                        _add_row(rows, xk, k)
-                rem, combo = _row_reduce(rows, _bracket(xi, xj))
-                assert not rem, "g is closed under brackets"
-                assert all(k > j for k in combo)
-                if combo:
-                    relations[(j, i)] = (1, {(k,): -c for k, c in combo.items()})
-        gens = [(f"x{i}", d) for i, d in enumerate(degrees)]
-        return Presentation(gens, relations, coproduct={}, name="U(g)"), degrees
-
-    return algebras()
-
-
 def test_early_exits_on_random_enveloping_algebras():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
-    @hypothesis.given(_nilpotent_lie_algebras(), st.integers(0, 1))
+    @hypothesis.given(nilpotent_lie_algebras(), st.integers(0, 1))
     def check(algebra, extra):
         p, degrees = algebra
         bound = max(degrees) + extra + 1
@@ -831,5 +751,31 @@ def test_early_exits_on_random_enveloping_algebras():
         assert coradical_levels(p, bound).dims == dims
         # and every level past the first is explained by products
         assert sig.entries == (1,) * len(degrees)
+
+    check()
+
+
+def test_one_sided_chain_matches_the_two_sided_reference_on_enveloping_algebras():
+    """On U(g) the chain equals the two-sided reference level for level,
+    basis for basis.  The generators are primitive and the coradical
+    filtration is an algebra filtration, so S_n is spanned by the basis
+    monomials of degree 1 to n: dim S_n + 1 = #{monomials of degree <= n}."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from hopfkit.subspace import _coradical_chain
+
+    @hypothesis.settings(derandomize=True, max_examples=30, deadline=None)
+    @hypothesis.given(nilpotent_lie_algebras(), st.integers(1, 5))
+    def check(algebra, extra):
+        p, degrees = algebra
+        bound = max(degrees) + extra
+        while len(p.enumerate_basis(bound)) > 300:  # keeps the reference small
+            bound -= 1
+        window = p.enumerate_basis(bound)
+        chain, reference = _coradical_chain(p, bound), _reference_chain(p, bound)
+        assert len(chain) == len(reference) == max(sum(m) for m in window)
+        for n, (level, ref) in enumerate(zip(chain, reference), 1):
+            monomials = [{m: 1} for m in window if 1 <= sum(m) <= n]
+            assert [b.terms for b in level.basis()] == [b.terms for b in ref.basis()] == monomials
 
     check()

@@ -1,0 +1,227 @@
+#!/usr/bin/env python3
+"""In-process rates of hopfkit's hot layers, one subcommand per layer.
+
+    python3 tools/rate.py nf --src src --seed 7 --repeats 5
+    python3 tools/rate.py coproduct --src src --seed 7 --repeats 5
+    python3 tools/rate.py antipode --src src --seed 7 --repeats 5
+    python3 tools/rate.py coradical --src src --seed 7 --repeats 5
+
+Each subcommand imports hopfkit from the given source directory, times
+its layer on fixed builtins, best CPU time of `repeats` passes, checks the
+answers against a count or law computed apart from the timed code, and
+prints one JSON object: per case its counts, seconds and rates, then the
+total.  The counts are properties of the algebra and the window, not of
+the code, so two checkouts give the same counts and their rates compare
+directly.
+
+nf         rewrite steps per second of Presentation.normal_form, on seeded
+           words of L, J, U_n5, heis3 and qplane(3/2); a counting loop that
+           follows the rewrite strategy (the largest live word first, at its
+           leftmost misordered pair) gives the steps and the answers.
+coproduct  basis monomials per second whose Delta _Machine.full_mono builds,
+           in a seeded order, on a fresh presentation per pass; the counit
+           law is checked on every coproduct.
+antipode   basis monomials per second on which solve_antipode verifies the
+           antipode axiom; S(S(g)) = g on every generator.
+coradical  levels per second of the coradical chain (coradical_levels); the
+           top level must hold the whole window, as its PBW basis counts it.
+
+antipode and coradical run on a fresh presentation whose coproducts of the
+window were built beforehand, outside the timed region, and each pass
+runs the windows in an order shuffled by the seed.
+"""
+
+import argparse
+import json
+import os
+import random
+import sys
+import time
+
+# (builtin, words, shortest, longest); lengths cycle through the range
+NF_PLAN = (
+    ("L", 150, 4, 16),
+    ("J", 150, 4, 18),
+    ("U_n5", 150, 4, 16),
+    ("heis3", 150, 4, 18),
+    ("qplane(3/2)", 150, 8, 40),
+)
+# (builtin, weight bound)
+COPRODUCT_PLAN = (("J", 9), ("L", 9))
+ANTIPODE_PLAN = (("J", 9), ("J", 10), ("L", 9))
+CORADICAL_PLAN = (("J", 9), ("J", 11), ("L", 9))
+
+
+def counted_normal_form(p, word):
+    """(terms, steps) of one word, by a max() scan over p.rewrite_key."""
+    work, out, steps = {word: 1}, {}, 0
+    n = len(p.alphabet)
+    while work:
+        word = max(work, key=p.rewrite_key)
+        coeff = work.pop(word)
+        pos = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
+        if pos is None:
+            mono = tuple(word.count(g) for g in range(n))
+            out[mono] = out.get(mono, 0) + coeff
+            continue
+        steps += 1
+        hi, lo = word[pos], word[pos + 1]
+        rel = p.relations[(hi, lo)]
+        prefix, suffix = word[:pos], word[pos + 2:]
+        produced = [(prefix + (lo, hi) + suffix, rel.q)]
+        produced += [(prefix + tail + suffix, c) for tail, c in rel.tail.items()]
+        for new, c in produced:
+            work[new] = work.get(new, 0) + coeff * c
+            if not work[new]:
+                del work[new]
+    return {m: c for m, c in out.items() if c}, steps
+
+
+def counit_holds(mono, delta, empty):
+    """(epsilon (x) id) Delta(m) = m = (id (x) epsilon) Delta(m), termwise."""
+    if not any(mono):
+        return delta == {(empty, empty): 1}
+    units = {(mono, empty), (empty, mono)}
+    return all(
+        delta.get(key) == 1 for key in units
+    ) and not any(empty in key for key in delta if key not in units)
+
+
+def cpu(fn, *args):
+    """(result, CPU seconds) of one call."""
+    start = time.process_time()
+    out = fn(*args)
+    return out, time.process_time() - start
+
+
+def per_s(count, seconds):
+    """count / seconds, whole from 100 up and to two decimals below."""
+    rate = count / seconds
+    return round(rate) if rate >= 100 else round(rate, 2)
+
+
+def nf(hopfkit, rng, repeats):
+    cases = {}
+    for name, count, lo, hi in NF_PLAN:
+        p = hopfkit.builtin(name)
+        n = len(p.alphabet)
+        words = [tuple(rng.randrange(n) for _ in range(lo + (i * 7) % (hi - lo + 1)))
+                 for i in range(count)]
+        steps = 0
+        for word in words:
+            terms, word_steps = counted_normal_form(p, word)
+            if p.normal_form({word: 1}).terms != terms:
+                raise SystemExit(f"normal_form disagrees with the counting loop on {name} {word}")
+            steps += word_steps
+
+        def straighten():
+            for word in words:
+                p.normal_form({word: 1})
+
+        best = min(cpu(straighten)[1] for _ in range(repeats))
+        cases[name] = ({"words": count, "steps": steps}, best)
+    return cases, (("steps", "steps_per_s"),)
+
+
+def coproduct(hopfkit, rng, repeats):
+    from hopfkit import hopf
+
+    cases = {}
+    for name, bound in COPRODUCT_PLAN:
+        monos = hopfkit.builtin(name).enumerate_basis(bound)
+        rng.shuffle(monos)
+        best = terms = None
+        for _ in range(repeats):
+            p = hopfkit.builtin(name)
+            full_mono = hopf._machine(p).full_mono
+            start = time.process_time()
+            for m in monos:
+                full_mono(m)
+            elapsed = time.process_time() - start
+            best = elapsed if best is None else min(best, elapsed)
+            if terms is None:
+                empty = (0,) * len(p.alphabet)
+                for m in monos:
+                    if not counit_holds(m, full_mono(m), empty):
+                        raise SystemExit(f"the counit law fails on Delta({p.render_mono(m)}) in {name}")
+                terms = sum(len(full_mono(m)) for m in monos)
+        cases[f"{name}@{bound}"] = ({"monomials": len(monos), "terms": terms}, best)
+    return cases, (("monomials", "monomials_per_s"), ("terms", "terms_per_s"))
+
+
+def prebuilt_windows(hopfkit, plan, rng, repeats, run):
+    """{window key: (counts, best seconds)} of run(p, bound, monos, key) -> (counts, seconds).
+
+    Each call gets a fresh presentation whose coproducts of the window's
+    basis monomials monos are built; run times its own part and checks it.
+    """
+    from hopfkit import hopf
+
+    cases = {}
+    for _ in range(repeats):
+        order = list(plan)
+        rng.shuffle(order)
+        for name, bound in order:
+            p = hopfkit.builtin(name)
+            monos = p.enumerate_basis(bound)
+            full_mono = hopf._machine(p).full_mono
+            for m in monos:
+                full_mono(m)
+            key = f"{name}@{bound}"
+            counts, elapsed = run(p, bound, monos, key)
+            cases[key] = (counts, min(cases.get(key, (None, elapsed))[1], elapsed))
+    return {f"{name}@{bound}": cases[f"{name}@{bound}"] for name, bound in plan}
+
+
+def antipode(hopfkit, rng, repeats):
+    def run(p, bound, monos, key):
+        table, elapsed = cpu(hopfkit.solve_antipode, p, bound)
+        if table.monomials_checked != len(monos):
+            raise SystemExit(f"{key}: {table.monomials_checked} of {len(monos)} monomials verified")
+        for gi, name in enumerate(p.alphabet.names):
+            if table.apply(table.of_gen(gi)) != p.gen(gi):
+                raise SystemExit(f"{key}: S(S({name})) is not {name}")
+        return {"monomials_checked": table.monomials_checked}, elapsed
+
+    cases = prebuilt_windows(hopfkit, ANTIPODE_PLAN, rng, repeats, run)
+    return cases, (("monomials_checked", "monomials_per_s"),)
+
+
+def coradical(hopfkit, rng, repeats):
+    def run(p, bound, monos, key):
+        report, elapsed = cpu(hopfkit.coradical_levels, p, bound)
+        if report.dims[-1] != len(monos):
+            raise SystemExit(f"{key}: top level {report.dims[-1]}, window {len(monos)}")
+        return {"levels": report.levels, "dim": report.dims[-1]}, elapsed
+
+    cases = prebuilt_windows(hopfkit, CORADICAL_PLAN, rng, repeats, run)
+    return cases, (("levels", "levels_per_s"),)
+
+
+def main(argv=None):
+    commands = {"nf": nf, "coproduct": coproduct, "antipode": antipode, "coradical": coradical}
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("command", choices=commands)
+    parser.add_argument("--src", default="src", help="directory holding the hopfkit package")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import hopfkit
+
+    cases, rates = commands[args.command](hopfkit, random.Random(args.seed), args.repeats)
+    result, total, total_s = {}, dict.fromkeys((count for count, _ in rates), 0), 0
+    for key, (counts, best) in cases.items():
+        result[key] = {**counts, "cpu_s": round(best, 4)}
+        result[key].update((rate, per_s(counts[count], best)) for count, rate in rates)
+        for count in total:
+            total[count] += counts[count]
+        total_s += best
+    result["total"] = {**total, "cpu_s": round(total_s, 4)}
+    result["total"].update((rate, per_s(total[count], total_s)) for count, rate in rates)
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
