@@ -18,7 +18,6 @@ tensors, never as tolerances.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
 import random
 
 from .errors import (
@@ -29,32 +28,28 @@ from .errors import (
     QSkewRejected,
 )
 from .freealg import _LinearCombination, _acc, check_budget, over_budget, term_budget
-from .pbw import _ONE, PBWElement, Presentation
+from .pbw import PBWElement, Presentation, _integral
 
 
 # ----- tensor elements ------------------------------------------------------
 
 
-def _tensor_product(pres, xs, ys, legs=None):
+def _tensor_product(legs, xs, ys):
     """Product of two {(left, right): coeff} maps in the tensor square.
 
     legs(a, b) gives the product of two leg monomials as (monomial,
-    coeff) pairs; by default the terms of mono_product, whose interned
-    monomials make the (left, right) keys share their tuples.  A
-    coefficient that is the interned one is not multiplied.
+    coeff) pairs, read from the presentation's product table, whose
+    interned monomials make the (left, right) keys share their tuples.
     """
-    if legs is None:
-        mono_product = pres.mono_product
-        legs = lambda a, b: mono_product(a, b).terms.items()
     out = {}
     for (a1, a2), c in xs.items():
         for (b1, b2), d in ys.items():
-            cd = d if c is _ONE else c * d
+            cd = c * d
             right = legs(a2, b2)
             for u, cu in legs(a1, b1):
-                cu_cd = cd if cu is _ONE else cd * cu
+                cu_cd = cd * cu
                 for v, cv in right:
-                    _acc(out, (u, v), cu_cd if cv is _ONE else cu_cd * cv)
+                    _acc(out, (u, v), cu_cd * cv)
     check_budget(len(out))
     return out
 
@@ -93,7 +88,7 @@ class TensorElement(_LinearCombination):
     def _product(self, other):
         if self.arity not in (2, None) or other.arity not in (2, None):
             raise TypeError("products are defined on the tensor square only")
-        return self._raw(self.pres, _tensor_product(self.pres, self.terms, other.terms))
+        return self._raw(self.pres, _tensor_product(self.pres._products, self.terms, other.terms))
 
     def _order(self, legs):
         key = self.pres.mono_key
@@ -138,20 +133,16 @@ def _require_hopf(p):
     p.require_confluent()
 
 
-def _integral(c):
-    """c as an int when it is integral, else unchanged."""
-    return c.numerator if c.denominator == 1 else c
-
-
 class _Machine:
     """Per-presentation cache of Delta on basis monomials.
 
     Delta(m) = Delta(g) Delta(m / g), with g the first letter of m, is
-    built from a memo of leg products: one entry per (leg of some
-    Delta(g), window monomial) pair, closed forms included, as (monomial,
-    coeff) pairs.  Coefficients in the memo and in the cached coproducts
-    are ints where integral, Fractions otherwise; the public values built
-    from them (coproduct, the reports) are Fractions.
+    built from leg products read from the presentation's product table.
+    _legs keeps the table's tuple per (leg of some Delta(g), window
+    monomial) pair, closed forms included, which the table itself does
+    not store.  Coefficients there and in the cached coproducts are ints
+    where integral, Fractions otherwise; the public values built from
+    them (coproduct, the reports) are Fractions.
     """
 
     def __init__(self, p):
@@ -177,9 +168,7 @@ class _Machine:
         key = (a, b)
         hit = self._legs.get(key)
         if hit is None:
-            terms = self.p.mono_product(a, b).terms
-            hit = tuple((m, _integral(c)) for m, c in terms.items())
-            self._legs[key] = hit
+            hit = self._legs[key] = self.p._products(a, b)
         return hit
 
     def full_mono(self, mono):
@@ -193,9 +182,7 @@ class _Machine:
         gi = next(i for i, e in enumerate(mono) if e)
         rest = list(mono)
         rest[gi] -= 1
-        out = _tensor_product(
-            self.p, self.gen_full[gi], self.full_mono(tuple(rest)), self._leg_product
-        )
+        out = _tensor_product(self._leg_product, self.gen_full[gi], self.full_mono(tuple(rest)))
         for key, c in out.items():
             if type(c) is not int:
                 out[key] = _integral(c)
@@ -478,17 +465,13 @@ def solve_antipode(p, weight_bound=None):
     The verification regroups each Delta(m) = sum c u (x) v by bilinearity,
     left = sum_v (sum_u c S(u)) v and right = sum_u u (sum_v c S(v)), so
     each distinct leg takes part in one product, with int coefficients
-    where integral.  A product of monomials that no tailed relation
-    straightens is their sum with coefficient 1 (q = 1 here), formed
-    inline; the others are straightened once into a memo that lives for
-    this call only.  Both sides are checked against the term budget, read
-    once per call.
+    where integral, read from the presentation's product table.  Both
+    sides are checked against the term budget, read once per call.
     """
     mach = _machine(p)
     if weight_bound is None:
         weight_bound = 2 * p.max_weight + 2
     table = AntipodeTable(p, {}, weight_bound)
-    unit = p._basis_element
 
     def add_product(out, c, x, y):
         for m, d in p.multiply(x, y).terms.items():
@@ -498,12 +481,11 @@ def solve_antipode(p, weight_bound=None):
     for gi in sorted(range(len(p.alphabet)), key=lambda i: (weights[i], i)):
         correction = {}
         for (u, v), c in mach.gen_delta[gi].items():
-            add_product(correction, c, table.apply_mono(u), unit(v))
+            add_product(correction, c, table.apply_mono(u), p.element({v: 1}))
         table.by_gen[gi] = -p.gen(gi) - p.element(correction)
 
     budget = term_budget()
-    tailed, word, normal_form = p._tailed_pairs, p.mono_word, p.normal_form
-    images, straightened = {}, {}
+    products, images = p._products, {}
 
     def image(m):
         """S(m) as (monomial, coeff) pairs, ints where integral."""
@@ -517,21 +499,7 @@ def solve_antipode(p, weight_bound=None):
         """Add x a, or a x when leg_first, to out for each leg a and sum x in sums."""
         for a, x in sums.items():
             for w, c in x.items():
-                l, r = (a, w) if leg_first else (w, a)
-                for hi, lo in tailed:
-                    if l[hi] and r[lo]:
-                        break
-                else:
-                    _acc(out, tuple(map(add, l, r)), c)
-                    continue
-                hit = straightened.get((l, r))
-                if hit is None:
-                    hit = []
-                    for m, d in normal_form({word(l) + word(r): _ONE}).terms.items():
-                        (m,) = unit(m).terms  # the interned tuple
-                        hit.append((m, _integral(d)))
-                    hit = straightened[l, r] = tuple(hit)
-                for m, d in hit:
+                for m, d in products(a, w) if leg_first else products(w, a):
                     _acc(out, m, c * d)
             if len(out) > budget:
                 raise over_budget(len(out), budget)

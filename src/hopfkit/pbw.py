@@ -73,6 +73,11 @@ _ONE = Fraction(1)
 _DEBUG_ORDER = bool(os.environ.get("HOPFKIT_DEBUG_ORDER"))
 
 
+def _integral(c):
+    """c as an int when it is integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _is_ordered(word):
     return all(word[i] <= word[i + 1] for i in range(len(word) - 1))
 
@@ -162,7 +167,7 @@ def _lp_feasible(rows, n):
         basis[row] = enter
 
 
-def _least_psi(rows, n, accept):
+def _least_psi(rows, n):
     """The smallest-max, then lexicographically first integer psi >= 1 for rows.
 
     The rows must be feasible: a rational solution then scales to an
@@ -171,8 +176,9 @@ def _least_psi(rows, n, accept):
     at 1, the others are fixed left to right, smallest value first.  At
     every node each row shrinks the boxes to what it still allows with the
     other entries at their best ends, until nothing changes; a box left
-    empty cuts the branch.  A complete vector is returned once accept(psi)
-    confirms it.
+    empty cuts the branch.  At a leaf every box is one value, which the
+    tightening has checked against every row, so the first leaf reached
+    is the answer.
     """
     free = [j for j in range(n) if any(a[j] for a, _ in rows)]
 
@@ -202,7 +208,7 @@ def _least_psi(rows, n, accept):
         if not tighten(lo, hi):
             return None
         if k == len(free):
-            return tuple(lo) if accept(tuple(lo)) else None
+            return tuple(lo)
         j = free[k]
         for value in range(lo[j], hi[j] + 1):
             lo2, hi2 = lo[:], hi[:]
@@ -288,9 +294,8 @@ class Presentation:
         self.is_graded = self.validation.graded
         self.delta = self._build_coproduct(coproduct)
         self._confluence = None
-        self._mono_product_cache = {}
-        self._basis_elements = {}
-        self._coefficients = {_ONE: _ONE}
+        self._product_memo = {}  # (m1, m2) -> _products' pairs, tailed pairs only
+        self._monomials = {}  # the interned monomials, each its own value
         self._tailed_pairs = tuple(
             (hi, lo) for (hi, lo), rel in sorted(self.relations.items()) if rel.tail
         )
@@ -399,14 +404,6 @@ class Presentation:
             messages=tuple(messages),
         )
 
-    def _psi_ok(self, psi, constraints):
-        for (hi, lo), word in constraints:
-            head = (psi[hi] + psi[lo], 2, (hi, lo))
-            tail = (sum(psi[letter] for letter in word), len(word), word)
-            if not tail < head:
-                return False
-        return True
-
     def _find_psi(self, constraints):
         """The canonical certificate, or None when no psi >= 1 exists.
 
@@ -415,13 +412,12 @@ class Presentation:
         vectors of [1, bound]^n in order, for bound = 1, 2, ..., would find.
         """
         n = len(self.alphabet)
-        ones = (1,) * n
-        if self._psi_ok(ones, constraints):
-            return ones
         rows = _psi_rows(constraints, n)
+        if all(sum(a) >= r for a, r in rows):
+            return (1,) * n
         if not _lp_feasible(rows, n):
             return None
-        return _least_psi(rows, n, lambda psi: self._psi_ok(psi, constraints))
+        return _least_psi(rows, n)
 
     def _build_coproduct(self, given):
         if given is None:
@@ -630,72 +626,65 @@ class Presentation:
         normal_form applies one fixed rewrite to each word, so it is
         linear: NF(sum c w) = sum c NF(w).  With x = sum c1 m1 and
         y = sum c2 m2 in normal form, the product is therefore
-        sum c1 c2 NF(m1 m2) = sum c1 c2 mono_product(m1, m2), exactly, for
-        every presentation, confluent or not.  No concatenated word is
-        straightened here, a product coefficient that is the interned one
-        is not multiplied, and the accumulated terms are checked against
-        the term budget.
+        sum c1 c2 NF(m1 m2), read term by term from the product table
+        (_products), exactly, for every presentation, confluent or not.
+        No concatenated word is straightened here, and the accumulated
+        terms are checked against the term budget.
         """
         x, y = self.normal_form(x), self.normal_form(y)
-        mono_product = self.mono_product
+        products = self._products
         out = {}
         for m1, c1 in x.terms.items():
             for m2, c2 in y.terms.items():
                 c12 = c1 * c2
-                for mono, coeff in mono_product(m1, m2).terms.items():
-                    _acc(out, mono, c12 if coeff is _ONE else c12 * coeff)
+                for mono, coeff in products(m1, m2):
+                    _acc(out, mono, c12 * coeff)
         check_budget(len(out))
         return PBWElement._raw(self, out)
 
     def mono_product(self, m1, m2):
         """Normal form of the product of two basis monomials.
 
+        A fresh element read from the product table (_products): its
+        coefficients are Fractions and its monomials are interned.
+        """
+        return PBWElement._raw(self, {mono: Fraction(c) for mono, c in self._products(m1, m2)})
+
+    def _products(self, m1, m2):
+        """The product table: NF(m1 m2) as a tuple of (monomial, coeff) pairs.
+
+        The one place where a product of two basis monomials is
+        straightened.  Monomials are interned per presentation, so tensor
+        keys built from products share tuples; a coefficient is an int
+        where it is integral and a Fraction otherwise.
+
         Closed form: when no pair hi > lo with hi in m1 and lo in m2 has a
         relation with a tail, straightening only swaps letters, and each
         such inversion exactly once.  The product is then the single
-        monomial m1 + m2 with coefficient prod q_{hi,lo}^(m1[hi] m2[lo]);
-        it is returned without being stored.
-
-        Every other pair is straightened once and memoized (the rewrite
-        steps are budgeted in normal_form).  Result monomials and memoized
-        coefficients are interned per presentation, so tensor keys built
-        from products share tuples and the memo holds few distinct
-        fractions.  The returned element is shared: do not modify it.
+        monomial m1 + m2 with coefficient prod q_{hi,lo}^(m1[hi] m2[lo]),
+        built here and never stored.  Every other pair is straightened
+        once, by normal_form (which budgets the rewrite steps), and
+        memoized; the memo's tuples are shared.
         """
         for hi, lo in self._tailed_pairs:
             if m1[hi] and m2[lo]:
                 break
         else:
-            coeff = _ONE
+            coeff = 1
             for hi, lo, q in self._skew_pairs:
                 e = m1[hi] * m2[lo]
                 if e:
-                    coeff *= q**e
+                    coeff = _integral(coeff * q**e)
             mono = tuple(map(add, m1, m2))
-            unit = self._basis_elements.get(mono) or self._basis_element(mono)
-            if coeff is _ONE:
-                return unit
-            (mono,) = unit.terms
-            return PBWElement._raw(self, {mono: coeff})
+            return ((self._monomials.setdefault(mono, mono), coeff),)
         key = (m1, m2)
-        hit = self._mono_product_cache.get(key)
+        hit = self._product_memo.get(key)
         if hit is None:
+            intern = self._monomials.setdefault
             straightened = self.normal_form({self.mono_word(m1) + self.mono_word(m2): _ONE})
-            hit = PBWElement(self)
-            coefficients = self._coefficients
-            for mono, coeff in straightened.terms.items():
-                (mono,) = self._basis_element(mono).terms
-                hit.terms[mono] = coefficients.setdefault(coeff, coeff)
-            self._mono_product_cache[key] = hit
+            hit = tuple((intern(m, m), _integral(c)) for m, c in straightened.terms.items())
+            self._product_memo[key] = hit
         return hit
-
-    def _basis_element(self, mono):
-        """The shared element 1·mono; its one key is the interned monomial."""
-        unit = self._basis_elements.get(mono)
-        if unit is None:
-            unit = PBWElement._raw(self, {mono: _ONE})
-            self._basis_elements[mono] = unit
-        return unit
 
     def commutator(self, x, y):
         return self.multiply(x, y) - self.multiply(y, x)

@@ -367,12 +367,16 @@ def power_ideal_span(p, k, weight_bound):
     normal with k or more letters: w = g m is in D_k if normal, else its
     first pair rewrites it to q h g m'' + t m'', m = h m''.  The swap word
     is smaller with as many letters, and each nonempty word u of the tail
-    t gives a smaller u m'' with at least k letters.  The gap is a constant
-    in t (epsilon is then no algebra map): it leaves m'', maybe of k - 1 < j letters.
+    t gives a smaller u m'' with at least k letters.  t has no constant
+    term here: a constant c in the tail of g h puts c = g h - q h g - (the
+    rest of the tail) in I, so I, and with it every I^k, is the whole
+    algebra, and that case is computed as I^0.
     """
     p.require_confluent()
     if k < 0:
         raise ValueError("power must be nonnegative")
+    if any(() in rel.tail for rel in p.relations.values()):
+        k = 0  # a constant tail puts 1 in I
     index = MonomialIndex(p, weight_bound)
     needed = (k - 1) * p.max_weight
     wide = index if needed <= weight_bound else MonomialIndex(p, needed)
@@ -386,7 +390,7 @@ def power_ideal_span(p, k, weight_bound):
             for row in rows.values():
                 image = {}
                 for col, c in row.items():
-                    for m, v in p.mono_product(g, monomials[last - col]).terms.items():
+                    for m, v in p._products(g, monomials[last - col]):
                         if m in column:  # pi drops the monomials of D_k
                             _acc(image, column[m], c * v)
                 elim.insert(image)

@@ -411,7 +411,9 @@ def _reference_verify(p, table):
     from hopfkit import hopf
 
     mach = hopf._machine(p)
-    unit = p._basis_element
+
+    def unit(mono):
+        return p.element({mono: 1})
 
     def add_product(out, c, x, y):
         for m, d in p.multiply(x, y).terms.items():

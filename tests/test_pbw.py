@@ -27,6 +27,8 @@ from hopfkit.errors import (
 )
 from hopfkit.freealg import FreeElement, _acc, over_budget, term_budget
 
+from strategies import nilpotent_lie_algebras
+
 
 def test_builtin_names_and_loading():
     for name in ("H6", "J", "L", "U_n5", "heis3"):
@@ -260,12 +262,58 @@ def test_mono_product_caching():
     m2 = (1, 0, 0, 0, 0)  # a
     first = L.mono_product(m1, m2)
     second = L.mono_product(m1, m2)
-    assert first == second
+    # two fresh elements over the one stored entry of the product table
+    assert first == second and first is not second
     assert str(first) == "ab - c"
+    assert all(type(c) is Fraction for c in first.terms.values())
+    assert list(L._product_memo) == [(m1, m2)]
     # result monomials are interned: equal monomials are one tuple
     ab = (1, 1, 0, 0, 0)
     (closed,) = L.mono_product(m2, m1).terms
     assert closed == ab and any(mono is closed for mono in first.terms)
+    assert list(L._product_memo) == [(m1, m2)]  # the closed form is not stored
+
+
+def test_product_table_matches_normal_form():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from test_subspace import J_SCALED_D
+
+    # q != 1 with powers fractional and integral; J_scaled_d has a fractional tail -5/6 d
+    makers = [lambda: builtin("qplane(3/2)"), lambda: builtin("qplane(2)"),
+              lambda: parse_presentation(J_SCALED_D)]
+    presentations = st.one_of(
+        nilpotent_lie_algebras().map(lambda algebra: algebra[0]),
+        st.sampled_from(makers).map(lambda make: make()),
+    )
+
+    @hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
+    @hypothesis.given(presentations, st.data())
+    def check(p, data):
+        monos = st.tuples(*[st.integers(0, 2)] * len(p.alphabet))
+        pairs = data.draw(st.lists(st.tuples(monos, monos), min_size=1, max_size=8))
+        tailed = [pair for pair, rel in p.relations.items() if rel.tail]
+
+        def closed(m1, m2):
+            return not any(m1[hi] and m2[lo] for hi, lo in tailed)
+
+        pairs.sort(key=lambda pair: not closed(*pair))  # closed forms first
+        interned = {}
+        for m1, m2 in pairs:
+            got = p._products(m1, m2)
+            want = p.normal_form({p.mono_word(m1) + p.mono_word(m2): 1}).terms
+            assert dict(got) == want and len(got) == len(want), (m1, m2)
+            for mono, c in got:
+                # an int where integral, a Fraction otherwise
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+                # equal monomials are one tuple
+                assert interned.setdefault(mono, mono) is mono
+            if closed(m1, m2):
+                assert not p._product_memo
+            else:
+                assert p._product_memo[m1, m2] is got
+
+    check()
 
 
 # ----- the termination certificate psi -------------------------------------
@@ -353,6 +401,17 @@ def test_dump_round_trip_keeps_psi(text):
     assert again.psi == p.psi
 
 
+def _psi_ok(psi, constraints):
+    """Whether psi puts every equal-weight tail below its head in the
+    order (psi-weight, length, word), compared directly."""
+    for (hi, lo), word in constraints:
+        head = (psi[hi] + psi[lo], 2, (hi, lo))
+        tail = (sum(psi[letter] for letter in word), len(word), word)
+        if not tail < head:
+            return False
+    return True
+
+
 def _brute_force_psi(p, constraints):
     """The exhaustive search the exact certificate replaced: every vector of
     [1, bound]^n in itertools.product order, for bound = 1, ..., 6."""
@@ -363,7 +422,7 @@ def _brute_force_psi(p, constraints):
         for psi in product(range(1, bound + 1), repeat=n):
             if max(psi) != bound:
                 continue
-            if p._psi_ok(psi, constraints):
+            if _psi_ok(psi, constraints):
                 return psi
     return None
 
@@ -401,7 +460,7 @@ def test_psi_matches_brute_force():
         if got is None:
             assert expected is None
         else:
-            assert p._psi_ok(got, constraints)
+            assert _psi_ok(got, constraints)
 
     check()
 

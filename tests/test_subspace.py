@@ -233,9 +233,8 @@ WEYL = "generators: x:1 y:1\nrel: y x = x y + 1\n"  # a constant tail: 1 = [y, x
         (lambda: _filiform(4), range(1, 5)),
         (lambda: _filiform(5), range(1, 4)),
         (lambda: parse_presentation(AFFINE), range(1, 6)),
-        # at k = 1 the words oracle has 1 = yx - xy in I: the gap with a
-        # constant tail that the power_ideal_span docstring names
-        (lambda: parse_presentation(WEYL), range(2, 6)),
+        # at k = 1 the words oracle has 1 = yx - xy in I
+        (lambda: parse_presentation(WEYL), range(1, 6)),
     ],
     ids=["U_n5", "L", "J", "H6", "heis3", "poly3", "qplane2", "filiform4", "filiform5", "affine", "weyl"],
 )

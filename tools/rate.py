@@ -5,6 +5,7 @@
     python3 tools/rate.py coproduct --src src --seed 7 --repeats 5
     python3 tools/rate.py antipode --src src --seed 7 --repeats 5
     python3 tools/rate.py coradical --src src --seed 7 --repeats 5
+    python3 tools/rate.py products --src src --seed 7 --repeats 5
 
 Each subcommand imports hopfkit from the given source directory, times
 its layer on fixed builtins, best CPU time of `repeats` passes, checks the
@@ -25,6 +26,17 @@ antipode   basis monomials per second on which solve_antipode verifies the
            antipode axiom; S(S(g)) = g on every generator.
 coradical  levels per second of the coradical chain (coradical_levels); the
            top level must hold the whole window, as its PBW basis counts it.
+products   monomial products per second read from the product table
+           (Presentation._products) by solve_antipode on J at window 9 and
+           by signature on L at window 9, with the table's memo entries
+           and hits; the antipode must verify every window monomial, and
+           L's signature must be (1, 1, 1, 2, 2).  The products are counted on
+           a separate, untimed pass: per call, closed (no tailed relation
+           crosses the pair) or tailed by the presentation's relations;
+           stored is what the pass added to the memo, hits the other
+           tailed calls.  In a checkout without _products the counted
+           function is mono_product and the memo its cache, so there the
+           products that solve_antipode straightens by itself are missing.
 
 antipode and coradical run on a fresh presentation whose coproducts of the
 window were built beforehand, outside the timed region, and each pass
@@ -198,8 +210,78 @@ def coradical(hopfkit, rng, repeats):
     return cases, (("levels", "levels_per_s"),)
 
 
+def counted_products(p, run):
+    """run() once with every product-table call on p counted, untimed."""
+    cls = type(p)
+    name = "_products" if "_products" in vars(cls) else "mono_product"
+    memo = p._product_memo if name == "_products" else p._mono_product_cache
+    table = vars(cls)[name]
+    tailed = [pair for pair, rel in p.relations.items() if rel.tail]
+    counts = dict.fromkeys(("products", "closed", "tailed"), 0)
+
+    def counting(self, m1, m2):
+        if self is p:
+            counts["products"] += 1
+            counts["tailed" if any(m1[hi] and m2[lo] for hi, lo in tailed) else "closed"] += 1
+        return table(self, m1, m2)
+
+    before = len(memo)
+    setattr(cls, name, counting)
+    try:
+        result = run()
+    finally:
+        setattr(cls, name, table)
+    counts.update(table=name, entries=len(memo), stored=len(memo) - before,
+                  hits=counts["tailed"] - (len(memo) - before))
+    return result, counts
+
+
+def products(hopfkit, rng, repeats):
+    from hopfkit import hopf
+
+    def antipode_j(p):
+        monos = p.enumerate_basis(9)
+        full_mono = hopf._machine(p).full_mono
+        for m in monos:
+            full_mono(m)
+
+        def run():
+            table = hopfkit.solve_antipode(p, 9)
+            if table.monomials_checked != len(monos):
+                raise SystemExit(f"J@9: {table.monomials_checked} of {len(monos)} monomials verified")
+            return table
+
+        return run
+
+    def signature_l(p):
+        def run():
+            report = hopfkit.signature(p, 9)
+            # L's primitives a, b, c are level 1; z and w enter at level 2
+            if report.entries != (1, 1, 1, 2, 2):
+                raise SystemExit(f"signature L 9 is {report}, not (1, 1, 1, 2, 2)")
+            return report
+
+        return run
+
+    plan = {"antipode J@9": ("J", antipode_j), "signature L@9": ("L", signature_l)}
+    cases = {}
+    for _ in range(repeats):
+        order = list(plan)
+        rng.shuffle(order)
+        for key in order:
+            name, prepare = plan[key]
+            elapsed = cpu(prepare(hopfkit.builtin(name)))[1]
+            cases[key] = min(cases.get(key, elapsed), elapsed)
+    for key, (name, prepare) in plan.items():
+        p = hopfkit.builtin(name)
+        _, counts = counted_products(p, prepare(p))
+        cases[key] = (counts, cases[key])
+    return cases, (("products", "products_per_s"),)
+
+
 def main(argv=None):
-    commands = {"nf": nf, "coproduct": coproduct, "antipode": antipode, "coradical": coradical}
+    commands = {"nf": nf, "coproduct": coproduct, "antipode": antipode, "coradical": coradical,
+                "products": products}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=commands)
     parser.add_argument("--src", default="src", help="directory holding the hopfkit package")
