@@ -378,7 +378,7 @@ def cmd_compare_centers(args):
     if len(targets) < 2:
         raise _UsageError("compare-centers needs at least two presentations")
     _nonnegative(args.power, "--power")
-    bounds = args.weight_bound or []
+    bounds = [_nonnegative(b, "--weight-bound") for b in args.weight_bound or []]
     if len(bounds) == 0:
         bounds = [2 * p.max_weight + 2 for _, p in targets]
     elif len(bounds) == 1:

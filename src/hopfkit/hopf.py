@@ -208,11 +208,9 @@ class _Machine:
 
 
 def _machine(p):
-    mach = getattr(p, "_hopf_machine", None)
-    if mach is None:
-        mach = _Machine(p)
-        p._hopf_machine = mach
-    return mach
+    if p._hopf_machine is None:
+        p._hopf_machine = _Machine(p)
+    return p._hopf_machine
 
 
 # ----- the coproduct and its immediate derivatives --------------------------

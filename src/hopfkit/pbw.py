@@ -296,6 +296,8 @@ class Presentation:
         self._confluence = None
         self._product_memo = {}  # (m1, m2) -> _products' pairs, tailed pairs only
         self._monomials = {}  # the interned monomials, each its own value
+        self._hopf_machine = None  # hopf._machine(self): coproducts and their legs
+        self._coradical_cache = {}  # weight bound -> subspace._CoradicalState
         self._tailed_pairs = tuple(
             (hi, lo) for (hi, lo), rel in sorted(self.relations.items()) if rel.tail
         )

@@ -11,7 +11,9 @@ Every rank, kernel and remainder comes from one sparse echelon engine
 that puts each pivot at its row's smallest column.  A dimension of the
 form dim(span intersected with a column prefix) is read off by feeding
 the columns in reversed order: a row whose pivot falls in the reversed
-prefix has all its support there.
+prefix has all its support there.  Kernels are read the same way: a
+vector's tag rides along as a trailing block of columns, and a
+remainder whose pivot falls in that block is a kernel element.
 
 Ranks, memberships, remainders and kernels are exact.  Values come in
 and go out as Fraction, but the engine keeps its rows as primitive
@@ -69,21 +71,20 @@ class MonomialIndex:
 # ----- sparse elimination ----------------------------------------------------
 
 
-def _clear(vec, tag=None):
-    """Integer copies of vec and tag over one common denominator.
+_TAGS = 1 << 62  # tag key k is column _TAGS + k, after every vector column
 
-    Returns (vec, tag, den): the copies are den times the given maps,
-    zero entries dropped, and tag stays None when none is given.
+
+def _clear(vec):
+    """Integer copy of vec over the lcm of its denominators, as (vec, den).
+
+    The copy is den times the given map, zero entries dropped.
     """
     den = 1
-    for v in (*vec.values(), *(tag or {}).values()):
+    for v in vec.values():
         d = v.denominator
         if den % d:
             den = lcm(den, d)
-    if tag is not None:
-        tag = {k: v.numerator * (den // v.denominator) for k, v in tag.items() if v}
-    vec = {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
-    return vec, tag, den
+    return {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}, den
 
 
 def _combine(vec, r, a, row):
@@ -116,56 +117,35 @@ class _Echelon:
     denominators, reduce() returns exact Fraction remainders, and
     row(p) reads a row as row / row[p].
 
-    A vector may be inserted with a tag, a {preimage: coeff} map that
-    follows the same row operations; when the vector reduces to zero its
-    tag is a kernel element and is appended to `kernel` as exact
-    Fractions.  A row's tag is kept at the row's scale as an integer map
-    and a positive denominator in lowest terms, which is 1 unless making
-    the row primitive divided it by more than the tag's content.  Insert
-    every vector with a tag or none.
+    A vector may be inserted with a tag, a {key: coeff} map, which is
+    appended to it as the block of columns _TAGS + key and so follows
+    every row operation.  A tagged vector that reduces to zero leaves a
+    remainder whose pivot falls in that block: its tag part, at the
+    reduction's scale, is a kernel element, appended to `kernel` as
+    exact Fractions, and the row is not stored.  Stored rows keep their
+    tag blocks, which remainders drop.  Insert every vector with a tag or
+    none.
     """
 
     def __init__(self):
         self.rows = {}  # pivot column -> primitive integer row
-        self.tags = {}  # pivot column -> (integer tag, denominator)
         self.kernel = []  # tags of inserted vectors that reduced to zero
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _tag_step(self, tag, den, r, a, col):
-        """tag / den -> r * tag / den - a * (tag of row col), in place.
-
-        Returns the new denominator.
-        """
-        other, d = self.tags[col]
-        if d != 1:
-            h = gcd(a, d)
-            a //= h
-            d //= h
-        if den % d:
-            new = lcm(den, d)
-            r *= new // den
-            a *= new // d
-            den = new
-        else:
-            a *= den // d
-        _combine(tag, r, a, other)
-        return den
-
-    def _reduce(self, vec, tag):
+    def _reduce(self, vec):
         """Clear the pivot columns of an integer vec in place.
 
-        The tag, when given, follows.  Returns (scale, den): vec is scale
-        times its remainder, and the tag divided by den follows vec.
+        Returns the scale: vec is scale times its remainder.
         """
         rows = self.rows
-        scale = den = 1
+        scale = 1
         while True:
             pivots = [c for c in vec if c in rows]
             if not pivots:
-                return scale, den
+                return scale
             col = min(pivots)
             row = rows[col]
             a, r = vec[col], row[col]
@@ -174,8 +154,6 @@ class _Echelon:
                 a //= g
                 r //= g
             _combine(vec, r, a, row)
-            if tag is not None:
-                den = self._tag_step(tag, den, r, a, col)
             scale *= r
 
     def remainder(self, vec):
@@ -184,8 +162,9 @@ class _Echelon:
         The remainder is the map divided by den, with den > 0 and no
         common factor of den and the map's entries.
         """
-        vec, _, den = _clear(vec)
-        den *= self._reduce(vec, None)[0]
+        vec, den = _clear(vec)
+        den *= self._reduce(vec)
+        vec = {c: v for c, v in vec.items() if c < _TAGS}
         g = gcd(den, *vec.values())
         if g != 1:
             den //= g
@@ -200,30 +179,30 @@ class _Echelon:
 
     def insert(self, vec, tag=None):
         """Add a rational vector; returns its pivot column, or None if dependent."""
-        return self.insert_cleared(*_clear(vec, tag))
+        if tag is not None:
+            vec = vec | {_TAGS + k: v for k, v in tag.items()}
+        return self.insert_cleared(*_clear(vec))
 
-    def insert_cleared(self, vec, tag, scale):
+    def insert_cleared(self, vec, scale):
         """Add an integer vector that is scale times the one meant.
 
-        vec and tag (or None) are integer maps with no zero entries,
-        both scale times their values; the engine takes them over.
-        Returns the pivot column, or None if dependent.
+        vec, tag block included, is an integer map with no zero entries;
+        the engine takes it over.  Returns the pivot column, or None if
+        dependent.
         """
-        factor, den = self._reduce(vec, tag)
+        scale *= self._reduce(vec)
         if not vec:
-            if tag:
-                den *= scale * factor
-                self.kernel.append({k: Fraction(v, den) for k, v in tag.items()})
             return None
         pivot = min(vec)
+        if pivot >= _TAGS:
+            self.kernel.append({c - _TAGS: Fraction(v, scale) for c, v in vec.items()})
+            return None
         self.rows[pivot] = vec
-        if tag is not None:
-            self.tags[pivot] = (tag, den)
         self._normalize(pivot)
         return pivot
 
     def _normalize(self, pivot):
-        """Make a row primitive with a positive pivot; its tag follows."""
+        """Make a row primitive with a positive pivot."""
         row = self.rows[pivot]
         g = gcd(*row.values())
         if row[pivot] < 0:
@@ -231,17 +210,6 @@ class _Echelon:
         if g != 1:
             for c in row:
                 row[c] //= g
-        if pivot in self.tags:
-            tag, den = self.tags[pivot]
-            den *= g
-            h = gcd(den, *tag.values())
-            if den < 0:
-                h = -h
-            if h != 1:
-                den //= h
-                for k in tag:
-                    tag[k] //= h
-            self.tags[pivot] = (tag, den)
 
     def row(self, pivot):
         """The row with the given pivot, as exact Fractions with 1 at the pivot."""
@@ -256,7 +224,7 @@ class _Echelon:
         clearing is already reduced and brings in no pivot column; a
         row is never cleared by its own pivot.
         """
-        rows, tags = self.rows, self.tags
+        rows = self.rows
         for pivot in sorted(rows, reverse=True):
             row = rows[pivot]
             cols = [c for c in row if c != pivot and c in rows]
@@ -264,9 +232,6 @@ class _Echelon:
                 a, r = row[col], rows[col][col]
                 g = gcd(a, r)
                 _combine(row, r // g, a // g, rows[col])
-                if pivot in tags:
-                    tag, den = tags[pivot]
-                    tags[pivot] = (tag, self._tag_step(tag, den, r // g, a // g, col))
             if cols:
                 self._normalize(pivot)
 
@@ -473,25 +438,26 @@ class Truncation:
         whole basis; generators generate, so the two must agree.
         """
         gens = [self.gen_image(gi) for gi in range(len(self.pres.alphabet))]
+        dim, slot = self.dim, self._slot
         elim = _Echelon()
-        for m in self.basis:
+        for i, m in enumerate(self.basis):
             coords = {m: Fraction(1)}
             commutators = {}
             for gi, g in enumerate(gens):
                 for mm, c in self.multiply_classes(coords, g).items():
-                    _acc(commutators, (gi, self._slot[mm]), c)
+                    _acc(commutators, gi * dim + slot[mm], c)
                 for mm, c in self.multiply_classes(g, coords).items():
-                    _acc(commutators, (gi, self._slot[mm]), -c)
-            elim.insert(commutators, {m: Fraction(1)})
-        # each kernel tag has coefficient 1 on its own class and otherwise
-        # only classes inserted before it, so the tags are independent
-        reps = elim.kernel
+                    _acc(commutators, gi * dim + slot[mm], -c)
+            elim.insert(commutators, {i: Fraction(1)})
+        # each kernel tag has coefficient 1 on its own slot and otherwise
+        # only slots inserted before it, so the tags are independent
+        tags = sorted(elim.kernel, key=min)
+        reps = [{self.basis[i]: c for i, c in tag.items()} for tag in tags]
         for coords in reps:  # double-check against every basis class
             for m in self.basis:
                 other = {m: Fraction(1)}
                 if self.multiply_classes(coords, other) != self.multiply_classes(other, coords):
                     raise AssertionError("center candidate fails against a non-generator class")
-        reps.sort(key=lambda coords: min(self._slot[m] for m in coords))
         return CenterReport(len(reps), tuple(self.class_element(c) for c in reps))
 
     def __repr__(self):
@@ -551,11 +517,12 @@ class _CoradicalState:
         kappa of every right-leg monomial is brought to one integer
         denominator for the level, so each image is built in integers,
         at that denominator times the factor that cleared its coproduct;
-        u (x) v is column u * size + v, in window order.  Each tag is
-        scaled by its own coproduct's factor and the level's denominator
-        cancels, so the kernel tags, {position: Fraction} maps, are
-        exactly those of the rational images.  An image of more terms
-        than the term budget raises BudgetExceeded.
+        u (x) v is column u * size + v, in window order, and the
+        monomial's tag, scaled by the same factor, is column _TAGS + its
+        position.  The level's denominator cancels, so the kernel tags,
+        {position: Fraction} maps, are exactly those of the rational
+        images.  An image of more terms than the term budget raises
+        BudgetExceeded.
         """
         size = len(self.index)
         previous = self.chain[-1]._elim if self.chain else _Echelon()
@@ -581,7 +548,8 @@ class _CoradicalState:
             image = {k: x for k, x in image.items() if x}
             if len(image) > budget:
                 raise over_budget(len(image), budget)
-            elim.insert_cleared(image, {pos: factor}, factor)
+            image[_TAGS + pos] = factor
+            elim.insert_cleared(image, factor)
         return elim.kernel
 
     def next_level(self):
@@ -592,8 +560,8 @@ class _CoradicalState:
             level._elim.rows = {pivot: dict(row) for pivot, row in rows.items()}
         for tag in self.kernel():
             level.add_vector(tag)
-        if self.chain and level.dim == self.chain[-1].dim:
-            self.stable = True
+        if level.dim == (self.chain[-1].dim if self.chain else 0):
+            self.stable = True  # a repeat; S_0 has no augmentation part
             return
         self.chain.append(level)
         if level.dim == len(self.aug):
@@ -611,10 +579,7 @@ def _coradical_chain(p, weight_bound, levels=None):
     right leg is tested.  Levels are computed on demand, cached per
     window on the presentation, and stop for good once one repeats.
     """
-    cache = getattr(p, "_coradical_cache", None)
-    if cache is None:
-        cache = {}
-        p._coradical_cache = cache
+    cache = p._coradical_cache
     state = cache.get(weight_bound)
     if state is None:
         state = _CoradicalState(p, weight_bound)

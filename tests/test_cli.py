@@ -153,6 +153,16 @@ def test_coradical(capsys):
     assert kv["coradical.levels"] == "6"
 
 
+def test_coradical_of_an_empty_augmentation_window(capsys):
+    # window 0 holds the scalars alone: no level grows, so none is shown
+    code, out, err = run(capsys, "coradical", "--builtin", "L", "--weight-bound", "0")
+    assert code == 0
+    assert "up to weight 0: 1\n" in out
+    kv = keyvalues(out)
+    assert kv["coradical.dims"] == "1"
+    assert kv["coradical.levels"] == "0"
+
+
 def test_signature(capsys):
     code, out, err = run(capsys, "signature", "--builtin", "L", "--weight-bound", "6")
     assert code == 0
@@ -288,6 +298,11 @@ def test_missing_file_is_usage_error(capsys):
         (("compare-centers", "--builtin", "L", "--builtin", "J", "--power", "-1"), "--power"),
         (("hilbert", "--builtin", "L", "--degree", "-1"), "--degree"),
         (("obstruct", "--builtin", "L", "--degree", "-1"), "--degree"),
+        (("truncate", "--builtin", "L", "--power", "0", "--weight-bound", "-1"), "--weight-bound"),
+        (("compare-centers", "--builtin", "L", "--builtin", "U_n5", "--power", "0",
+          "--weight-bound", "-1"), "--weight-bound"),
+        (("compare-centers", "--builtin", "L", "--builtin", "U_n5", "--power", "0",
+          "--weight-bound", "3", "--weight-bound", "-1"), "--weight-bound"),
     ],
 )
 def test_negative_flag_is_usage_error(capsys, argv, flag):

@@ -150,6 +150,33 @@ def test_truncation_class_products():
     assert T.multiply_classes(ab, a) == {}
 
 
+@pytest.mark.parametrize(
+    "name, power, bound", [("L", 3, 8), ("U_n5", 3, 3), ("heis3", 5, 10), ("J", 4, 9)]
+)
+def test_truncated_center_matches_sympy_nullspace(name, power, bound):
+    """The center is the nullspace of the commutator matrix: column j
+    holds [b_j, g] for every generator class g, one block of rows per
+    generator, each product from multiply_classes."""
+    sympy = pytest.importorskip("sympy")
+    T = truncation_algebra(builtin(name), power, bound)
+    slot = {m: j for j, m in enumerate(T.basis)}
+    gens = [T.gen_image(gi) for gi in range(len(T.pres.alphabet))]
+    M = sympy.zeros(len(gens) * T.dim, T.dim)
+    for j, m in enumerate(T.basis):
+        for gi, g in enumerate(gens):
+            for mm, c in T.multiply_classes({m: Fraction(1)}, g).items():
+                M[gi * T.dim + slot[mm], j] += sympy.Rational(c)
+            for mm, c in T.multiply_classes(g, {m: Fraction(1)}).items():
+                M[gi * T.dim + slot[mm], j] -= sympy.Rational(c)
+    null = M.nullspace()
+    center = T.center()
+    assert center.dim == len(null)
+    reps = [[sympy.Rational(b.terms.get(m, 0)) for m in T.basis] for b in center.basis]
+    # the representatives are independent and lie in the nullspace
+    assert sympy.Matrix(reps).rank() == center.dim
+    assert all(not any(M * sympy.Matrix(r)) for r in reps)
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_truncation_of_u_n5_matches_the_closed_form_at_every_window(k):
     # x = [x1, x2] lies in I^2, so U_n5/I^k has the monomials with
@@ -298,6 +325,20 @@ def test_coradical_levels_of_l():
     report = coradical_levels(L, 8)
     assert report.dims == (1, 4, 12, 28, 58, 103, 148, 175, 184)
     assert report.dims[-1] == len(L.enumerate_basis(8))
+
+
+def test_coradical_chain_of_an_empty_augmentation_window():
+    # window 0, and a window below the lightest generator, hold the
+    # scalars alone: the chain stays empty instead of repeating level 0
+    L = builtin("L")
+    heavy = parse_presentation("generators: x:2 y:3\n")
+    for p, bound in ((L, 0), (heavy, 0), (heavy, 1)):
+        report = coradical_levels(p, bound)
+        assert (report.dims, report.levels) == ((1,), 0)
+        assert primitive_space(p, bound).dim == 0
+        assert signature(p, bound).entries == ()
+    assert coradical_levels(heavy, 2).dims == (1, 2)
+    assert coradical_levels(heavy, 5).dims == (1, 3, 5)
 
 
 def test_coradical_nesting():
@@ -458,7 +499,7 @@ class _FractionEchelon:
 def test_integer_echelon_matches_fraction_reference():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    from hopfkit.subspace import _Echelon
+    from hopfkit.subspace import _TAGS, _Echelon
 
     denominators = st.sampled_from((1, 2, 3, 4, 6, 9, 10, 35))
     coeff = st.builds(Fraction, st.integers(-6, 6), denominators)
@@ -492,22 +533,17 @@ def test_integer_echelon_matches_fraction_reference():
         split = draw(st.integers(0, len(rows)))
         return rows, tags, probes, split
 
-    def tag_fractions(elim, pivot):
-        tag, den = elim.tags[pivot]
-        lead = elim.rows[pivot][pivot]
-        return {k: Fraction(v, den * lead) for k, v in tag.items()}
-
     def agree(elim, ref, probes):
         assert sorted(elim.rows) == sorted(ref.rows)
         for pivot, row in elim.rows.items():
             assert all(type(v) is int for v in row.values())
             assert row[pivot] > 0 and gcd(*row.values()) == 1
             assert min(row) == pivot
-            assert elim.row(pivot) == ref.rows[pivot]
-            if ref.tags:
-                tag, den = elim.tags[pivot]
-                assert den > 0 and gcd(den, *tag.values()) == 1
-                assert tag_fractions(elim, pivot) == ref.tags[pivot]
+            # the vector part, and the tag block after it, read at the pivot
+            fractions = elim.row(pivot)
+            assert {c: v for c, v in fractions.items() if c < _TAGS} == ref.rows[pivot]
+            tag = {c - _TAGS: v for c, v in fractions.items() if c >= _TAGS}
+            assert tag == ref.tags.get(pivot, {})
         assert elim.kernel == ref.kernel
         assert all(type(v) is Fraction for tag in elim.kernel for v in tag.values())
         for probe in probes:
@@ -606,7 +642,7 @@ def _reference_chain(p, bound):
     monomial fed to the kernel: each level is the span of its kernel
     tags alone, and the coproducts are cleared from Fractions."""
     from hopfkit import hopf
-    from hopfkit.subspace import Subspace, _Echelon, _clear
+    from hopfkit.subspace import _TAGS, Subspace, _Echelon, _clear
 
     index = MonomialIndex(p, bound)
     aug = [m for m in index if any(m)]
@@ -614,7 +650,7 @@ def _reference_chain(p, bound):
     deltas, legs = [], set()
     for m in aug:
         delta = {(position[u], position[v]): Fraction(c) for (u, v), c in mach.reduced_mono(m).items()}
-        terms, _, den = _clear(delta)
+        terms, den = _clear(delta)
         deltas.append((position[m], [(u, v, c) for (u, v), c in terms.items()], den))
         legs.update(pos for pair in terms for pos in pair)
     chain = []
@@ -631,7 +667,8 @@ def _reference_chain(p, bound):
                     _acc(image, col * size + v, c * cv)
                 for col, cv in kappa[v].items():
                     _acc(image, size * size + u * size + col, c * cv)
-            elim.insert_cleared(image, {pos: factor}, factor)
+            image[_TAGS + pos] = factor
+            elim.insert_cleared(image, factor)
         level = Subspace(index)
         for tag in elim.kernel:
             level.add_vector(tag)

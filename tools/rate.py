@@ -6,6 +6,7 @@
     python3 tools/rate.py antipode --src src --seed 7 --repeats 5
     python3 tools/rate.py coradical --src src --seed 7 --repeats 5
     python3 tools/rate.py products --src src --seed 7 --repeats 5
+    python3 tools/rate.py center --src src --seed 7 --repeats 5
 
 Each subcommand imports hopfkit from the given source directory, times
 its layer on fixed builtins, best CPU time of `repeats` passes, checks the
@@ -37,6 +38,11 @@ products   monomial products per second read from the product table
            tailed calls.  In a checkout without _products the counted
            function is mono_product and the memo its cache, so there the
            products that solve_antipode straightens by itself are missing.
+center     truncation centers per second (Truncation.center) of U_n5/I^6 at
+           window 8, L/I^4 at window 9 and J/I^4 at window 9, each on a
+           fresh presentation whose truncation is built outside the timed
+           region; every representative must commute with every generator
+           class.
 
 antipode and coradical run on a fresh presentation whose coproducts of the
 window were built beforehand, outside the timed region, and each pass
@@ -62,6 +68,8 @@ NF_PLAN = (
 COPRODUCT_PLAN = (("J", 9), ("L", 9))
 ANTIPODE_PLAN = (("J", 9), ("J", 10), ("L", 9))
 CORADICAL_PLAN = (("J", 9), ("J", 11), ("L", 9))
+# (builtin, power, weight bound)
+CENTER_PLAN = (("U_n5", 6, 8), ("L", 4, 9), ("J", 4, 9))
 
 
 def counted_normal_form(p, word):
@@ -279,9 +287,30 @@ def products(hopfkit, rng, repeats):
     return cases, (("products", "products_per_s"),)
 
 
+def center(hopfkit, rng, repeats):
+    cases = {}
+    for _ in range(repeats):
+        order = list(CENTER_PLAN)
+        rng.shuffle(order)
+        for name, power, bound in order:
+            key = f"{name}@{power}/{bound}"
+            trunc = hopfkit.truncation_algebra(hopfkit.builtin(name), power, bound)
+            report, elapsed = cpu(trunc.center)
+            gens = [trunc.gen_image(gi) for gi in range(len(trunc.pres.alphabet))]
+            for rep in report.basis:
+                coords = dict(rep.terms)
+                if any(trunc.multiply_classes(coords, g) != trunc.multiply_classes(g, coords)
+                       for g in gens):
+                    raise SystemExit(f"{key}: {rep} does not commute with every generator class")
+            counts = {"centers": 1, "classes": trunc.dim, "center_dim": report.dim}
+            cases[key] = (counts, min(cases.get(key, (None, elapsed))[1], elapsed))
+    return {f"{n}@{k}/{b}": cases[f"{n}@{k}/{b}"] for n, k, b in CENTER_PLAN}, (
+        ("centers", "centers_per_s"), ("classes", "classes_per_s"))
+
+
 def main(argv=None):
     commands = {"nf": nf, "coproduct": coproduct, "antipode": antipode, "coradical": coradical,
-                "products": products}
+                "products": products, "center": center}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=commands)
     parser.add_argument("--src", default="src", help="directory holding the hopfkit package")
