@@ -9,6 +9,9 @@ with q a nonzero rational and tail a combination of ordered monomials.
 Pairs without an explicit rule commute.  Normal forms are computed by
 rewriting the largest live word, popped from an integer-keyed heap, and
 validation certifies termination before any rewriting is attempted.
+Products of basis monomials in a confluent presentation are built
+instead from a table of (monomial x generator) products (see
+Presentation._products).
 
 Termination certificate.  Rewriting must strictly decrease every produced
 word in some monomial order.  Weight alone is not enough when a tail keeps
@@ -295,6 +298,8 @@ class Presentation:
         self.delta = self._build_coproduct(coproduct)
         self._confluence = None
         self._product_memo = {}  # (m1, m2) -> _products' pairs, tailed pairs only
+        self._generator_table = {}  # (m, g) -> NF(m x_g) pairs, tailed entries only
+        self._table_exact = None  # confluence().ok, read at the first tailed product
         self._monomials = {}  # the interned monomials, each its own value
         self._hopf_machine = None  # hopf._machine(self): coproducts and their legs
         self._coradical_cache = {}  # weight bound -> subspace._CoradicalState
@@ -314,6 +319,7 @@ class Presentation:
             ))
             for pair, rel in self.relations.items()
         }
+        self._units = tuple(tuple(int(i == g) for i in range(n)) for g in range(n))
 
     # ----- construction helpers -------------------------------------
 
@@ -629,9 +635,12 @@ class Presentation:
         linear: NF(sum c w) = sum c NF(w).  With x = sum c1 m1 and
         y = sum c2 m2 in normal form, the product is therefore
         sum c1 c2 NF(m1 m2), read term by term from the product table
-        (_products), exactly, for every presentation, confluent or not.
-        No concatenated word is straightened here, and the accumulated
-        terms are checked against the term budget.
+        (_products), exactly, for every presentation, confluent or not:
+        on a confluent one the table builds NF(m1 m2) from (monomial x
+        generator) products, which the diamond lemma makes equal to
+        normal_form of the word m1 m2; on any other it straightens that
+        word by normal_form.  No concatenated word is straightened here,
+        and the accumulated terms are checked against the term budget.
         """
         x, y = self.normal_form(x), self.normal_form(y)
         products = self._products
@@ -664,29 +673,161 @@ class Presentation:
         relation with a tail, straightening only swaps letters, and each
         such inversion exactly once.  The product is then the single
         monomial m1 + m2 with coefficient prod q_{hi,lo}^(m1[hi] m2[lo]),
-        built here and never stored.  Every other pair is straightened
-        once, by normal_form (which budgets the rewrite steps), and
+        built here and never stored.  Every other pair is built once and
         memoized; the memo's tuples are shared.
+
+        A tailed pair of a confluent presentation is built by pushing the
+        letters of m2, one at a time, through the generator table
+        (_times).  By Bergman's diamond lemma (Adv. Math. 29, 1978)
+        confluence and the terminating rewrite order make the normal form
+        of every word unique, whatever rewrites reach it, so
+        NF(u v) = NF(NF(u) v) and the letter-by-letter product equals
+        normal_form of the word m1 m2.  A presentation whose confluence()
+        is not ok has no such guarantee: there the pair is straightened by
+        normal_form itself, whose fixed strategy the table need not follow.
         """
-        for hi, lo in self._tailed_pairs:
-            if m1[hi] and m2[lo]:
-                break
-        else:
-            coeff = 1
-            for hi, lo, q in self._skew_pairs:
-                e = m1[hi] * m2[lo]
-                if e:
-                    coeff = _integral(coeff * q**e)
-            mono = tuple(map(add, m1, m2))
-            return ((self._monomials.setdefault(mono, mono), coeff),)
+        closed = self._closed(m1, m2)
+        if closed is not None:
+            return (closed,)
         key = (m1, m2)
         hit = self._product_memo.get(key)
         if hit is None:
+            if self._table_exact is None:
+                self._table_exact = self.confluence().ok
+            if self._table_exact:
+                terms = self._push(m1, m2)
+            else:
+                terms = self.normal_form({self.mono_word(m1) + self.mono_word(m2): _ONE}).terms
             intern = self._monomials.setdefault
-            straightened = self.normal_form({self.mono_word(m1) + self.mono_word(m2): _ONE})
-            hit = tuple((intern(m, m), _integral(c)) for m, c in straightened.terms.items())
+            hit = tuple((intern(m, m), _integral(c)) for m, c in terms.items())
             self._product_memo[key] = hit
         return hit
+
+    def _closed(self, m1, m2):
+        """NF(m1 m2) as its one (monomial, coeff) pair, or None when a tail crosses.
+
+        m2 may be any sequence of exponents; the monomial is interned.
+        """
+        for hi, lo in self._tailed_pairs:
+            if m1[hi] and m2[lo]:
+                return None
+        coeff = 1
+        for hi, lo, q in self._skew_pairs:
+            e = m1[hi] * m2[lo]
+            if e:
+                coeff = _integral(coeff * q**e)
+        mono = tuple(map(add, m1, m2))
+        return self._monomials.setdefault(mono, mono), coeff
+
+    def _push(self, m1, m2):
+        """NF(m1 m2) of a tailed pair, as a {monomial: coeff} map.
+
+        The letters of m2 are multiplied on one at a time through the
+        generator table (_times); a term that no tail crosses with what is
+        left of m2 is finished at once by the closed form.  The term
+        budget is read once per call.
+        """
+        times, closed, budget = self._times, self._closed, term_budget()
+        rest = list(m2)
+        terms, out = {m1: 1}, {}
+        for g, e in enumerate(m2):
+            for _ in range(e):
+                step = {}
+                for u, c in terms.items():
+                    pair = closed(u, rest)
+                    if pair is None:
+                        for v, d in times(u, g):
+                            _acc(step, v, c * d)
+                    else:
+                        _acc(out, pair[0], c * pair[1])
+                rest[g] -= 1
+                terms = step
+                if len(step) + len(out) > budget:
+                    raise over_budget(len(step) + len(out), budget)
+        for u, c in terms.items():
+            _acc(out, u, c)
+        return out
+
+    def _known(self, m, g):
+        """NF(m x_g) as pairs when it is a closed form or a built entry, else None."""
+        closed = self._closed(m, self._units[g])
+        return (closed,) if closed is not None else self._generator_table.get((m, g))
+
+    def _times(self, m, g):
+        """The generator table: NF(m x_g), m a basis monomial, as (monomial, coeff) pairs.
+
+        Closed forms are computed on every call; tailed entries are built
+        once, by _entry, and stored.  Building is iterative: each entry
+        under construction is a suspended _entry generator on an explicit
+        stack, which yields the key of an entry it lacks and is resumed with
+        that entry's pairs.  Every key it yields stands for a word that the
+        rewrite order puts below its own word m x_g, so no key waits on
+        itself, and the stack is as deep as a descending chain of such
+        words, not as Python's recursion limit allows.
+        """
+        pairs = self._known(m, g)
+        if pairs is not None:
+            return pairs
+        table = self._generator_table
+        stack = [((m, g), self._entry(m, g))]
+        while stack:
+            key, steps = stack[-1]
+            try:
+                need = steps.send(pairs)
+            except StopIteration as built:
+                stack.pop()
+                pairs = table[key] = built.value
+            else:
+                stack.append((need, self._entry(*need)))
+                pairs = None
+        return pairs
+
+    def _entry(self, m, g):
+        """Build NF(m x_g) for a tailed entry; a generator run by _times.
+
+        With x_k the last letter of m (k > g, since a tail crosses) and
+        m = m' x_k, the relation x_k x_g = q x_g x_k + tail gives
+
+            m x_g = q (m' x_g) x_k + m' tail,
+
+        each factor a product of a basis monomial by a generator: known
+        ones are read at once, missing ones are yielded.  The term budget
+        is read once per entry and checked on each accumulator.
+        """
+        known, budget = self._known, term_budget()
+        k = max(i for i, e in enumerate(m) if e)
+        rest = m[:k] + (m[k] - 1,) + m[k + 1:]
+        rel = self.relations[k, g]
+        q = _integral(rel.q)
+        out = {}
+        before = known(rest, g)
+        if before is None:
+            before = yield (rest, g)
+        for u, c in before:
+            after = known(u, k)
+            if after is None:
+                after = yield (u, k)
+            for v, d in after:
+                _acc(out, v, q * c * d)
+        for word, coeff in rel.tail_items:
+            terms = {rest: _integral(coeff)}
+            for letter in word:
+                step = {}
+                for u, c in terms.items():
+                    pairs = known(u, letter)
+                    if pairs is None:
+                        pairs = yield (u, letter)
+                    for v, d in pairs:
+                        _acc(step, v, c * d)
+                if len(step) > budget:
+                    raise over_budget(len(step), budget)
+                terms = step
+            for v, d in terms.items():
+                _acc(out, v, d)
+        if len(out) > budget:
+            raise over_budget(len(out), budget)
+        intern = self._monomials.setdefault
+        return tuple((intern(v, v), _integral(c)) for v, c in out.items())
 
     def commutator(self, x, y):
         return self.multiply(x, y) - self.multiply(y, x)

@@ -16,7 +16,10 @@ coradical chain stopped early and the coproducts moved to integers;
 at power 5 window 10, and `compare-centers L U_n5` at power 3 before
 the powers of the augmentation ideal were built in H/D_k; `antipode` on
 J and L at window 9 and `check J --weight-bound 10` before the antipode
-axiom was verified in integers, one product per distinct leg) and
+axiom was verified in integers, one product per distinct leg;
+`check L --weight-bound 10`, `antipode heis3 --weight-bound 12` and
+`antipode --file presentations/L_heavy.hopf --weight-bound 10` before
+tailed products were built from a (monomial x generator) table) and
 is never regenerated: a mismatch means a change altered an answer.
 `--file` paths are relative to the repository root.
 """

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from hopfkit import (
     Presentation,
     builtin,
     dump_presentation,
+    load_presentation,
     parse_presentation,
     pbw,
 )
@@ -28,6 +30,8 @@ from hopfkit.errors import (
 from hopfkit.freealg import FreeElement, _acc, over_budget, term_budget
 
 from strategies import nilpotent_lie_algebras
+
+PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 
 
 def test_builtin_names_and_loading():
@@ -212,19 +216,42 @@ def _seeded_element(p, rng, max_weight, size):
     )
 
 
+def _qskew_with_tail():
+    # y x = 2 x y + z, z central: confluent, with q != 1 and a tail
+    return Presentation(
+        [("x", 1), ("y", 1), ("z", 2)],
+        relations={("y", "x"): (Fraction(2), {(2,): Fraction(1)})},
+        name="qskew_with_tail",
+    )
+
+
+def _qskew_mixed():
+    # the Heisenberg pair y x = x y + z scaled by w: w x = 2 x w, w y = 3 y w, w z = 6 z w;
+    # confluent, with tailed and tail-free q != 1 pairs side by side
+    return Presentation(
+        [("x", 1), ("y", 1), ("z", 2), ("w", 1)],
+        relations={("y", "x"): (1, {(2,): Fraction(1)}), ("w", "x"): (Fraction(2), {}),
+                   ("w", "y"): (Fraction(3), {}), ("w", "z"): (Fraction(6), {})},
+        name="qskew_mixed",
+    )
+
+
+def _residual():
+    # [x, z] = x breaks the Jacobi identity: not confluent
+    return Presentation(
+        [("x", 1), ("y", 1), ("z", 1)],
+        relations={("y", "x"): (1, {(2,): Fraction(1)}), ("z", "x"): (1, {(0,): Fraction(1)})},
+        name="residual",
+    )
+
+
 def test_multiply_matches_normal_form_of_concatenation():
     J = builtin("J")
     w, z, b = J.gen("w"), J.gen("z"), J.gen("b")
     assert (w * z) * b == w * (z * b)
-    qskew_with_tail = Presentation(
-        [("x", 1), ("y", 1), ("z", 2)],
-        relations={("y", "x"): (Fraction(2), {(2,): Fraction(1)})},
-    )
-    # [x, z] = x breaks the Jacobi identity; the product is still exact
-    residual = Presentation(
-        [("x", 1), ("y", 1), ("z", 1)],
-        relations={("y", "x"): (1, {(2,): Fraction(1)}), ("z", "x"): (1, {(0,): Fraction(1)})},
-    )
+    qskew_with_tail = _qskew_with_tail()
+    # the residual presentation is not confluent; the product is still exact
+    residual = _residual()
     assert not residual.confluence().ok
     rng = random.Random(5)
     for p in (J, builtin("L"), builtin("U_n5"), builtin("qplane(3/2)"), qskew_with_tail, residual):
@@ -279,16 +306,15 @@ def test_product_table_matches_normal_form():
     st = pytest.importorskip("hypothesis.strategies")
     from test_subspace import J_SCALED_D
 
-    # q != 1 with powers fractional and integral; J_scaled_d has a fractional tail -5/6 d
+    # q != 1 with powers fractional and integral; J_scaled_d has a fractional tail -5/6 d;
+    # the builtins and L_heavy are built through the generator table, residual (not
+    # confluent) by normal_form
     makers = [lambda: builtin("qplane(3/2)"), lambda: builtin("qplane(2)"),
-              lambda: parse_presentation(J_SCALED_D)]
-    presentations = st.one_of(
-        nilpotent_lie_algebras().map(lambda algebra: algebra[0]),
-        st.sampled_from(makers).map(lambda make: make()),
-    )
+              lambda: parse_presentation(J_SCALED_D), _qskew_with_tail, _qskew_mixed, _residual,
+              lambda: load_presentation(PRESENTATIONS / "L_heavy.hopf")]
+    makers += [lambda name=name: builtin(name) for name in ("J", "L", "H6", "U_n5", "heis3")]
+    tabled = set()  # names of the presentations whose tailed products were checked
 
-    @hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
-    @hypothesis.given(presentations, st.data())
     def check(p, data):
         monos = st.tuples(*[st.integers(0, 2)] * len(p.alphabet))
         pairs = data.draw(st.lists(st.tuples(monos, monos), min_size=1, max_size=8))
@@ -312,8 +338,102 @@ def test_product_table_matches_normal_form():
                 assert not p._product_memo
             else:
                 assert p._product_memo[m1, m2] is got
+                # the table serves confluent presentations only
+                assert p._table_exact is p.confluence().ok
+                if not p._table_exact:
+                    assert not p._generator_table
+                tabled.add(p.name)
 
-    check()
+    @hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
+    @hypothesis.given(nilpotent_lie_algebras(), st.data())
+    def random_algebras(algebra, data):
+        check(algebra[0], data)
+
+    random_algebras()
+    # each fixed presentation gets its own examples, so none is left undrawn
+    for make in makers:
+        @hypothesis.settings(derandomize=True, max_examples=12, deadline=None)
+        @hypothesis.given(st.data())
+        def fixed(data):
+            check(make(), data)
+
+        fixed()
+    named = {"J_scaled_d", "qskew_with_tail", "qskew_mixed", "residual", "L_heavy", "J", "L", "H6",
+             "U_n5", "heis3"}
+    assert named | {"U(g)"} <= tabled
+
+
+def test_associativity_oracle():
+    # (xy)z = x(yz) needs no reference straightener; every tailed product
+    # below is built through the generator table
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    tabled = []
+
+    def check(p, top, data):
+        monos = st.tuples(*[st.integers(0, top)] * len(p.alphabet))
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+        x, y, z = (data.draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3).map(p.element))
+                   for _ in range(3))
+        assert p.multiply(p.multiply(x, y), z) == p.multiply(x, p.multiply(y, z))
+        tabled.append(bool(p._generator_table))
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+    @hypothesis.given(nilpotent_lie_algebras(), st.data())
+    def random_algebras(algebra, data):
+        check(algebra[0], 1, data)
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def qskew(data):
+        check(data.draw(st.sampled_from((_qskew_with_tail, _qskew_mixed)))(), 2, data)
+
+    random_algebras()
+    assert any(tabled)
+    tabled.clear()
+    qskew()
+    assert any(tabled)
+
+
+def test_deep_table_products():
+    # each product walks a chain of table entries as long as the exponent,
+    # deeper than Python's default recursion limit of 1000
+    for name, m1, m2, text in (
+        ("heis3", (0, 1500, 0), (2, 0, 0), "x^2y^1500 - 3000xy^1499z + 2248500y^1498z^2"),
+        ("U_n5", (0, 0, 1200, 0, 0), (0, 1, 0, 0, 0), "-1200xx2^1199 + x1x2^1200"),
+    ):
+        p = builtin(name)
+        got = p.mono_product(m1, m2)
+        assert got == p.normal_form({p.mono_word(m1) + p.mono_word(m2): 1}), name
+        assert str(got) == text
+        assert len(p._generator_table) >= 1200
+
+
+def test_table_products_keep_the_term_budget(monkeypatch):
+    p = builtin("U_n5")
+    assert p.confluence().ok  # decided under the default budget
+    m1, m2 = (0, 0, 3, 0, 3), (0, 3, 0, 3, 0)  # x2^3 x4^3 times x1^3 x3^3: 16 terms
+
+    def straighten(x):
+        raise AssertionError("a confluent presentation's product went through normal_form")
+
+    monkeypatch.setattr(p, "normal_form", straighten)
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "3")
+    with pytest.raises(
+        BudgetExceeded,
+        match=r"^intermediate expression has \d+ terms, budget is 3 "
+        r"\(raise HOPFKIT_MAX_TERMS to override\)$",
+    ):
+        p._products(m1, m2)
+    assert not p._product_memo
+    # the budget is read once per built entry and once per pushed product
+    monkeypatch.delenv("HOPFKIT_MAX_TERMS")
+    p = builtin("U_n5")
+    p.confluence()
+    reads = []
+    monkeypatch.setattr(pbw, "term_budget", lambda: reads.append(1) or term_budget())
+    assert len(p._products(m1, m2)) == 16
+    assert len(reads) == len(p._generator_table) + 1
 
 
 # ----- the termination certificate psi -------------------------------------

@@ -35,9 +35,12 @@ products   monomial products per second read from the product table
            a separate, untimed pass: per call, closed (no tailed relation
            crosses the pair) or tailed by the presentation's relations;
            stored is what the pass added to the memo, hits the other
-           tailed calls.  In a checkout without _products the counted
-           function is mono_product and the memo its cache, so there the
-           products that solve_antipode straightens by itself are missing.
+           tailed calls; generator_entries is the size of the
+           (monomial x generator) table the tailed products were built
+           from, 0 in a checkout without one.  In a checkout without
+           _products the counted function is mono_product and the memo its
+           cache, so there the products that solve_antipode straightens by
+           itself are missing.
 center     truncation centers per second (Truncation.center) of U_n5/I^6 at
            window 8, L/I^4 at window 9 and J/I^4 at window 9, each on a
            fresh presentation whose truncation is built outside the timed
@@ -240,7 +243,8 @@ def counted_products(p, run):
     finally:
         setattr(cls, name, table)
     counts.update(table=name, entries=len(memo), stored=len(memo) - before,
-                  hits=counts["tailed"] - (len(memo) - before))
+                  hits=counts["tailed"] - (len(memo) - before),
+                  generator_entries=len(vars(p).get("_generator_table", ())))
     return result, counts
 
 
