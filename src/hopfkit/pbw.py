@@ -10,8 +10,8 @@ Pairs without an explicit rule commute.  Normal forms are computed by
 rewriting the largest live word, popped from an integer-keyed heap, and
 validation certifies termination before any rewriting is attempted.
 Products of basis monomials in a confluent presentation are built
-instead from a table of (monomial x generator) products (see
-Presentation._products).
+instead from smaller products, products of monomials by generators
+among them, all kept in one memo (see Presentation._products).
 
 Termination certificate.  Rewriting must strictly decrease every produced
 word in some monomial order.  Weight alone is not enough when a tail keeps
@@ -298,7 +298,6 @@ class Presentation:
         self.delta = self._build_coproduct(coproduct)
         self._confluence = None
         self._product_memo = {}  # (m1, m2) -> _products' pairs, tailed pairs only
-        self._generator_table = {}  # (m, g) -> NF(m x_g) pairs, tailed entries only
         self._table_exact = None  # confluence().ok, read at the first tailed product
         self._monomials = {}  # the interned monomials, each its own value
         self._hopf_machine = None  # hopf._machine(self): coproducts and their legs
@@ -636,11 +635,12 @@ class Presentation:
         y = sum c2 m2 in normal form, the product is therefore
         sum c1 c2 NF(m1 m2), read term by term from the product table
         (_products), exactly, for every presentation, confluent or not:
-        on a confluent one the table builds NF(m1 m2) from (monomial x
-        generator) products, which the diamond lemma makes equal to
-        normal_form of the word m1 m2; on any other it straightens that
-        word by normal_form.  No concatenated word is straightened here,
-        and the accumulated terms are checked against the term budget.
+        on a confluent one the table builds NF(m1 m2) from its own
+        smaller products, (monomial x generator) ones among them, which
+        the diamond lemma makes equal to normal_form of the word m1 m2;
+        on any other it straightens that word by normal_form.  No
+        concatenated word is straightened here, and the accumulated terms
+        are checked against the term budget.
         """
         x, y = self.normal_form(x), self.normal_form(y)
         products = self._products
@@ -674,33 +674,53 @@ class Presentation:
         such inversion exactly once.  The product is then the single
         monomial m1 + m2 with coefficient prod q_{hi,lo}^(m1[hi] m2[lo]),
         built here and never stored.  Every other pair is built once and
-        memoized; the memo's tuples are shared.
+        memoized in _product_memo; the memo's tuples are shared.
 
-        A tailed pair of a confluent presentation is built by pushing the
-        letters of m2, one at a time, through the generator table
-        (_times).  By Bergman's diamond lemma (Adv. Math. 29, 1978)
-        confluence and the terminating rewrite order make the normal form
-        of every word unique, whatever rewrites reach it, so
-        NF(u v) = NF(NF(u) v) and the letter-by-letter product equals
-        normal_form of the word m1 m2.  A presentation whose confluence()
-        is not ok has no such guarantee: there the pair is straightened by
-        normal_form itself, whose fixed strategy the table need not follow.
+        A tailed pair of a confluent presentation is built by _steps from
+        products (u, e_g) of basis monomials by generators, each itself a
+        pair of this memo under the shared unit tuple e_g of self._units,
+        so NF(m x_g) is stored once whichever product asked for it.  By
+        Bergman's diamond lemma (Adv. Math. 29, 1978) confluence and the
+        terminating rewrite order make the normal form of every word
+        unique, whatever rewrites reach it, so NF(u v) = NF(NF(u) v) and
+        the product built from smaller ones equals normal_form of the word
+        m1 m2.  A presentation whose confluence() is not ok has no such
+        guarantee: there the pair is straightened by normal_form itself,
+        whose fixed strategy the memo need not follow.
+
+        Building is iterative: each pair under construction is a suspended
+        _steps generator on one explicit stack, which yields the key of an
+        entry it lacks and is resumed with that entry's pairs.  Every key
+        it yields stands for a word that the rewrite order puts below its
+        own word, so no key waits on itself, and the stack is as deep as a
+        descending chain of such words, not as Python's recursion limit
+        allows.
         """
         closed = self._closed(m1, m2)
         if closed is not None:
             return (closed,)
-        key = (m1, m2)
-        hit = self._product_memo.get(key)
-        if hit is None:
-            if self._table_exact is None:
-                self._table_exact = self.confluence().ok
-            if self._table_exact:
-                terms = self._push(m1, m2)
-            else:
-                terms = self.normal_form({self.mono_word(m1) + self.mono_word(m2): _ONE}).terms
+        key, memo = (m1, m2), self._product_memo
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if self._table_exact is None:
+            self._table_exact = self.confluence().ok
+        if not self._table_exact:
+            terms = self.normal_form({self.mono_word(m1) + self.mono_word(m2): _ONE}).terms
             intern = self._monomials.setdefault
-            hit = tuple((intern(m, m), _integral(c)) for m, c in terms.items())
-            self._product_memo[key] = hit
+            hit = memo[key] = tuple((intern(m, m), _integral(c)) for m, c in terms.items())
+            return hit
+        stack = [(key, self._steps(m1, m2))]
+        while stack:
+            key, steps = stack[-1]
+            try:
+                need = steps.send(hit)
+            except StopIteration as built:
+                stack.pop()
+                hit = memo[key] = built.value
+            else:
+                stack.append((need, self._steps(*need)))
+                hit = None
         return hit
 
     def _closed(self, m1, m2):
@@ -719,113 +739,57 @@ class Presentation:
         mono = tuple(map(add, m1, m2))
         return self._monomials.setdefault(mono, mono), coeff
 
-    def _push(self, m1, m2):
-        """NF(m1 m2) of a tailed pair, as a {monomial: coeff} map.
+    def _steps(self, m1, m2):
+        """Build NF(m1 m2) of a tailed pair; a generator run by _products.
 
-        The letters of m2 are multiplied on one at a time through the
-        generator table (_times); a term that no tail crosses with what is
-        left of m2 is finished at once by the closed form.  The term
-        budget is read once per call.
+        When m2 is a single letter x_g, a tail crosses only below the last
+        letter x_k of m1 (so k > g), and with m1 = m' x_k the relation
+        x_k x_g = q x_g x_k + tail gives
+
+            m1 x_g = q m' (x_g x_k) + m' tail,
+
+        m' pushed through the word (g, k) and through each tail word.  Any
+        other m1 is pushed through the letters of m2.  Every word is
+        ordered, so what is left of it is a monomial, and a term is
+        finished by the closed form as soon as no tail crosses it and the
+        rest of its word; otherwise it is multiplied by the next letter
+        x_l through the entry (u, e_l), read from the memo, or yielded
+        when missing.  The term budget is read once per call and checked
+        after each letter.
         """
-        times, closed, budget = self._times, self._closed, term_budget()
-        rest = list(m2)
-        terms, out = {m1: 1}, {}
-        for g, e in enumerate(m2):
-            for _ in range(e):
-                step = {}
-                for u, c in terms.items():
-                    pair = closed(u, rest)
-                    if pair is None:
-                        for v, d in times(u, g):
-                            _acc(step, v, c * d)
-                    else:
-                        _acc(out, pair[0], c * pair[1])
-                rest[g] -= 1
-                terms = step
-                if len(step) + len(out) > budget:
-                    raise over_budget(len(step) + len(out), budget)
-        for u, c in terms.items():
-            _acc(out, u, c)
-        return out
-
-    def _known(self, m, g):
-        """NF(m x_g) as pairs when it is a closed form or a built entry, else None."""
-        closed = self._closed(m, self._units[g])
-        return (closed,) if closed is not None else self._generator_table.get((m, g))
-
-    def _times(self, m, g):
-        """The generator table: NF(m x_g), m a basis monomial, as (monomial, coeff) pairs.
-
-        Closed forms are computed on every call; tailed entries are built
-        once, by _entry, and stored.  Building is iterative: each entry
-        under construction is a suspended _entry generator on an explicit
-        stack, which yields the key of an entry it lacks and is resumed with
-        that entry's pairs.  Every key it yields stands for a word that the
-        rewrite order puts below its own word m x_g, so no key waits on
-        itself, and the stack is as deep as a descending chain of such
-        words, not as Python's recursion limit allows.
-        """
-        pairs = self._known(m, g)
-        if pairs is not None:
-            return pairs
-        table = self._generator_table
-        stack = [((m, g), self._entry(m, g))]
-        while stack:
-            key, steps = stack[-1]
-            try:
-                need = steps.send(pairs)
-            except StopIteration as built:
-                stack.pop()
-                pairs = table[key] = built.value
-            else:
-                stack.append((need, self._entry(*need)))
-                pairs = None
-        return pairs
-
-    def _entry(self, m, g):
-        """Build NF(m x_g) for a tailed entry; a generator run by _times.
-
-        With x_k the last letter of m (k > g, since a tail crosses) and
-        m = m' x_k, the relation x_k x_g = q x_g x_k + tail gives
-
-            m x_g = q (m' x_g) x_k + m' tail,
-
-        each factor a product of a basis monomial by a generator: known
-        ones are read at once, missing ones are yielded.  The term budget
-        is read once per entry and checked on each accumulator.
-        """
-        known, budget = self._known, term_budget()
-        k = max(i for i, e in enumerate(m) if e)
-        rest = m[:k] + (m[k] - 1,) + m[k + 1:]
-        rel = self.relations[k, g]
-        q = _integral(rel.q)
+        closed, memo, units, budget = self._closed, self._product_memo, self._units, term_budget()
+        if sum(m2) == 1:
+            g = m2.index(1)
+            k = max(i for i, e in enumerate(m1) if e)
+            start = m1[:k] + (m1[k] - 1,) + m1[k + 1:]
+            rel = self.relations[k, g]
+            words = [((g, k), _integral(rel.q))]
+            words += [(word, _integral(coeff)) for word, coeff in rel.tail_items]
+        else:
+            start, words = m1, [(self.mono_word(m2), 1)]
         out = {}
-        before = known(rest, g)
-        if before is None:
-            before = yield (rest, g)
-        for u, c in before:
-            after = known(u, k)
-            if after is None:
-                after = yield (u, k)
-            for v, d in after:
-                _acc(out, v, q * c * d)
-        for word, coeff in rel.tail_items:
-            terms = {rest: _integral(coeff)}
+        for word, coeff in words:
+            rest = list(_word_to_monomial(word, len(m1)))
+            terms = {start: coeff}
             for letter in word:
                 step = {}
                 for u, c in terms.items():
-                    pairs = known(u, letter)
+                    pair = closed(u, rest)
+                    if pair is not None:
+                        _acc(out, pair[0], c * pair[1])
+                        continue
+                    pairs = memo.get((u, units[letter]))
                     if pairs is None:
-                        pairs = yield (u, letter)
+                        pair = closed(u, units[letter])
+                        pairs = (pair,) if pair is not None else (yield u, units[letter])
                     for v, d in pairs:
                         _acc(step, v, c * d)
-                if len(step) > budget:
-                    raise over_budget(len(step), budget)
+                rest[letter] -= 1
                 terms = step
-            for v, d in terms.items():
-                _acc(out, v, d)
-        if len(out) > budget:
-            raise over_budget(len(out), budget)
+                if len(step) + len(out) > budget:
+                    raise over_budget(len(step) + len(out), budget)
+            for u, c in terms.items():
+                _acc(out, u, c)
         intern = self._monomials.setdefault
         return tuple((intern(v, v), _integral(c)) for v, c in out.items())
 

@@ -32,6 +32,8 @@ from hopfkit.errors import (
 from hopfkit.freealg import DEFAULT_MAX_TERMS, _acc, check_budget
 from hopfkit.pbw import _ONE, PBWElement, Presentation
 
+from strategies import nilpotent_lie_algebras
+
 
 def test_coproduct_of_primitive_generator():
     J = builtin("J")
@@ -210,6 +212,28 @@ def test_antipode_negates_primitives():
     table = solve_antipode(J, weight_bound=6)
     fixed = J.gen("d") - J.gen("c") ** 3 * Fraction(1, 3)
     assert antipode(J, fixed, table) == -fixed
+
+
+def test_enveloping_algebra_antipode_oracle():
+    # in U(g) every generator is primitive, so S(x) = -x and S reverses words:
+    # S(x_1 ... x_n) = (-1)^n x_n ... x_1, straightened apart from the product
+    # table that apply_mono reads its (monomial x generator) products from
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, max_examples=30, deadline=None)
+    @hypothesis.given(nilpotent_lie_algebras(), st.integers(2, 4))
+    def check(algebra, bound):
+        p = algebra[0]
+        table = solve_antipode(p, weight_bound=bound)
+        for g in range(len(p.alphabet)):
+            assert table.of_gen(g) == -p.gen(g)
+        for m in p.enumerate_basis(bound):
+            word = p.mono_word(m)
+            assert table.apply_mono(m) == p.normal_form({word[::-1]: (-1) ** len(word)}), m
+        assert check_involutive_antipode(p, table, bound).ok
+
+    check()
 
 
 def test_dropped_correction_keeps_a_consistent_coalgebra():

@@ -307,8 +307,8 @@ def test_product_table_matches_normal_form():
     from test_subspace import J_SCALED_D
 
     # q != 1 with powers fractional and integral; J_scaled_d has a fractional tail -5/6 d;
-    # the builtins and L_heavy are built through the generator table, residual (not
-    # confluent) by normal_form
+    # the builtins and L_heavy are built from smaller products, residual (not confluent)
+    # by normal_form
     makers = [lambda: builtin("qplane(3/2)"), lambda: builtin("qplane(2)"),
               lambda: parse_presentation(J_SCALED_D), _qskew_with_tail, _qskew_mixed, _residual,
               lambda: load_presentation(PRESENTATIONS / "L_heavy.hopf")]
@@ -324,7 +324,7 @@ def test_product_table_matches_normal_form():
             return not any(m1[hi] and m2[lo] for hi, lo in tailed)
 
         pairs.sort(key=lambda pair: not closed(*pair))  # closed forms first
-        interned = {}
+        interned, requested = {}, set()
         for m1, m2 in pairs:
             got = p._products(m1, m2)
             want = p.normal_form({p.mono_word(m1) + p.mono_word(m2): 1}).terms
@@ -338,10 +338,11 @@ def test_product_table_matches_normal_form():
                 assert not p._product_memo
             else:
                 assert p._product_memo[m1, m2] is got
-                # the table serves confluent presentations only
+                requested.add((m1, m2))
+                # smaller products are built for confluent presentations only
                 assert p._table_exact is p.confluence().ok
                 if not p._table_exact:
-                    assert not p._generator_table
+                    assert set(p._product_memo) == requested
                 tabled.add(p.name)
 
     @hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
@@ -365,7 +366,7 @@ def test_product_table_matches_normal_form():
 
 def test_associativity_oracle():
     # (xy)z = x(yz) needs no reference straightener; every tailed product
-    # below is built through the generator table
+    # below is built from (monomial x generator) entries of the product memo
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     tabled = []
@@ -376,7 +377,7 @@ def test_associativity_oracle():
         x, y, z = (data.draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3).map(p.element))
                    for _ in range(3))
         assert p.multiply(p.multiply(x, y), z) == p.multiply(x, p.multiply(y, z))
-        tabled.append(bool(p._generator_table))
+        tabled.append(any(sum(m2) == 1 for _, m2 in p._product_memo))
 
     @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
     @hypothesis.given(nilpotent_lie_algebras(), st.data())
@@ -396,7 +397,7 @@ def test_associativity_oracle():
 
 
 def test_deep_table_products():
-    # each product walks a chain of table entries as long as the exponent,
+    # each product walks a chain of memo entries as long as the exponent,
     # deeper than Python's default recursion limit of 1000
     for name, m1, m2, text in (
         ("heis3", (0, 1500, 0), (2, 0, 0), "x^2y^1500 - 3000xy^1499z + 2248500y^1498z^2"),
@@ -406,7 +407,7 @@ def test_deep_table_products():
         got = p.mono_product(m1, m2)
         assert got == p.normal_form({p.mono_word(m1) + p.mono_word(m2): 1}), name
         assert str(got) == text
-        assert len(p._generator_table) >= 1200
+        assert len(p._product_memo) >= 1200
 
 
 def test_table_products_keep_the_term_budget(monkeypatch):
@@ -425,15 +426,30 @@ def test_table_products_keep_the_term_budget(monkeypatch):
         r"\(raise HOPFKIT_MAX_TERMS to override\)$",
     ):
         p._products(m1, m2)
-    assert not p._product_memo
-    # the budget is read once per built entry and once per pushed product
-    monkeypatch.delenv("HOPFKIT_MAX_TERMS")
+    # entries finished before the budget stopped the build may stay, and are exact
+    assert p._product_memo and (m1, m2) not in p._product_memo
+    monkeypatch.undo()
+    for (u, v), pairs in p._product_memo.items():
+        assert dict(pairs) == p.normal_form({p.mono_word(u) + p.mono_word(v): 1}).terms
+    # the budget is read once per built memo entry, the requested product included
     p = builtin("U_n5")
     p.confluence()
     reads = []
     monkeypatch.setattr(pbw, "term_budget", lambda: reads.append(1) or term_budget())
     assert len(p._products(m1, m2)) == 16
-    assert len(reads) == len(p._generator_table) + 1
+    assert len(reads) == len(p._product_memo)
+
+
+def test_generator_entries_are_stored_once():
+    # NF(m x_g) is the product (m, e_g): a later request for it reads the entry
+    # that building a larger product stored, and stores no second copy
+    p = builtin("heis3")
+    assert str(p.mono_product((0, 3, 0), (2, 0, 0))) == "x^2y^3 - 6xy^2z + 6yz^2"
+    size = len(p._product_memo)
+    for k in (1, 2, 3):
+        m1, m2 = (0, k, 0), (1, 0, 0)
+        assert p._products(m1, m2) is p._product_memo[m1, p._units[0]]
+    assert len(p._product_memo) == size
 
 
 # ----- the termination certificate psi -------------------------------------
@@ -493,24 +509,52 @@ def test_certificate_psi(text, psi):
 DEBUG_BUILTINS = ("H6", "J", "L", "U_n5", "heis3", "poly(1)", "poly(3)", "qplane(3/2)", "qplane(-1)")
 
 
-@pytest.mark.parametrize(
-    "source,longest",
-    [(_l_plus(4), 9), (HEAVY_TAIL_TEXT, 9)] + [(name, 14) for name in DEBUG_BUILTINS],
-    ids=["L+4", "heavy_tail", *DEBUG_BUILTINS],
-)
-def test_certificate_orders_every_rewrite(source, longest, monkeypatch):
-    # with the debug flag on, normal_form asserts that each popped heap entry
-    # is the key rewrite_key gives its word, and that each rewrite lowers it
-    monkeypatch.setattr(pbw, "_DEBUG_ORDER", True)
-    p = builtin(source) if source in DEBUG_BUILTINS else parse_presentation(source)
+def _straighten_seeded(p, rng, count, longest):
+    """Straighten count seeded words against the product of their generators."""
     gens = [p.gen(name) for name in p.alphabet.names]
-    rng = random.Random(4)
-    for _ in range(60):
+    for _ in range(count):
         word = tuple(rng.randrange(len(gens)) for _ in range(rng.randint(2, longest)))
         product_of_gens = p.one()
         for letter in word:
             product_of_gens = product_of_gens * gens[letter]
         assert p.normal_form({word: 1}) == product_of_gens
+
+
+@pytest.mark.parametrize(
+    "source,longest",
+    [(_l_plus(4), 9), (HEAVY_TAIL_TEXT, 9), ("L_heavy", 9)]
+    + [(name, 14) for name in DEBUG_BUILTINS],
+    ids=["L+4", "heavy_tail", "L_heavy", *DEBUG_BUILTINS],
+)
+def test_certificate_orders_every_rewrite(source, longest, monkeypatch):
+    # with the debug flag on, normal_form asserts that each popped heap entry
+    # is the key rewrite_key gives its word, and that each rewrite lowers it
+    monkeypatch.setattr(pbw, "_DEBUG_ORDER", True)
+    if source in DEBUG_BUILTINS:
+        p = builtin(source)
+    elif source == "L_heavy":
+        p = load_presentation(PRESENTATIONS / "L_heavy.hopf")
+    else:
+        p = parse_presentation(source)
+    _straighten_seeded(p, random.Random(4), 60, longest)
+
+
+def test_debug_order_checks_on_random_enveloping_algebras(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    monkeypatch.setattr(pbw, "_DEBUG_ORDER", True)
+    # the checks are live: a key that disagrees with the heap's entry is caught
+    p = builtin("heis3")
+    monkeypatch.setattr(p, "rewrite_key", lambda word: (0, 0, 0, ()))
+    with pytest.raises(AssertionError):
+        p.normal_form({(1, 0): 1})
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+    @hypothesis.given(nilpotent_lie_algebras(), st.integers(0, 2**32 - 1))
+    def check(algebra, seed):
+        _straighten_seeded(algebra[0], random.Random(seed), 20, 9)
+
+    check()
 
 
 @pytest.mark.parametrize("text", list(ACCEPTED_TEXTS), ids=["L+3", "L+4", "heavy_tail"])

@@ -34,10 +34,12 @@ products   monomial products per second read from the product table
            L's signature must be (1, 1, 1, 2, 2).  The products are counted on
            a separate, untimed pass: per call, closed (no tailed relation
            crosses the pair) or tailed by the presentation's relations;
-           stored is what the pass added to the memo, hits the other
-           tailed calls; generator_entries is the size of the
-           (monomial x generator) table the tailed products were built
-           from, 0 in a checkout without one.  In a checkout without
+           stored is what the pass added to the memo, hits the tailed
+           calls that found their pair already stored; generator_entries
+           counts the memo keys whose right factor is a single letter, the
+           (monomial x generator) products that tailed products are built
+           from (in a checkout that keeps them in a separate
+           _generator_table, the size of that table).  In a checkout without
            _products the counted function is mono_product and the memo its
            cache, so there the products that solve_antipode straightens by
            itself are missing.
@@ -228,12 +230,16 @@ def counted_products(p, run):
     memo = p._product_memo if name == "_products" else p._mono_product_cache
     table = vars(cls)[name]
     tailed = [pair for pair, rel in p.relations.items() if rel.tail]
-    counts = dict.fromkeys(("products", "closed", "tailed"), 0)
+    counts = dict.fromkeys(("products", "closed", "tailed", "hits"), 0)
 
     def counting(self, m1, m2):
         if self is p:
             counts["products"] += 1
-            counts["tailed" if any(m1[hi] and m2[lo] for hi, lo in tailed) else "closed"] += 1
+            if any(m1[hi] and m2[lo] for hi, lo in tailed):
+                counts["tailed"] += 1
+                counts["hits"] += (m1, m2) in memo
+            else:
+                counts["closed"] += 1
         return table(self, m1, m2)
 
     before = len(memo)
@@ -242,9 +248,11 @@ def counted_products(p, run):
         result = run()
     finally:
         setattr(cls, name, table)
+    generators = vars(p).get("_generator_table")
+    if generators is None:
+        generators = [m2 for _, m2 in memo if sum(m2) == 1]
     counts.update(table=name, entries=len(memo), stored=len(memo) - before,
-                  hits=counts["tailed"] - (len(memo) - before),
-                  generator_entries=len(vars(p).get("_generator_table", ())))
+                  generator_entries=len(generators))
     return result, counts
 
 
