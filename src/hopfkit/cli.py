@@ -18,7 +18,6 @@ from .errors import (
     AxiomFailure,
     HopfkitError,
     NoCoproductAttached,
-    NotHopfAdmissible,
     ParseError,
     PresentationError,
     UnknownBuiltin,
@@ -86,7 +85,9 @@ def _add_source(sub):
     )
 
 
-def _load_sources(args, multi=False):
+def _load_sources(args):
+    if args.command == "dump-builtin" and (args.file or len(args.builtin) != 1):
+        raise _UsageError("dump-builtin takes exactly one --builtin")
     targets = []
     for name in args.builtin:
         targets.append((name, pbw.builtin(name)))
@@ -95,8 +96,6 @@ def _load_sources(args, multi=False):
         targets.append((p.name or os.path.basename(path), p))
     if not targets:
         raise _UsageError("give a presentation with --builtin or --file")
-    if not multi and len(targets) > 1:
-        raise _UsageError("this command takes exactly one presentation")
     return targets
 
 
@@ -106,24 +105,24 @@ def _nonnegative(value, flag):
     return value
 
 
-def _bound(args, p):
-    if getattr(args, "weight_bound", None) is not None:
-        return _nonnegative(args.weight_bound, "--weight-bound")
+def _window(p, bound):
+    """The --weight-bound given, or the default window 2 * max weight + 2."""
+    if bound is not None:
+        return _nonnegative(bound, "--weight-bound")
     return 2 * p.max_weight + 2
 
 
 # ----- commands ---------------------------------------------------------------
 
 
-def cmd_check(args):
-    label, p = _load_sources(args)[0]
-    rep = Report()
+def cmd_check(args, rep, label, p):
+    ok = _check_stages(args, rep, label, p)
+    rep.set("check.ok", ok)
+    return 0 if ok else MATH_EXIT
 
-    def fail():
-        rep.set("check.ok", False)
-        rep.emit()
-        return MATH_EXIT
 
+def _check_stages(args, rep, label, p):
+    """Run check's stages in order; False at the first that fails."""
     if args.corrupt:
         if not p.has_coproduct:
             raise _UsageError("--corrupt needs a presentation with a coproduct")
@@ -149,15 +148,13 @@ def cmd_check(args):
         rep.say(
             f"confluence: FAIL on overlap {triple}; residual {residual}"
         )
-        return fail()
+        return False
     rep.say(f"confluence: {conf.triples_checked} overlap triples agree")
     if not p.has_coproduct:
         rep.say("coproduct: none attached, algebra checks only")
         rep.set("check.coproduct", "none")
-        rep.set("check.ok", True)
-        rep.emit()
-        return 0
-    bound = _bound(args, p)
+        return True
+    bound = _window(p, args.weight_bound)
     compat = hopf.check_relation_compatibility(p)
     rep.set("compat.relations", len(compat.checks))
     rep.set("compat.ok", compat.ok)
@@ -165,7 +162,7 @@ def cmd_check(args):
         rep.say("coproduct compatibility: FAIL")
         for chk in compat.failures:
             rep.say(f"  {chk.label}: residual {chk.residual}")
-        return fail()
+        return False
     rep.say(f"coproduct respects all {len(compat.checks)} relations")
     coassoc = hopf.check_coassociativity(p, seed=args.seed)
     rep.set("coassoc.generators", len(coassoc.generators))
@@ -179,7 +176,7 @@ def cmd_check(args):
         for mono, ok in coassoc.monomials:
             if not ok:
                 rep.say(f"  monomial {p.render_mono(mono)}")
-        return fail()
+        return False
     rep.say(
         f"coassociativity holds on generators and {len(coassoc.monomials)} "
         f"sampled monomials (seed {args.seed})"
@@ -191,7 +188,7 @@ def cmd_check(args):
         for lab, residual in counit.relation_checks:
             if residual:
                 rep.say(f"  {lab}: epsilon residual {residual}")
-        return fail()
+        return False
     rep.say("counit laws hold")
     try:
         table = hopf.solve_antipode(p, bound)
@@ -199,7 +196,7 @@ def cmd_check(args):
         rep.say(f"antipode axiom ({failure.side}): FAIL on {failure.monomial}")
         rep.say(f"  residual {failure.residual}")
         rep.set("antipode.ok", False)
-        return fail()
+        return False
     rep.say(
         f"antipode solved; two-sided axiom verified on "
         f"{table.monomials_checked} monomials up to weight {bound}"
@@ -211,44 +208,27 @@ def cmd_check(args):
     if not involutive.ok:
         mono, twice = involutive.failures[0]
         rep.say(f"antipode square: FAIL, S(S({p.render_mono(mono)})) = {twice}")
-        return fail()
+        return False
     rep.say(f"antipode is an involution on {involutive.checked} monomials")
-    rep.set("check.ok", True)
-    rep.emit()
-    return 0
+    return True
 
 
-def cmd_nf(args):
-    label, p = _load_sources(args)[0]
+def cmd_nf(args, rep, label, p):
     p.require_confluent()
     elem = presfile.parse_expression(args.expr, p.alphabet)
     result = p.normal_form(elem)
-    rep = Report()
     rep.say(f"normal form in {label}: {result}")
     rep.set("nf.result", result)
     rep.set("nf.terms", len(result.terms))
     rep.set("nf.weight", result.max_weight())
-    rep.emit()
     return 0
 
 
-def cmd_hilbert(args):
-    label, p = _load_sources(args)[0]
+def cmd_hilbert(args, rep, label, p):
     series = grading.hilbert_series(p, _nonnegative(args.degree, "--degree"))
-    rep = Report()
     rep.say(f"series of {label}: {series}")
     rep.set("hilbert.series", series.coeffs)
-    try:
-        exponents = grading.factor_series(series)
-    except NotHopfAdmissible as stop:
-        rep.say(
-            f"factorization: impossible, negative multiplicity at degree "
-            f"{stop.degree}"
-        )
-        rep.set("hilbert.factorable", False)
-        rep.set("hilbert.obstruction_degree", stop.degree)
-        rep.emit()
-        return MATH_EXIT
+    exponents = grading.factor_series(series)
     rep.say(f"factorization: {exponents.product_form()}")
     rep.set("hilbert.exponents", exponents.entries)
     gk = grading.gk_dimension(exponents) if grading.series_settles(p, args.degree) else None
@@ -257,16 +237,13 @@ def cmd_hilbert(args):
     else:
         rep.say(f"growth: polynomial of dimension {gk}")
     rep.set("hilbert.gk", gk)
-    rep.emit()
     return 0
 
 
-def cmd_truncate(args):
-    label, p = _load_sources(args)[0]
-    bound = _bound(args, p)
+def cmd_truncate(args, rep, label, p):
+    bound = _window(p, args.weight_bound)
     trunc = subspace.truncation_algebra(p, _nonnegative(args.power, "--power"), bound)
     center = trunc.center()
-    rep = Report()
     rep.say(
         f"truncation of {label} at power {args.power}, window {bound}: "
         f"dimension {trunc.dim}"
@@ -277,58 +254,46 @@ def cmd_truncate(args):
     rep.set("truncation.dim", trunc.dim)
     rep.set("truncation.basis", tuple(p.render_mono(m) for m in trunc.basis))
     rep.set("center.dim", center.dim)
-    rep.emit()
     return 0
 
 
-def cmd_antipode(args):
-    label, p = _load_sources(args)[0]
-    bound = _bound(args, p)
+def cmd_antipode(args, rep, label, p):
+    bound = _window(p, args.weight_bound)
     table = hopf.solve_antipode(p, bound)
-    rep = Report()
     rep.say(f"antipode of {label}, verified up to weight {bound}:")
     for gi, name in enumerate(p.alphabet.names):
         rep.say(f"  S({name}) = {table.by_gen[gi]}")
         rep.set(f"antipode.{name}", table.by_gen[gi])
     rep.set("antipode.checked", table.monomials_checked)
-    rep.emit()
     return 0
 
 
-def cmd_primitives(args):
-    label, p = _load_sources(args)[0]
-    bound = _bound(args, p)
+def cmd_primitives(args, rep, label, p):
+    bound = _window(p, args.weight_bound)
     space = subspace.primitive_space(p, bound)
-    rep = Report()
     rep.say(f"primitives of {label} up to weight {bound}: dimension {space.dim}")
     for b in space.basis():
         rep.say(f"  {b}")
     rep.set("primitives.dim", space.dim)
     rep.set("primitives.basis", tuple(str(b) for b in space.basis()))
-    rep.emit()
     return 0
 
 
-def cmd_coradical(args):
-    label, p = _load_sources(args)[0]
-    bound = _bound(args, p)
+def cmd_coradical(args, rep, label, p):
+    bound = _window(p, args.weight_bound)
     levels = subspace.coradical_levels(p, bound)
-    rep = Report()
     rep.say(
         f"coradical filtration of {label} up to weight {bound}: "
         + " < ".join(str(d) for d in levels.dims)
     )
     rep.set("coradical.dims", levels.dims)
     rep.set("coradical.levels", levels.levels)
-    rep.emit()
     return 0
 
 
-def cmd_signature(args):
-    label, p = _load_sources(args)[0]
-    bound = _bound(args, p)
+def cmd_signature(args, rep, label, p):
+    bound = _window(p, args.weight_bound)
     sig = subspace.signature(p, bound)
-    rep = Report()
     rep.say(f"signature of {label} up to weight {bound}: {sig}")
     if sig.complete:
         rep.say(f"complete: all {sig.gk} expected entries found")
@@ -339,14 +304,11 @@ def cmd_signature(args):
     rep.set("signature.entries", sig.entries)
     rep.set("signature.complete", sig.complete)
     rep.set("signature.gk", sig.gk)
-    rep.emit()
     return 0
 
 
-def cmd_gr(args):
-    label, p = _load_sources(args)[0]
+def cmd_gr(args, rep, label, p):
     graded = grading.associated_graded(p)
-    rep = Report()
     if graded is p:
         rep.say(f"{label} is already weight-graded; unchanged")
         rep.set("gr.changed", False)
@@ -356,40 +318,38 @@ def cmd_gr(args):
             rep.say(f"  {line}")
         rep.set("gr.changed", True)
     rep.set("gr.classification", graded.validation.classification)
-    rep.emit()
     return 0
 
 
-def cmd_obstruct(args):
-    label, p = _load_sources(args)[0]
+def cmd_obstruct(args, rep, label, p):
     if args.degree is not None:
         _nonnegative(args.degree, "--degree")
     verdict = grading.hopf_obstruction(p, args.degree)
-    rep = Report()
     rep.say(f"{label}: {verdict.message}")
     rep.set("obstruct.code", verdict.code)
     rep.set("obstruct.obstructed", verdict.obstructed)
-    rep.emit()
     return MATH_EXIT if verdict.obstructed else 0
 
 
-def cmd_compare_centers(args):
-    targets = _load_sources(args, multi=True)
+def cmd_compare_centers(args, rep, targets):
+    """Truncated center dimensions side by side.
+
+    They separate the presentations only when no two are equal; with
+    three or more, each dimension that some share is named with them.
+    """
     if len(targets) < 2:
         raise _UsageError("compare-centers needs at least two presentations")
     _nonnegative(args.power, "--power")
-    bounds = [_nonnegative(b, "--weight-bound") for b in args.weight_bound or []]
-    if len(bounds) == 0:
-        bounds = [2 * p.max_weight + 2 for _, p in targets]
-    elif len(bounds) == 1:
+    bounds = [_nonnegative(b, "--weight-bound") for b in args.weight_bound or []] or [None]
+    if len(bounds) == 1:
         bounds = bounds * len(targets)
     elif len(bounds) != len(targets):
         raise _UsageError(
             "give one --weight-bound, or exactly one per presentation"
         )
-    rep = Report()
     dims = []
     for (label, p), bound in zip(targets, bounds):
+        bound = _window(p, bound)
         trunc = subspace.truncation_algebra(p, args.power, bound)
         center = trunc.center()
         dims.append(center.dim)
@@ -398,22 +358,23 @@ def cmd_compare_centers(args):
             f"(truncation dimension {trunc.dim}, power {args.power}, "
             f"window {bound})"
         )
-    separated = len(set(dims)) > 1
+    separated = len(set(dims)) == len(dims)
     if separated:
         rep.say("the truncated centers separate these presentations")
     else:
         rep.say("the truncated centers do not separate these presentations")
+    if len(targets) > 2:
+        for dim in dict.fromkeys(dims):
+            sharing = [label for (label, _), d in zip(targets, dims) if d == dim]
+            if len(sharing) > 1:
+                rep.say(f"  same center dimension {dim}: {', '.join(sharing)}")
     for (label, _), dim in zip(targets, dims):
         rep.set(f"center.{label}", dim)
     rep.set("compare.separated", separated)
-    rep.emit()
     return 0
 
 
-def cmd_dump_builtin(args):
-    if args.file or len(args.builtin) != 1:
-        raise _UsageError("dump-builtin takes exactly one --builtin")
-    p = pbw.builtin(args.builtin[0])
+def cmd_dump_builtin(args, rep, label, p):
     sys.stdout.write(presfile.dump_presentation(p))
     return 0
 
@@ -429,14 +390,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, power=False, window=False):
         sp = sub.add_parser(name, help=help_text)
         _add_source(sp)
+        if power:
+            sp.add_argument("--power", type=int, required=True)
+        if window:
+            sp.add_argument("--weight-bound", type=int, default=None)
         sp.set_defaults(func=func)
         return sp
 
-    sp = add("check", cmd_check, "run the full axiom pipeline")
-    sp.add_argument("--weight-bound", type=int, default=None)
+    sp = add("check", cmd_check, "run the full axiom pipeline", window=True)
     sp.add_argument("--seed", type=int, default=0, help="coassociativity sample seed")
     sp.add_argument(
         "--corrupt",
@@ -451,29 +415,20 @@ def build_parser():
     sp = add("hilbert", cmd_hilbert, "weight series and its factorization")
     sp.add_argument("--degree", type=int, default=10)
 
-    sp = add("truncate", cmd_truncate, "quotient by a power of the augmentation ideal")
-    sp.add_argument("--power", type=int, required=True)
-    sp.add_argument("--weight-bound", type=int, default=None)
-
-    sp = add("antipode", cmd_antipode, "solve and verify the antipode")
-    sp.add_argument("--weight-bound", type=int, default=None)
-
-    sp = add("primitives", cmd_primitives, "basis of the primitive elements")
-    sp.add_argument("--weight-bound", type=int, default=None)
-
-    sp = add("coradical", cmd_coradical, "coradical filtration dimensions")
-    sp.add_argument("--weight-bound", type=int, default=None)
-
-    sp = add("signature", cmd_signature, "level multiset of non-product growth")
-    sp.add_argument("--weight-bound", type=int, default=None)
+    add("truncate", cmd_truncate, "quotient by a power of the augmentation ideal",
+        power=True, window=True)
+    add("antipode", cmd_antipode, "solve and verify the antipode", window=True)
+    add("primitives", cmd_primitives, "basis of the primitive elements", window=True)
+    add("coradical", cmd_coradical, "coradical filtration dimensions", window=True)
+    add("signature", cmd_signature, "level multiset of non-product growth", window=True)
 
     add("gr", cmd_gr, "associated weight-graded presentation")
 
     sp = add("obstruct", cmd_obstruct, "check for structural obstructions")
     sp.add_argument("--degree", type=int, default=None)
 
-    sp = add("compare-centers", cmd_compare_centers, "compare truncated center dimensions")
-    sp.add_argument("--power", type=int, required=True)
+    sp = add("compare-centers", cmd_compare_centers, "compare truncated center dimensions",
+             power=True)
     sp.add_argument("--weight-bound", type=int, action="append", default=None)
 
     add("dump-builtin", cmd_dump_builtin, "print a builtin in the file format")
@@ -487,8 +442,15 @@ def main(argv=None):
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
+    rep = Report()
     try:
-        return args.func(args)
+        targets = _load_sources(args)
+        if args.func is cmd_compare_centers:
+            code = cmd_compare_centers(args, rep, targets)
+        elif len(targets) > 1:
+            raise _UsageError("this command takes exactly one presentation")
+        else:
+            code = args.func(args, rep, *targets[0])
     except (
         _UsageError,
         OSError,
@@ -503,6 +465,8 @@ def main(argv=None):
     except HopfkitError as err:
         print(f"failure: {err}", file=sys.stderr)
         return MATH_EXIT
+    rep.emit()
+    return code
 
 
 if __name__ == "__main__":

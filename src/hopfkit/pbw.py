@@ -298,10 +298,8 @@ class Presentation:
         self.delta = self._build_coproduct(coproduct)
         self._confluence = None
         self._product_memo = {}  # (m1, m2) -> _products' pairs, tailed pairs only
-        self._table_exact = None  # confluence().ok, read at the first tailed product
         self._monomials = {}  # the interned monomials, each its own value
         self._hopf_machine = None  # hopf._machine(self): coproducts and their legs
-        self._coradical_cache = {}  # weight bound -> subspace._CoradicalState
         self._tailed_pairs = tuple(
             (hi, lo) for (hi, lo), rel in sorted(self.relations.items()) if rel.tail
         )
@@ -703,9 +701,7 @@ class Presentation:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if self._table_exact is None:
-            self._table_exact = self.confluence().ok
-        if not self._table_exact:
+        if not self.confluence().ok:
             terms = self.normal_form({self.mono_word(m1) + self.mono_word(m2): _ONE}).terms
             intern = self._monomials.setdefault
             hit = memo[key] = tuple((intern(m, m), _integral(c)) for m, c in terms.items())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NotHopfAdmissible, WindowTooSmall
+from .errors import WindowTooSmall
 from .freealg import _acc, over_budget, term_budget
 from .pbw import PBWElement
 from . import hopf as _hopf
@@ -576,14 +576,10 @@ def _coradical_chain(p, weight_bound, levels=None):
     zero.  This is Sweedler's wedge C_n = Delta^-1(H (x) C_{n-1} +
     C_0 (x) H): for x in H+, x (x) 1 and 1 (x) x already lie in that
     sum, and both legs of the reduced coproduct lie in H+, so only its
-    right leg is tested.  Levels are computed on demand, cached per
-    window on the presentation, and stop for good once one repeats.
+    right leg is tested.  Levels are computed up to `levels` (all when
+    None) and stop for good once one repeats.
     """
-    cache = p._coradical_cache
-    state = cache.get(weight_bound)
-    if state is None:
-        state = _CoradicalState(p, weight_bound)
-        cache[weight_bound] = state
+    state = _CoradicalState(p, weight_bound)
     while not state.stable and (levels is None or len(state.chain) < levels):
         state.next_level()
     if levels is None:
@@ -688,10 +684,7 @@ def signature(p, weight_bound):
     gk = None
     degree = max(10, 2 * weight_bound)
     if series_settles(p, degree):
-        try:
-            gk = gk_dimension(factor_series(hilbert_series(p, degree)))
-        except NotHopfAdmissible:
-            pass
+        gk = gk_dimension(factor_series(hilbert_series(p, degree)))
     return SignatureReport(
         weight_bound, tuple(entries), tuple(by_level), gk, gk is not None and len(entries) == gk
     )

@@ -312,6 +312,57 @@ def test_negative_flag_is_usage_error(capsys, argv, flag):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("nf", "--expr", "a"), "give a presentation with --builtin or --file"),
+        (("coradical", "--builtin", "J", "--builtin", "L"),
+         "this command takes exactly one presentation"),
+        (("dump-builtin", "--builtin", "J", "--builtin", "L"),
+         "dump-builtin takes exactly one --builtin"),
+        # checked before any presentation is loaded, so the missing file is never read
+        (("dump-builtin", "--file", "/nonexistent", "--builtin", "J"),
+         "dump-builtin takes exactly one --builtin"),
+        (("compare-centers", "--builtin", "J", "--power", "2"),
+         "compare-centers needs at least two presentations"),
+        (("compare-centers", "--builtin", "L", "--builtin", "U_n5", "--power", "0",
+          "--weight-bound", "3", "--weight-bound", "4", "--weight-bound", "5"),
+         "give one --weight-bound, or exactly one per presentation"),
+    ],
+)
+def test_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def test_compare_centers_names_the_dimensions_it_cannot_separate(capsys):
+    # H6 and J share center dimension 12 at power 3, window 8; L has 13
+    code, out, err = run(
+        capsys, "compare-centers", "--builtin", "H6", "--builtin", "L", "--builtin", "J",
+        "--power", "3", "--weight-bound", "8",
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[3:5] == [
+        "the truncated centers do not separate these presentations",
+        "  same center dimension 12: H6, J",
+    ]
+    kv = keyvalues(out)
+    assert (kv["center.H6"], kv["center.L"], kv["center.J"]) == ("12", "13", "12")
+    assert kv["compare.separated"] == "false"
+
+    code, out, err = run(
+        capsys, "compare-centers", "--builtin", "H6", "--builtin", "L", "--builtin", "U_n5",
+        "--power", "3", "--weight-bound", "8", "--weight-bound", "8", "--weight-bound", "4",
+    )
+    assert code == 0
+    assert "the truncated centers separate these presentations\n\n" in out
+    assert "same center dimension" not in out
+    assert keyvalues(out)["compare.separated"] == "true"
+
+
 def test_zero_denominator_is_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "nf", "--builtin", "L", "--expr", "2/0 a")
     assert code == 2

@@ -21,6 +21,10 @@ axiom was verified in integers, one product per distinct leg;
 `antipode --file presentations/L_heavy.hopf --weight-bound 10` before
 tailed products were built from a (monomial x generator) table) and
 is never regenerated: a mismatch means a change altered an answer.
+One file was re-recorded because its answer was wrong: the
+seven-presentation `compare-centers` at power 3 said the centers
+separate the presentations although H6 and J both have center
+dimension 12; it now says they do not and names that shared dimension.
 `--file` paths are relative to the repository root.
 """
 

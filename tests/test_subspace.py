@@ -749,7 +749,7 @@ def test_coradical_kernel_keeps_the_term_budget(monkeypatch):
     from hopfkit.subspace import _coradical_chain
 
     J = builtin("J")
-    _coradical_chain(J, 6, levels=0)  # builds and caches the window's coproducts
+    _coradical_chain(J, 6, levels=0)  # builds the window's coproducts, memoized by hopf
     monkeypatch.setenv("HOPFKIT_MAX_TERMS", "40")
     with pytest.raises(BudgetExceeded, match=r"^intermediate expression has \d+ terms, budget is 40 "):
         coradical_levels(J, 6)

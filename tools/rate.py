@@ -38,11 +38,7 @@ products   monomial products per second read from the product table
            calls that found their pair already stored; generator_entries
            counts the memo keys whose right factor is a single letter, the
            (monomial x generator) products that tailed products are built
-           from (in a checkout that keeps them in a separate
-           _generator_table, the size of that table).  In a checkout without
-           _products the counted function is mono_product and the memo its
-           cache, so there the products that solve_antipode straightens by
-           itself are missing.
+           from.
 center     truncation centers per second (Truncation.center) of U_n5/I^6 at
            window 8, L/I^4 at window 9 and J/I^4 at window 9, each on a
            fresh presentation whose truncation is built outside the timed
@@ -225,10 +221,8 @@ def coradical(hopfkit, rng, repeats):
 
 def counted_products(p, run):
     """run() once with every product-table call on p counted, untimed."""
-    cls = type(p)
-    name = "_products" if "_products" in vars(cls) else "mono_product"
-    memo = p._product_memo if name == "_products" else p._mono_product_cache
-    table = vars(cls)[name]
+    cls, memo = type(p), p._product_memo
+    table = cls._products
     tailed = [pair for pair, rel in p.relations.items() if rel.tail]
     counts = dict.fromkeys(("products", "closed", "tailed", "hits"), 0)
 
@@ -243,16 +237,13 @@ def counted_products(p, run):
         return table(self, m1, m2)
 
     before = len(memo)
-    setattr(cls, name, counting)
+    cls._products = counting
     try:
         result = run()
     finally:
-        setattr(cls, name, table)
-    generators = vars(p).get("_generator_table")
-    if generators is None:
-        generators = [m2 for _, m2 in memo if sum(m2) == 1]
-    counts.update(table=name, entries=len(memo), stored=len(memo) - before,
-                  generator_entries=len(generators))
+        cls._products = table
+    counts.update(table="_products", entries=len(memo), stored=len(memo) - before,
+                  generator_entries=sum(sum(m2) == 1 for _, m2 in memo))
     return result, counts
 
 
