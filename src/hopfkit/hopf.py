@@ -34,24 +34,48 @@ from .pbw import PBWElement, Presentation, _integral
 # ----- tensor elements ------------------------------------------------------
 
 
-def _tensor_product(legs, xs, ys):
-    """Product of two {(left, right): coeff} maps in the tensor square.
+class _Legs(dict):
+    """A memo of leg products: legs[a, b] is product(a, b), built on first use."""
 
-    legs(a, b) gives the product of two leg monomials as (monomial,
-    coeff) pairs, read from the presentation's product table, whose
-    interned monomials make the (left, right) keys share their tuples.
+    __slots__ = ("product",)
+
+    def __init__(self, product):
+        super().__init__()
+        self.product = product
+
+    def __missing__(self, key):
+        hit = self[key] = self.product(*key)
+        return hit
+
+
+def _tensor_product(legs, xs, ys):
+    """Product of two elements of the tensor square, as a {(left, right): coeff} map.
+
+    Both factors are sequences of (left, right, coeff) triples, and
+    legs[a, b] is the product of two legs as (leg, coeff) pairs: read
+    from the presentation's product table on monomials, or from the
+    coproduct machine's memo of it on monomial ids.  Entries that cancel
+    are dropped before the result is checked against the term budget.
     """
     out = {}
-    for (a1, a2), c in xs.items():
-        for (b1, b2), d in ys.items():
+    get = out.get
+    for a1, a2, c in xs:
+        for b1, b2, d in ys:
             cd = c * d
-            right = legs(a2, b2)
-            for u, cu in legs(a1, b1):
+            right = legs[a2, b2]
+            for u, cu in legs[a1, b1]:
                 cu_cd = cd * cu
                 for v, cv in right:
-                    _acc(out, (u, v), cu_cd * cv)
+                    key = (u, v)
+                    out[key] = get(key, 0) + cu_cd * cv
+    out = {key: c for key, c in out.items() if c}
     check_budget(len(out))
     return out
+
+
+def _triples(terms):
+    """A {(left, right): coeff} map as (left, right, coeff) triples."""
+    return [(u, v, c) for (u, v), c in terms.items()]
 
 
 class TensorElement(_LinearCombination):
@@ -88,7 +112,9 @@ class TensorElement(_LinearCombination):
     def _product(self, other):
         if self.arity not in (2, None) or other.arity not in (2, None):
             raise TypeError("products are defined on the tensor square only")
-        return self._raw(self.pres, _tensor_product(self.pres._products, self.terms, other.terms))
+        legs = _Legs(self.pres._products)
+        product = _tensor_product(legs, _triples(self.terms), _triples(other.terms))
+        return self._raw(self.pres, product)
 
     def _order(self, legs):
         key = self.pres.mono_key
@@ -134,15 +160,25 @@ def _require_hopf(p):
 
 
 class _Machine:
-    """Per-presentation cache of Delta on basis monomials.
+    """Per-presentation cache of Delta on basis monomials, by monomial id.
 
-    Delta(m) = Delta(g) Delta(m / g), with g the first letter of m, is
-    built from leg products read from the presentation's product table.
-    _legs keeps the table's tuple per (leg of some Delta(g), window
-    monomial) pair, closed forms included, which the table itself does
-    not store.  Coefficients there and in the cached coproducts are ints
-    where integral, Fractions otherwise; the public values built from
-    them (coproduct, the reports) are Fractions.
+    Each basis monomial gets an id on first sight, the empty monomial 0,
+    so a coproduct numbers only the monomials its own build touches:
+    its recursion chain and the legs of its leg products.  monos maps
+    an id back to its monomial and ids a monomial to its id.
+
+    delta(i) is the reduced coproduct Delta(m) - m (x) 1 - 1 (x) m of
+    the monomial with id i, one tuple of (u, v, coeff) id triples, built
+    once and shared: the antipode check adds the two unit terms back and
+    the coradical chain reads the tuple as it is.  Delta(m) = Delta(g)
+    Delta(m / g), with g the first letter of m, is built from leg
+    products read from the presentation's product table through
+    _leg_products, a memo of the table's pairs per (id, id) pair, closed
+    forms included, which the table itself does not store.
+    Coefficients there and in the tuples are ints where integral,
+    Fractions otherwise; full_mono and reduced_mono decode a tuple to a
+    {(left, right): coeff} map, and the public values built from them
+    (coproduct, the reports) are Fractions.
     """
 
     def __init__(self, p):
@@ -151,52 +187,70 @@ class _Machine:
         n = len(p.alphabet)
         self.empty = (0,) * n
         self.gen_delta = {gi: dict(p.delta.get(gi, {})) for gi in range(n)}
-        self.gen_full = {}
-        for gi in range(n):
-            unit = [0] * n
-            unit[gi] = 1
-            unit = tuple(unit)
-            full = {(unit, self.empty): 1, (self.empty, unit): 1}
-            for key, coeff in self.gen_delta[gi].items():
-                _acc(full, key, _integral(coeff))
-            self.gen_full[gi] = full
-        self._legs = {}
-        self._full = {self.empty: {(self.empty, self.empty): 1}}
+        self.monos = [self.empty]
+        self.ids = {self.empty: 0}
+        self._deltas = [((0, 0, -1),)]  # id -> delta(m) triples, None until built; delta(1) = -1 (x) 1
+        self._gens = [None] * n  # generator -> Delta(g) triples, numbered on first use
+        self._leg_products = _Legs(self._leg_product)
 
-    def _leg_product(self, a, b):
-        """The product of leg monomials a and b, as (monomial, coeff) pairs."""
-        key = (a, b)
-        hit = self._legs.get(key)
+    def number(self, mono):
+        """The id of a monomial, given on first sight."""
+        i = self.ids.get(mono)
+        if i is None:
+            i = self.ids[mono] = len(self.monos)
+            self.monos.append(mono)
+            self._deltas.append(None)
+        return i
+
+    def _gen(self, gi):
+        """Delta(g) of a generator, unit terms first, as (u, v, coeff) id triples."""
+        hit = self._gens[gi]
         if hit is None:
-            hit = self._legs[key] = self.p._products(a, b)
+            unit = [0] * len(self.empty)
+            unit[gi] = 1
+            number = self.number
+            g = number(tuple(unit))
+            hit = ((g, 0, 1), (0, g, 1)) + tuple(
+                (number(u), number(v), _integral(c)) for (u, v), c in self.gen_delta[gi].items()
+            )
+            self._gens[gi] = hit
         return hit
 
-    def full_mono(self, mono):
-        """Delta of a basis monomial, as a {(left, right): coeff} map.
+    def _leg_product(self, a, b):
+        """The product of the legs with ids a and b, as (id, coeff) pairs."""
+        monos, number = self.monos, self.number
+        return tuple((number(w), c) for w, c in self.p._products(monos[a], monos[b]))
 
-        The map is shared and its coefficients are ints where integral.
-        """
-        hit = self._full.get(mono)
+    def delta(self, i):
+        """delta of the monomial with id i, as the shared tuple of (u, v, coeff) id triples."""
+        hit = self._deltas[i]
         if hit is not None:
             return hit
-        gi = next(i for i, e in enumerate(mono) if e)
-        rest = list(mono)
+        rest = list(self.monos[i])
+        gi = next(k for k, e in enumerate(rest) if e)
         rest[gi] -= 1
-        out = _tensor_product(self._leg_product, self.gen_full[gi], self.full_mono(tuple(rest)))
-        for key, c in out.items():
-            if type(c) is not int:
-                out[key] = _integral(c)
-        self._full[mono] = out
-        return out
+        r = self.number(tuple(rest))
+        full_rest = ((r, 0, 1), (0, r, 1)) + self.delta(r)
+        out = _tensor_product(self._leg_products, self._gen(gi), full_rest)
+        for key in ((i, 0), (0, i)):
+            _acc(out, key, -1)
+        hit = tuple((u, v, c if type(c) is int else _integral(c)) for (u, v), c in out.items())
+        self._deltas[i] = hit
+        return hit
 
     def reduced_mono(self, mono):
         """delta of a basis monomial: Delta(m) - m (x) 1 - 1 (x) m.
 
-        A fresh map, with full_mono's coefficients.
+        A fresh {(left, right): coeff} map, with delta's coefficients.
         """
-        out = dict(self.full_mono(mono))
+        monos = self.monos
+        return {(monos[u], monos[v]): c for u, v, c in self.delta(self.number(mono))}
+
+    def full_mono(self, mono):
+        """Delta of a basis monomial, as a fresh {(left, right): coeff} map."""
+        out = self.reduced_mono(mono)
         for key in ((mono, self.empty), (self.empty, mono)):
-            _acc(out, key, -1)
+            _acc(out, key, 1)
         return out
 
     def full(self, x):
@@ -399,13 +453,14 @@ def check_counit(p):
     generator_checks = []
     empty = mach.empty
     for gi in range(len(p.alphabet)):
+        gen = p.gen(gi).terms
         left, right = {}, {}
-        for (u, v), c in mach.gen_full[gi].items():
+        for (u, v), c in mach.full_mono(next(iter(gen))).items():
             if u == empty:
                 _acc(left, v, c)
             if v == empty:
                 _acc(right, u, c)
-        generator_checks.append((p.alphabet.names[gi], left == p.gen(gi).terms == right))
+        generator_checks.append((p.alphabet.names[gi], left == gen == right))
     return CounitReport(tuple(relation_checks), tuple(generator_checks))
 
 
@@ -483,19 +538,20 @@ def solve_antipode(p, weight_bound=None):
         table.by_gen[gi] = -p.gen(gi) - p.element(correction)
 
     budget = term_budget()
-    products, images = p._products, {}
+    products, monos, images = p._products, mach.monos, {}
 
-    def image(m):
-        """S(m) as (monomial, coeff) pairs, ints where integral."""
-        hit = images.get(m)
+    def image(i):
+        """S of the monomial with id i as (monomial, coeff) pairs, ints where integral."""
+        hit = images.get(i)
         if hit is None:
-            hit = tuple((w, _integral(c)) for w, c in table.apply_mono(m).terms.items())
-            images[m] = hit
+            hit = tuple((w, _integral(c)) for w, c in table.apply_mono(monos[i]).terms.items())
+            images[i] = hit
         return hit
 
     def accumulate(out, sums, leg_first):
-        """Add x a, or a x when leg_first, to out for each leg a and sum x in sums."""
+        """Add x a, or a x when leg_first, to out for each leg id a and sum x in sums."""
         for a, x in sums.items():
+            a = monos[a]
             for w, c in x.items():
                 for m, d in products(a, w) if leg_first else products(w, a):
                     _acc(out, m, c * d)
@@ -505,8 +561,9 @@ def solve_antipode(p, weight_bound=None):
 
     checked = 0
     for mono in p.enumerate_basis(weight_bound):
-        by_right, by_left = {}, {}  # v -> sum_u c S(u), u -> sum_v c S(v)
-        for (u, v), c in mach.full_mono(mono).items():
+        i = mach.number(mono)
+        by_right, by_left = {}, {}  # v -> sum_u c S(u), u -> sum_v c S(v), legs by id
+        for u, v, c in ((i, 0, 1), (0, i, 1)) + mach.delta(i):
             x = by_right.setdefault(v, {})
             for w, d in image(u):
                 _acc(x, w, c * d)

@@ -480,9 +480,13 @@ def primitive_space(p, weight_bound):
 class _CoradicalState:
     """The coradical chain of one window, one level at a time.
 
-    Each reduced coproduct is kept, in window order, as the position of
-    its monomial, integer (u, v, coeff) position triples and the factor
-    that cleared its denominators (1 when its coefficients are ints).
+    Each reduced coproduct is read in place from the coproduct machine,
+    as the machine's own tuple of (u, v, coeff) monomial id triples, and
+    kept in window order with the position of its monomial and the
+    factor that clears its denominators (1 when its coefficients are
+    ints).  Two lists indexed by id restore window order: offset, the
+    window position of a left leg times the window size, and, per
+    level, kappa of a right leg.
     """
 
     def __init__(self, p, weight_bound):
@@ -490,16 +494,18 @@ class _CoradicalState:
         self.aug = [m for m in self.index if any(m)]
         mach = _hopf._machine(p)
         position = self.index.position
-        self.deltas = []
+        self.coproducts = []
         for m in self.aug:
-            delta = mach.reduced_mono(m)
-            den = lcm(*(c.denominator for c in delta.values() if type(c) is not int))
-            terms = [
-                (position[u], position[v], c if den == 1 else c.numerator * (den // c.denominator))
-                for (u, v), c in delta.items()
-            ]
-            self.deltas.append((position[m], terms, den))
-        self.legs = {v for _, terms, _ in self.deltas for _, v, _ in terms}  # kappa's domain
+            terms = mach.delta(mach.number(m))
+            factor = lcm(*(c.denominator for _, _, c in terms if type(c) is not int))
+            self.coproducts.append((position[m], terms, factor))
+        size = len(self.index)
+        self.position = [None] * len(mach.monos)  # id -> window position
+        self.offset = [None] * len(mach.monos)  # id -> window position * size
+        for m, pos in position.items():
+            i = mach.ids[m]
+            self.position[i], self.offset[i] = pos, pos * size
+        self.legs = {v for _, terms, _ in self.coproducts for _, v, _ in terms}  # kappa's domain
         self.chain = []
         self.stable = False
 
@@ -517,32 +523,35 @@ class _CoradicalState:
         kappa of every right-leg monomial is brought to one integer
         denominator for the level, so each image is built in integers,
         at that denominator times the factor that cleared its coproduct;
-        u (x) v is column u * size + v, in window order, and the
-        monomial's tag, scaled by the same factor, is column _TAGS + its
-        position.  The level's denominator cancels, so the kernel tags,
+        u (x) v is column u * size + v, u and v window positions, which
+        offset and kappa give by id whatever order the ids were handed
+        out in, and the monomial's tag, scaled by the same factor, is
+        column _TAGS + its position.  The level's denominator cancels, so the kernel tags,
         {position: Fraction} maps, are exactly those of the rational
         images.  An image of more terms than the term budget raises
         BudgetExceeded.
         """
-        size = len(self.index)
         previous = self.chain[-1]._elim if self.chain else _Echelon()
-        rems = {pos: previous.remainder({pos: 1}) for pos in self.legs}
+        position = self.position
+        rems = {i: previous.remainder({position[i]: 1}) for i in self.legs}
         den = lcm(*(d for _, d in rems.values()))
-        kappa = {
-            pos: rem if d == den else {c: v * (den // d) for c, v in rem.items()}
-            for pos, (rem, d) in rems.items()
-        }
-        pivots = previous.rows
+        kappa = [None] * len(position)
+        for i, (rem, d) in rems.items():
+            scale = den // d
+            kappa[i] = tuple((c, v * scale) for c, v in rem.items())
+        offset, pivots = self.offset, previous.rows
         budget = term_budget()
         elim = _Echelon()
-        for pos, terms, factor in self.deltas:
+        for pos, terms, factor in self.coproducts:
             if pos in pivots:
                 continue
+            if factor != 1:  # cleared term by term, never stored
+                terms = ((u, v, c.numerator * (factor // c.denominator)) for u, v, c in terms)
             image = {}
             get = image.get
             for u, v, c in terms:
-                start = u * size
-                for col, cv in kappa[v].items():
+                start = offset[u]
+                for col, cv in kappa[v]:
                     key = start + col
                     image[key] = get(key, 0) + c * cv
             image = {k: x for k, x in image.items() if x}
@@ -647,7 +656,8 @@ def signature(p, weight_bound):
     chain = _coradical_chain(p, weight_bound)
     index = MonomialIndex(p, weight_bound)
     wide = MonomialIndex(p, 2 * weight_bound)
-    assert wide.monomials[: len(index)] == index.monomials, "window is not a prefix of its double"
+    if wide.monomials[: len(index)] != index.monomials:
+        raise AssertionError(f"window {weight_bound} is not a prefix of its double")
     bases = [[]] + [s.basis() for s in chain]  # bases[n] = basis of S_n
     elim = _Echelon()
     full = len(wide)

@@ -17,6 +17,8 @@ from hopfkit import (
 from hopfkit.errors import NotHopfAdmissible
 from hopfkit.grading import PowerSeries, series_settles
 
+from strategies import nilpotent_lie_algebras
+
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 
 
@@ -41,6 +43,18 @@ def test_series_matches_enumeration():
     for name in ("H6", "J", "L", "U_n5", "heis3", "poly(2)", "qplane(3)"):
         p = builtin(name)
         assert p.basis_counts(8) == hilbert_series(p, 8).coeffs, name
+
+    # and on random graded nilpotent Lie algebras, whose generators have
+    # weights up to the top degree
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+    @hypothesis.given(nilpotent_lie_algebras())
+    def check(algebra):
+        p = algebra[0]
+        assert p.basis_counts(8) == hilbert_series(p, 8).coeffs
+
+    check()
 
 
 def test_factorization_values():

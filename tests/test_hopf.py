@@ -16,6 +16,7 @@ from hopfkit import (
     coproduct,
     counit,
     drop_correction,
+    hilbert_series,
     is_primitive,
     parse_presentation,
     reduced_coproduct,
@@ -363,10 +364,37 @@ def test_full_mono_matches_the_reference_recursion():
             for key in ((m, mach.empty), (mach.empty, m)):
                 _acc(expected, key, Fraction(-1))
             assert mach.reduced_mono(m) == expected, (name, m)
-        # the leg memo holds one entry per (leg of some Delta(g), window monomial)
-        legs = {leg for full in mach.gen_full.values() for pair in full for leg in pair}
-        assert {a for a, _ in mach._legs} <= legs, name
+        # the leg memo, keyed by monomial ids, holds one entry per (leg of
+        # some Delta(g), window monomial)
+        gens = [next(iter(p.gen(gi).terms)) for gi in range(len(p.alphabet))]
+        legs = {leg for g in gens for pair in mach.full_mono(g) for leg in pair}
+        assert {mach.monos[a] for a, _ in mach._leg_products} <= legs, name
     assert fractional  # J_scaled_d has fractional coproducts
+
+
+@pytest.mark.parametrize(
+    "name,exponents", [("J", {"a": 40, "z": 3}), ("heis3", {"x": 2, "y": 200})]
+)
+def test_heavy_coproduct_numbers_only_what_it_needs(name, exponents):
+    from hopfkit import hopf
+
+    p = builtin(name)
+    m = [0] * len(p.alphabet)
+    for g, e in exponents.items():
+        m[p.alphabet.index_of(g)] = e
+    m = tuple(m)
+    mach = hopf._machine(p)
+    delta = mach.full_mono(m)
+    assert delta == _reference_full_mono(p, m, {})
+    # Delta(m) is built from Delta(m / g), g the first letter, down to 1
+    chain, rest = {m}, list(m)
+    while any(rest):
+        rest[next(i for i, e in enumerate(rest) if e)] -= 1
+        chain.add(tuple(rest))
+    legs = {leg for pair in delta for leg in pair}
+    assert len(mach.monos) <= len(legs | chain)
+    window = sum(hilbert_series(p, p.mono_weight(m)).coeffs)  # enumerate_basis's length
+    assert 1000 * len(mach.monos) < window
 
 
 def test_full_mono_keeps_the_term_budget(monkeypatch):

@@ -347,6 +347,33 @@ def test_coradical_nesting():
     assert all(a < b for a, b in zip(dims, dims[1:]))
 
 
+def test_coradical_chain_reads_coproducts_numbered_out_of_window_order():
+    # monomials are numbered as coproducts reach them: a heavy coproduct
+    # built first numbers its legs and recursion chain, then the antipode
+    # check the rest of its window, so the ids no longer follow the window
+    # order; the chain's columns and pivots, put back in window order, must
+    # not see it
+    from hopfkit import coproduct, hopf, solve_antipode
+    from hopfkit.subspace import _CoradicalState
+
+    J, fresh = builtin("J"), builtin("J")
+    window = J.enumerate_basis(10)
+    coproduct(J, J.element({window[-1]: 1}))
+    solve_antipode(J, 9)
+    mach = hopf._machine(J)
+    ids = [mach.number(m) for m in window]
+    assert ids != sorted(ids)
+    assert coradical_levels(J, 9) == coradical_levels(fresh, 9)
+    primitives, expected = primitive_space(J, 10), primitive_space(fresh, 10)
+    assert primitives.dim == expected.dim
+    assert [str(b) for b in primitives.basis()] == [str(b) for b in expected.basis()]
+    state = _CoradicalState(J, 10)
+    assert len(state.coproducts) == len(window) - 1
+    for (pos, terms, factor), m in zip(state.coproducts, window[1:]):
+        assert terms is mach.delta(mach.ids[m]), m  # the machine's own tuple, not a copy
+        assert (pos, factor) == (state.index.position[m], 1)
+
+
 def test_signature_of_l():
     sig = signature(builtin("L"), 6)
     assert sig.entries == (1, 1, 1, 2, 2)

@@ -20,9 +20,11 @@ nf         rewrite steps per second of Presentation.normal_form, on seeded
            words of L, J, U_n5, heis3 and qplane(3/2); a counting loop that
            follows the rewrite strategy (the largest live word first, at its
            leftmost misordered pair) gives the steps and the answers.
-coproduct  basis monomials per second whose Delta _Machine.full_mono builds,
-           in a seeded order, on a fresh presentation per pass; the counit
-           law is checked on every coproduct.
+coproduct  basis monomials per second whose Delta the coproduct machine
+           builds into its table by monomial id (_Machine.delta), in a
+           seeded order, on a fresh presentation per pass; the counit law is
+           checked on every coproduct, decoded by full_mono outside the
+           timed region, whose terms are counted.
 antipode   basis monomials per second on which solve_antipode verifies the
            antipode axiom; S(S(g)) = g on every generator.
 coradical  levels per second of the coradical chain (coradical_levels); the
@@ -45,8 +47,8 @@ center     truncation centers per second (Truncation.center) of U_n5/I^6 at
            region; every representative must commute with every generator
            class.
 
-antipode and coradical run on a fresh presentation whose coproducts of the
-window were built beforehand, outside the timed region, and each pass
+antipode and coradical run on a fresh presentation whose coproduct table of
+the window was built beforehand, outside the timed region, and each pass
 runs the windows in an order shuffled by the seed.
 """
 
@@ -144,9 +146,18 @@ def nf(hopfkit, rng, repeats):
     return cases, (("steps", "steps_per_s"),)
 
 
-def coproduct(hopfkit, rng, repeats):
+def build_coproducts(p, monos):
+    """Build the coproduct table of p, by monomial id, for the monomials monos."""
     from hopfkit import hopf
 
+    mach = hopf._machine(p)
+    delta, number = mach.delta, mach.number
+    for m in monos:
+        delta(number(m))
+    return mach
+
+
+def coproduct(hopfkit, rng, repeats):
     cases = {}
     for name, bound in COPRODUCT_PLAN:
         monos = hopfkit.builtin(name).enumerate_basis(bound)
@@ -154,13 +165,10 @@ def coproduct(hopfkit, rng, repeats):
         best = terms = None
         for _ in range(repeats):
             p = hopfkit.builtin(name)
-            full_mono = hopf._machine(p).full_mono
-            start = time.process_time()
-            for m in monos:
-                full_mono(m)
-            elapsed = time.process_time() - start
+            mach, elapsed = cpu(build_coproducts, p, monos)
             best = elapsed if best is None else min(best, elapsed)
             if terms is None:
+                full_mono = mach.full_mono
                 empty = (0,) * len(p.alphabet)
                 for m in monos:
                     if not counit_holds(m, full_mono(m), empty):
@@ -173,11 +181,9 @@ def coproduct(hopfkit, rng, repeats):
 def prebuilt_windows(hopfkit, plan, rng, repeats, run):
     """{window key: (counts, best seconds)} of run(p, bound, monos, key) -> (counts, seconds).
 
-    Each call gets a fresh presentation whose coproducts of the window's
-    basis monomials monos are built; run times its own part and checks it.
+    Each call gets a fresh presentation whose coproduct table holds the
+    window's basis monomials monos; run times its own part and checks it.
     """
-    from hopfkit import hopf
-
     cases = {}
     for _ in range(repeats):
         order = list(plan)
@@ -185,9 +191,7 @@ def prebuilt_windows(hopfkit, plan, rng, repeats, run):
         for name, bound in order:
             p = hopfkit.builtin(name)
             monos = p.enumerate_basis(bound)
-            full_mono = hopf._machine(p).full_mono
-            for m in monos:
-                full_mono(m)
+            build_coproducts(p, monos)
             key = f"{name}@{bound}"
             counts, elapsed = run(p, bound, monos, key)
             cases[key] = (counts, min(cases.get(key, (None, elapsed))[1], elapsed))
@@ -248,13 +252,9 @@ def counted_products(p, run):
 
 
 def products(hopfkit, rng, repeats):
-    from hopfkit import hopf
-
     def antipode_j(p):
         monos = p.enumerate_basis(9)
-        full_mono = hopf._machine(p).full_mono
-        for m in monos:
-            full_mono(m)
+        build_coproducts(p, monos)
 
         def run():
             table = hopfkit.solve_antipode(p, 9)
