@@ -18,6 +18,7 @@ tensors, never as tolerances.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 import random
 
 from .errors import (
@@ -34,25 +35,34 @@ from .pbw import PBWElement, Presentation, _integral
 # ----- tensor elements ------------------------------------------------------
 
 
-class _Legs(dict):
-    """A memo of leg products: legs[a, b] is product(a, b), built on first use."""
+class _Memo(dict):
+    """memo[key] is build(key), built on first use."""
 
-    __slots__ = ("product",)
+    __slots__ = ("build",)
 
-    def __init__(self, product):
+    def __init__(self, build):
         super().__init__()
-        self.product = product
+        self.build = build
 
     def __missing__(self, key):
-        hit = self[key] = self.product(*key)
+        hit = self[key] = self.build(key)
         return hit
+
+
+def _legs(product):
+    """A memo of leg products: legs[a][b] is product(a, b), built on first use.
+
+    One row per left leg a, so a lookup hashes a and b apart and builds
+    no key pair.
+    """
+    return _Memo(lambda a: _Memo(partial(product, a)))
 
 
 def _tensor_product(legs, xs, ys):
     """Product of two elements of the tensor square, as a {(left, right): coeff} map.
 
     Both factors are sequences of (left, right, coeff) triples, and
-    legs[a, b] is the product of two legs as (leg, coeff) pairs: read
+    legs[a][b] is the product of two legs as (leg, coeff) pairs: read
     from the presentation's product table on monomials, or from the
     coproduct machine's memo of it on monomial ids.  Entries that cancel
     are dropped before the result is checked against the term budget.
@@ -60,10 +70,11 @@ def _tensor_product(legs, xs, ys):
     out = {}
     get = out.get
     for a1, a2, c in xs:
+        lefts, rights = legs[a1], legs[a2]
         for b1, b2, d in ys:
             cd = c * d
-            right = legs[a2, b2]
-            for u, cu in legs[a1, b1]:
+            right = rights[b2]
+            for u, cu in lefts[b1]:
                 cu_cd = cd * cu
                 for v, cv in right:
                     key = (u, v)
@@ -112,7 +123,7 @@ class TensorElement(_LinearCombination):
     def _product(self, other):
         if self.arity not in (2, None) or other.arity not in (2, None):
             raise TypeError("products are defined on the tensor square only")
-        legs = _Legs(self.pres._products)
+        legs = _legs(self.pres._products)
         product = _tensor_product(legs, _triples(self.terms), _triples(other.terms))
         return self._raw(self.pres, product)
 
@@ -173,8 +184,12 @@ class _Machine:
     the coradical chain reads the tuple as it is.  Delta(m) = Delta(g)
     Delta(m / g), with g the first letter of m, is built from leg
     products read from the presentation's product table through
-    _leg_products, a memo of the table's pairs per (id, id) pair, closed
-    forms included, which the table itself does not store.
+    _leg_products, a memo of the table's pairs by id, legs[a][b] for
+    the product of the legs with ids a and b, closed forms included,
+    which the table itself does not store.  Equal products share one
+    tuple, so the closed forms, each one monomial with coefficient 1
+    under q = 1, cost one tuple ((id, 1),) per id however many pairs
+    give it.  The antipode check reads its products from the same memo.
     Coefficients there and in the tuples are ints where integral,
     Fractions otherwise; full_mono and reduced_mono decode a tuple to a
     {(left, right): coeff} map, and the public values built from them
@@ -191,7 +206,8 @@ class _Machine:
         self.ids = {self.empty: 0}
         self._deltas = [((0, 0, -1),)]  # id -> delta(m) triples, None until built; delta(1) = -1 (x) 1
         self._gens = [None] * n  # generator -> Delta(g) triples, numbered on first use
-        self._leg_products = _Legs(self._leg_product)
+        self._leg_products = _legs(self._leg_product)
+        self._shared = {}  # each distinct leg product's one tuple, keyed by itself
 
     def number(self, mono):
         """The id of a monomial, given on first sight."""
@@ -217,9 +233,24 @@ class _Machine:
         return hit
 
     def _leg_product(self, a, b):
-        """The product of the legs with ids a and b, as (id, coeff) pairs."""
+        """The product of the legs with ids a and b: one shared tuple of (id, coeff) pairs."""
         monos, number = self.monos, self.number
-        return tuple((number(w), c) for w, c in self.p._products(monos[a], monos[b]))
+        pairs = tuple((number(w), c) for w, c in self.p._products(monos[a], monos[b]))
+        return self._shared.setdefault(pairs, pairs)
+
+    def multiply(self, x, y):
+        """The product of two algebra elements, p.multiply(x, y), read from the leg memo by id."""
+        number, legs, monos = self.number, self._leg_products, self.monos
+        ys = [(number(m), c) for m, c in y.terms.items()]
+        out = {}
+        for m, c in x.terms.items():
+            row = legs[number(m)]
+            for b, d in ys:
+                cd = c * d
+                for w, e in row[b]:
+                    _acc(out, w, cd * e)
+        check_budget(len(out))
+        return PBWElement._raw(self.p, {monos[w]: c for w, c in out.items()})
 
     def delta(self, i):
         """delta of the monomial with id i, as the shared tuple of (u, v, coeff) id triples."""
@@ -482,7 +513,11 @@ class AntipodeTable:
         return self.by_gen[gi]
 
     def apply_mono(self, mono):
-        """S on a basis monomial, by the reversed-product rule."""
+        """S on a basis monomial, by the reversed-product rule.
+
+        S(m) = S(m / g) S(g), with g the first letter of m; the products
+        are read from the coproduct machine's leg memo.
+        """
         hit = self._mono_cache.get(mono)
         if hit is not None:
             return hit
@@ -493,7 +528,7 @@ class AntipodeTable:
             gi = next(i for i, e in enumerate(mono) if e)
             rest = list(mono)
             rest[gi] -= 1
-            result = p.multiply(self.apply_mono(tuple(rest)), self.by_gen[gi])
+            result = _machine(p).multiply(self.apply_mono(tuple(rest)), self.by_gen[gi])
         self._mono_cache[mono] = result
         return result
 
@@ -517,66 +552,84 @@ def solve_antipode(p, weight_bound=None):
 
     The verification regroups each Delta(m) = sum c u (x) v by bilinearity,
     left = sum_v (sum_u c S(u)) v and right = sum_u u (sum_v c S(v)), so
-    each distinct leg takes part in one product, with int coefficients
-    where integral, read from the presentation's product table.  Both
-    sides are checked against the term budget, read once per call.
+    each distinct leg takes part in one product.  It runs on monomial ids:
+    S-images are (id, coeff) pairs numbered by the coproduct machine, with
+    int coefficients where integral, and every product is read by id from
+    the machine's memo of leg products, the one its coproducts are built
+    from.  Both sides are checked against the term budget, read once per
+    call; a failure decodes its residual back to monomials.
     """
     mach = _machine(p)
     if weight_bound is None:
         weight_bound = 2 * p.max_weight + 2
     table = AntipodeTable(p, {}, weight_bound)
 
-    def add_product(out, c, x, y):
-        for m, d in p.multiply(x, y).terms.items():
-            _acc(out, m, c * d)
-
     weights = p.alphabet.weights
     for gi in sorted(range(len(p.alphabet)), key=lambda i: (weights[i], i)):
         correction = {}
         for (u, v), c in mach.gen_delta[gi].items():
-            add_product(correction, c, table.apply_mono(u), p.element({v: 1}))
+            for m, d in mach.multiply(table.apply_mono(u), p.element({v: 1})).terms.items():
+                _acc(correction, m, c * d)
         table.by_gen[gi] = -p.gen(gi) - p.element(correction)
 
     budget = term_budget()
-    products, monos, images = p._products, mach.monos, {}
+    legs, monos, number = mach._leg_products, mach.monos, mach.number
 
     def image(i):
-        """S of the monomial with id i as (monomial, coeff) pairs, ints where integral."""
-        hit = images.get(i)
-        if hit is None:
-            hit = tuple((w, _integral(c)) for w, c in table.apply_mono(monos[i]).terms.items())
-            images[i] = hit
-        return hit
+        """S of the monomial with id i as (id, coeff) pairs, ints where integral."""
+        return tuple((number(w), _integral(c)) for w, c in table.apply_mono(monos[i]).terms.items())
+
+    images = _Memo(image)
 
     def accumulate(out, sums, leg_first):
         """Add x a, or a x when leg_first, to out for each leg id a and sum x in sums."""
+        get = out.get
         for a, x in sums.items():
-            a = monos[a]
+            row = legs[a] if leg_first else None
             for w, c in x.items():
-                for m, d in products(a, w) if leg_first else products(w, a):
-                    _acc(out, m, c * d)
+                for m, d in row[w] if leg_first else legs[w][a]:
+                    cd = c * d
+                    old = get(m)
+                    if old is None:
+                        out[m] = cd
+                    elif new := old + cd:
+                        out[m] = new
+                    else:
+                        del out[m]
             if len(out) > budget:
                 raise over_budget(len(out), budget)
         return out
 
+    def failure(mono, out, side):
+        residual = p.element({monos[m]: c for m, c in out.items()})
+        return AxiomFailure(p.render_mono(mono), residual, side)
+
     checked = 0
     for mono in p.enumerate_basis(weight_bound):
-        i = mach.number(mono)
-        by_right, by_left = {}, {}  # v -> sum_u c S(u), u -> sum_v c S(v), legs by id
+        i = number(mono)
+        by_right, by_left = {}, {}  # v -> sum_u c S(u), u -> sum_v c S(v), all by id
         for u, v, c in ((i, 0, 1), (0, i, 1)) + mach.delta(i):
-            x = by_right.setdefault(v, {})
-            for w, d in image(u):
-                _acc(x, w, c * d)
-            x = by_left.setdefault(u, {})
-            for w, d in image(v):
-                _acc(x, w, c * d)
-        eps = {} if any(mono) else {mono: -1}  # -epsilon(m) 1
+            for sums, leg, terms in ((by_right, v, images[u]), (by_left, u, images[v])):
+                x = sums.get(leg)
+                if x is None:
+                    x = sums[leg] = {}
+                get = x.get
+                for w, d in terms:
+                    cd = c * d
+                    old = get(w)
+                    if old is None:
+                        x[w] = cd
+                    elif new := old + cd:
+                        x[w] = new
+                    else:
+                        del x[w]
+        eps = {} if i else {0: -1}  # -epsilon(m) 1; the empty monomial is id 0
         left = accumulate(dict(eps), by_right, False)
         if left:
-            raise AxiomFailure(p.render_mono(mono), p.element(left), "left")
+            raise failure(mono, left, "left")
         right = accumulate(eps, by_left, True)
         if right:
-            raise AxiomFailure(p.render_mono(mono), p.element(right), "right")
+            raise failure(mono, right, "right")
         checked += 1
     table.monomials_checked = checked
     return table

@@ -95,8 +95,15 @@ def _combine(vec, r, a, row):
     if r != 1:
         for c in vec:
             vec[c] *= r
+    get = vec.get
     for c, v in row.items():
-        _acc(vec, c, -a * v)
+        old = get(c)
+        if old is None:
+            vec[c] = -a * v
+        elif new := old - a * v:
+            vec[c] = new
+        else:
+            del vec[c]
 
 
 class _Echelon:

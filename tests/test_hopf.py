@@ -364,11 +364,18 @@ def test_full_mono_matches_the_reference_recursion():
             for key in ((m, mach.empty), (mach.empty, m)):
                 _acc(expected, key, Fraction(-1))
             assert mach.reduced_mono(m) == expected, (name, m)
-        # the leg memo, keyed by monomial ids, holds one entry per (leg of
-        # some Delta(g), window monomial)
+        # the leg memo has one row per left factor, by monomial id; on a
+        # machine that has only built coproducts every left factor is a leg
+        # of some Delta(g) (the antipode check adds S-image monomials as left
+        # factors), and every entry is the product table's pair, by id
         gens = [next(iter(p.gen(gi).terms)) for gi in range(len(p.alphabet))]
         legs = {leg for g in gens for pair in mach.full_mono(g) for leg in pair}
-        assert {mach.monos[a] for a, _ in mach._leg_products} <= legs, name
+        monos = mach.monos
+        assert {monos[a] for a in mach._leg_products} <= legs, name
+        for a, row in mach._leg_products.items():
+            for b, pairs in row.items():
+                expected = p._products(monos[a], monos[b])
+                assert [(monos[w], c) for w, c in pairs] == list(expected), (name, a, b)
     assert fractional  # J_scaled_d has fractional coproducts
 
 
@@ -527,6 +534,42 @@ def test_verification_matches_the_reference_loop():
         expected = _failure(lambda: _reference_verify(p, _solved(p, 6)))
         assert expected[:2] == (monomial, side)
         assert _failure(lambda: solve_antipode(p, weight_bound=6)) == expected
+
+
+def test_antipode_check_reads_products_from_the_leg_memo(monkeypatch):
+    # the check reads every product by id from the coproduct machine's one
+    # leg memo, S-images included, so a second check on the presentation
+    # reads nothing from the product table
+    from hopfkit import coradical_levels, hopf, primitive_space
+
+    J, fresh = builtin("J"), builtin("J")
+    first = solve_antipode(J, 9)
+    table, calls = Presentation._products, []
+
+    def counting(self, m1, m2):
+        calls.append((m1, m2))
+        return table(self, m1, m2)
+
+    monkeypatch.setattr(Presentation, "_products", counting)
+    second = solve_antipode(J, 9)
+    monkeypatch.undo()
+    assert calls == []
+    assert second.monomials_checked == first.monomials_checked == 945
+    assert second.by_gen == first.by_gen
+    # a closed form, one monomial with coefficient 1, is one shared tuple per id
+    mach, units, closed = hopf._machine(J), {}, 0
+    for row in mach._leg_products.values():
+        for pairs in row.values():
+            if len(pairs) == 1 and pairs[0][1] == 1:
+                assert units.setdefault(pairs[0][0], pairs) is pairs
+                closed += 1
+    assert closed > 10 * len(units) > 1000
+    # the S-image monomials the check adds as left factors leave the
+    # coradical chain and the primitives as on a fresh presentation
+    assert coradical_levels(J, 9) == coradical_levels(fresh, 9)
+    primitives, expected = primitive_space(J, 10), primitive_space(fresh, 10)
+    assert primitives.dim == expected.dim
+    assert [str(b) for b in primitives.basis()] == [str(b) for b in expected.basis()]
 
 
 def test_both_loops_reject_a_flipped_antipode_entry(monkeypatch):

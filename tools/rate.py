@@ -40,7 +40,9 @@ products   monomial products per second read from the product table
            calls that found their pair already stored; generator_entries
            counts the memo keys whose right factor is a single letter, the
            (monomial x generator) products that tailed products are built
-           from.
+           from.  solve_antipode reads the table through the coproduct
+           machine's leg memo, once per distinct pair; the J case adds that
+           memo's rows (left factors) and entries (pairs) after the pass.
 center     truncation centers per second (Truncation.center) of U_n5/I^6 at
            window 8, L/I^4 at window 9 and J/I^4 at window 9, each on a
            fresh presentation whose truncation is built outside the timed
@@ -274,6 +276,13 @@ def products(hopfkit, rng, repeats):
 
         return run
 
+    def leg_memo(p):
+        """Rows and entries of the coproduct machine's leg memo, legs[a][b] by monomial id."""
+        from hopfkit import hopf
+
+        legs = hopf._machine(p)._leg_products
+        return {"leg_rows": len(legs), "leg_entries": sum(map(len, legs.values()))}
+
     plan = {"antipode J@9": ("J", antipode_j), "signature L@9": ("L", signature_l)}
     cases = {}
     for _ in range(repeats):
@@ -286,6 +295,8 @@ def products(hopfkit, rng, repeats):
     for key, (name, prepare) in plan.items():
         p = hopfkit.builtin(name)
         _, counts = counted_products(p, prepare(p))
+        if key == "antipode J@9":
+            counts.update(leg_memo(p))
         cases[key] = (counts, cases[key])
     return cases, (("products", "products_per_s"),)
 
