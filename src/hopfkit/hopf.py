@@ -58,35 +58,62 @@ def _legs(product):
     return _Memo(lambda a: _Memo(partial(product, a)))
 
 
-def _tensor_product(legs, xs, ys):
+def _tensor_product(legs, one, xs, ys):
     """Product of two elements of the tensor square, as a {(left, right): coeff} map.
 
-    Both factors are sequences of (left, right, coeff) triples, and
-    legs[a][b] is the product of two legs as (leg, coeff) pairs: read
-    from the presentation's product table on monomials, or from the
-    coproduct machine's memo of it on monomial ids.  Entries that cancel
+    Both factors are flat sequences (left0, right0, coeff0, left1, ...),
+    read three at a time, and legs[a][b] is the product of two legs as
+    (leg, coeff) pairs: read from the presentation's product table on
+    monomials, or from the coproduct machine's memo of it on monomial
+    ids.  one is the unit leg, and one times b is b, so a left term
+    a (x) one or one (x) a multiplies one leg only.  Entries that cancel
     are dropped before the result is checked against the term budget.
     """
     out = {}
     get = out.get
-    for a1, a2, c in xs:
-        lefts, rights = legs[a1], legs[a2]
-        for b1, b2, d in ys:
-            cd = c * d
-            right = rights[b2]
-            for u, cu in lefts[b1]:
-                cu_cd = cd * cu
-                for v, cv in right:
-                    key = (u, v)
-                    out[key] = get(key, 0) + cu_cd * cv
+    xs = iter(xs)
+    for a1, a2, c in zip(xs, xs, xs):
+        it = iter(ys)
+        terms = zip(it, it, it)
+        if a2 == one:  # (a1 (x) 1)(b1 (x) b2) = a1 b1 (x) b2
+            lefts = legs[a1]
+            for b1, b2, d in terms:
+                cd = c * d
+                for u, cu in lefts[b1]:
+                    key = (u, b2)
+                    out[key] = get(key, 0) + cd * cu
+        elif a1 == one:  # (1 (x) a2)(b1 (x) b2) = b1 (x) a2 b2
+            rights = legs[a2]
+            for b1, b2, d in terms:
+                cd = c * d
+                for v, cv in rights[b2]:
+                    key = (b1, v)
+                    out[key] = get(key, 0) + cd * cv
+        else:
+            lefts, rights = legs[a1], legs[a2]
+            for b1, b2, d in terms:
+                cd = c * d
+                right = rights[b2]
+                for u, cu in lefts[b1]:
+                    cu_cd = cd * cu
+                    for v, cv in right:
+                        key = (u, v)
+                        out[key] = get(key, 0) + cu_cd * cv
     out = {key: c for key, c in out.items() if c}
     check_budget(len(out))
     return out
 
 
-def _triples(terms):
-    """A {(left, right): coeff} map as (left, right, coeff) triples."""
-    return [(u, v, c) for (u, v), c in terms.items()]
+def _flat(terms):
+    """A {(left, right): coeff} map as one flat tuple (left0, right0, coeff0, left1, ...).
+
+    Built by slice assignment, with no tuple per term.
+    """
+    flat = [None] * (3 * len(terms))
+    if terms:
+        flat[0::3], flat[1::3] = zip(*terms)
+        flat[2::3] = terms.values()
+    return tuple(flat)
 
 
 class TensorElement(_LinearCombination):
@@ -123,8 +150,8 @@ class TensorElement(_LinearCombination):
     def _product(self, other):
         if self.arity not in (2, None) or other.arity not in (2, None):
             raise TypeError("products are defined on the tensor square only")
-        legs = _legs(self.pres._products)
-        product = _tensor_product(legs, _triples(self.terms), _triples(other.terms))
+        legs, one = _legs(self.pres._products), (0,) * len(self.pres.alphabet)
+        product = _tensor_product(legs, one, _flat(self.terms), _flat(other.terms))
         return self._raw(self.pres, product)
 
     def _order(self, legs):
@@ -179,21 +206,24 @@ class _Machine:
     an id back to its monomial and ids a monomial to its id.
 
     delta(i) is the reduced coproduct Delta(m) - m (x) 1 - 1 (x) m of
-    the monomial with id i, one tuple of (u, v, coeff) id triples, built
-    once and shared: the antipode check adds the two unit terms back and
-    the coradical chain reads the tuple as it is.  Delta(m) = Delta(g)
-    Delta(m / g), with g the first letter of m, is built from leg
-    products read from the presentation's product table through
-    _leg_products, a memo of the table's pairs by id, legs[a][b] for
-    the product of the legs with ids a and b, closed forms included,
-    which the table itself does not store.  Equal products share one
-    tuple, so the closed forms, each one monomial with coefficient 1
-    under q = 1, cost one tuple ((id, 1),) per id however many pairs
-    give it.  The antipode check reads its products from the same memo.
-    Coefficients there and in the tuples are ints where integral,
-    Fractions otherwise; full_mono and reduced_mono decode a tuple to a
-    {(left, right): coeff} map, and the public values built from them
-    (coproduct, the reports) are Fractions.
+    the monomial with id i, stored as one flat tuple
+    (u0, v0, c0, u1, v1, c1, ...) of left id, right id and coefficient
+    per term, with no tuple per term, built once and shared; its readers
+    take it three at a time with zip(it, it, it), it = iter(delta(i)).
+    The antipode check adds the two unit terms back and the coradical
+    chain reads the tuple as it is.  Delta(m) = Delta(g) Delta(m / g),
+    with g the first letter of m, is built from leg products read from
+    the presentation's product table through _leg_products, a memo of
+    the table's pairs by id, legs[a][b] for the product of the legs with
+    ids a and b, closed forms included, which the table itself does not
+    store.  Equal products share one tuple, so the closed forms, each one
+    monomial with coefficient 1 under q = 1, cost one tuple ((id, 1),)
+    per id however many pairs give it.  The antipode check reads its
+    products from the same memo.  Coefficients there and in the tuples
+    are ints where integral, Fractions otherwise; full_mono and
+    reduced_mono decode a tuple to a {(left, right): coeff} map, and the
+    public values built from them (coproduct, the reports) are
+    Fractions.
     """
 
     def __init__(self, p):
@@ -204,8 +234,8 @@ class _Machine:
         self.gen_delta = {gi: dict(p.delta.get(gi, {})) for gi in range(n)}
         self.monos = [self.empty]
         self.ids = {self.empty: 0}
-        self._deltas = [((0, 0, -1),)]  # id -> delta(m) triples, None until built; delta(1) = -1 (x) 1
-        self._gens = [None] * n  # generator -> Delta(g) triples, numbered on first use
+        self._deltas = [(0, 0, -1)]  # id -> flat delta(m), None until built; delta(1) = -1 (x) 1
+        self._gens = [None] * n  # generator -> flat Delta(g), numbered on first use
         self._leg_products = _legs(self._leg_product)
         self._shared = {}  # each distinct leg product's one tuple, keyed by itself
 
@@ -219,15 +249,17 @@ class _Machine:
         return i
 
     def _gen(self, gi):
-        """Delta(g) of a generator, unit terms first, as (u, v, coeff) id triples."""
+        """Delta(g) of a generator, unit terms first, as a flat tuple of ids and coefficients."""
         hit = self._gens[gi]
         if hit is None:
             unit = [0] * len(self.empty)
             unit[gi] = 1
             number = self.number
             g = number(tuple(unit))
-            hit = ((g, 0, 1), (0, g, 1)) + tuple(
-                (number(u), number(v), _integral(c)) for (u, v), c in self.gen_delta[gi].items()
+            hit = (g, 0, 1, 0, g, 1) + tuple(
+                x
+                for (u, v), c in self.gen_delta[gi].items()
+                for x in (number(u), number(v), _integral(c))
             )
             self._gens[gi] = hit
         return hit
@@ -253,20 +285,33 @@ class _Machine:
         return PBWElement._raw(self.p, {monos[w]: c for w, c in out.items()})
 
     def delta(self, i):
-        """delta of the monomial with id i, as the shared tuple of (u, v, coeff) id triples."""
-        hit = self._deltas[i]
+        """delta of the monomial with id i, as the shared flat tuple (u0, v0, c0, ...).
+
+        Built without recursion: walk down the first-letter chain
+        m, m / g, ... to the first stored entry, numbering each monomial
+        on the way, then build upward.
+        """
+        deltas = self._deltas
+        hit = deltas[i]
         if hit is not None:
             return hit
-        rest = list(self.monos[i])
-        gi = next(k for k, e in enumerate(rest) if e)
-        rest[gi] -= 1
-        r = self.number(tuple(rest))
-        full_rest = ((r, 0, 1), (0, r, 1)) + self.delta(r)
-        out = _tensor_product(self._leg_products, self._gen(gi), full_rest)
-        for key in ((i, 0), (0, i)):
-            _acc(out, key, -1)
-        hit = tuple((u, v, c if type(c) is int else _integral(c)) for (u, v), c in out.items())
-        self._deltas[i] = hit
+        chain = []  # (id, first letter) of each monomial above the stored entry
+        while hit is None:
+            rest = list(self.monos[i])
+            gi = next(k for k, e in enumerate(rest) if e)
+            rest[gi] -= 1
+            chain.append((i, gi))
+            i = self.number(tuple(rest))
+            hit = deltas[i]
+        for m, gi in reversed(chain):
+            full_rest = (i, 0, 1, 0, i, 1) + hit
+            out = _tensor_product(self._leg_products, 0, self._gen(gi), full_rest)
+            for key in ((m, 0), (0, m)):
+                _acc(out, key, -1)
+            if set(map(type, out.values())) - {int}:  # Fractions, some maybe integral
+                out = {key: c if type(c) is int else _integral(c) for key, c in out.items()}
+            hit = deltas[m] = _flat(out)
+            i = m
         return hit
 
     def reduced_mono(self, mono):
@@ -274,8 +319,8 @@ class _Machine:
 
         A fresh {(left, right): coeff} map, with delta's coefficients.
         """
-        monos = self.monos
-        return {(monos[u], monos[v]): c for u, v, c in self.delta(self.number(mono))}
+        monos, terms = self.monos, iter(self.delta(self.number(mono)))
+        return {(monos[u], monos[v]): c for u, v, c in zip(terms, terms, terms)}
 
     def full_mono(self, mono):
         """Delta of a basis monomial, as a fresh {(left, right): coeff} map."""
@@ -516,21 +561,28 @@ class AntipodeTable:
         """S on a basis monomial, by the reversed-product rule.
 
         S(m) = S(m / g) S(g), with g the first letter of m; the products
-        are read from the coproduct machine's leg memo.
+        are read from the coproduct machine's leg memo.  Built without
+        recursion: walk down the first-letter chain to the first cached
+        entry, or to 1, then build upward.
         """
-        hit = self._mono_cache.get(mono)
+        cache = self._mono_cache
+        hit = cache.get(mono)
         if hit is not None:
             return hit
-        p = self.pres
-        if not any(mono):
-            result = p.one()
-        else:
+        chain = []  # (monomial, first letter) of each monomial above the cached entry
+        while hit is None and any(mono):
             gi = next(i for i, e in enumerate(mono) if e)
+            chain.append((mono, gi))
             rest = list(mono)
             rest[gi] -= 1
-            result = _machine(p).multiply(self.apply_mono(tuple(rest)), self.by_gen[gi])
-        self._mono_cache[mono] = result
-        return result
+            mono = tuple(rest)
+            hit = cache.get(mono)
+        if hit is None:
+            hit = cache[mono] = self.pres.one()
+        multiply = _machine(self.pres).multiply
+        for m, gi in reversed(chain):
+            hit = cache[m] = multiply(hit, self.by_gen[gi])
+        return hit
 
     def apply(self, x):
         p = self.pres
@@ -552,12 +604,15 @@ def solve_antipode(p, weight_bound=None):
 
     The verification regroups each Delta(m) = sum c u (x) v by bilinearity,
     left = sum_v (sum_u c S(u)) v and right = sum_u u (sum_v c S(v)), so
-    each distinct leg takes part in one product.  It runs on monomial ids:
-    S-images are (id, coeff) pairs numbered by the coproduct machine, with
-    int coefficients where integral, and every product is read by id from
-    the machine's memo of leg products, the one its coproducts are built
-    from.  Both sides are checked against the term budget, read once per
-    call; a failure decodes its residual back to monomials.
+    each distinct leg takes part in one product.  The unit terms
+    m (x) 1 and 1 (x) m seed the sums, and the reduced part is read in
+    place from the machine's flat tuple, three entries per term.  It runs
+    on monomial ids: S-images are (id, coeff) pairs numbered by the
+    coproduct machine, with int coefficients where integral, and every
+    product is read by id from the machine's memo of leg products, the
+    one its coproducts are built from.  Both sides are checked against
+    the term budget, read once per call; a failure decodes its residual
+    back to monomials.
     """
     mach = _machine(p)
     if weight_bound is None:
@@ -607,8 +662,14 @@ def solve_antipode(p, weight_bound=None):
     checked = 0
     for mono in p.enumerate_basis(weight_bound):
         i = number(mono)
-        by_right, by_left = {}, {}  # v -> sum_u c S(u), u -> sum_v c S(v), all by id
-        for u, v, c in ((i, 0, 1), (0, i, 1)) + mach.delta(i):
+        # v -> sum_u c S(u) and u -> sum_v c S(v), all by id, starting from
+        # the unit terms m (x) 1 and 1 (x) m, with S(1) = 1
+        if i:
+            by_right, by_left = {0: dict(images[i]), i: {0: 1}}, {i: {0: 1}, 0: dict(images[i])}
+            flat = iter(mach.delta(i))
+        else:  # Delta(1) = 1 (x) 1
+            by_right, by_left, flat = {0: {0: 1}}, {0: {0: 1}}, iter(())
+        for u, v, c in zip(flat, flat, flat):
             for sums, leg, terms in ((by_right, v, images[u]), (by_left, u, images[v])):
                 x = sums.get(leg)
                 if x is None:

@@ -150,10 +150,10 @@ class _Echelon:
         rows = self.rows
         scale = 1
         while True:
-            pivots = [c for c in vec if c in rows]
-            if not pivots:
+            hits = rows.keys() & vec.keys()
+            if not hits:
                 return scale
-            col = min(pivots)
+            col = min(hits)
             row = rows[col]
             a, r = vec[col], row[col]
             g = gcd(a, r)
@@ -488,12 +488,15 @@ class _CoradicalState:
     """The coradical chain of one window, one level at a time.
 
     Each reduced coproduct is read in place from the coproduct machine,
-    as the machine's own tuple of (u, v, coeff) monomial id triples, and
-    kept in window order with the position of its monomial and the
-    factor that clears its denominators (1 when its coefficients are
-    ints).  Two lists indexed by id restore window order: offset, the
-    window position of a left leg times the window size, and, per
-    level, kappa of a right leg.
+    as the machine's own flat tuple (u0, v0, c0, u1, ...) of monomial ids
+    and coefficients, three entries per term, and kept in window order
+    with the position of its monomial and the factor that clears its
+    denominators (1 when its coefficients are ints).  The factor is read
+    from the coefficients terms[2::3] and the right legs, kappa's domain,
+    from terms[1::3].  Lists indexed by id restore window order: position
+    and offset, the window position of a leg and that position times the
+    window size, and, per level, kappa of a right leg that is a pivot of
+    the level before.
     """
 
     def __init__(self, p, weight_bound):
@@ -504,7 +507,7 @@ class _CoradicalState:
         self.coproducts = []
         for m in self.aug:
             terms = mach.delta(mach.number(m))
-            factor = lcm(*(c.denominator for _, _, c in terms if type(c) is not int))
+            factor = lcm(*(c.denominator for c in terms[2::3] if type(c) is not int))
             self.coproducts.append((position[m], terms, factor))
         size = len(self.index)
         self.position = [None] * len(mach.monos)  # id -> window position
@@ -512,7 +515,9 @@ class _CoradicalState:
         for m, pos in position.items():
             i = mach.ids[m]
             self.position[i], self.offset[i] = pos, pos * size
-        self.legs = {v for _, terms, _ in self.coproducts for _, v, _ in terms}  # kappa's domain
+        self.legs = set()  # kappa's domain
+        for _, terms, _ in self.coproducts:
+            self.legs.update(terms[1::3])
         self.chain = []
         self.stable = False
 
@@ -531,36 +536,45 @@ class _CoradicalState:
         denominator for the level, so each image is built in integers,
         at that denominator times the factor that cleared its coproduct;
         u (x) v is column u * size + v, u and v window positions, which
-        offset and kappa give by id whatever order the ids were handed
-        out in, and the monomial's tag, scaled by the same factor, is
-        column _TAGS + its position.  The level's denominator cancels, so the kernel tags,
+        offset, position and kappa give by id whatever order the ids were
+        handed out in, and the monomial's tag, scaled by the same factor,
+        is column _TAGS + its position.  A right leg that is no pivot of
+        the level before is its own remainder, so it writes its one
+        column, at the level's denominator, with no kappa entry.  The
+        level's denominator cancels, so the kernel tags,
         {position: Fraction} maps, are exactly those of the rational
         images.  An image of more terms than the term budget raises
         BudgetExceeded.
         """
         previous = self.chain[-1]._elim if self.chain else _Echelon()
-        position = self.position
-        rems = {i: previous.remainder({position[i]: 1}) for i in self.legs}
+        position, offset, pivots = self.position, self.offset, previous.rows
+        rems = {i: previous.remainder({position[i]: 1}) for i in self.legs if position[i] in pivots}
         den = lcm(*(d for _, d in rems.values()))
-        kappa = [None] * len(position)
+        kappa = [None] * len(position)  # id -> kappa of a pivot right leg
         for i, (rem, d) in rems.items():
             scale = den // d
             kappa[i] = tuple((c, v * scale) for c, v in rem.items())
-        offset, pivots = self.offset, previous.rows
         budget = term_budget()
         elim = _Echelon()
         for pos, terms, factor in self.coproducts:
             if pos in pivots:
                 continue
+            flat = iter(terms)
+            terms = zip(flat, flat, flat)
             if factor != 1:  # cleared term by term, never stored
                 terms = ((u, v, c.numerator * (factor // c.denominator)) for u, v, c in terms)
             image = {}
             get = image.get
             for u, v, c in terms:
-                start = offset[u]
-                for col, cv in kappa[v]:
-                    key = start + col
-                    image[key] = get(key, 0) + c * cv
+                kappa_v = kappa[v]
+                if kappa_v is None:  # kappa(v) = v
+                    key = offset[u] + position[v]
+                    image[key] = get(key, 0) + c * den
+                else:
+                    start = offset[u]
+                    for col, cv in kappa_v:
+                        key = start + col
+                        image[key] = get(key, 0) + c * cv
             image = {k: x for k, x in image.items() if x}
             if len(image) > budget:
                 raise over_budget(len(image), budget)

@@ -1,6 +1,8 @@
 """Coproduct machinery, axiom checks, antipode construction."""
 
 from fractions import Fraction
+from math import comb
+import sys
 
 import pytest
 
@@ -402,6 +404,96 @@ def test_heavy_coproduct_numbers_only_what_it_needs(name, exponents):
     assert len(mach.monos) <= len(legs | chain)
     window = sum(hilbert_series(p, p.mono_weight(m)).coeffs)  # enumerate_basis's length
     assert 1000 * len(mach.monos) < window
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_monomials_build_without_recursion():
+    # Delta(y^n) and S(y^n) walk the first-letter chain y^n, y^(n-1), ...,
+    # 1 without a Python frame per letter: with the recursion limit 100
+    # frames above the caller, y^400 still builds, against the closed forms
+    # Delta(y^n) = sum C(n, k) y^k (x) y^(n-k) and S(y^n) = (-1)^n y^n
+    from hopfkit import hopf
+
+    h = builtin("heis3")
+    y = h.alphabet.index_of("y")
+
+    def power(k):
+        return tuple(k if i == y else 0 for i in range(len(h.alphabet)))
+
+    table = solve_antipode(h, weight_bound=2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        built = {n: (hopf._machine(h).full_mono(power(n)), table.apply_mono(power(n))) for n in (400, 401)}
+    finally:
+        sys.setrecursionlimit(limit)
+    for n, (delta, s) in built.items():
+        assert delta == {(power(k), power(n - k)): comb(n, k) for k in range(n + 1)}, n
+        assert s == h.element({power(n): (-1) ** n}), n
+
+
+def test_coproduct_store_takes_at_most_32_bytes_a_term():
+    # every stored delta is one flat tuple of ids and coefficients, with no
+    # tuple per term; sys.getsizeof counts each tuple the store holds
+    from hopfkit import hopf
+
+    J = builtin("J")
+    mach = hopf._machine(J)
+    window = J.enumerate_basis(10)
+    for m in window:
+        mach.delta(mach.number(m))
+    stored = [d for d in mach._deltas if d is not None]
+    size = sum(sys.getsizeof(d) + sum(sys.getsizeof(x) for x in d if type(x) is tuple) for d in stored)
+    terms = sum(len(mach.reduced_mono(m)) for m in window)
+    assert terms > 100_000
+    assert size <= 32 * terms, size / terms
+
+
+def _check_tensor_products(p, xs, ys):
+    x, y = TensorElement(p, xs), TensorElement(p, ys)
+    expected = _reference_tensor_product(p, x.terms, y.terms)
+    assert (x * y).terms == expected, (xs, ys)
+
+
+def test_tensor_products_with_unit_legs_match_the_reference():
+    # a left term a (x) 1 or 1 (x) a multiplies one leg only, a term with
+    # no unit leg both; random tensor squares whose legs are often the unit,
+    # with coefficient 1 and others, against the leg-by-leg reference
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def squares(p, bound):
+        window = p.enumerate_basis(bound)
+        legs = st.one_of(st.just(window[0]), st.sampled_from(window))  # window[0] is 1
+        coeffs = st.sampled_from((Fraction(1), Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2)))
+        return st.dictionaries(st.tuples(legs, legs), coeffs, min_size=1, max_size=5)
+
+    J = builtin("J")
+    one = (0,) * len(J.alphabet)
+    a, b, c = (next(iter(J.gen(g).terms)) for g in "abc")
+    _check_tensor_products(
+        J, {(a, one): 1, (one, b): Fraction(-3, 2), (one, one): 2, (c, a): 1}, {(b, a): 2, (a, one): 1}
+    )
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check_j(data):
+        _check_tensor_products(J, data.draw(squares(J, 4)), data.draw(squares(J, 4)))
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+    @hypothesis.given(nilpotent_lie_algebras(), st.data())
+    def check_enveloping(algebra, data):
+        p = algebra[0]
+        _check_tensor_products(p, data.draw(squares(p, 3)), data.draw(squares(p, 3)))
+
+    check_j()
+    check_enveloping()
 
 
 def test_full_mono_keeps_the_term_budget(monkeypatch):

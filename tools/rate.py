@@ -24,25 +24,30 @@ coproduct  basis monomials per second whose Delta the coproduct machine
            builds into its table by monomial id (_Machine.delta), in a
            seeded order, on a fresh presentation per pass; the counit law is
            checked on every coproduct, decoded by full_mono outside the
-           timed region, whose terms are counted.
+           timed region, whose terms are counted.  store_bytes is the size
+           of that table: sys.getsizeof of every stored delta, every tuple
+           inside it counted.
 antipode   basis monomials per second on which solve_antipode verifies the
            antipode axiom; S(S(g)) = g on every generator.
 coradical  levels per second of the coradical chain (coradical_levels); the
            top level must hold the whole window, as its PBW basis counts it.
-products   monomial products per second read from the product table
-           (Presentation._products) by solve_antipode on J at window 9 and
-           by signature on L at window 9, with the table's memo entries
-           and hits; the antipode must verify every window monomial, and
-           L's signature must be (1, 1, 1, 2, 2).  The products are counted on
-           a separate, untimed pass: per call, closed (no tailed relation
-           crosses the pair) or tailed by the presentation's relations;
-           stored is what the pass added to the memo, hits the tailed
-           calls that found their pair already stored; generator_entries
-           counts the memo keys whose right factor is a single letter, the
-           (monomial x generator) products that tailed products are built
-           from.  solve_antipode reads the table through the coproduct
-           machine's leg memo, once per distinct pair; the J case adds that
-           memo's rows (left factors) and entries (pairs) after the pass.
+products   monomial products per second of solve_antipode on J at window 9
+           and of signature on L at window 9, with the product table's
+           (Presentation._products) memo entries and hits; the antipode
+           must verify every window monomial, and L's signature must be
+           (1, 1, 1, 2, 2).  Table reads are counted on a separate, untimed
+           pass: per call, closed (no tailed relation crosses the pair) or
+           tailed by the presentation's relations; stored is what the pass
+           added to the memo, hits the tailed calls that found their pair
+           already stored; generator_entries counts the memo keys whose
+           right factor is a single letter, the (monomial x generator)
+           products that tailed products are built from.  signature reads
+           the table directly, and its rate is over those reads, products.
+           solve_antipode reads every product through the coproduct
+           machine's leg memo and the table only once per pair the memo
+           lacks, so its reads are reported as table_reads and its rate is
+           over the memo's entries (pairs) after the pass, leg_entries,
+           beside its rows (left factors), leg_rows.
 center     truncation centers per second (Truncation.center) of U_n5/I^6 at
            window 8, L/I^4 at window 9 and J/I^4 at window 9, each on a
            fresh presentation whose truncation is built outside the timed
@@ -148,6 +153,15 @@ def nf(hopfkit, rng, repeats):
     return cases, (("steps", "steps_per_s"),)
 
 
+def store_bytes(mach):
+    """sys.getsizeof of every delta the coproduct machine stores, every tuple inside it counted."""
+    return sum(
+        sys.getsizeof(d) + sum(sys.getsizeof(x) for x in d if type(x) is tuple)
+        for d in mach._deltas
+        if d is not None
+    )
+
+
 def build_coproducts(p, monos):
     """Build the coproduct table of p, by monomial id, for the monomials monos."""
     from hopfkit import hopf
@@ -164,19 +178,20 @@ def coproduct(hopfkit, rng, repeats):
     for name, bound in COPRODUCT_PLAN:
         monos = hopfkit.builtin(name).enumerate_basis(bound)
         rng.shuffle(monos)
-        best = terms = None
+        best = counts = None
         for _ in range(repeats):
             p = hopfkit.builtin(name)
             mach, elapsed = cpu(build_coproducts, p, monos)
             best = elapsed if best is None else min(best, elapsed)
-            if terms is None:
+            if counts is None:
                 full_mono = mach.full_mono
                 empty = (0,) * len(p.alphabet)
                 for m in monos:
                     if not counit_holds(m, full_mono(m), empty):
                         raise SystemExit(f"the counit law fails on Delta({p.render_mono(m)}) in {name}")
-                terms = sum(len(full_mono(m)) for m in monos)
-        cases[f"{name}@{bound}"] = ({"monomials": len(monos), "terms": terms}, best)
+                counts = {"monomials": len(monos), "terms": sum(len(full_mono(m)) for m in monos),
+                          "store_bytes": store_bytes(mach)}
+        cases[f"{name}@{bound}"] = (counts, best)
     return cases, (("monomials", "monomials_per_s"), ("terms", "terms_per_s"))
 
 
@@ -296,9 +311,10 @@ def products(hopfkit, rng, repeats):
         p = hopfkit.builtin(name)
         _, counts = counted_products(p, prepare(p))
         if key == "antipode J@9":
+            counts["table_reads"] = counts.pop("products")
             counts.update(leg_memo(p))
         cases[key] = (counts, cases[key])
-    return cases, (("products", "products_per_s"),)
+    return cases, (("products", "products_per_s"), ("leg_entries", "leg_entries_per_s"))
 
 
 def center(hopfkit, rng, repeats):
@@ -335,15 +351,18 @@ def main(argv=None):
     import hopfkit
 
     cases, rates = commands[args.command](hopfkit, random.Random(args.seed), args.repeats)
-    result, total, total_s = {}, dict.fromkeys((count for count, _ in rates), 0), 0
+    # a rate is taken in each case that has its count, and in the total
+    # over those cases only
+    result, total, total_s = {}, {}, {}
     for key, (counts, best) in cases.items():
         result[key] = {**counts, "cpu_s": round(best, 4)}
-        result[key].update((rate, per_s(counts[count], best)) for count, rate in rates)
-        for count in total:
-            total[count] += counts[count]
-        total_s += best
-    result["total"] = {**total, "cpu_s": round(total_s, 4)}
-    result["total"].update((rate, per_s(total[count], total_s)) for count, rate in rates)
+        for count, rate in rates:
+            if count in counts:
+                result[key][rate] = per_s(counts[count], best)
+                total[count] = total.get(count, 0) + counts[count]
+                total_s[count] = total_s.get(count, 0) + best
+    result["total"] = {**total, "cpu_s": round(sum(best for _, best in cases.values()), 4)}
+    result["total"].update((rate, per_s(total[count], total_s[count])) for count, rate in rates if count in total)
     print(json.dumps(result))
     return 0
 
