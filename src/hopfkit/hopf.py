@@ -577,8 +577,11 @@ class AntipodeTable:
             rest[gi] -= 1
             mono = tuple(rest)
             hit = cache.get(mono)
-        if hit is None:
+        if not any(mono):  # S(1) = 1, and S(g) = 1 S(g) takes no product
             hit = cache[mono] = self.pres.one()
+            if chain:
+                mono, gi = chain.pop()
+                hit = cache[mono] = self.by_gen[gi]
         multiply = _machine(self.pres).multiply
         for m, gi in reversed(chain):
             hit = cache[m] = multiply(hit, self.by_gen[gi])
@@ -609,8 +612,9 @@ def solve_antipode(p, weight_bound=None):
     place from the machine's flat tuple, three entries per term.  It runs
     on monomial ids: S-images are (id, coeff) pairs numbered by the
     coproduct machine, with int coefficients where integral, and every
-    product is read by id from the machine's memo of leg products, the
-    one its coproducts are built from.  Both sides are checked against
+    product but those with the unit (1 w = w 1 = w, added as it is) is
+    read by id from the machine's memo of leg products, the one its
+    coproducts are built from.  Both sides are checked against
     the term budget, read once per call; a failure decodes its residual
     back to monomials.
     """
@@ -637,12 +641,19 @@ def solve_antipode(p, weight_bound=None):
     images = _Memo(image)
 
     def accumulate(out, sums, leg_first):
-        """Add x a, or a x when leg_first, to out for each leg id a and sum x in sums."""
+        """Add x a, or a x when leg_first, to out for each leg id a and sum x in sums.
+
+        A product with the unit, id 0, is the other factor, added as it is.
+        """
         get = out.get
         for a, x in sums.items():
-            row = legs[a] if leg_first else None
+            row = legs[a] if leg_first and a else None
             for w, c in x.items():
-                for m, d in row[w] if leg_first else legs[w][a]:
+                if a and w:
+                    products = row[w] if leg_first else legs[w][a]
+                else:
+                    products = ((a or w, 1),)
+                for m, d in products:
                     cd = c * d
                     old = get(m)
                     if old is None:

@@ -560,6 +560,16 @@ class Presentation:
         suffix.  A word is pushed when it enters the live map; a popped
         entry whose word is gone is skipped (lazy deletion).  Every rewrite
         lowers the key, so a popped word never comes back.
+
+        A popped word stays in a list and is rewritten in place while the
+        heap would pop it next.  A swap keeps weight, psi-weight and length
+        and lowers the code, so while no entry shares those three
+        (heap[0] >= below) the swapped word is not live and its entry is
+        the least; else each swap tests both.  A word that fails is pushed
+        or merged as any other.  Each in-place step is thus the heap's own
+        next pop, so for any presentation, confluent or not, the terms come
+        out in the same order, and BudgetExceeded at the same count, the
+        held word counted as live.
         """
         if isinstance(x, PBWElement):
             if x.pres is not self and x.pres != self:
@@ -593,36 +603,52 @@ class Presentation:
             if coeff is None:
                 continue
             if _DEBUG_ORDER:
-                weight, psi_weight, length, _ = self.rewrite_key(word)
-                assert entry == (-weight, -psi_weight, -length, -_word_code(word, n), word)
-            for pos in range(len(word) - 1):
-                if word[pos] > word[pos + 1]:
+                key = self.rewrite_key(word)
+                assert entry == (-key[0], -key[1], -key[2], -_word_code(word, n), word)
+            w, size, start, below = list(word), len(word), 0, (kw, kpsi, klen + 1)
+            while True:
+                for pos in range(start, size - 1):
+                    if w[pos] > w[pos + 1]:
+                        break
+                else:
+                    _acc(out, _word_to_monomial(w, n), coeff)
                     break
-            else:
-                _acc(out, _word_to_monomial(word, n), coeff)
-                continue
-            hi, lo = word[pos], word[pos + 1]
-            q, tails = rewrites[hi, lo]
-            prefix, suffix = word[:pos], word[pos + 2:]
-            shift = n ** len(suffix)
-            swapped = prefix + (lo, hi) + suffix
-            if _DEBUG_ORDER:
-                assert self.rewrite_key(swapped) < self.rewrite_key(word)
-            if swapped not in work:
-                heappush(heap, (kw, kpsi, klen, kcode + (hi - lo) * (n - 1) * shift, swapped))
-            _acc(work, swapped, coeff if q is _ONE else coeff * q)
-            if tails:
-                prefix_code, suffix_code = -kcode // (shift * n * n), -kcode % shift
-                for tail_word, tail_coeff, dw, dpsi, dlen, tcode, tscale in tails:
-                    produced = prefix + tail_word + suffix
-                    if _DEBUG_ORDER:
-                        assert self.rewrite_key(produced) < self.rewrite_key(word)
-                    if produced not in work:
-                        code = (prefix_code * tscale + tcode) * shift + suffix_code
-                        heappush(heap, (kw + dw, kpsi + dpsi, klen + dlen, -code, produced))
-                    _acc(work, produced, coeff * tail_coeff)
-            if len(work) + len(out) > budget:
-                raise over_budget(len(work) + len(out), budget)
+                hi, lo = w[pos], w[pos + 1]
+                q, tails = rewrites[hi, lo]
+                shift = n ** (size - pos - 2)
+                if tails:
+                    prefix, suffix = tuple(w[:pos]), tuple(w[pos + 2:])
+                    prefix_code, suffix_code = -kcode // (shift * n * n), -kcode % shift
+                    for tail_word, tail_coeff, dw, dpsi, dlen, tcode, tscale in tails:
+                        produced = prefix + tail_word + suffix
+                        if _DEBUG_ORDER:
+                            assert self.rewrite_key(produced) < key
+                        if produced not in work:
+                            code = (prefix_code * tscale + tcode) * shift + suffix_code
+                            heappush(heap, (kw + dw, kpsi + dpsi, klen + dlen, -code, produced))
+                        _acc(work, produced, coeff * tail_coeff)
+                w[pos], w[pos + 1] = lo, hi
+                kcode += (hi - lo) * (n - 1) * shift
+                if q is not _ONE:
+                    coeff *= q
+                if _DEBUG_ORDER:  # the swap lowers the key, and the entry follows it
+                    above, key = key, self.rewrite_key(tuple(w))
+                    assert key < above
+                    assert (kw, kpsi, klen, kcode) == (-key[0], -key[1], -key[2], -_word_code(w, n))
+                held = True  # the swapped word is the heap's next pop, rewritten here
+                if heap and heap[0] < below:
+                    swapped = tuple(w)
+                    entry = (kw, kpsi, klen, kcode, swapped)
+                    if swapped in work or heap[0] < entry:
+                        if swapped not in work:
+                            heappush(heap, entry)
+                        _acc(work, swapped, coeff)
+                        held = False
+                if len(work) + held + len(out) > budget:
+                    raise over_budget(len(work) + held + len(out), budget)
+                if not held:
+                    break
+                start = pos - 1 if pos and w[pos - 1] > lo else pos + 1
         return PBWElement._raw(self, out)
 
     def multiply(self, x, y):

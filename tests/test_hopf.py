@@ -664,6 +664,35 @@ def test_antipode_check_reads_products_from_the_leg_memo(monkeypatch):
     assert [str(b) for b in primitives.basis()] == [str(b) for b in expected.basis()]
 
 
+def test_antipode_check_multiplies_by_the_unit_directly(monkeypatch):
+    # 1 w = w 1 = w: with the window's coproducts built, the check asks the
+    # leg memo for no product with the empty monomial, id 0
+    from hopfkit import hopf
+
+    J = builtin("J")
+    mach = hopf._machine(J)
+    for mono in J.enumerate_basis(9):
+        mach.delta(mach.number(mono))
+    build, requested = mach._leg_product, []
+
+    def counting(a, b):
+        requested.append((a, b))
+        return build(a, b)
+
+    monkeypatch.setattr(mach, "_leg_products", hopf._legs(counting))
+    assert solve_antipode(J, 9).monomials_checked == 945
+    assert requested
+    assert [pair for pair in requested if 0 in pair] == []
+    monkeypatch.undo()
+    # check --corrupt drop-dd-correction leaves a consistent coalgebra, whose
+    # antipode axiom holds in the reference loop too; the residuals of
+    # failing coproducts are held to that loop in
+    # test_verification_matches_the_reference_loop
+    bad = drop_correction(builtin("J"), "d")
+    assert solve_antipode(bad, 9).monomials_checked == 945
+    assert _reference_verify(bad, _solved(bad, 9)) == 945
+
+
 def test_both_loops_reject_a_flipped_antipode_entry(monkeypatch):
     from hopfkit import hopf
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from heapq import heappop
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -759,6 +760,52 @@ def test_heap_matches_max_scan(monkeypatch):
             assert _outcome(lambda: p.normal_form(FreeElement(p.alphabet, x)).terms) == expected
 
     check()
+
+
+# tails that share their head's weight, psi-weight and length (b c under d a,
+# a d under c b), so a tail can wait beside the word rewritten in place; not
+# confluent
+SHARED_CLASS = Presentation(
+    [("a", 1), ("b", 1), ("c", 1), ("d", 1)],
+    {
+        ("d", "a"): (-1, {(1, 2): 1}),
+        ("c", "b"): (Fraction(2, 3), {(0, 3): 1}),
+        ("d", "b"): (1, {(0,): 1}),
+    },
+    name="shared_class",
+)
+
+
+def test_heap_matches_max_scan_on_long_words(monkeypatch):
+    # a long word alone runs free; rearrangements of one word share their
+    # (weight, psi-weight, length), so their swaps are tested one by one
+    presentations = [builtin(name) for name in EQUIVALENCE_BUILTINS] + [SHARED_CLASS]
+    rng = random.Random(20)
+    for p in presentations:
+        for _ in range(6):
+            n = len(p.alphabet)
+            word = [rng.randrange(n) for _ in range(rng.randint(10, 20))]
+            rearranged = {tuple(rng.sample(word, len(word))): rng.choice(QS) for _ in range(3)}
+            for x in ({tuple(word): rng.choice(QS)}, rearranged):
+                for budget in ("2000", "5"):
+                    monkeypatch.setenv("HOPFKIT_MAX_TERMS", budget)
+                    expected = _outcome(lambda: _reference_normal_form(p, x))
+                    assert _outcome(lambda: p.normal_form(x).terms) == expected, (p.name, x)
+
+
+def test_a_q_commuting_word_is_rewritten_in_place(monkeypatch):
+    # y^20 x^20 in qplane(3/2) takes 400 swaps; each swapped word is the
+    # heap's next pop, so all of them happen in place after the first pop
+    pops = []
+
+    def counting(heap):
+        pops.append(heap[0])
+        return heappop(heap)
+
+    monkeypatch.setattr(pbw, "heappop", counting)
+    p = builtin("qplane(3/2)")
+    assert p.normal_form({(1,) * 20 + (0,) * 20: 1}).terms == {(20, 20): Fraction(3, 2) ** 400}
+    assert len(pops) <= 2
 
 
 @pytest.mark.parametrize(

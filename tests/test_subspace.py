@@ -122,6 +122,19 @@ def test_truncation_of_u_n5():
     assert T.center().dim == 11
 
 
+@pytest.mark.parametrize("name,power,bound", [("L", 4, 9), ("U_n5", 3, 3)])
+def test_center_check_catches_a_planted_candidate(name, power, bound, monkeypatch):
+    # with one generator class hidden from the solve, some candidates fail to
+    # commute with it; the all-class check, which skips only the classes that
+    # multiply a candidate into the ideal, still catches them
+    T = truncation_algebra(builtin(name), power, bound)
+    assert T.center().dim < T.dim
+    real = T.gen_image
+    monkeypatch.setattr(T, "gen_image", lambda g: {} if g == 1 else real(g))
+    with pytest.raises(AssertionError, match="non-generator class"):
+        T.center()
+
+
 def test_truncation_multiplication():
     L = builtin("L")
     T = truncation_algebra(L, 3, 8)
