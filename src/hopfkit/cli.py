@@ -193,6 +193,9 @@ def _check_stages(args, rep, label, p):
     try:
         table = hopf.solve_antipode(p, bound)
     except AxiomFailure as failure:
+        # a guard: no input reaches it, since the stages above proved Delta an
+        # algebra map, coassociative and counital, and weight-lowering legs make
+        # H connected, so the antipode exists (see hopf.solve_antipode)
         rep.say(f"antipode axiom ({failure.side}): FAIL on {failure.monomial}")
         rep.say(f"  residual {failure.residual}")
         rep.set("antipode.ok", False)

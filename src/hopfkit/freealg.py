@@ -50,6 +50,20 @@ def check_budget(count):
         raise over_budget(count, budget)
 
 
+class _Memo(dict):
+    """memo[key] is build(key), built on first use."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        hit = self[key] = self.build(key)
+        return hit
+
+
 def _acc(store, key, coeff):
     """Add a nonzero coeff to store[key] in place, dropping the key on cancellation."""
     old = store.get(key)

@@ -18,7 +18,6 @@ tensors, never as tolerances.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 import random
 
 from .errors import (
@@ -28,46 +27,22 @@ from .errors import (
     NonzeroConstantTerm,
     QSkewRejected,
 )
-from .freealg import _LinearCombination, _acc, check_budget, over_budget, term_budget
+from .freealg import _LinearCombination, _Memo, _acc, check_budget, over_budget, term_budget
 from .pbw import PBWElement, Presentation, _integral
 
 
 # ----- tensor elements ------------------------------------------------------
 
 
-class _Memo(dict):
-    """memo[key] is build(key), built on first use."""
-
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        hit = self[key] = self.build(key)
-        return hit
-
-
-def _legs(product):
-    """A memo of leg products: legs[a][b] is product(a, b), built on first use.
-
-    One row per left leg a, so a lookup hashes a and b apart and builds
-    no key pair.
-    """
-    return _Memo(lambda a: _Memo(partial(product, a)))
-
-
-def _tensor_product(legs, one, xs, ys):
+def _tensor_product(table, xs, ys):
     """Product of two elements of the tensor square, as a {(left, right): coeff} map.
 
-    Both factors are flat sequences (left0, right0, coeff0, left1, ...),
-    read three at a time, and legs[a][b] is the product of two legs as
-    (leg, coeff) pairs: read from the presentation's product table on
-    monomials, or from the coproduct machine's memo of it on monomial
-    ids.  one is the unit leg, and one times b is b, so a left term
-    a (x) one or one (x) a multiplies one leg only.  Entries that cancel
-    are dropped before the result is checked against the term budget.
+    Both factors are flat sequences (left0, right0, coeff0, left1, ...)
+    of monomial ids and coefficients, read three at a time, and
+    table[a][b] is the presentation's product table by id.  The unit leg
+    is id 0, and 1 times b is b, so a term a (x) 1 or 1 (x) a multiplies
+    one leg only.  Entries that cancel are dropped before the result is
+    checked against the term budget.
     """
     out = {}
     get = out.get
@@ -75,22 +50,22 @@ def _tensor_product(legs, one, xs, ys):
     for a1, a2, c in zip(xs, xs, xs):
         it = iter(ys)
         terms = zip(it, it, it)
-        if a2 == one:  # (a1 (x) 1)(b1 (x) b2) = a1 b1 (x) b2
-            lefts = legs[a1]
+        if not a2:  # (a1 (x) 1)(b1 (x) b2) = a1 b1 (x) b2
+            lefts = table[a1]
             for b1, b2, d in terms:
                 cd = c * d
                 for u, cu in lefts[b1]:
                     key = (u, b2)
                     out[key] = get(key, 0) + cd * cu
-        elif a1 == one:  # (1 (x) a2)(b1 (x) b2) = b1 (x) a2 b2
-            rights = legs[a2]
+        elif not a1:  # (1 (x) a2)(b1 (x) b2) = b1 (x) a2 b2
+            rights = table[a2]
             for b1, b2, d in terms:
                 cd = c * d
                 for v, cv in rights[b2]:
                     key = (b1, v)
                     out[key] = get(key, 0) + cd * cv
         else:
-            lefts, rights = legs[a1], legs[a2]
+            lefts, rights = table[a1], table[a2]
             for b1, b2, d in terms:
                 cd = c * d
                 right = rights[b2]
@@ -150,9 +125,12 @@ class TensorElement(_LinearCombination):
     def _product(self, other):
         if self.arity not in (2, None) or other.arity not in (2, None):
             raise TypeError("products are defined on the tensor square only")
-        legs, one = _legs(self.pres._products), (0,) * len(self.pres.alphabet)
-        product = _tensor_product(legs, one, _flat(self.terms), _flat(other.terms))
-        return self._raw(self.pres, product)
+        p = self.pres
+        number, monos = p._number, p._monos
+        xs, ys = ([x for (u, v), c in t.terms.items() for x in (number(u), number(v), c)]
+                  for t in (self, other))
+        product = _tensor_product(p._table, xs, ys)
+        return self._raw(p, {(monos[u], monos[v]): c for (u, v), c in product.items()})
 
     def _order(self, legs):
         key = self.pres.mono_key
@@ -198,91 +176,38 @@ def _require_hopf(p):
 
 
 class _Machine:
-    """Per-presentation cache of Delta on basis monomials, by monomial id.
-
-    Each basis monomial gets an id on first sight, the empty monomial 0,
-    so a coproduct numbers only the monomials its own build touches:
-    its recursion chain and the legs of its leg products.  monos maps
-    an id back to its monomial and ids a monomial to its id.
+    """Per-presentation cache of Delta on basis monomials, by the presentation's monomial ids.
 
     delta(i) is the reduced coproduct Delta(m) - m (x) 1 - 1 (x) m of
     the monomial with id i, stored as one flat tuple
     (u0, v0, c0, u1, v1, c1, ...) of left id, right id and coefficient
     per term, with no tuple per term, built once and shared; its readers
     take it three at a time with zip(it, it, it), it = iter(delta(i)).
-    The antipode check adds the two unit terms back and the coradical
-    chain reads the tuple as it is.  Delta(m) = Delta(g) Delta(m / g),
-    with g the first letter of m, is built from leg products read from
-    the presentation's product table through _leg_products, a memo of
-    the table's pairs by id, legs[a][b] for the product of the legs with
-    ids a and b, closed forms included, which the table itself does not
-    store.  Equal products share one tuple, so the closed forms, each one
-    monomial with coefficient 1 under q = 1, cost one tuple ((id, 1),)
-    per id however many pairs give it.  The antipode check reads its
-    products from the same memo.  Coefficients there and in the tuples
-    are ints where integral, Fractions otherwise; full_mono and
-    reduced_mono decode a tuple to a {(left, right): coeff} map, and the
-    public values built from them (coproduct, the reports) are
-    Fractions.
+    Delta(m) = Delta(g) Delta(m / g), with g the first letter of m, is
+    built from leg products read from the presentation's product table
+    by id, so a coproduct numbers only its recursion chain and the legs
+    of its leg products.  Coefficients are ints where integral,
+    Fractions otherwise; full_mono and reduced_mono decode a tuple to a
+    {(left, right): coeff} map.
     """
 
     def __init__(self, p):
         _require_hopf(p)
         self.p = p
         n = len(p.alphabet)
-        self.empty = (0,) * n
+        self.empty = p._monos[0]
         self.gen_delta = {gi: dict(p.delta.get(gi, {})) for gi in range(n)}
-        self.monos = [self.empty]
-        self.ids = {self.empty: 0}
         self._deltas = [(0, 0, -1)]  # id -> flat delta(m), None until built; delta(1) = -1 (x) 1
-        self._gens = [None] * n  # generator -> flat Delta(g), numbered on first use
-        self._leg_products = _legs(self._leg_product)
-        self._shared = {}  # each distinct leg product's one tuple, keyed by itself
-
-    def number(self, mono):
-        """The id of a monomial, given on first sight."""
-        i = self.ids.get(mono)
-        if i is None:
-            i = self.ids[mono] = len(self.monos)
-            self.monos.append(mono)
-            self._deltas.append(None)
-        return i
+        self._gens = [None] * n  # generator -> flat Delta(g), built on first use
 
     def _gen(self, gi):
         """Delta(g) of a generator, unit terms first, as a flat tuple of ids and coefficients."""
         hit = self._gens[gi]
         if hit is None:
-            unit = [0] * len(self.empty)
-            unit[gi] = 1
-            number = self.number
-            g = number(tuple(unit))
-            hit = (g, 0, 1, 0, g, 1) + tuple(
-                x
-                for (u, v), c in self.gen_delta[gi].items()
-                for x in (number(u), number(v), _integral(c))
-            )
-            self._gens[gi] = hit
+            number, g, terms = self.p._number, self.p._unit(gi), self.gen_delta[gi].items()
+            hit = self._gens[gi] = (g, 0, 1, 0, g, 1) + tuple(
+                x for (u, v), c in terms for x in (number(u), number(v), _integral(c)))
         return hit
-
-    def _leg_product(self, a, b):
-        """The product of the legs with ids a and b: one shared tuple of (id, coeff) pairs."""
-        monos, number = self.monos, self.number
-        pairs = tuple((number(w), c) for w, c in self.p._products(monos[a], monos[b]))
-        return self._shared.setdefault(pairs, pairs)
-
-    def multiply(self, x, y):
-        """The product of two algebra elements, p.multiply(x, y), read from the leg memo by id."""
-        number, legs, monos = self.number, self._leg_products, self.monos
-        ys = [(number(m), c) for m, c in y.terms.items()]
-        out = {}
-        for m, c in x.terms.items():
-            row = legs[number(m)]
-            for b, d in ys:
-                cd = c * d
-                for w, e in row[b]:
-                    _acc(out, w, cd * e)
-        check_budget(len(out))
-        return PBWElement._raw(self.p, {monos[w]: c for w, c in out.items()})
 
     def delta(self, i):
         """delta of the monomial with id i, as the shared flat tuple (u0, v0, c0, ...).
@@ -291,21 +216,22 @@ class _Machine:
         m, m / g, ... to the first stored entry, numbering each monomial
         on the way, then build upward.
         """
-        deltas = self._deltas
-        hit = deltas[i]
+        deltas, monos, number = self._deltas, self.p._monos, self.p._number
+        hit = deltas[i] if i < len(deltas) else None
         if hit is not None:
             return hit
         chain = []  # (id, first letter) of each monomial above the stored entry
         while hit is None:
-            rest = list(self.monos[i])
+            rest = list(monos[i])
             gi = next(k for k, e in enumerate(rest) if e)
             rest[gi] -= 1
             chain.append((i, gi))
-            i = self.number(tuple(rest))
-            hit = deltas[i]
+            i = number(tuple(rest))
+            hit = deltas[i] if i < len(deltas) else None
+        deltas += [None] * (len(monos) - len(deltas))
         for m, gi in reversed(chain):
             full_rest = (i, 0, 1, 0, i, 1) + hit
-            out = _tensor_product(self._leg_products, 0, self._gen(gi), full_rest)
+            out = _tensor_product(self.p._table, self._gen(gi), full_rest)
             for key in ((m, 0), (0, m)):
                 _acc(out, key, -1)
             if set(map(type, out.values())) - {int}:  # Fractions, some maybe integral
@@ -319,7 +245,7 @@ class _Machine:
 
         A fresh {(left, right): coeff} map, with delta's coefficients.
         """
-        monos, terms = self.monos, iter(self.delta(self.number(mono)))
+        monos, terms = self.p._monos, iter(self.delta(self.p._number(mono)))
         return {(monos[u], monos[v]): c for u, v, c in zip(terms, terms, terms)}
 
     def full_mono(self, mono):
@@ -545,55 +471,65 @@ def check_counit(p):
 
 @dataclass
 class AntipodeTable:
-    """S on the generators, with enough cache to apply it anywhere."""
+    """S on the generators, with enough cache to apply it anywhere.
+
+    S-images of basis monomials are held by the presentation's monomial
+    ids: _images[i] is S of the monomial with id i as (id, coeff) pairs,
+    ints where integral, built on first read by _image.
+    """
 
     pres: Presentation
     by_gen: dict
     weight_bound: int
     monomials_checked: int = 0
-    _mono_cache: dict = field(default_factory=dict, repr=False)
+    _images: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._images = _Memo(self._image)
 
     def of_gen(self, g):
         gi = g if isinstance(g, int) else self.pres.alphabet.index_of(g)
         return self.by_gen[gi]
 
-    def apply_mono(self, mono):
-        """S on a basis monomial, by the reversed-product rule.
+    def _image(self, i):
+        """S of the monomial with id i: S(m) = S(m / g) S(g), g the first letter of m.
 
-        S(m) = S(m / g) S(g), with g the first letter of m; the products
-        are read from the coproduct machine's leg memo.  Built without
-        recursion: walk down the first-letter chain to the first cached
-        entry, or to 1, then build upward.
+        S(1) = 1 and S(g) is by_gen's value.  Built without recursion: walk
+        down the first-letter chain to a cached entry, or to one letter or
+        none, then build upward, products read from the product table.
         """
-        cache = self._mono_cache
-        hit = cache.get(mono)
-        if hit is not None:
-            return hit
-        chain = []  # (monomial, first letter) of each monomial above the cached entry
-        while hit is None and any(mono):
-            gi = next(i for i, e in enumerate(mono) if e)
-            chain.append((mono, gi))
-            rest = list(mono)
+        p, images = self.pres, self._images
+        monos, number = p._monos, p._number
+        chain = []  # (id, first letter) of each monomial above the cached entry
+        hit = None
+        while hit is None and sum(monos[i]) > 1:
+            rest = list(monos[i])
+            gi = next(k for k, e in enumerate(rest) if e)
             rest[gi] -= 1
-            mono = tuple(rest)
-            hit = cache.get(mono)
-        if not any(mono):  # S(1) = 1, and S(g) = 1 S(g) takes no product
-            hit = cache[mono] = self.pres.one()
-            if chain:
-                mono, gi = chain.pop()
-                hit = cache[mono] = self.by_gen[gi]
-        multiply = _machine(self.pres).multiply
+            chain.append((i, gi))
+            i = number(tuple(rest))
+            hit = images.get(i)
+        if hit is None:
+            mono = monos[i]
+            terms = self.by_gen[mono.index(1)].terms.items() if any(mono) else ((mono, 1),)
+            hit = images[i] = tuple((number(m), _integral(c)) for m, c in terms)
         for m, gi in reversed(chain):
-            hit = cache[m] = multiply(hit, self.by_gen[gi])
+            out = p._multiply_ids(hit, images[p._unit(gi)])
+            hit = images[m] = tuple((w, _integral(c)) for w, c in out.items())
         return hit
 
+    def apply_mono(self, mono):
+        """S on a basis monomial, as a fresh element with Fraction coefficients."""
+        p, monos = self.pres, self.pres._monos
+        return PBWElement._raw(p, {monos[w]: Fraction(c) for w, c in self._images[p._number(mono)]})
+
     def apply(self, x):
-        p = self.pres
-        total = {}
+        p, total = self.pres, {}
         for mono, coeff in p.normal_form(x).terms.items():
-            for m, c in self.apply_mono(mono).terms.items():
-                _acc(total, m, coeff * c)
-        return p.element(total)
+            for w, c in self._images[p._number(mono)]:
+                _acc(total, w, coeff * c)
+        monos = p._monos
+        return p.element({monos[w]: c for w, c in total.items()})
 
 
 def solve_antipode(p, weight_bound=None):
@@ -605,40 +541,41 @@ def solve_antipode(p, weight_bound=None):
     basis monomial up to the bound, and the first failure raises
     AxiomFailure with the offending monomial and residual.
 
+    The check command never sees that failure: it calls this only after
+    proving Delta compatible with every relation, coassociative on the
+    generators and counital.  Delta is then an algebra map, so both laws
+    hold on all of H, and legs of strictly smaller weight make H
+    connected; the antipode then exists and is anti-multiplicative
+    (Montgomery 1993, section 5.2), so the first-letter recursion
+    S(m) = S(m / g) S(g) computes it.  The failure stays as a guard, and
+    callers that skip those checks can meet it.
+
     The verification regroups each Delta(m) = sum c u (x) v by bilinearity,
     left = sum_v (sum_u c S(u)) v and right = sum_u u (sum_v c S(v)), so
     each distinct leg takes part in one product.  The unit terms
     m (x) 1 and 1 (x) m seed the sums, and the reduced part is read in
     place from the machine's flat tuple, three entries per term.  It runs
-    on monomial ids: S-images are (id, coeff) pairs numbered by the
-    coproduct machine, with int coefficients where integral, and every
-    product but those with the unit (1 w = w 1 = w, added as it is) is
-    read by id from the machine's memo of leg products, the one its
-    coproducts are built from.  Both sides are checked against
-    the term budget, read once per call; a failure decodes its residual
-    back to monomials.
+    on monomial ids: S-images are AntipodeTable's (id, coeff) pairs, and
+    every product but those with the unit (1 w = w 1 = w, added as it
+    is) is read by id from the product table the coproducts are built
+    from.  Both sides are checked against the term budget, read once per
+    call; a failure decodes its residual back to monomials.
     """
     mach = _machine(p)
     if weight_bound is None:
         weight_bound = 2 * p.max_weight + 2
     table = AntipodeTable(p, {}, weight_bound)
+    images, legs, monos, number = table._images, p._table, p._monos, p._number
 
     weights = p.alphabet.weights
     for gi in sorted(range(len(p.alphabet)), key=lambda i: (weights[i], i)):
         correction = {}
         for (u, v), c in mach.gen_delta[gi].items():
-            for m, d in mach.multiply(table.apply_mono(u), p.element({v: 1})).terms.items():
-                _acc(correction, m, c * d)
-        table.by_gen[gi] = -p.gen(gi) - p.element(correction)
+            for w, d in p._multiply_ids(images[number(u)], ((number(v), 1),)).items():
+                _acc(correction, w, c * d)
+        table.by_gen[gi] = -p.gen(gi) - p.element({monos[w]: c for w, c in correction.items()})
 
     budget = term_budget()
-    legs, monos, number = mach._leg_products, mach.monos, mach.number
-
-    def image(i):
-        """S of the monomial with id i as (id, coeff) pairs, ints where integral."""
-        return tuple((number(w), _integral(c)) for w, c in table.apply_mono(monos[i]).terms.items())
-
-    images = _Memo(image)
 
     def accumulate(out, sums, leg_first):
         """Add x a, or a x when leg_first, to out for each leg id a and sum x in sums.

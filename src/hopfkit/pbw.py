@@ -9,9 +9,10 @@ with q a nonzero rational and tail a combination of ordered monomials.
 Pairs without an explicit rule commute.  Normal forms are computed by
 rewriting the largest live word, popped from an integer-keyed heap, and
 validation certifies termination before any rewriting is attempted.
-Products of basis monomials in a confluent presentation are built
-instead from smaller products, products of monomials by generators
-among them, all kept in one memo (see Presentation._products).
+Each monomial gets an integer id on first sight, and products of basis
+monomials are read from one table by id pairs, closed forms included; in
+a confluent presentation each tailed entry is built from smaller ones,
+products of monomials by generators among them (see Presentation._entry).
 
 Termination certificate.  Rewriting must strictly decrease every produced
 word in some monomial order.  Weight alone is not enough when a tail keeps
@@ -43,8 +44,10 @@ genuinely cycles, are refused this way.
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import add
@@ -62,6 +65,7 @@ from .freealg import (
     Alphabet,
     FreeElement,
     _LinearCombination,
+    _Memo,
     _acc,
     as_coeff,
     check_budget,
@@ -79,6 +83,14 @@ _DEBUG_ORDER = bool(os.environ.get("HOPFKIT_DEBUG_ORDER"))
 def _integral(c):
     """c as an int when it is integral, else unchanged."""
     return c.numerator if c.denominator == 1 else c
+
+
+def _row(pres, a):
+    """Row a of the product table of pres(): row[b] is its _entry(a, b).
+
+    The presentation is held weakly, so its table makes no reference cycle.
+    """
+    return _Memo(lambda b: pres()._entry(a, b))
 
 
 def _is_ordered(word):
@@ -297,9 +309,15 @@ class Presentation:
         self.is_graded = self.validation.graded
         self.delta = self._build_coproduct(coproduct)
         self._confluence = None
-        self._product_memo = {}  # (m1, m2) -> _products' pairs, tailed pairs only
-        self._monomials = {}  # the interned monomials, each its own value
-        self._hopf_machine = None  # hopf._machine(self): coproducts and their legs
+        n = len(self.alphabet)
+        # monomial ids: the empty monomial is 0, every other one numbered on first sight
+        self._monos = [(0,) * n]  # id -> monomial
+        self._ids = {self._monos[0]: 0}  # monomial -> id
+        self._unit_ids = [None] * n  # generator -> id of its monomial, numbered on first use
+        self._table = _Memo(partial(_row, weakref.ref(self)))  # _table[a][b], see _entry
+        self._ones = {}  # id -> its closed-form entry ((id, 1),), shared by every pair giving it
+        self._shared = {}  # each distinct built entry's one tuple, keyed by itself
+        self._hopf_machine = None  # hopf._machine(self): coproducts by monomial id
         self._tailed_pairs = tuple(
             (hi, lo) for (hi, lo), rel in sorted(self.relations.items()) if rel.tail
         )
@@ -307,7 +325,7 @@ class Presentation:
             (hi, lo, rel.q) for (hi, lo), rel in sorted(self.relations.items()) if rel.q != 1
         )
         # per pair: q, and per tail word its drops below the head, code and n^len
-        n, key = len(self.alphabet), self.rewrite_key
+        key = self.rewrite_key
         self._rewrites = {
             pair: (_ONE if rel.q == 1 else rel.q, tuple(
                 (word, coeff, *(h - t for h, t in zip(key(pair)[:3], key(word))),
@@ -316,7 +334,6 @@ class Presentation:
             ))
             for pair, rel in self.relations.items()
         }
-        self._units = tuple(tuple(int(i == g) for i in range(n)) for g in range(n))
 
     # ----- construction helpers -------------------------------------
 
@@ -569,7 +586,10 @@ class Presentation:
         or merged as any other.  Each in-place step is thus the heap's own
         next pop, so for any presentation, confluent or not, the terms come
         out in the same order, and BudgetExceeded at the same count, the
-        held word counted as live.
+        held word counted as live.  The budget is checked after the first
+        swap of a popped word and after every swap that pushes or merges a
+        word; a held swap with no tail changes no count since the check
+        before it, so it skips the check.
         """
         if isinstance(x, PBWElement):
             if x.pres is not self and x.pres != self:
@@ -606,6 +626,7 @@ class Presentation:
                 key = self.rewrite_key(word)
                 assert entry == (-key[0], -key[1], -key[2], -_word_code(word, n), word)
             w, size, start, below = list(word), len(word), 0, (kw, kpsi, klen + 1)
+            first = True
             while True:
                 for pos in range(start, size - 1):
                     if w[pos] > w[pos + 1]:
@@ -644,8 +665,10 @@ class Presentation:
                             heappush(heap, entry)
                         _acc(work, swapped, coeff)
                         held = False
-                if len(work) + held + len(out) > budget:
-                    raise over_budget(len(work) + held + len(out), budget)
+                if first or tails or not held:
+                    if len(work) + held + len(out) > budget:
+                        raise over_budget(len(work) + held + len(out), budget)
+                    first = False
                 if not held:
                     break
                 start = pos - 1 if pos and w[pos - 1] > lo else pos + 1
@@ -656,99 +679,124 @@ class Presentation:
 
         normal_form applies one fixed rewrite to each word, so it is
         linear: NF(sum c w) = sum c NF(w).  With x = sum c1 m1 and
-        y = sum c2 m2 in normal form, the product is therefore
-        sum c1 c2 NF(m1 m2), read term by term from the product table
-        (_products), exactly, for every presentation, confluent or not:
-        on a confluent one the table builds NF(m1 m2) from its own
-        smaller products, (monomial x generator) ones among them, which
-        the diamond lemma makes equal to normal_form of the word m1 m2;
-        on any other it straightens that word by normal_form.  No
-        concatenated word is straightened here, and the accumulated terms
-        are checked against the term budget.
+        y = sum c2 m2 in normal form, the product is sum c1 c2 NF(m1 m2),
+        read term by term from the product table by monomial id, exactly,
+        for every presentation, confluent or not (see _entry).
         """
         x, y = self.normal_form(x), self.normal_form(y)
-        products = self._products
-        out = {}
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                c12 = c1 * c2
-                for mono, coeff in products(m1, m2):
-                    _acc(out, mono, c12 * coeff)
+        number, monos = self._number, self._monos
+        out = self._multiply_ids(
+            [(number(m), c) for m, c in x.terms.items()], [(number(m), c) for m, c in y.terms.items()]
+        )
+        return PBWElement._raw(self, {monos[w]: c for w, c in out.items()})
+
+    def _multiply_ids(self, xs, ys):
+        """sum c d NF(m_a m_b) over the (id, coeff) pairs (a, c) of xs and (b, d) of ys.
+
+        A {id: coeff} map of the nonzero terms, checked against the term budget.
+        """
+        table, out = self._table, {}
+        for a, c in xs:
+            row = table[a]
+            for b, d in ys:
+                cd = c * d
+                for w, e in row[b]:
+                    _acc(out, w, cd * e)
         check_budget(len(out))
-        return PBWElement._raw(self, out)
+        return out
 
     def mono_product(self, m1, m2):
-        """Normal form of the product of two basis monomials.
+        """Normal form of the product of two basis monomials, given as tuples.
 
-        A fresh element read from the product table (_products): its
-        coefficients are Fractions and its monomials are interned.
+        A fresh element read from the product table: its coefficients are
+        Fractions and its monomials are the table's own tuples.
         """
-        return PBWElement._raw(self, {mono: Fraction(c) for mono, c in self._products(m1, m2)})
+        number, monos = self._number, self._monos
+        pairs = self._table[number(m1)][number(m2)]
+        return PBWElement._raw(self, {monos[w]: Fraction(c) for w, c in pairs})
 
-    def _products(self, m1, m2):
-        """The product table: NF(m1 m2) as a tuple of (monomial, coeff) pairs.
+    # ----- the product table, by monomial id ----------------------------
+
+    def _number(self, mono):
+        """The id of a monomial tuple, given on first sight; _monos maps it back."""
+        i = self._ids.get(mono)
+        if i is None:
+            i = self._ids[mono] = len(self._monos)
+            self._monos.append(mono)
+        return i
+
+    def _unit(self, g):
+        """The id of the monomial of generator g, numbered on first use."""
+        if self._unit_ids[g] is None:
+            self._unit_ids[g] = self._number(tuple(int(k == g) for k in range(len(self._unit_ids))))
+        return self._unit_ids[g]
+
+    def _entry(self, a, b):
+        """The product table's entry _table[a][b]: NF(m_a m_b) as (id, coeff) pairs.
 
         The one place where a product of two basis monomials is
-        straightened.  Monomials are interned per presentation, so tensor
-        keys built from products share tuples; a coefficient is an int
-        where it is integral and a Fraction otherwise.
+        straightened, on the entry's first read; a coefficient is an int
+        where it is integral and a Fraction otherwise.  Equal entries
+        share one tuple: many pairs have equal products, such as those
+        that differ by where a central letter sits.
 
-        Closed form: when no pair hi > lo with hi in m1 and lo in m2 has a
-        relation with a tail, straightening only swaps letters, and each
+        Closed form: when no pair hi > lo with hi in m_a and lo in m_b has
+        a relation with a tail, straightening only swaps letters, and each
         such inversion exactly once.  The product is then the single
-        monomial m1 + m2 with coefficient prod q_{hi,lo}^(m1[hi] m2[lo]),
-        built here and never stored.  Every other pair is built once and
-        memoized in _product_memo; the memo's tuples are shared.
+        monomial m_a + m_b with coefficient prod q_{hi,lo}^(m_a[hi] m_b[lo])
+        (_closed); under q = 1 every such entry is the one shared tuple of
+        its id.
 
         A tailed pair of a confluent presentation is built by _steps from
-        products (u, e_g) of basis monomials by generators, each itself a
-        pair of this memo under the shared unit tuple e_g of self._units,
-        so NF(m x_g) is stored once whichever product asked for it.  By
+        entries (u, e_g), products of basis monomials by generators, each
+        itself an entry of this table under the unit id of g, so
+        NF(m x_g) is stored once whichever product asked for it.  By
         Bergman's diamond lemma (Adv. Math. 29, 1978) confluence and the
         terminating rewrite order make the normal form of every word
         unique, whatever rewrites reach it, so NF(u v) = NF(NF(u) v) and
         the product built from smaller ones equals normal_form of the word
-        m1 m2.  A presentation whose confluence() is not ok has no such
+        m_a m_b.  A presentation whose confluence() is not ok has no such
         guarantee: there the pair is straightened by normal_form itself,
-        whose fixed strategy the memo need not follow.
+        whose fixed strategy the table need not follow.
 
         Building is iterative: each pair under construction is a suspended
-        _steps generator on one explicit stack, which yields the key of an
-        entry it lacks and is resumed with that entry's pairs.  Every key
-        it yields stands for a word that the rewrite order puts below its
-        own word, so no key waits on itself, and the stack is as deep as a
-        descending chain of such words, not as Python's recursion limit
-        allows.
+        _steps generator on one explicit stack, which yields the id pair of
+        an entry it lacks and is resumed with that entry's pairs.  Every
+        pair it yields stands for a word below its own in the rewrite
+        order, so the stack is as deep as a descending chain of such
+        words, not as Python's recursion limit allows.
         """
+        monos = self._monos
+        m1, m2 = monos[a], monos[b]
         closed = self._closed(m1, m2)
         if closed is not None:
-            return (closed,)
-        key, memo = (m1, m2), self._product_memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+            return closed
+        shared = self._shared
         if not self.confluence().ok:
             terms = self.normal_form({self.mono_word(m1) + self.mono_word(m2): _ONE}).terms
-            intern = self._monomials.setdefault
-            hit = memo[key] = tuple((intern(m, m), _integral(c)) for m, c in terms.items())
-            return hit
-        stack = [(key, self._steps(m1, m2))]
-        while stack:
-            key, steps = stack[-1]
+            entry = tuple((self._number(m), _integral(c)) for m, c in terms.items())
+            return shared.setdefault(entry, entry)
+        table, hit = self._table, None
+        stack = [(a, b, self._steps(a, b))]
+        while True:
+            u, v, steps = stack[-1]
             try:
                 need = steps.send(hit)
             except StopIteration as built:
                 stack.pop()
-                hit = memo[key] = built.value
+                hit = shared.setdefault(built.value, built.value)
+                if not stack:
+                    return hit
+                table[u][v] = hit
             else:
-                stack.append((need, self._steps(*need)))
+                stack.append((*need, self._steps(*need)))
                 hit = None
-        return hit
 
     def _closed(self, m1, m2):
-        """NF(m1 m2) as its one (monomial, coeff) pair, or None when a tail crosses.
+        """NF(m1 m2) as its one-pair entry, or None when a tail crosses.
 
-        m2 may be any sequence of exponents; the monomial is interned.
+        m2 may be any sequence of exponents.  An entry with coefficient 1
+        is the one shared tuple ((id, 1),) of its id.
         """
         for hi, lo in self._tailed_pairs:
             if m1[hi] and m2[lo]:
@@ -758,52 +806,61 @@ class Presentation:
             e = m1[hi] * m2[lo]
             if e:
                 coeff = _integral(coeff * q**e)
-        mono = tuple(map(add, m1, m2))
-        return self._monomials.setdefault(mono, mono), coeff
+        i = self._number(tuple(map(add, m1, m2)))
+        if coeff != 1:
+            return ((i, coeff),)
+        hit = self._ones.get(i)
+        if hit is None:
+            hit = self._ones[i] = ((i, 1),)
+        return hit
 
-    def _steps(self, m1, m2):
-        """Build NF(m1 m2) of a tailed pair; a generator run by _products.
+    def _steps(self, a, b):
+        """Build the entry (a, b) of a tailed pair; a generator run by _entry.
 
-        When m2 is a single letter x_g, a tail crosses only below the last
-        letter x_k of m1 (so k > g), and with m1 = m' x_k the relation
+        When m_b is a single letter x_g, a tail crosses only below the last
+        letter x_k of m_a (so k > g), and with m_a = m' x_k the relation
         x_k x_g = q x_g x_k + tail gives
 
-            m1 x_g = q m' (x_g x_k) + m' tail,
+            m_a x_g = q m' (x_g x_k) + m' tail,
 
         m' pushed through the word (g, k) and through each tail word.  Any
-        other m1 is pushed through the letters of m2.  Every word is
+        other m_a is pushed through the letters of m_b.  Every word is
         ordered, so what is left of it is a monomial, and a term is
         finished by the closed form as soon as no tail crosses it and the
         rest of its word; otherwise it is multiplied by the next letter
-        x_l through the entry (u, e_l), read from the memo, or yielded
-        when missing.  The term budget is read once per call and checked
-        after each letter.
+        x_l, in closed form or through the entry (u, e_l) of the table,
+        yielded when missing.  The term budget is read once per call and
+        checked after each letter.
         """
-        closed, memo, units, budget = self._closed, self._product_memo, self._units, term_budget()
+        monos, closed, table, budget = self._monos, self._closed, self._table, term_budget()
+        m1, m2 = monos[a], monos[b]
         if sum(m2) == 1:
             g = m2.index(1)
             k = max(i for i, e in enumerate(m1) if e)
-            start = m1[:k] + (m1[k] - 1,) + m1[k + 1:]
+            start = self._number(m1[:k] + (m1[k] - 1,) + m1[k + 1:])
             rel = self.relations[k, g]
             words = [((g, k), _integral(rel.q))]
             words += [(word, _integral(coeff)) for word, coeff in rel.tail_items]
         else:
-            start, words = m1, [(self.mono_word(m2), 1)]
+            start, words = a, [(self.mono_word(m2), 1)]
         out = {}
         for word, coeff in words:
             rest = list(_word_to_monomial(word, len(m1)))
             terms = {start: coeff}
             for letter in word:
-                step = {}
+                unit, step = self._unit(letter), {}
                 for u, c in terms.items():
-                    pair = closed(u, rest)
-                    if pair is not None:
-                        _acc(out, pair[0], c * pair[1])
+                    mono = monos[u]
+                    pairs = closed(mono, rest)
+                    if pairs is not None:
+                        ((v, d),) = pairs
+                        _acc(out, v, c * d)
                         continue
-                    pairs = memo.get((u, units[letter]))
+                    pairs = closed(mono, monos[unit])
                     if pairs is None:
-                        pair = closed(u, units[letter])
-                        pairs = (pair,) if pair is not None else (yield u, units[letter])
+                        pairs = table[u].get(unit)
+                        if pairs is None:
+                            pairs = yield u, unit
                     for v, d in pairs:
                         _acc(step, v, c * d)
                 rest[letter] -= 1
@@ -812,8 +869,7 @@ class Presentation:
                     raise over_budget(len(step) + len(out), budget)
             for u, c in terms.items():
                 _acc(out, u, c)
-        intern = self._monomials.setdefault
-        return tuple((intern(v, v), _integral(c)) for v, c in out.items())
+        return tuple((v, _integral(c)) for v, c in out.items())
 
     def commutator(self, x, y):
         return self.multiply(x, y) - self.multiply(y, x)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import WindowTooSmall
-from .freealg import _acc, over_budget, term_budget
+from .freealg import _Memo, _acc, over_budget, term_budget
 from .pbw import PBWElement
 from . import hopf as _hopf
 from .grading import factor_series, gk_dimension, hilbert_series, series_settles
@@ -58,6 +58,19 @@ class MonomialIndex:
                 f"window {self.weight_bound}"
             )
         return pos
+
+    def positions_by_id(self):
+        """Window positions by monomial id, a list with None outside the window.
+
+        Numbers every window monomial first, so an id the list does not
+        reach is outside the window too.
+        """
+        number = self.pres._number
+        ids = [number(m) for m in self.monomials]
+        position = [None] * len(self.pres._monos)
+        for pos, i in enumerate(ids):
+            position[i] = pos
+        return position
 
     def vector(self, x):
         """Coordinates of an element as a sparse {position: coeff} map."""
@@ -353,18 +366,23 @@ def power_ideal_span(p, k, weight_bound):
     needed = (k - 1) * p.max_weight
     wide = index if needed <= weight_bound else MonomialIndex(p, needed)
     monomials, last = wide.monomials, len(wide) - 1
-    column = {m: last - pos for pos, m in enumerate(monomials) if p.mono_degree(m) < k}
-    gens = [next(iter(p.gen(gi).terms)) for gi in range(len(p.alphabet))]
-    rows = {col: {col: 1} for col in column.values()}  # J_0 = V
+    ids = [p._number(m) for m in reversed(monomials)]  # column -> id
+    column = [None] * len(p._monos)  # id -> its column if in V, None for D_k and beyond
+    rows = {}  # J_0 = V
+    for pos, m in enumerate(monomials):
+        if p.mono_degree(m) < k:
+            col = column[ids[last - pos]] = last - pos
+            rows[col] = {col: 1}
+    gens = [p._table[p._unit(gi)] for gi in range(len(p.alphabet))]
     for _ in range(k):
         elim = _Echelon()
         for g in gens:
             for row in rows.values():
                 image = {}
                 for col, c in row.items():
-                    for m, v in p._products(g, monomials[last - col]):
-                        if m in column:  # pi drops the monomials of D_k
-                            _acc(image, column[m], c * v)
+                    for w, v in g[ids[col]]:
+                        if w < len(column) and column[w] is not None:  # pi drops D_k
+                            _acc(image, column[w], c * v)
                 elim.insert(image)
         rows = elim.rows
     space = Subspace(index)
@@ -410,6 +428,7 @@ class Truncation:
         )
         self.dim = len(self.basis)
         self._slot = {m: i for i, m in enumerate(self.basis)}
+        self._position = self.index.positions_by_id()
 
     def project(self, x):
         """Class of x as {basis monomial: coeff}, constant term dropped."""
@@ -423,14 +442,17 @@ class Truncation:
     def multiply_classes(self, coords1, coords2):
         """Product of two augmentation-ideal classes."""
         out = {}
-        p = self.pres
+        p, position, monomials = self.pres, self._position, self.index.monomials
         for m1, c1 in coords1.items():
-            d1 = p.mono_degree(m1)
+            d1, row = p.mono_degree(m1), p._table[p._number(m1)]
             for m2, c2 in coords2.items():
                 if d1 + p.mono_degree(m2) >= self.power:
                     continue  # lands in the ideal
-                for m, c in self.project(p.mono_product(m1, m2)).items():
-                    _acc(out, m, c1 * c2 * c)
+                # fewer than power letters: the window holds the product
+                vec = {position[w]: c for w, c in row[p._number(m2)]}
+                for pos, c in self.ideal.reduce_vector(vec).items():
+                    if any(monomials[pos]):  # the constant term is dropped
+                        _acc(out, monomials[pos], c1 * c2 * c)
         return out
 
     def gen_image(self, g):
@@ -494,33 +516,30 @@ class _CoradicalState:
     """The coradical chain of one window, one level at a time.
 
     Each reduced coproduct is read in place from the coproduct machine,
-    as the machine's own flat tuple (u0, v0, c0, u1, ...) of monomial ids
-    and coefficients, three entries per term, and kept in window order
-    with the position of its monomial and the factor that clears its
-    denominators (1 when its coefficients are ints).  The factor is read
-    from the coefficients terms[2::3] and the right legs, kappa's domain,
-    from terms[1::3].  Lists indexed by id restore window order: position
-    and offset, the window position of a leg and that position times the
-    window size, and, per level, kappa of a right leg that is a pivot of
-    the level before.
+    as the machine's own flat tuple (u0, v0, c0, u1, ...) of the
+    presentation's monomial ids and coefficients, three entries per term,
+    and kept in window order with the position of its monomial and the
+    factor that clears its denominators (1 when its coefficients are
+    ints).  The factor is read from the coefficients terms[2::3] and the
+    right legs, kappa's domain, from terms[1::3].  Ids follow first
+    sight, not the window, so lists indexed by id restore window order:
+    position and offset (MonomialIndex.positions_by_id), the window position of
+    a leg and that position times the window size, and, per level, kappa
+    of a right leg that is a pivot of the level before.
     """
 
     def __init__(self, p, weight_bound):
         self.index = MonomialIndex(p, weight_bound)
         self.aug = [m for m in self.index if any(m)]
         mach = _hopf._machine(p)
-        position = self.index.position
         self.coproducts = []
-        for m in self.aug:
-            terms = mach.delta(mach.number(m))
+        for pos, m in enumerate(self.aug, 1):  # the window's first monomial is 1
+            terms = mach.delta(p._number(m))
             factor = lcm(*(c.denominator for c in terms[2::3] if type(c) is not int))
-            self.coproducts.append((position[m], terms, factor))
+            self.coproducts.append((pos, terms, factor))
         size = len(self.index)
-        self.position = [None] * len(mach.monos)  # id -> window position
-        self.offset = [None] * len(mach.monos)  # id -> window position * size
-        for m, pos in position.items():
-            i = mach.ids[m]
-            self.position[i], self.offset[i] = pos, pos * size
+        self.position = self.index.positions_by_id()  # id -> window position
+        self.offset = [None if pos is None else pos * size for pos in self.position]
         self.legs = set()  # kappa's domain
         for _, terms, _ in self.coproducts:
             self.legs.update(terms[1::3])
@@ -685,15 +704,19 @@ def signature(p, weight_bound):
     wide = MonomialIndex(p, 2 * weight_bound)
     if wide.monomials[: len(index)] != index.monomials:
         raise AssertionError(f"window {weight_bound} is not a prefix of its double")
-    bases = [[]] + [s.basis() for s in chain]  # bases[n] = basis of S_n
+    # bases[n] = basis of S_n, each element as (id, coeff) pairs
+    bases = [[]] + [[[(p._number(m), c) for m, c in b.terms.items()] for b in s.basis()] for s in chain]
     elim = _Echelon()
     full = len(wide)
     window_start = full - len(index)
     explained = 0
+    monos = p._monos
+    # id -> reversed column; products of window elements lie in the doubled window
+    column = _Memo(lambda w: full - 1 - wide.index(monos[w]))
 
-    def insert(x):
+    def insert(terms):
         nonlocal explained
-        pivot = elim.insert({full - 1 - c: v for c, v in wide.vector(x).items()})
+        pivot = elim.insert({column[w]: v for w, v in terms})
         if pivot is not None and pivot >= window_start:
             explained += 1
 
@@ -706,7 +729,7 @@ def signature(p, weight_bound):
         for b1, b2 in products:
             if explained == dim:
                 break
-            insert(p.multiply(b1, b2))
+            insert(p._multiply_ids(b1, b2).items())
         if explained > dim:  # it never falls and products stop at dim
             raise AssertionError(
                 f"signature level {n}: products explain {explained} window "

@@ -1,6 +1,7 @@
 """Coproduct machinery, axiom checks, antipode construction."""
 
 from fractions import Fraction
+from functools import partial
 from math import comb
 import sys
 
@@ -32,8 +33,8 @@ from hopfkit.errors import (
     NonzeroConstantTerm,
     QSkewRejected,
 )
-from hopfkit.freealg import DEFAULT_MAX_TERMS, _acc, check_budget
-from hopfkit.pbw import _ONE, PBWElement, Presentation
+from hopfkit.freealg import DEFAULT_MAX_TERMS, _Memo as Memo, _acc, check_budget
+from hopfkit.pbw import _ONE, Presentation
 
 from strategies import nilpotent_lie_algebras
 
@@ -366,18 +367,22 @@ def test_full_mono_matches_the_reference_recursion():
             for key in ((m, mach.empty), (mach.empty, m)):
                 _acc(expected, key, Fraction(-1))
             assert mach.reduced_mono(m) == expected, (name, m)
-        # the leg memo has one row per left factor, by monomial id; on a
-        # machine that has only built coproducts every left factor is a leg
-        # of some Delta(g) (the antipode check adds S-image monomials as left
-        # factors), and every entry is the product table's pair, by id
+        # the product table has one row per left factor, by monomial id; on
+        # a presentation that has only built coproducts every left factor is
+        # a leg of some Delta(g) or the left factor of a tailed entry that a
+        # tailed product is built from (the antipode check adds S-image
+        # monomials as left factors), and every entry is the normal form of
+        # its joined word, by id
         gens = [next(iter(p.gen(gi).terms)) for gi in range(len(p.alphabet))]
         legs = {leg for g in gens for pair in mach.full_mono(g) for leg in pair}
-        monos = mach.monos
-        assert {monos[a] for a in mach._leg_products} <= legs, name
-        for a, row in mach._leg_products.items():
+        monos, tailed = p._monos, [pair for pair, rel in p.relations.items() if rel.tail]
+        steps = {monos[a] for a, row in p._table.items()
+                 if any(monos[a][hi] and monos[b][lo] for b in row for hi, lo in tailed)}
+        assert {monos[a] for a in p._table} <= legs | steps, name
+        for a, row in p._table.items():
             for b, pairs in row.items():
-                expected = p._products(monos[a], monos[b])
-                assert [(monos[w], c) for w, c in pairs] == list(expected), (name, a, b)
+                expected = p.normal_form({p.mono_word(monos[a]) + p.mono_word(monos[b]): 1})
+                assert {monos[w]: c for w, c in pairs} == expected.terms, (name, a, b)
     assert fractional  # J_scaled_d has fractional coproducts
 
 
@@ -401,9 +406,9 @@ def test_heavy_coproduct_numbers_only_what_it_needs(name, exponents):
         rest[next(i for i, e in enumerate(rest) if e)] -= 1
         chain.add(tuple(rest))
     legs = {leg for pair in delta for leg in pair}
-    assert len(mach.monos) <= len(legs | chain)
+    assert len(p._monos) <= len(legs | chain)
     window = sum(hilbert_series(p, p.mono_weight(m)).coeffs)  # enumerate_basis's length
-    assert 1000 * len(mach.monos) < window
+    assert 1000 * len(p._monos) < window
 
 
 def _stack_depth():
@@ -447,7 +452,7 @@ def test_coproduct_store_takes_at_most_32_bytes_a_term():
     mach = hopf._machine(J)
     window = J.enumerate_basis(10)
     for m in window:
-        mach.delta(mach.number(m))
+        mach.delta(J._number(m))
     stored = [d for d in mach._deltas if d is not None]
     size = sum(sys.getsizeof(d) + sum(sys.getsizeof(x) for x in d if type(x) is tuple) for d in stored)
     terms = sum(len(mach.reduced_mono(m)) for m in window)
@@ -628,29 +633,29 @@ def test_verification_matches_the_reference_loop():
         assert _failure(lambda: solve_antipode(p, weight_bound=6)) == expected
 
 
-def test_antipode_check_reads_products_from_the_leg_memo(monkeypatch):
-    # the check reads every product by id from the coproduct machine's one
-    # leg memo, S-images included, so a second check on the presentation
-    # reads nothing from the product table
-    from hopfkit import coradical_levels, hopf, primitive_space
+def test_antipode_check_reads_products_from_the_table(monkeypatch):
+    # the check reads every product by id from the presentation's one
+    # product table, S-images included, so a second check on the
+    # presentation builds no entry of the table
+    from hopfkit import coradical_levels, primitive_space
 
     J, fresh = builtin("J"), builtin("J")
     first = solve_antipode(J, 9)
-    table, calls = Presentation._products, []
+    build, calls = Presentation._entry, []
 
-    def counting(self, m1, m2):
-        calls.append((m1, m2))
-        return table(self, m1, m2)
+    def counting(self, a, b):
+        calls.append((a, b))
+        return build(self, a, b)
 
-    monkeypatch.setattr(Presentation, "_products", counting)
+    monkeypatch.setattr(Presentation, "_entry", counting)
     second = solve_antipode(J, 9)
     monkeypatch.undo()
     assert calls == []
     assert second.monomials_checked == first.monomials_checked == 945
     assert second.by_gen == first.by_gen
     # a closed form, one monomial with coefficient 1, is one shared tuple per id
-    mach, units, closed = hopf._machine(J), {}, 0
-    for row in mach._leg_products.values():
+    units, closed = {}, 0
+    for row in J._table.values():
         for pairs in row.values():
             if len(pairs) == 1 and pairs[0][1] == 1:
                 assert units.setdefault(pairs[0][0], pairs) is pairs
@@ -666,20 +671,20 @@ def test_antipode_check_reads_products_from_the_leg_memo(monkeypatch):
 
 def test_antipode_check_multiplies_by_the_unit_directly(monkeypatch):
     # 1 w = w 1 = w: with the window's coproducts built, the check asks the
-    # leg memo for no product with the empty monomial, id 0
+    # product table for no product with the empty monomial, id 0
     from hopfkit import hopf
 
     J = builtin("J")
     mach = hopf._machine(J)
     for mono in J.enumerate_basis(9):
-        mach.delta(mach.number(mono))
-    build, requested = mach._leg_product, []
+        mach.delta(J._number(mono))
+    requested = []
 
     def counting(a, b):
         requested.append((a, b))
-        return build(a, b)
+        return J._entry(a, b)
 
-    monkeypatch.setattr(mach, "_leg_products", hopf._legs(counting))
+    monkeypatch.setattr(J, "_table", Memo(lambda a: Memo(partial(counting, a))))
     assert solve_antipode(J, 9).monomials_checked == 945
     assert requested
     assert [pair for pair in requested if 0 in pair] == []
@@ -700,14 +705,14 @@ def test_both_loops_reject_a_flipped_antipode_entry(monkeypatch):
     ab = (1, 1, 0, 0, 0, 0)  # S(ab) = ba = ab - c, not a leg of any delta(g)
 
     class Flipped(hopf.AntipodeTable):
-        def apply_mono(self, mono):
-            value = super().apply_mono(mono)
-            if mono != ab:
+        def _image(self, i):
+            value = super()._image(i)
+            if J._monos[i] != ab:
                 return value
-            terms = dict(value.terms)
-            first = min(terms, key=J.mono_key)
+            terms = dict(value)
+            first = min(terms, key=lambda w: J.mono_key(J._monos[w]))
             terms[first] = -terms[first]
-            return PBWElement._raw(J, terms)
+            return tuple(terms.items())
 
     table = _solved(J, 6, Flipped)
     assert str(table.apply_mono(ab)) == "c + ab"

@@ -284,6 +284,26 @@ def test_qplane_straightening():
     assert str(h.gen("y") * h.gen("x")) == "1/2 xy"
 
 
+def _entries(p):
+    """The product table's entries by monomial pair: {(m1, m2): its (id, coeff) pairs}."""
+    monos = p._monos
+    return {(monos[a], monos[b]): pairs for a, row in p._table.items() for b, pairs in row.items()}
+
+
+def _stored(p):
+    """The entries of tailed pairs, those the table builds rather than reads off in closed form."""
+    tailed = [pair for pair, rel in p.relations.items() if rel.tail]
+    return {
+        (m1, m2): pairs
+        for (m1, m2), pairs in _entries(p).items()
+        if any(m1[hi] and m2[lo] for hi, lo in tailed)
+    }
+
+
+def _decoded(p, pairs):
+    return [(p._monos[w], c) for w, c in pairs]
+
+
 def test_mono_product_caching():
     L = builtin("L")
     m1 = (0, 1, 0, 0, 0)  # b
@@ -294,12 +314,12 @@ def test_mono_product_caching():
     assert first == second and first is not second
     assert str(first) == "ab - c"
     assert all(type(c) is Fraction for c in first.terms.values())
-    assert list(L._product_memo) == [(m1, m2)]
-    # result monomials are interned: equal monomials are one tuple
+    assert list(_stored(L)) == [(m1, m2)]
+    # result monomials are the table's own: equal monomials are one tuple
     ab = (1, 1, 0, 0, 0)
     (closed,) = L.mono_product(m2, m1).terms
     assert closed == ab and any(mono is closed for mono in first.terms)
-    assert list(L._product_memo) == [(m1, m2)]  # the closed form is not stored
+    assert list(_stored(L)) == [(m1, m2)]  # the closed form is built by no step
 
 
 def test_product_table_matches_normal_form():
@@ -327,22 +347,22 @@ def test_product_table_matches_normal_form():
         pairs.sort(key=lambda pair: not closed(*pair))  # closed forms first
         interned, requested = {}, set()
         for m1, m2 in pairs:
-            got = p._products(m1, m2)
-            want = p.normal_form({p.mono_word(m1) + p.mono_word(m2): 1}).terms
-            assert dict(got) == want and len(got) == len(want), (m1, m2)
-            for mono, c in got:
+            got = p._table[p._number(m1)][p._number(m2)]
+            want = _reference_normal_form(p, {p.mono_word(m1) + p.mono_word(m2): 1})
+            assert dict(_decoded(p, got)) == want and len(got) == len(want), (m1, m2)
+            for mono, c in _decoded(p, got):
                 # an int where integral, a Fraction otherwise
                 assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
                 # equal monomials are one tuple
                 assert interned.setdefault(mono, mono) is mono
             if closed(m1, m2):
-                assert not p._product_memo
+                assert not _stored(p)
             else:
-                assert p._product_memo[m1, m2] is got
+                assert _stored(p)[m1, m2] is got
                 requested.add((m1, m2))
                 # smaller products are built for confluent presentations only
                 if not p.confluence().ok:
-                    assert set(p._product_memo) == requested
+                    assert set(_stored(p)) == requested
                 tabled.add(p.name)
 
     @hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
@@ -366,7 +386,7 @@ def test_product_table_matches_normal_form():
 
 def test_associativity_oracle():
     # (xy)z = x(yz) needs no reference straightener; every tailed product
-    # below is built from (monomial x generator) entries of the product memo
+    # below is built from (monomial x generator) entries of the product table
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     tabled = []
@@ -377,7 +397,7 @@ def test_associativity_oracle():
         x, y, z = (data.draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3).map(p.element))
                    for _ in range(3))
         assert p.multiply(p.multiply(x, y), z) == p.multiply(x, p.multiply(y, z))
-        tabled.append(any(sum(m2) == 1 for _, m2 in p._product_memo))
+        tabled.append(any(sum(m2) == 1 for _, m2 in _stored(p)))
 
     @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
     @hypothesis.given(nilpotent_lie_algebras(), st.data())
@@ -397,7 +417,7 @@ def test_associativity_oracle():
 
 
 def test_deep_table_products():
-    # each product walks a chain of memo entries as long as the exponent,
+    # each product walks a chain of table entries as long as the exponent,
     # deeper than Python's default recursion limit of 1000
     for name, m1, m2, text in (
         ("heis3", (0, 1500, 0), (2, 0, 0), "x^2y^1500 - 3000xy^1499z + 2248500y^1498z^2"),
@@ -407,7 +427,7 @@ def test_deep_table_products():
         got = p.mono_product(m1, m2)
         assert got == p.normal_form({p.mono_word(m1) + p.mono_word(m2): 1}), name
         assert str(got) == text
-        assert len(p._product_memo) >= 1200
+        assert len(_stored(p)) >= 1200
 
 
 def test_table_products_keep_the_term_budget(monkeypatch):
@@ -425,19 +445,19 @@ def test_table_products_keep_the_term_budget(monkeypatch):
         match=r"^intermediate expression has \d+ terms, budget is 3 "
         r"\(raise HOPFKIT_MAX_TERMS to override\)$",
     ):
-        p._products(m1, m2)
+        p._table[p._number(m1)][p._number(m2)]
     # entries finished before the budget stopped the build may stay, and are exact
-    assert p._product_memo and (m1, m2) not in p._product_memo
+    assert _stored(p) and (m1, m2) not in _entries(p)
     monkeypatch.undo()
-    for (u, v), pairs in p._product_memo.items():
-        assert dict(pairs) == p.normal_form({p.mono_word(u) + p.mono_word(v): 1}).terms
-    # the budget is read once per built memo entry, the requested product included
+    for (u, v), pairs in _stored(p).items():
+        assert dict(_decoded(p, pairs)) == p.normal_form({p.mono_word(u) + p.mono_word(v): 1}).terms
+    # the budget is read once per built table entry, the requested product included
     p = builtin("U_n5")
     p.confluence()
     reads = []
     monkeypatch.setattr(pbw, "term_budget", lambda: reads.append(1) or term_budget())
-    assert len(p._products(m1, m2)) == 16
-    assert len(reads) == len(p._product_memo)
+    assert len(p._table[p._number(m1)][p._number(m2)]) == 16
+    assert len(reads) == len(_stored(p))
 
 
 def test_generator_entries_are_stored_once():
@@ -445,11 +465,86 @@ def test_generator_entries_are_stored_once():
     # that building a larger product stored, and stores no second copy
     p = builtin("heis3")
     assert str(p.mono_product((0, 3, 0), (2, 0, 0))) == "x^2y^3 - 6xy^2z + 6yz^2"
-    size = len(p._product_memo)
+    size = len(_stored(p))
     for k in (1, 2, 3):
         m1, m2 = (0, k, 0), (1, 0, 0)
-        assert p._products(m1, m2) is p._product_memo[m1, p._units[0]]
-    assert len(p._product_memo) == size
+        stored = p._table[p._number(m1)].get(p._unit(0))
+        assert stored is not None and p._table[p._number(m1)][p._number(m2)] is stored
+    assert len(_stored(p)) == size
+
+
+def _check_table(p):
+    """Every entry of p's product table against the max() scan's straightening
+    of the joined word, and the id invariants; returns the entries checked."""
+    monos, ids = p._monos, p._ids
+    assert monos[0] == (0,) * len(p.alphabet)  # id 0 is the empty monomial
+    assert sorted(ids.values()) == list(range(len(monos)))  # ids are dense
+    for m, i in ids.items():
+        assert monos[i] is m
+    tailed = [pair for pair, rel in p.relations.items() if rel.tail]
+    entries = _entries(p)
+    for (m1, m2), pairs in entries.items():
+        want = _reference_normal_form(p, {p.mono_word(m1) + p.mono_word(m2): 1})
+        assert dict(_decoded(p, pairs)) == want and len(pairs) == len(want), (p.name, m1, m2)
+        if any(m1[hi] and m2[lo] for hi, lo in tailed):
+            assert p._shared[pairs] is pairs  # equal built entries are one tuple
+        elif pairs[1:] == () and pairs[0][1] == 1:
+            assert pairs is p._ones[pairs[0][0]]  # a closed form is its id's one tuple
+    return len(entries)
+
+
+def test_every_table_entry_matches_the_reference_straightening():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seen = {}  # name -> (entries, tailed entries, entries with a coefficient not 1)
+
+    def check(p, data):
+        monos = st.tuples(*[st.integers(0, 1)] * len(p.alphabet))
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+        x, y = (data.draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3).map(p.element))
+                for _ in range(2))
+        p.multiply(p.multiply(x, y), p.gen(data.draw(st.integers(0, len(p.alphabet) - 1))))
+        p.mono_product(*data.draw(st.tuples(monos, monos)))
+        counts = seen.setdefault(p.name, [0, 0, 0])
+        counts[0] += _check_table(p)
+        counts[1] += len(_stored(p))
+        counts[2] += sum(c != 1 for pairs in _entries(p).values() for _, c in pairs)
+
+    @hypothesis.settings(derandomize=True, max_examples=25, deadline=None)
+    @hypothesis.given(nilpotent_lie_algebras(), st.data())
+    def random_algebras(algebra, data):
+        check(algebra[0], data)
+
+    random_algebras()
+    for make in (lambda: builtin("qplane(3/2)"), _residual):
+        @hypothesis.settings(derandomize=True, max_examples=10, deadline=None)
+        @hypothesis.given(st.data())
+        def fixed(data):
+            check(make(), data)
+
+        fixed()
+    assert not _residual().confluence().ok  # its tailed entries straighten the joined word
+    assert seen["U(g)"][1] and seen["residual"][1]
+    assert seen["qplane(3/2)"][2]  # closed forms with q powers
+
+
+def test_tailless_words_keep_the_budget_point(monkeypatch):
+    # a held swap with no tail changes no count, so only the first swap of a
+    # popped word is checked; words of distinct lengths stay held through
+    # every swap, and the budget fires where the max() scan, which checks
+    # after every step, fires, with the same count
+    p = builtin("qplane(3/2)")
+    x = {(0,) * 6 + (1,): 1, (1,) * 4 + (0,): 2, (1, 1, 1, 0): 3, (1, 0): 5}
+    for budget in ("2", "3", "4"):
+        monkeypatch.setenv("HOPFKIT_MAX_TERMS", budget)
+        expected = _outcome(lambda: _reference_normal_form(p, x))
+        assert _outcome(lambda: p.normal_form(x).terms) == expected, budget
+    q = Fraction(3, 2)  # y x = q x y
+    assert dict(expected) == {(6, 1): 1, (1, 4): 2 * q**4, (1, 3): 3 * q**3, (1, 1): 5 * q}
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "3")
+    with pytest.raises(BudgetExceeded) as info:
+        p.normal_form(x)
+    assert str(info.value) == str(over_budget(4, 3))
 
 
 # ----- the termination certificate psi -------------------------------------

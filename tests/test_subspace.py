@@ -374,7 +374,7 @@ def test_coradical_chain_reads_coproducts_numbered_out_of_window_order():
     coproduct(J, J.element({window[-1]: 1}))
     solve_antipode(J, 9)
     mach = hopf._machine(J)
-    ids = [mach.number(m) for m in window]
+    ids = [J._number(m) for m in window]
     assert ids != sorted(ids)
     assert coradical_levels(J, 9) == coradical_levels(fresh, 9)
     primitives, expected = primitive_space(J, 10), primitive_space(fresh, 10)
@@ -383,7 +383,7 @@ def test_coradical_chain_reads_coproducts_numbered_out_of_window_order():
     state = _CoradicalState(J, 10)
     assert len(state.coproducts) == len(window) - 1
     for (pos, terms, factor), m in zip(state.coproducts, window[1:]):
-        assert terms is mach.delta(mach.ids[m]), m  # the machine's own tuple, not a copy
+        assert terms is mach.delta(J._ids[m]), m  # the machine's own tuple, not a copy
         assert (pos, factor) == (state.index.position[m], 1)
 
 

@@ -32,23 +32,23 @@ antipode   basis monomials per second on which solve_antipode verifies the
 coradical  levels per second of the coradical chain (coradical_levels); the
            top level must hold the whole window, as its PBW basis counts it.
 products   window monomials per second of solve_antipode on J at window 9
-           and of signature on L at window 9, with the product table's
-           (Presentation._products) memo entries and hits; the antipode
-           must verify every window monomial, and L's signature must be
-           (1, 1, 1, 2, 2).  Table reads are counted on a separate, untimed
-           pass: per call, closed (no tailed relation crosses the pair) or
-           tailed by the presentation's relations; stored is what the pass
-           added to the memo, hits the tailed calls that found their pair
-           already stored; generator_entries counts the memo keys whose
-           right factor is a single letter, the (monomial x generator)
-           products that tailed products are built from.  Both report
-           their reads as table_reads, a count that moves with the code;
-           the rates are over the window's basis monomials, monomials,
-           which depend on the algebra and the window alone.
-           solve_antipode reads every product through the coproduct
-           machine's leg memo and the table only once per pair the memo
-           lacks; it also reports the memo's entries (pairs) after the
-           pass, leg_entries, and its rows (left factors), leg_rows.
+           and of signature on L at window 9, with the counters of the
+           presentation's one product table (Presentation._table, by
+           monomial id); the antipode must verify every window monomial,
+           and L's signature must be (1, 1, 1, 2, 2).  Table reads are
+           counted on a separate, untimed pass, through rows that count
+           their reads: table_reads in all, split into closed_reads (no
+           tailed relation crosses the pair, so the entry is a closed
+           form) and stored_reads (a tailed pair, built from smaller
+           entries on its first read).  After the pass: entries and rows
+           of the table, stored_entries (its tailed pairs),
+           generator_entries (tailed pairs whose right factor is a single
+           letter, the (monomial x generator) products that tailed
+           products are built from) and table_bytes, sys.getsizeof of the
+           table, its rows, entries, pairs, ids and coefficients, each
+           object once.  The counters move with the code; the rates are
+           over the window's basis monomials, monomials, which depend on
+           the algebra and the window alone.
 center     truncation centers per second (Truncation.center) of U_n5/I^6 at
            window 8, L/I^4 at window 9 and J/I^4 at window 9, each on a
            fresh presentation whose truncation is built outside the timed
@@ -168,7 +168,7 @@ def build_coproducts(p, monos):
     from hopfkit import hopf
 
     mach = hopf._machine(p)
-    delta, number = mach.delta, mach.number
+    delta, number = mach.delta, p._number
     for m in monos:
         delta(number(m))
     return mach
@@ -241,31 +241,77 @@ def coradical(hopfkit, rng, repeats):
     return cases, (("levels", "levels_per_s"),)
 
 
+def table_bytes(table):
+    """sys.getsizeof of a product table, its rows, entries, pairs, ids and coefficients.
+
+    Each object is counted once, however many entries share it.
+    """
+    seen = set()
+
+    def size(obj):
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return sys.getsizeof(obj)
+
+    total = size(table)
+    for row in table.values():
+        total += size(row) + size(row.build)
+        for pairs in row.values():
+            total += size(pairs) + sum(size(pair) + size(pair[0]) + size(pair[1]) for pair in pairs)
+    return total
+
+
 def counted_products(p, run):
-    """run() once with every product-table call on p counted, untimed."""
-    cls, memo = type(p), p._product_memo
-    table = cls._products
-    tailed = [pair for pair, rel in p.relations.items() if rel.tail]
-    counts = dict.fromkeys(("products", "closed", "tailed", "hits"), 0)
+    """run() once with every read of p's product table counted, untimed.
 
-    def counting(self, m1, m2):
-        if self is p:
-            counts["products"] += 1
-            if any(m1[hi] and m2[lo] for hi, lo in tailed):
-                counts["tailed"] += 1
-                counts["hits"] += (m1, m2) in memo
-            else:
-                counts["closed"] += 1
-        return table(self, m1, m2)
+    For the run each row of the table is switched to a subclass that
+    counts its reads, by subscript or by get, as closed or stored, and so
+    is each new row as it is made; the table itself is not changed.
+    """
+    from hopfkit.freealg import _Memo
 
-    before = len(memo)
-    cls._products = counting
+    monos, tailed = p._monos, [pair for pair, rel in p.relations.items() if rel.tail]
+    counts = dict.fromkeys(("table_reads", "closed_reads", "stored_reads"), 0)
+    left = {}  # id of a row -> its left factor
+
+    def crosses(a, b):
+        return any(monos[a][hi] and monos[b][lo] for hi, lo in tailed)
+
+    def count(row, b):
+        counts["table_reads"] += 1
+        counts["stored_reads" if crosses(left[id(row)], b) else "closed_reads"] += 1
+
+    class Counting(_Memo):
+        __slots__ = ()
+
+        def __getitem__(self, b):
+            count(self, b)
+            return super().__getitem__(b)
+
+        def get(self, b, default=None):
+            count(self, b)
+            return super().get(b, default)
+
+    def counting(a, row):
+        left[id(row)] = a
+        row.__class__ = Counting
+        return row
+
+    table, build = p._table, p._table.build
+    for a, row in table.items():
+        counting(a, row)
+    table.build = lambda a: counting(a, build(a))
     try:
         result = run()
     finally:
-        cls._products = table
-    counts.update(table="_products", entries=len(memo), stored=len(memo) - before,
-                  generator_entries=sum(sum(m2) == 1 for _, m2 in memo))
+        table.build = build
+        for row in table.values():
+            row.__class__ = _Memo
+    stored = [(a, b) for a, row in table.items() for b in row if crosses(a, b)]
+    counts.update(entries=sum(map(len, table.values())), rows=len(table), stored_entries=len(stored),
+                  generator_entries=sum(sum(monos[b]) == 1 for _, b in stored),
+                  table_bytes=table_bytes(table))
     return result, counts
 
 
@@ -292,13 +338,6 @@ def products(hopfkit, rng, repeats):
 
         return run
 
-    def leg_memo(p):
-        """Rows and entries of the coproduct machine's leg memo, legs[a][b] by monomial id."""
-        from hopfkit import hopf
-
-        legs = hopf._machine(p)._leg_products
-        return {"leg_rows": len(legs), "leg_entries": sum(map(len, legs.values()))}
-
     plan = {"antipode J@9": ("J", antipode_j), "signature L@9": ("L", signature_l)}
     cases = {}
     for _ in range(repeats):
@@ -311,10 +350,7 @@ def products(hopfkit, rng, repeats):
     for key, (name, prepare) in plan.items():
         p = hopfkit.builtin(name)
         _, counts = counted_products(p, prepare(p))
-        counts["table_reads"] = counts.pop("products")
         counts["monomials"] = len(p.enumerate_basis(9))
-        if key == "antipode J@9":
-            counts.update(leg_memo(p))
         cases[key] = (counts, cases[key])
     return cases, (("monomials", "monomials_per_s"),)
 
