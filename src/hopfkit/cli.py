@@ -145,9 +145,7 @@ def _check_stages(args, rep, label, p):
     rep.set("check.confluent", conf.ok)
     if not conf.ok:
         triple, residual = conf.residuals[0]
-        rep.say(
-            f"confluence: FAIL on overlap {triple}; residual {residual}"
-        )
+        rep.say(f"confluence: FAIL on overlap {' '.join(triple)}; residual {residual}")
         return False
     rep.say(f"confluence: {conf.triples_checked} overlap triples agree")
     if not p.has_coproduct:

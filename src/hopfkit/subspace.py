@@ -3,15 +3,16 @@
 Everything here works inside a window: the finite list of basis
 monomials up to a weight bound, in canonical order.  Because the order
 is weight-first, the window for a smaller bound is a prefix of the
-window for a larger one; the signature leans on that to count how much
-of a product span lands back inside the window.  Powers I^k of the
-augmentation ideal are exact and do not depend on the window.
+window for a larger one; only power_ideal_span leans on that, when it
+cuts I^k, built in the wider window that holds all of V, down to the
+window.  Powers I^k of the augmentation ideal are exact and do not depend
+on the window.
 
 Every rank, kernel and remainder comes from one sparse echelon engine
 that puts each pivot at its row's smallest column.  A dimension of the
-form dim(span intersected with a column prefix) is read off by feeding
-the columns in reversed order: a row whose pivot falls in the reversed
-prefix has all its support there.  Kernels are read the same way: a
+form dim(span intersected with the span of some columns) is read off by
+numbering those columns after every other: a row whose pivot falls
+among them has all its support there.  Kernels are read the same way: a
 vector's tag rides along as a trailing block of columns, and a
 remainder whose pivot falls in that block is a kernel element.
 
@@ -26,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import WindowTooSmall
-from .freealg import _Memo, _acc, over_budget, term_budget
+from .freealg import _acc, over_budget, term_budget
 from .pbw import PBWElement
 from . import hopf as _hopf
 from .grading import factor_series, gk_dimension, hilbert_series, series_settles
@@ -364,8 +365,8 @@ def power_ideal_span(p, k, weight_bound):
         k = 0  # a constant tail puts 1 in I
     index = MonomialIndex(p, weight_bound)
     needed = (k - 1) * p.max_weight
-    wide = index if needed <= weight_bound else MonomialIndex(p, needed)
-    monomials, last = wide.monomials, len(wide) - 1
+    monomials = index.monomials if needed <= weight_bound else p.enumerate_basis(needed)
+    last = len(monomials) - 1
     ids = [p._number(m) for m in reversed(monomials)]  # column -> id
     column = [None] * len(p._monos)  # id -> its column if in V, None for D_k and beyond
     rows = {}  # J_0 = V
@@ -387,7 +388,7 @@ def power_ideal_span(p, k, weight_bound):
         rows = elim.rows
     space = Subspace(index)
     for pivot, row in rows.items():
-        if pivot >= len(wide) - len(index):  # the row lies in the window
+        if pivot >= len(monomials) - len(index):  # the row lies in the window
             space.add_vector({last - col: v for col, v in row.items()})
     for pos, m in enumerate(index.monomials):
         if p.mono_degree(m) >= k:
@@ -678,15 +679,15 @@ def signature(p, weight_bound):
 
     For each level n, count the dimensions of S_n beyond
     S_{n-1} + (products of pairs of levels summing to n), the product
-    span intersected with the window.  Products of window elements live
-    in the doubled window, of which the window is a prefix.  Columns are
-    fed in reversed order, c -> full - 1 - c, so the window becomes the
-    last window_size columns; a row whose smallest-column pivot falls
-    there has all its support inside the window, and the intersection
-    dimension, `explained`, is the number of such pivots, kept as a
-    running count since rows never change their pivots.  The multiset
-    is complete when its size reaches the geometric growth dimension of
-    the series.
+    span intersected with the window.  A window monomial's column is its
+    reversed position, last - pos >= 0, and any other monomial id w is
+    column -1 - w < 0, so the window is the block of nonnegative columns,
+    after every other.  A row whose smallest-column pivot is >= 0 has all
+    its support inside the window, and the intersection dimension,
+    `explained`, is the number of such pivots, whatever order the outside
+    columns take; it is kept as a running count, since rows never change
+    their pivots.  The multiset is complete when its size reaches the
+    geometric growth dimension of the series.
 
     A level's products stop as soon as explained == dim S_n.  The
     coradical filtration is an algebra filtration, C_i C_j <= C_{i+j},
@@ -701,23 +702,19 @@ def signature(p, weight_bound):
     """
     chain = _coradical_chain(p, weight_bound)
     index = MonomialIndex(p, weight_bound)
-    wide = MonomialIndex(p, 2 * weight_bound)
-    if wide.monomials[: len(index)] != index.monomials:
-        raise AssertionError(f"window {weight_bound} is not a prefix of its double")
     # bases[n] = basis of S_n, each element as (id, coeff) pairs
     bases = [[]] + [[[(p._number(m), c) for m, c in b.terms.items()] for b in s.basis()] for s in chain]
+    last = len(index) - 1
+    # id -> column; ids numbered after the window lie outside it
+    column = [-1 - w if pos is None else last - pos for w, pos in enumerate(index.positions_by_id())]
+    known = len(column)
     elim = _Echelon()
-    full = len(wide)
-    window_start = full - len(index)
     explained = 0
-    monos = p._monos
-    # id -> reversed column; products of window elements lie in the doubled window
-    column = _Memo(lambda w: full - 1 - wide.index(monos[w]))
 
     def insert(terms):
         nonlocal explained
-        pivot = elim.insert({column[w]: v for w, v in terms})
-        if pivot is not None and pivot >= window_start:
+        pivot = elim.insert({column[w] if w < known else -1 - w: v for w, v in terms})
+        if pivot is not None and pivot >= 0:
             explained += 1
 
     entries = []

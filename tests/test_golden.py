@@ -19,8 +19,17 @@ J and L at window 9 and `check J --weight-bound 10` before the antipode
 axiom was verified in integers, one product per distinct leg;
 `check L --weight-bound 10`, `antipode heis3 --weight-bound 12` and
 `antipode --file presentations/L_heavy.hopf --weight-bound 10` before
-tailed products were built from a (monomial x generator) table) and
-is never regenerated: a mismatch means a change altered an answer.
+tailed products were built from a (monomial x generator) table;
+`signature` on H6 9, J 9 and L 11 and `signature --file
+presentations/L_heavy.hopf --weight-bound 10`, windows whose products
+leave the window, and the failing `check J --corrupt
+drop-dd-correction` and `check --file
+tests/presentations/noncoassociative.hopf`, before the signature
+stopped listing the doubled window) and is never regenerated: a
+mismatch means a change altered an answer.  `check --file
+tests/presentations/nonconfluent.hopf` was recorded once its
+confluence verdict named the overlap as space-joined letters, as
+`require_confluent` does, instead of a Python tuple.
 One file was re-recorded because its answer was wrong: the
 seven-presentation `compare-centers` at power 3 said the centers
 separate the presentations although H6 and J both have center

@@ -415,6 +415,25 @@ def test_signature_admits_small_windows():
     assert not sig.complete
 
 
+def test_signature_enumerates_nothing_beyond_its_window(monkeypatch):
+    """The product span is cut down to the window by column numbers
+    alone, so no basis past the window is ever listed."""
+    bounds = []
+    enumerate_basis = Presentation.enumerate_basis
+
+    def recording(self, max_weight):
+        bounds.append(max_weight)
+        return enumerate_basis(self, max_weight)
+
+    for name, bound in [("J", 8), ("L", 9)]:
+        p = builtin(name)
+        bounds.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Presentation, "enumerate_basis", recording)
+            assert signature(p, bound).complete
+        assert bounds and max(bounds) <= bound, (name, bounds)
+
+
 def random_sparse_rows(rng, n_rows, n_cols):
     """Sparse rational rows, some of them combinations of earlier ones."""
     rows = []

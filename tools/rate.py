@@ -7,6 +7,7 @@
     python3 tools/rate.py coradical --src src --seed 7 --repeats 5
     python3 tools/rate.py products --src src --seed 7 --repeats 5
     python3 tools/rate.py center --src src --seed 7 --repeats 5
+    python3 tools/rate.py signature --src src --seed 7 --repeats 5
 
 Each subcommand imports hopfkit from the given source directory, times
 its layer on fixed builtins, best CPU time of `repeats` passes, checks the
@@ -54,10 +55,14 @@ center     truncation centers per second (Truncation.center) of U_n5/I^6 at
            fresh presentation whose truncation is built outside the timed
            region; every representative must commute with every generator
            class.
+signature  window monomials per second of signature on H6 at window 9, J
+           at window 10 and L at window 11, with the window's size; the
+           entries must be (1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 2, 2) and
+           (1, 1, 1, 2, 2), the generator levels of each algebra.
 
-antipode and coradical run on a fresh presentation whose coproduct table of
-the window was built beforehand, outside the timed region, and each pass
-runs the windows in an order shuffled by the seed.
+antipode, coradical and signature run on a fresh presentation whose
+coproduct table of the window was built beforehand, outside the timed
+region, and each pass runs the windows in an order shuffled by the seed.
 """
 
 import argparse
@@ -79,6 +84,8 @@ NF_PLAN = (
 COPRODUCT_PLAN = (("J", 9), ("L", 9))
 ANTIPODE_PLAN = (("J", 9), ("J", 10), ("L", 9))
 CORADICAL_PLAN = (("J", 9), ("J", 11), ("L", 9))
+# (builtin, weight bound) -> its signature's entries
+SIGNATURE_PLAN = {("H6", 9): (1,) * 6, ("J", 10): (1, 1, 1, 1, 2, 2), ("L", 11): (1, 1, 1, 2, 2)}
 # (builtin, power, weight bound)
 CENTER_PLAN = (("U_n5", 6, 8), ("L", 4, 9), ("J", 4, 9))
 
@@ -241,6 +248,19 @@ def coradical(hopfkit, rng, repeats):
     return cases, (("levels", "levels_per_s"),)
 
 
+def signature(hopfkit, rng, repeats):
+    entries = {f"{name}@{bound}": want for (name, bound), want in SIGNATURE_PLAN.items()}
+
+    def run(p, bound, monos, key):
+        report, elapsed = cpu(hopfkit.signature, p, bound)
+        if report.entries != entries[key]:
+            raise SystemExit(f"{key}: signature {report}, not {entries[key]}")
+        return {"window": len(monos), "entries": len(report.entries)}, elapsed
+
+    cases = prebuilt_windows(hopfkit, SIGNATURE_PLAN, rng, repeats, run)
+    return cases, (("window", "monomials_per_s"),)
+
+
 def table_bytes(table):
     """sys.getsizeof of a product table, its rows, entries, pairs, ids and coefficients.
 
@@ -378,7 +398,7 @@ def center(hopfkit, rng, repeats):
 
 def main(argv=None):
     commands = {"nf": nf, "coproduct": coproduct, "antipode": antipode, "coradical": coradical,
-                "products": products, "center": center}
+                "products": products, "center": center, "signature": signature}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=commands)
     parser.add_argument("--src", default="src", help="directory holding the hopfkit package")
