@@ -60,14 +60,18 @@ class MonomialIndex:
             )
         return pos
 
+    def ids(self):
+        """Monomial ids in window order; numbers every window monomial."""
+        number = self.pres._number
+        return [number(m) for m in self.monomials]
+
     def positions_by_id(self):
         """Window positions by monomial id, a list with None outside the window.
 
         Numbers every window monomial first, so an id the list does not
         reach is outside the window too.
         """
-        number = self.pres._number
-        ids = [number(m) for m in self.monomials]
+        ids = self.ids()
         position = [None] * len(self.pres._monos)
         for pos, i in enumerate(ids):
             position[i] = pos
@@ -521,12 +525,15 @@ class _CoradicalState:
     presentation's monomial ids and coefficients, three entries per term,
     and kept in window order with the position of its monomial and the
     factor that clears its denominators (1 when its coefficients are
-    ints).  The factor is read from the coefficients terms[2::3] and the
-    right legs, kappa's domain, from terms[1::3].  Ids follow first
+    ints).  The factor is read from the coefficients terms[2::3].  The
+    first time a level past the first is asked for, each tuple is cut
+    once to its terms whose left leg is a pivot of S_1 (see kernel), and
+    kappa's domain, the right legs, is read from the kept terms; level 1
+    reads the machine's tuples and needs no kappa.  Ids follow first
     sight, not the window, so lists indexed by id restore window order:
-    position and offset (MonomialIndex.positions_by_id), the window position of
-    a leg and that position times the window size, and, per level, kappa
-    of a right leg that is a pivot of the level before.
+    position and offset (MonomialIndex.positions_by_id), the window
+    position of a leg and that position times the window size, and, per
+    level, kappa of a right leg that is a pivot of the level before.
     """
 
     def __init__(self, p, weight_bound):
@@ -541,9 +548,7 @@ class _CoradicalState:
         size = len(self.index)
         self.position = self.index.positions_by_id()  # id -> window position
         self.offset = [None if pos is None else pos * size for pos in self.position]
-        self.legs = set()  # kappa's domain
-        for _, terms, _ in self.coproducts:
-            self.legs.update(terms[1::3])
+        self.legs = None  # kappa's domain, set when the coproducts are cut
         self.chain = []
         self.stable = False
 
@@ -557,6 +562,26 @@ class _CoradicalState:
         S_n, so S_n = S_{n-1} + (S_n intersected with that span): a
         member of S_n minus its remainder modulo S_{n-1} is in S_{n-1}.
         The kernel found here is that intersection.
+
+        Past the first level only the terms u (x) v whose left leg u is a
+        pivot monomial of S_1 are read.  The window D is a subcoalgebra,
+        as legs have lower weight.  In its dual D*, the convolution
+        algebra, let m = {f : f(1) = 0} and x < f = (f (x) id) Delta x;
+        then (x < f) < g = x < (f * g), and for f in m, x < f is f(x) 1
+        plus (f (x) id) delta x.  So for x in D+, x lies in C_n exactly
+        when x < f lies in C_{n-1} for every f in m, and because C_{n-1}
+        is a subcoalgebra, A_x = {f in m : x < f in C_{n-1}} is a right
+        ideal: x lies in C_n iff A_x = m.  D is connected and finite
+        dimensional, so m is nilpotent, and m^2 is the annihilator of
+        k1 + P, P = S_1 the primitives: (f * g)(x) = (f (x) g) delta x for
+        f, g in m.  By Nakayama, any f_1, ..., f_k in m whose restrictions
+        form a basis of P* generate m as a right ideal, and then A_x = m
+        iff each f_i lies in A_x.  The coordinate functionals at S_1's
+        echelon pivots are such a basis, as the pivot block of S_1's rows
+        is triangular; and x < f_u, for u a pivot monomial, is f_u(x) 1
+        plus the sum of c v over the terms c u (x) v of delta x.  The
+        other terms impose nothing, S_n comes out the same, and the cut
+        tuples serve every later level.
 
         kappa of every right-leg monomial is brought to one integer
         denominator for the level, so each image is built in integers,
@@ -572,9 +597,11 @@ class _CoradicalState:
         images.  An image of more terms than the term budget raises
         BudgetExceeded.
         """
+        if self.chain and self.legs is None:
+            self._cut()
         previous = self.chain[-1]._elim if self.chain else _Echelon()
         position, offset, pivots = self.position, self.offset, previous.rows
-        rems = {i: previous.remainder({position[i]: 1}) for i in self.legs if position[i] in pivots}
+        rems = {i: previous.remainder({position[i]: 1}) for i in self.legs or () if position[i] in pivots}
         den = lcm(*(d for _, d in rems.values()))
         kappa = [None] * len(position)  # id -> kappa of a pivot right leg
         for i, (rem, d) in rems.items():
@@ -607,6 +634,21 @@ class _CoradicalState:
             image[_TAGS + pos] = factor
             elim.insert_cleared(image, factor)
         return elim.kernel
+
+    def _cut(self):
+        """Keep the terms of each coproduct whose left leg is a pivot of S_1.
+
+        kappa's domain becomes the right legs of the kept terms; the
+        factors stay, as they clear the kept coefficients too.
+        """
+        position, pivots = self.position, self.chain[0]._elim.rows
+        coproducts, legs = [], set()
+        for pos, terms, factor in self.coproducts:
+            flat = iter(terms)
+            kept = tuple(x for t in zip(flat, flat, flat) if position[t[0]] in pivots for x in t)
+            legs.update(kept[1::3])
+            coproducts.append((pos, kept, factor))
+        self.coproducts, self.legs = coproducts, legs
 
     def next_level(self):
         """Add the next level S_n = S_{n-1} + kernel(), or mark the chain stable."""
@@ -701,13 +743,21 @@ def signature(p, weight_bound):
     full product span of every earlier level inside it.
     """
     chain = _coradical_chain(p, weight_bound)
-    index = MonomialIndex(p, weight_bound)
-    # bases[n] = basis of S_n, each element as (id, coeff) pairs
-    bases = [[]] + [[[(p._number(m), c) for m, c in b.terms.items()] for b in s.basis()] for s in chain]
-    last = len(index) - 1
-    # id -> column; ids numbered after the window lie outside it
-    column = [-1 - w if pos is None else last - pos for w, pos in enumerate(index.positions_by_id())]
+    # window position -> id, from the window the chain listed (an empty
+    # chain feeds nothing); id -> column, ids numbered after the window
+    # lie outside it
+    ids = chain[0].index.ids() if chain else []
+    column = [-1 - w for w in range(len(p._monos))]
+    for col, w in enumerate(reversed(ids)):
+        column[w] = col
     known = len(column)
+    # bases[n] = basis of S_n, each element its primitive integer row as
+    # (id, coeff) pairs: a basis vector's scale changes no span
+    bases = [[]]
+    for level in chain:
+        level._elim.back_substitute()
+        rows = level._elim.rows
+        bases.append([[(ids[c], v) for c, v in rows[pivot].items()] for pivot in sorted(rows)])
     elim = _Echelon()
     explained = 0
 

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from hopfkit import (
     MonomialIndex,
     builtin,
     coradical_levels,
+    load_presentation,
     member,
     parse_presentation,
     power_ideal_span,
@@ -26,6 +28,7 @@ from hopfkit.freealg import _acc
 
 from strategies import nilpotent_lie_algebras
 
+PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 
 def test_monomial_index_layout():
     L = builtin("L")
@@ -387,6 +390,41 @@ def test_coradical_chain_reads_coproducts_numbered_out_of_window_order():
         assert (pos, factor) == (state.index.position[m], 1)
 
 
+def test_levels_past_the_first_read_only_left_legs_at_the_primitive_pivots():
+    # past level 1 each coproduct keeps its terms whose left leg is a
+    # pivot monomial of S_1; at J 9 the pivots are a, b, c and c^3, one
+    # of them no letter, and 4,579 of the window's 56,658 terms remain
+    from hopfkit.subspace import _CoradicalState
+
+    J = builtin("J")
+    state = _CoradicalState(J, 9)
+    assert sum(len(terms) // 3 for _, terms, _ in state.coproducts) == 56658
+    state.next_level()
+    state.next_level()
+    pivots = state.chain[0].pivots()
+    assert [state.index.monomials[pos] for pos in pivots] == [
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 3, 0, 0, 0)
+    ]
+    kept = [t for _, terms, _ in state.coproducts for t in zip(*[iter(terms)] * 3)]
+    assert len(kept) == 4579
+    assert {state.position[u] for u, _, _ in kept} <= set(pivots)
+    assert state.legs == {v for _, v, _ in kept}
+    assert coradical_levels(J, 9).dims[-1] == len(state.index)
+
+
+def test_primitive_space_never_cuts_the_coproducts(monkeypatch):
+    from hopfkit import subspace
+
+    def cut(self):
+        raise AssertionError("coproducts cut")
+
+    monkeypatch.setattr(subspace._CoradicalState, "_cut", cut)
+    J = builtin("J")
+    assert [str(b) for b in primitive_space(J, 9).basis()] == ["a", "b", "c", "c^3 - 3d"]
+    with pytest.raises(AssertionError, match="coproducts cut"):
+        coradical_levels(J, 9)
+
+
 def test_signature_of_l():
     sig = signature(builtin("L"), 6)
     assert sig.entries == (1, 1, 1, 2, 2)
@@ -432,6 +470,24 @@ def test_signature_enumerates_nothing_beyond_its_window(monkeypatch):
             patch.setattr(Presentation, "enumerate_basis", recording)
             assert signature(p, bound).complete
         assert bounds and max(bounds) <= bound, (name, bounds)
+
+
+def test_signature_lists_its_window_once(monkeypatch):
+    # the chain's window index serves the signature's columns too
+    calls = []
+    enumerate_basis = Presentation.enumerate_basis
+
+    def recording(self, max_weight):
+        calls.append(max_weight)
+        return enumerate_basis(self, max_weight)
+
+    for name, bound in [("J", 8), ("L", 9), ("L", 0)]:
+        p = builtin(name)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Presentation, "enumerate_basis", recording)
+            signature(p, bound)
+        assert calls == [bound], (name, calls)
 
 
 def random_sparse_rows(rng, n_rows, n_cols):
@@ -791,6 +847,11 @@ def _assert_matches_references(p, bound):
 )
 def test_settled_signature_and_complement_chain_match_references(name, bound):
     _assert_matches_references(builtin(name), bound)
+
+
+@pytest.mark.parametrize("bound", [8, 9])
+def test_cut_chain_matches_references_on_l_heavy(bound):
+    _assert_matches_references(load_presentation(PRESENTATIONS / "L_heavy.hopf"), bound)
 
 
 def test_one_sided_chain_matches_references_on_rescaled_j():

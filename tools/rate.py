@@ -32,6 +32,9 @@ antipode   basis monomials per second on which solve_antipode verifies the
            antipode axiom; S(S(g)) = g on every generator.
 coradical  levels per second of the coradical chain (coradical_levels); the
            top level must hold the whole window, as its PBW basis counts it.
+           level1_terms and later_terms are the reduced-coproduct terms
+           the chain's kernel reads at level 1 and at each later level,
+           counted on a separate, untimed pass; they move with the code.
 products   window monomials per second of solve_antipode on J at window 9
            and of signature on L at window 9, with the counters of the
            presentation's one product table (Presentation._table, by
@@ -237,12 +240,30 @@ def antipode(hopfkit, rng, repeats):
     return cases, (("monomials_checked", "monomials_per_s"),)
 
 
+def kernel_reads(p, bound):
+    """Coproduct terms the coradical kernel reads at each level, on an untimed pass.
+
+    A level reads the coproducts of the monomials that are no pivots of
+    the level before, as they stand once that level is built.
+    """
+    from hopfkit.subspace import _CoradicalState
+
+    state, reads = _CoradicalState(p, bound), []
+    while not state.stable:
+        before = set(state.chain[-1].pivots()) if state.chain else set()
+        state.next_level()
+        reads.append(sum(len(terms) // 3 for pos, terms, _ in state.coproducts if pos not in before))
+    return reads
+
+
 def coradical(hopfkit, rng, repeats):
     def run(p, bound, monos, key):
         report, elapsed = cpu(hopfkit.coradical_levels, p, bound)
         if report.dims[-1] != len(monos):
             raise SystemExit(f"{key}: top level {report.dims[-1]}, window {len(monos)}")
-        return {"levels": report.levels, "dim": report.dims[-1]}, elapsed
+        reads = kernel_reads(p, bound)
+        return {"levels": report.levels, "dim": report.dims[-1], "level1_terms": reads[0],
+                "later_terms": reads[1:]}, elapsed
 
     cases = prebuilt_windows(hopfkit, CORADICAL_PLAN, rng, repeats, run)
     return cases, (("levels", "levels_per_s"),)
