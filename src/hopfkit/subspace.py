@@ -24,6 +24,7 @@ reduction; Fraction is built only where a result is handed back.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
 
 from .errors import WindowTooSmall
@@ -525,15 +526,18 @@ class _CoradicalState:
     presentation's monomial ids and coefficients, three entries per term,
     and kept in window order with the position of its monomial and the
     factor that clears its denominators (1 when its coefficients are
-    ints).  The factor is read from the coefficients terms[2::3].  The
+    ints).  The factor is read from the coefficients terms[2::3].  Every
+    level reads only the terms whose left leg is a pivot monomial of
+    primitives already found (see kernel): level 1 finds them weight by
+    weight and skips the other terms of the machine's tuples.  The
     first time a level past the first is asked for, each tuple is cut
-    once to its terms whose left leg is a pivot of S_1 (see kernel), and
-    kappa's domain, the right legs, is read from the kept terms; level 1
-    reads the machine's tuples and needs no kappa.  Ids follow first
-    sight, not the window, so lists indexed by id restore window order:
-    position and offset (MonomialIndex.positions_by_id), the window
-    position of a leg and that position times the window size, and, per
-    level, kappa of a right leg that is a pivot of the level before.
+    once to its terms whose left leg is a pivot of S_1, and kappa's
+    domain, the right legs, is read from the kept terms; level 1 needs no
+    kappa.  Ids follow first sight, not the window, so lists indexed by
+    id restore window order: position and offset
+    (MonomialIndex.positions_by_id), the window position of a leg and
+    that position times the window size, and, per level, kappa of a
+    right leg that is a pivot of the level before.
     """
 
     def __init__(self, p, weight_bound):
@@ -549,6 +553,7 @@ class _CoradicalState:
         self.position = self.index.positions_by_id()  # id -> window position
         self.offset = [None if pos is None else pos * size for pos in self.position]
         self.legs = None  # kappa's domain, set when the coproducts are cut
+        self.restarts = []  # weights at which level 1 started its elimination over
         self.chain = []
         self.stable = False
 
@@ -563,25 +568,37 @@ class _CoradicalState:
         member of S_n minus its remainder modulo S_{n-1} is in S_{n-1}.
         The kernel found here is that intersection.
 
-        Past the first level only the terms u (x) v whose left leg u is a
-        pivot monomial of S_1 are read.  The window D is a subcoalgebra,
-        as legs have lower weight.  In its dual D*, the convolution
-        algebra, let m = {f : f(1) = 0} and x < f = (f (x) id) Delta x;
-        then (x < f) < g = x < (f * g), and for f in m, x < f is f(x) 1
-        plus (f (x) id) delta x.  So for x in D+, x lies in C_n exactly
-        when x < f lies in C_{n-1} for every f in m, and because C_{n-1}
-        is a subcoalgebra, A_x = {f in m : x < f in C_{n-1}} is a right
-        ideal: x lies in C_n iff A_x = m.  D is connected and finite
-        dimensional, so m is nilpotent, and m^2 is the annihilator of
-        k1 + P, P = S_1 the primitives: (f * g)(x) = (f (x) g) delta x for
-        f, g in m.  By Nakayama, any f_1, ..., f_k in m whose restrictions
-        form a basis of P* generate m as a right ideal, and then A_x = m
-        iff each f_i lies in A_x.  The coordinate functionals at S_1's
-        echelon pivots are such a basis, as the pivot block of S_1's rows
-        is triangular; and x < f_u, for u a pivot monomial, is f_u(x) 1
-        plus the sum of c v over the terms c u (x) v of delta x.  The
-        other terms impose nothing, S_n comes out the same, and the cut
-        tuples serve every later level.
+        Only the terms u (x) v whose left leg u lies in a set U of pivot
+        monomials of primitives are read.  Both legs of the reduced
+        coproduct of a monomial weigh less than it, so D_{<=w}, the span
+        of the window monomials of weight <= w, is a subcoalgebra for every
+        w, with delta(D_{<=w}) inside D_{<w} (x) D_{<w}; the window D is
+        one of them.  In the dual D*, the convolution algebra, let
+        m = {f : f(1) = 0} and x < f = (f (x) id) Delta x; then
+        (x < f) < g = x < (f * g), and for f in m, x < f is f(x) 1 plus
+        (f (x) id) delta x.  So for x in D+, x lies in C_n exactly when
+        x < f lies in C_{n-1} for every f in m, and because C_{n-1} is a
+        subcoalgebra, A_x = {f in m : x < f in C_{n-1}} is a right ideal:
+        x lies in C_n iff A_x = m.  A finite dimensional connected
+        coalgebra E has a nilpotent m_E, and m_E^2 is the annihilator of
+        k1 + P(E), P the primitives: (f * g)(x) = (f (x) g) delta x for f,
+        g in m_E.  By Nakayama, any f_1, ..., f_k in m_E whose restrictions
+        form a basis of P(E)* generate m_E as a right ideal.  The
+        coordinate functionals at P(E)'s echelon pivots are such a basis,
+        as the pivot block of P(E)'s rows is triangular, and x < f_u, for u
+        a pivot monomial, is f_u(x) 1 plus the sum of c v over the terms
+        c u (x) v of delta x.  Every condition is necessary, so functionals
+        beyond a generating set change nothing.
+
+        Past the first level E = D and P(E) = S_1: each coproduct is cut
+        once to the terms whose left leg is a pivot of S_1, and the cut
+        tuples serve every later level.  Level 1, S_1 = P(D), is built
+        weight by weight (_primitives).  For x in D_{<=w}+, and C_0 the
+        scalars, A_x = {f in m : x < f in k} contains D_{<w}^perp, an ideal
+        of D*, so A_x = m iff its image in D* / D_{<w}^perp = D_{<w}*,
+        connected, is all of m_{D_{<w}}.  E = D_{<w} then gives U = the
+        pivots of P(D_{<w}): x is primitive iff the sum of c v over the
+        terms c u (x) v of delta x vanishes for each u in U.
 
         kappa of every right-leg monomial is brought to one integer
         denominator for the level, so each image is built in integers,
@@ -594,37 +611,88 @@ class _CoradicalState:
         column, at the level's denominator, with no kappa entry.  The
         level's denominator cancels, so the kernel tags,
         {position: Fraction} maps, are exactly those of the rational
-        images.  An image of more terms than the term budget raises
-        BudgetExceeded.
+        images.  The term budget is read once per level; an image of more
+        terms raises BudgetExceeded.
         """
-        if self.chain and self.legs is None:
+        budget = term_budget()
+        if not self.chain:
+            return self._primitives(budget)
+        if self.legs is None:
             self._cut()
-        previous = self.chain[-1]._elim if self.chain else _Echelon()
-        position, offset, pivots = self.position, self.offset, previous.rows
-        rems = {i: previous.remainder({position[i]: 1}) for i in self.legs or () if position[i] in pivots}
+        previous = self.chain[-1]._elim
+        position, pivots = self.position, previous.rows
+        rems = {i: previous.remainder({position[i]: 1}) for i in self.legs if position[i] in pivots}
         den = lcm(*(d for _, d in rems.values()))
         kappa = [None] * len(position)  # id -> kappa of a pivot right leg
         for i, (rem, d) in rems.items():
             scale = den // d
             kappa[i] = tuple((c, v * scale) for c, v in rem.items())
-        budget = term_budget()
         elim = _Echelon()
-        for pos, terms, factor in self.coproducts:
-            if pos in pivots:
-                continue
+        coproducts = (cop for cop in self.coproducts if cop[0] not in pivots)
+        self._images(elim, coproducts, self.offset, kappa, den, budget)
+        return elim.kernel
+
+    def _primitives(self, budget):
+        """Kernel tags of level 1, S_1 = P(D), found weight by weight.
+
+        At each weight w, U is the set of pivots of P(D_{<w}), the tags
+        found so far, and the left legs read are U's (see kernel).  One
+        elimination serves while U stays the same, and each weight's
+        monomials are inserted into it; once U grows, its rows lack the
+        new columns and could declare false primitives, so a fresh one
+        is fed again every monomial of weight < w that is no pivot of U.
+        Those monomials span a complement of P(D_{<w}), so the tags found
+        at weight w complete it to P(D_{<=w}).
+        """
+        ids, size = self.index.ids(), len(self.index)
+        weight = self.index.pres.mono_weight
+        found = _Echelon()  # the primitives found so far
+        left = [None] * len(self.position)  # id -> offset of a pivot of U
+        identity = left[:]  # kappa = id
+        elim, fed, tags = _Echelon(), [], []
+        self.restarts = []
+        for w, group in groupby(zip(self.aug, self.coproducts), lambda pair: weight(pair[0])):
+            new = [pivot for pivot in found.rows if left[ids[pivot]] is None]
+            for pivot in new:
+                left[ids[pivot]] = pivot * size
+            if new and elim.rows:
+                self.restarts.append(w)
+                elim = _Echelon()
+                fed = [cop for cop in fed if cop[0] not in found.rows]
+                self._images(elim, fed, left, identity, 1, budget)
+            group = [cop for _, cop in group]
+            fed += group
+            start = len(elim.kernel)
+            self._images(elim, group, left, identity, 1, budget)
+            for tag in elim.kernel[start:]:
+                found.insert(tag)
+                tags.append(tag)
+        return tags
+
+    def _images(self, elim, coproducts, left, kappa, den, budget):
+        """Insert the image of each coproduct into elim, tagged by its position.
+
+        A term u (x) v is read when left[u], u's column offset, is not
+        None; kappa and den are the level's (see kernel).
+        """
+        position = self.position
+        for pos, terms, factor in coproducts:
             flat = iter(terms)
             terms = zip(flat, flat, flat)
-            if factor != 1:  # cleared term by term, never stored
-                terms = ((u, v, c.numerator * (factor // c.denominator)) for u, v, c in terms)
+            if factor != 1:  # the terms read are cleared one by one, never stored
+                terms = ((u, v, c.numerator * (factor // c.denominator))
+                         for u, v, c in terms if left[u] is not None)
             image = {}
             get = image.get
             for u, v, c in terms:
+                start = left[u]
+                if start is None:  # u is no pivot of U
+                    continue
                 kappa_v = kappa[v]
                 if kappa_v is None:  # kappa(v) = v
-                    key = offset[u] + position[v]
+                    key = start + position[v]
                     image[key] = get(key, 0) + c * den
                 else:
-                    start = offset[u]
                     for col, cv in kappa_v:
                         key = start + col
                         image[key] = get(key, 0) + c * cv
@@ -633,7 +701,6 @@ class _CoradicalState:
                 raise over_budget(len(image), budget)
             image[_TAGS + pos] = factor
             elim.insert_cleared(image, factor)
-        return elim.kernel
 
     def _cut(self):
         """Keep the terms of each coproduct whose left leg is a pivot of S_1.

@@ -25,7 +25,11 @@ presentations/L_heavy.hopf --weight-bound 10`, windows whose products
 leave the window, and the failing `check J --corrupt
 drop-dd-correction` and `check --file
 tests/presentations/noncoassociative.hopf`, before the signature
-stopped listing the doubled window) and is never regenerated: a
+stopped listing the doubled window; `primitives --file
+presentations/L_heavy.hopf --weight-bound 10`, `primitives --builtin H6
+--weight-bound 9` and `primitives --builtin J --weight-bound 11` before
+level 1 of the coradical chain read only the left legs at the pivots of
+lighter primitives) and is never regenerated: a
 mismatch means a change altered an answer.  `check --file
 tests/presentations/nonconfluent.hopf` was recorded once its
 confluence verdict named the overlap as space-joined letters, as

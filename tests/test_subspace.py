@@ -412,6 +412,71 @@ def test_levels_past_the_first_read_only_left_legs_at_the_primitive_pivots():
     assert coradical_levels(J, 9).dims[-1] == len(state.index)
 
 
+def test_level_one_reads_only_left_legs_at_pivots_of_lighter_primitives(monkeypatch):
+    # level 1 reads a term u (x) v of delta(m) only when u is a pivot of
+    # the primitives of weight < weight(m): at J 9, 4,628 of the window's
+    # 56,658 terms, counted again where the elimination starts over
+    from hopfkit.subspace import _CoradicalState
+
+    J = builtin("J")
+    lighter = {w: set(primitive_space(J, w - 1).pivots()) for w in range(1, 10)}
+    images, reads = _CoradicalState._images, []
+
+    def record(self, elim, coproducts, left, kappa, den, budget):
+        coproducts = list(coproducts)
+        if not self.chain:
+            for pos, terms, _ in coproducts:
+                reads.extend((pos, self.position[u]) for u in terms[0::3] if left[u] is not None)
+        images(self, elim, coproducts, left, kappa, den, budget)
+
+    monkeypatch.setattr(_CoradicalState, "_images", record)
+    state = _CoradicalState(J, 9)
+    state.next_level()
+    assert len(reads) == 4628
+    monomials = state.index.monomials
+    assert all(u in lighter[J.mono_weight(monomials[pos])] for pos, u in reads)
+    assert [str(b) for b in state.chain[0].basis()] == ["a", "b", "c", "c^3 - 3d"]
+
+
+def test_level_one_starts_over_when_c_cubed_becomes_a_pivot():
+    # J's primitives gain pivots twice: a, b and c at weight 1, while
+    # level 1's elimination holds no rows, and c^3 at weight 3; only the
+    # second starts the elimination over, at the next weight
+    from hopfkit.subspace import _CoradicalState
+
+    J = builtin("J")
+    state = _CoradicalState(J, 9)
+    state.next_level()
+    assert state.restarts == [4]
+    assert primitive_space(J, 2).dim == 3
+    cubed = primitive_space(J, 3).pivots()[-1]
+    assert (state.index.monomials[cubed], J.mono_weight(state.index.monomials[cubed])) == ((0, 0, 3, 0, 0, 0), 3)
+
+
+# a^2 + z is primitive and its pivot a^2 is lighter than z, so a^3's
+# level-1 row, built at weight 3 from left leg a alone, lacks the column
+# a^2 (x) a; kept at weight 4, it would make a^3 - w, whose reduced
+# coproduct is -3 (a^2 + z) (x) a, look primitive
+NESTED = """name: nested
+generators: a:1 z:3 w:4
+delta: z = z (x) 1 + 1 (x) z - 2 a (x) a
+delta: w = w (x) 1 + 1 (x) w + 3 a (x) a^2 - 3 z (x) a
+"""
+
+
+def test_level_one_starts_over_before_rows_miss_a_lighter_pivot():
+    from hopfkit import is_primitive
+    from hopfkit.subspace import _CoradicalState
+
+    p = parse_presentation(NESTED)
+    state = _CoradicalState(p, 6)
+    state.next_level()
+    assert state.restarts == [4]
+    primitives = _assert_primitives_match_reference(p, 6)
+    assert [str(b) for b in primitives.basis()] == ["a", "a^2 + z"]
+    assert not is_primitive(p, p.gen("a") ** 3 - p.gen("w"))
+
+
 def test_primitive_space_never_cuts_the_coproducts(monkeypatch):
     from hopfkit import subspace
 
@@ -861,19 +926,72 @@ def test_one_sided_chain_matches_references_on_rescaled_j():
     assert [str(b) for b in chain[0].basis()] == ["a", "b", "c", "c^3 - 5/2 d"]
 
 
+def _assert_primitives_match_reference(p, bound):
+    """primitive_space, built weight by weight, equals the reference's
+    first level, which reads every term: the same pivots, basis for basis."""
+    primitives, reference = primitive_space(p, bound), _reference_chain(p, bound)[0]
+    assert primitives.pivots() == reference.pivots()
+    assert [b.terms for b in primitives.basis()] == [b.terms for b in reference.basis()]
+    return primitives
+
+
+@pytest.mark.parametrize("name", ["H6", "J", "L", "U_n5", "heis3", "poly(1)", "poly(3)"])
+def test_primitive_space_matches_the_reference_at_default_windows(name):
+    # every builtin with a coproduct; qplane(q) carries none
+    p = builtin(name)
+    _assert_primitives_match_reference(p, 2 * p.max_weight + 2)
+
+
+@pytest.mark.parametrize("bound", [8, 9, 10])
+def test_primitive_space_matches_the_reference_on_l_heavy(bound):
+    _assert_primitives_match_reference(load_presentation(PRESENTATIONS / "L_heavy.hopf"), bound)
+
+
+def test_primitive_space_matches_the_reference_on_rescaled_j():
+    # fractional factors: delta(d) carries 6/5
+    primitives = _assert_primitives_match_reference(parse_presentation(J_SCALED_D), 7)
+    assert [str(b) for b in primitives.basis()] == ["a", "b", "c", "c^3 - 5/2 d"]
+
+
+def test_primitive_space_matches_the_reference_on_enveloping_algebras():
+    # generators of several weights are primitive, so level 1 starts over
+    # wherever a new weight of them meets rows built without them
+    hypothesis = pytest.importorskip("hypothesis")
+    from hopfkit.subspace import _CoradicalState
+
+    restarted = []
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+    @hypothesis.given(nilpotent_lie_algebras())
+    def check(algebra):
+        p, degrees = algebra
+        bound = max(degrees) + 2
+        primitives = _assert_primitives_match_reference(p, bound)
+        assert primitives.dim == len(degrees)
+        state = _CoradicalState(p, bound)
+        state.next_level()
+        restarted.append(bool(state.restarts))
+
+    check()
+    assert sum(restarted) >= len(restarted) // 2
+
+
 def test_coradical_kernel_keeps_the_term_budget(monkeypatch):
     """kernel() reads the budget once per level and stops an image that
-    exceeds it with the standard message; the coproducts, built first
-    under the default budget, are not what trips it."""
+    exceeds it with the standard message, at level 1 as at the levels
+    after it; the coproducts, built first under the default budget, are
+    not what trips it.  8 terms is the widest image of J at window 6,
+    both at level 1 and over the whole chain."""
     from hopfkit.errors import BudgetExceeded
     from hopfkit.subspace import _coradical_chain
 
     J = builtin("J")
     _coradical_chain(J, 6, levels=0)  # builds the window's coproducts, memoized by hopf
-    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "40")
-    with pytest.raises(BudgetExceeded, match=r"^intermediate expression has \d+ terms, budget is 40 "):
-        coradical_levels(J, 6)
-    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "61")  # the widest level-1 image of J at window 6
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "7")
+    for run in (primitive_space, coradical_levels):
+        with pytest.raises(BudgetExceeded, match=r"^intermediate expression has \d+ terms, budget is 7 "):
+            run(J, 6)
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "8")
     assert coradical_levels(J, 6).dims == (1, 5, 17, 41, 87, 137, 217)
 
 

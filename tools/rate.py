@@ -34,7 +34,10 @@ coradical  levels per second of the coradical chain (coradical_levels); the
            top level must hold the whole window, as its PBW basis counts it.
            level1_terms and later_terms are the reduced-coproduct terms
            the chain's kernel reads at level 1 and at each later level,
-           counted on a separate, untimed pass; they move with the code.
+           counted on a separate, untimed pass; level 1 builds the
+           primitives weight by weight and starts its elimination over
+           level1_restarts times, and level1_terms sums its reads over
+           every start.  They move with the code.
 products   window monomials per second of solve_antipode on J at window 9
            and of signature on L at window 9, with the counters of the
            presentation's one product table (Presentation._table, by
@@ -241,19 +244,28 @@ def antipode(hopfkit, rng, repeats):
 
 
 def kernel_reads(p, bound):
-    """Coproduct terms the coradical kernel reads at each level, on an untimed pass.
+    """(reads, restarts) of the coradical kernel, on an untimed pass.
 
-    A level reads the coproducts of the monomials that are no pivots of
-    the level before, as they stand once that level is built.
+    reads holds per level the coproduct terms the level reads: those
+    whose left leg has a column offset in the list its image loop is
+    handed, counted again each time level 1 starts its elimination
+    over; restarts is how many times it does.
     """
     from hopfkit.subspace import _CoradicalState
 
     state, reads = _CoradicalState(p, bound), []
+    images = state._images
+
+    def counted(elim, coproducts, left, kappa, den, budget):
+        coproducts = list(coproducts)
+        reads[-1] += sum(left[u] is not None for _, terms, _ in coproducts for u in terms[0::3])
+        images(elim, coproducts, left, kappa, den, budget)
+
+    state._images = counted
     while not state.stable:
-        before = set(state.chain[-1].pivots()) if state.chain else set()
+        reads.append(0)
         state.next_level()
-        reads.append(sum(len(terms) // 3 for pos, terms, _ in state.coproducts if pos not in before))
-    return reads
+    return reads, len(state.restarts)
 
 
 def coradical(hopfkit, rng, repeats):
@@ -261,9 +273,9 @@ def coradical(hopfkit, rng, repeats):
         report, elapsed = cpu(hopfkit.coradical_levels, p, bound)
         if report.dims[-1] != len(monos):
             raise SystemExit(f"{key}: top level {report.dims[-1]}, window {len(monos)}")
-        reads = kernel_reads(p, bound)
+        reads, restarts = kernel_reads(p, bound)
         return {"levels": report.levels, "dim": report.dims[-1], "level1_terms": reads[0],
-                "later_terms": reads[1:]}, elapsed
+                "level1_restarts": restarts, "later_terms": reads[1:]}, elapsed
 
     cases = prebuilt_windows(hopfkit, CORADICAL_PLAN, rng, repeats, run)
     return cases, (("levels", "levels_per_s"),)
