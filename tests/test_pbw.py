@@ -48,6 +48,26 @@ def test_builtin_names_and_loading():
         builtin("qplane(q)")  # the parameter must be a literal rational
 
 
+def test_builtin_parameters_are_checked():
+    with pytest.raises(UnknownBuiltin, match=r"^poly\(d\) needs d >= 1$"):
+        builtin("poly(0)")
+    with pytest.raises(UnknownBuiltin, match=r"^poly takes an integer, got 'x'$"):
+        builtin("poly(x)")
+    with pytest.raises(UnknownBuiltin, match=r"^qplane takes a rational, got 'a'$"):
+        builtin("qplane(a)")
+    with pytest.raises(ZeroQ):
+        builtin("qplane(0)")
+
+
+def test_parametrized_builtins_equal_their_hand_built_presentations():
+    q = builtin("qplane(-3/2)")
+    assert q == Presentation([("x", 1), ("y", 1)], relations={("y", "x"): (Fraction(-3, 2), {})})
+    assert q.delta is None
+    assert q.name == "qplane(-3/2)"
+    poly = Presentation([("x1", 1), ("x2", 1), ("x3", 1)], coproduct={})
+    assert builtin("poly(3)") == poly
+
+
 def test_builtin_instances_are_fresh():
     assert builtin("J") is not builtin("J")
 
