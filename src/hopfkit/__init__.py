@@ -3,11 +3,9 @@
 from .errors import HopfkitError
 from .freealg import Alphabet, FreeElement, Generator, free_add, free_mul, word_weight
 from .pbw import (
-    BUILTIN_NAMES,
     PBWElement,
     Presentation,
     Relation,
-    builtin,
     commutator,
     confluence_check,
     enumerate_basis,
@@ -53,6 +51,8 @@ from .subspace import (
     truncation_algebra,
 )
 from .presfile import (
+    BUILTIN_NAMES,
+    builtin,
     dump_presentation,
     load_presentation,
     parse_expression,

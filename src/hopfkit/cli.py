@@ -13,10 +13,11 @@ import argparse
 import os
 import sys
 
-from . import grading, hopf, pbw, presfile, subspace
+from . import grading, hopf, presfile, subspace
 from .errors import (
     AxiomFailure,
     HopfkitError,
+    InvalidSetting,
     NoCoproductAttached,
     ParseError,
     PresentationError,
@@ -74,7 +75,7 @@ def _add_source(sub):
         action="append",
         default=[],
         metavar="NAME",
-        help="builtin presentation " + "/".join(pbw.BUILTIN_NAMES),
+        help="builtin presentation " + "/".join(presfile.BUILTIN_NAMES),
     )
     sub.add_argument(
         "--file",
@@ -90,7 +91,7 @@ def _load_sources(args):
         raise _UsageError("dump-builtin takes exactly one --builtin")
     targets = []
     for name in args.builtin:
-        targets.append((name, pbw.builtin(name)))
+        targets.append((name, presfile.builtin(name)))
     for path in args.file:
         p = presfile.load_presentation(path)
         targets.append((p.name or os.path.basename(path), p))
@@ -272,11 +273,12 @@ def cmd_antipode(args, rep, label, p):
 def cmd_primitives(args, rep, label, p):
     bound = _window(p, args.weight_bound)
     space = subspace.primitive_space(p, bound)
+    basis = tuple(str(b) for b in space.basis())
     rep.say(f"primitives of {label} up to weight {bound}: dimension {space.dim}")
-    for b in space.basis():
+    for b in basis:
         rep.say(f"  {b}")
     rep.set("primitives.dim", space.dim)
-    rep.set("primitives.basis", tuple(str(b) for b in space.basis()))
+    rep.set("primitives.basis", basis)
     return 0
 
 
@@ -455,6 +457,7 @@ def main(argv=None):
     except (
         _UsageError,
         OSError,
+        InvalidSetting,
         ParseError,
         UnknownBuiltin,
         WindowTooSmall,

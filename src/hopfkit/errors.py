@@ -13,6 +13,10 @@ class BudgetExceeded(HopfkitError):
     """An intermediate expression outgrew HOPFKIT_MAX_TERMS."""
 
 
+class InvalidSetting(HopfkitError):
+    """An environment variable holds a value hopfkit cannot use."""
+
+
 class PresentationError(HopfkitError):
     """A presentation failed validation."""
 

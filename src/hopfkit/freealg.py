@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlphabetMismatch, BudgetExceeded
+from .errors import AlphabetMismatch, BudgetExceeded, InvalidSetting
 
 Word = tuple
 
@@ -33,7 +33,13 @@ def term_budget():
     raw = os.environ.get("HOPFKIT_MAX_TERMS")
     if raw is None:
         return DEFAULT_MAX_TERMS
-    return int(raw)
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise InvalidSetting(f"HOPFKIT_MAX_TERMS must be an integer >= 1, got {raw!r}")
+    return budget
 
 
 def over_budget(count, budget):

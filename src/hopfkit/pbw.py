@@ -58,7 +58,6 @@ from .errors import (
     NotConfluent,
     TailNotNormal,
     TailNotSmaller,
-    UnknownBuiltin,
     ZeroQ,
 )
 from .freealg import (
@@ -1010,130 +1009,3 @@ def commutator(p, x, y):
 
 def enumerate_basis(p, max_weight):
     return p.enumerate_basis(max_weight)
-
-
-# ----- builtin catalogue ---------------------------------------------------
-
-BUILTIN_NAMES = ("H6", "J", "L", "U_n5", "heis3", "poly(d)", "qplane(q)")
-
-_F = Fraction
-
-
-def _h6_core(coproduct, name):
-    # two commuting Heisenberg copies: [a,b] = c and [z,w] = d, c and d central
-    return Presentation(
-        [("a", 1), ("b", 1), ("c", 1), ("z", 2), ("w", 2), ("d", 3)],
-        relations={
-            ("b", "a"): (1, {(2,): _F(-1)}),
-            ("w", "z"): (1, {(5,): _F(-1)}),
-        },
-        coproduct=coproduct,
-        name=name,
-    )
-
-
-def _builtin_h6():
-    return _h6_core(coproduct={}, name="H6")
-
-
-def _builtin_j():
-    # same algebra as H6 with the deformed coproduct that couples the copies
-    delta = {
-        "z": {((0,), (2,)): _F(1), ((2,), (0,)): _F(-1)},
-        "w": {((1,), (2,)): _F(1), ((2,), (1,)): _F(-1)},
-        "d": {((2,), (2, 2)): _F(1), ((2, 2), (2,)): _F(1)},
-    }
-    return _h6_core(coproduct=delta, name="J")
-
-
-def _builtin_l():
-    # quotient of J by its central primitive: [z,w] becomes (1/3)c^3
-    delta = {
-        "z": {((0,), (2,)): _F(1), ((2,), (0,)): _F(-1)},
-        "w": {((1,), (2,)): _F(1), ((2,), (1,)): _F(-1)},
-    }
-    return Presentation(
-        [("a", 1), ("b", 1), ("c", 2), ("z", 3), ("w", 3)],
-        relations={
-            ("b", "a"): (1, {(2,): _F(-1)}),
-            ("w", "z"): (1, {(2, 2, 2): _F(-1, 3)}),
-        },
-        coproduct=delta,
-        name="L",
-    )
-
-
-def _builtin_u_n5():
-    # five-dimensional nilpotent Lie algebra: [x1,x2] = x = [x3,x4]
-    return Presentation(
-        [("x", 1), ("x1", 1), ("x2", 1), ("x3", 1), ("x4", 1)],
-        relations={
-            ("x2", "x1"): (1, {(0,): _F(-1)}),
-            ("x4", "x3"): (1, {(0,): _F(-1)}),
-        },
-        coproduct={},
-        name="U_n5",
-    )
-
-
-def _builtin_heis3():
-    return Presentation(
-        [("x", 1), ("y", 1), ("z", 2)],
-        relations={("y", "x"): (1, {(2,): _F(-1)})},
-        coproduct={},
-        name="heis3",
-    )
-
-
-def _builtin_poly(d):
-    if d < 1:
-        raise UnknownBuiltin("poly(d) needs d >= 1")
-    return Presentation(
-        [(f"x{i}", 1) for i in range(1, d + 1)],
-        coproduct={},
-        name=f"poly({d})",
-    )
-
-
-def _builtin_qplane(q):
-    q = as_coeff(q)
-    return Presentation(
-        [("x", 1), ("y", 1)],
-        relations={("y", "x"): (q, {})},
-        name=f"qplane({q})",
-    )
-
-
-def builtin(name):
-    """Compiled-in example presentations by name.
-
-    Plain names: H6, J, L, U_n5, heis3.  Parametrized: poly(d) for d >= 1
-    commuting generators, qplane(q) for the q-commuting plane (q nonzero).
-    """
-    text = name.strip()
-    plain = {
-        "H6": _builtin_h6,
-        "J": _builtin_j,
-        "L": _builtin_l,
-        "U_n5": _builtin_u_n5,
-        "heis3": _builtin_heis3,
-    }
-    if text in plain:
-        return plain[text]()
-    if text.startswith("poly(") and text.endswith(")"):
-        body = text[5:-1]
-        try:
-            d = int(body)
-        except ValueError:
-            raise UnknownBuiltin(f"poly takes an integer, got {body!r}") from None
-        return _builtin_poly(d)
-    if text.startswith("qplane(") and text.endswith(")"):
-        body = text[7:-1]
-        try:
-            q = Fraction(body)
-        except (ValueError, ZeroDivisionError):
-            raise UnknownBuiltin(f"qplane takes a rational, got {body!r}") from None
-        return _builtin_qplane(q)
-    raise UnknownBuiltin(
-        f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}"
-    )

@@ -1,4 +1,4 @@
-"""Plain-text presentation files: parsing and dumping.
+"""Plain-text presentation files: parsing, dumping and the builtins.
 
 The format is line oriented; `#` starts a comment.  A file looks like
 
@@ -25,13 +25,16 @@ Rules the parser enforces:
 
 Words are whitespace separated generator names with optional ^k
 powers, so multi-character names like x1 stay unambiguous.
+
+The builtin presentations are written in this format too, and builtin()
+parses them as a file is parsed.
 """
 
 import re
 from fractions import Fraction
 from functools import partial
 
-from .errors import ParseError
+from .errors import ParseError, UnknownBuiltin
 from .freealg import Alphabet, FreeElement, _acc, render_terms
 from .pbw import Presentation
 
@@ -50,11 +53,18 @@ def _tokens(text, line):
 
 
 def _is_number(tok):
-    return tok[0].isdigit()
+    return tok is not None and tok[0].isdigit()
 
 
 def _is_name(tok):
     return _IDENT_RE.match(tok) is not None
+
+
+def _index(alphabet, name, line):
+    try:
+        return alphabet.index_of(name)
+    except KeyError:
+        raise ParseError(f"unknown generator {name!r}", line) from None
 
 
 class _Cursor:
@@ -63,8 +73,9 @@ class _Cursor:
         self.pos = 0
         self.line = line
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self, ahead=0):
+        pos = self.pos + ahead
+        return self.tokens[pos] if pos < len(self.tokens) else None
 
     def take(self):
         tok = self.peek()
@@ -99,10 +110,7 @@ def _parse_word(cur, alphabet):
         tok = cur.peek()
         if tok is None or not _is_name(tok):
             return tuple(letters)
-        try:
-            idx = alphabet.index_of(tok)
-        except KeyError:
-            cur.fail(f"unknown generator {tok!r}")
+        idx = _index(alphabet, tok, cur.line)
         cur.take()
         count = 1
         if cur.peek() == "^":
@@ -129,33 +137,35 @@ def _parse_sign(cur, first):
     cur.fail(f"expected + or - between terms, found {tok!r}")
 
 
-def _parse_free(cur, alphabet):
-    """Free expression: signed sum of [coefficient] [word] terms."""
+def _parse_sum(cur, term, what):
+    """Signed sum of terms, each read by term(cur) as (key, coefficient)."""
     terms = {}
     first = True
     while not cur.done():
         sign = _parse_sign(cur, first)
         first = False
-        coeff = Fraction(1)
-        saw_number = False
-        tok = cur.peek()
-        if tok is not None and _is_number(tok):
-            coeff = cur.number()
-            saw_number = True
-        word = _parse_word(cur, alphabet)
-        if not word and not saw_number:
-            cur.fail("empty term")
+        key, coeff = term(cur)
         if coeff:
-            _acc(terms, word, sign * coeff)
+            _acc(terms, key, sign * coeff)
     if first:
-        cur.fail("empty expression")
-    return FreeElement(alphabet, terms)
+        cur.fail(f"empty {what}")
+    return terms
+
+
+def _free_term(cur, alphabet):
+    """[coefficient] [word], not both missing."""
+    numbered = _is_number(cur.peek())
+    coeff = cur.number() if numbered else Fraction(1)
+    word = _parse_word(cur, alphabet)
+    if not word and not numbered:
+        cur.fail("empty term")
+    return word, coeff
 
 
 def _parse_leg(cur, alphabet):
     """One tensor leg: the literal 1, or a nonempty word."""
     tok = cur.peek()
-    if tok is not None and _is_number(tok):
+    if _is_number(tok):
         if tok != "1":
             cur.fail(f"tensor leg must be 1 or a word, found {tok!r}")
         cur.take()
@@ -166,34 +176,20 @@ def _parse_leg(cur, alphabet):
     return word
 
 
-def _parse_tensor(cur, alphabet):
-    """Tensor expression: signed sum of [coefficient] leg (x) leg terms."""
-    terms = {}
-    first = True
-    while not cur.done():
-        sign = _parse_sign(cur, first)
-        first = False
-        coeff = Fraction(1)
-        tok = cur.peek()
-        if tok is not None and _is_number(tok):
-            after = cur.tokens[cur.pos + 1] if cur.pos + 1 < len(cur.tokens) else None
-            if after != "(x)":
-                coeff = cur.number()
-        left = _parse_leg(cur, alphabet)
-        cur.expect("(x)")
-        right = _parse_leg(cur, alphabet)
-        if coeff:
-            _acc(terms, (left, right), sign * coeff)
-    if first:
-        cur.fail("empty tensor expression")
-    return terms
+def _tensor_term(cur, alphabet):
+    """[coefficient] leg (x) leg; a number just before (x) is the left leg."""
+    numbered = _is_number(cur.peek()) and cur.peek(1) != "(x)"
+    coeff = cur.number() if numbered else Fraction(1)
+    left = _parse_leg(cur, alphabet)
+    cur.expect("(x)")
+    return (left, _parse_leg(cur, alphabet)), coeff
 
 
 def parse_expression(text, alphabet, line=None):
     """A free expression over an alphabet, e.g. for command-line input."""
     cur = _Cursor(_tokens(text, line), line)
-    elem = _parse_free(cur, alphabet)
-    return elem
+    terms = _parse_sum(cur, partial(_free_term, alphabet=alphabet), "expression")
+    return FreeElement(alphabet, terms)
 
 
 def parse_presentation(text):
@@ -251,14 +247,12 @@ def parse_presentation(text):
             second = cur.take()
             if not cur.done():
                 cur.fail("relation head must be exactly two generators")
+            heads = []
             for tok in (first, second):
                 if not _is_name(tok):
                     raise ParseError(f"generator name expected, found {tok!r}", line_no)
-                try:
-                    alphabet.index_of(tok)
-                except KeyError:
-                    raise ParseError(f"unknown generator {tok!r}", line_no)
-            hi, lo = alphabet.index_of(first), alphabet.index_of(second)
+                heads.append(_index(alphabet, tok, line_no))
+            hi, lo = heads
             if hi <= lo:
                 raise ParseError(
                     f"relation head {first} {second} must have the later "
@@ -282,14 +276,11 @@ def parse_presentation(text):
             gname = gname.strip()
             if not eq:
                 raise ParseError("delta needs an = sign", line_no)
-            try:
-                gi = alphabet.index_of(gname)
-            except KeyError:
-                raise ParseError(f"unknown generator {gname!r}", line_no)
+            gi = _index(alphabet, gname, line_no)
             if gi in deltas:
                 raise ParseError(f"duplicate delta for {gname}", line_no)
             cur = _Cursor(_tokens(rhs_text, line_no), line_no)
-            terms = _parse_tensor(cur, alphabet)
+            terms = _parse_sum(cur, partial(_tensor_term, alphabet=alphabet), "tensor expression")
             unit = ()
             gword = (gi,)
             for key in ((gword, unit), (unit, gword)):
@@ -319,6 +310,79 @@ def parse_presentation(text):
 def load_presentation(path):
     with open(path, "r", encoding="utf-8") as handle:
         return parse_presentation(handle.read())
+
+
+# ----- builtin catalogue -----------------------------------------------------
+
+BUILTIN_NAMES = ("H6", "J", "L", "U_n5", "heis3", "poly(d)", "qplane(q)")
+
+# two commuting Heisenberg copies: [a,b] = c and [z,w] = d, c and d central
+_H6_ALGEBRA = """\
+generators: a:1 b:1 c:1 z:2 w:2 d:3
+rel: b a = a b - c
+rel: w z = z w - d
+"""
+
+# each text is written as dump_presentation writes it
+_BUILTIN_TEXTS = {
+    "H6": "name: H6\n" + _H6_ALGEBRA,
+    # same algebra as H6 with the deformed coproduct that couples the copies
+    "J": "name: J\n" + _H6_ALGEBRA + """\
+delta: z = z (x) 1 + 1 (x) z + a (x) c - c (x) a
+delta: w = w (x) 1 + 1 (x) w + b (x) c - c (x) b
+delta: d = d (x) 1 + 1 (x) d + c (x) c^2 + c^2 (x) c
+""",
+    # quotient of J by its central primitive: [z,w] becomes (1/3)c^3
+    "L": """\
+name: L
+generators: a:1 b:1 c:2 z:3 w:3
+rel: b a = a b - c
+rel: w z = z w - 1/3 c^3
+delta: z = z (x) 1 + 1 (x) z + a (x) c - c (x) a
+delta: w = w (x) 1 + 1 (x) w + b (x) c - c (x) b
+""",
+    # five-dimensional nilpotent Lie algebra: [x1,x2] = x = [x3,x4]
+    "U_n5": """\
+name: U_n5
+generators: x:1 x1:1 x2:1 x3:1 x4:1
+rel: x2 x1 = x1 x2 - x
+rel: x4 x3 = x3 x4 - x
+""",
+    "heis3": """\
+name: heis3
+generators: x:1 y:1 z:2
+rel: y x = x y - z
+""",
+}
+
+
+def builtin(name):
+    """Compiled-in example presentations by name, parsed from their texts.
+
+    Plain names: H6, J, L, U_n5, heis3.  Parametrized: poly(d) for d >= 1
+    commuting generators, qplane(q) for the q-commuting plane (q nonzero).
+    """
+    text = name.strip()
+    if text in _BUILTIN_TEXTS:
+        return parse_presentation(_BUILTIN_TEXTS[text])
+    kind, _, body = text.partition("(")
+    if kind not in ("poly", "qplane") or not body.endswith(")"):
+        raise UnknownBuiltin(f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}")
+    body = body[:-1]
+    try:
+        value = int(body) if kind == "poly" else Fraction(body)
+    except (ValueError, ZeroDivisionError):
+        wanted = "an integer" if kind == "poly" else "a rational"
+        raise UnknownBuiltin(f"{kind} takes {wanted}, got {body!r}") from None
+    if kind == "qplane":
+        source = f"generators: x:1 y:1\nrel: y x = {value} x y\ncoproduct: none"
+    elif value < 1:
+        raise UnknownBuiltin("poly(d) needs d >= 1")
+    else:
+        source = "generators: " + " ".join(f"x{i}:1" for i in range(1, value + 1))
+    p = parse_presentation(source)
+    p.name = f"{kind}({value})"
+    return p
 
 
 # ----- dumping ---------------------------------------------------------------

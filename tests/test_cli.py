@@ -380,6 +380,15 @@ def test_zero_denominator_is_usage_error(tmp_path, capsys):
     assert err == "error: line 2: zero denominator in '3/0'\n"
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_malformed_term_budget_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", value)
+    code, out, err = run(capsys, "nf", "--builtin", "L", "--expr", "b a")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: HOPFKIT_MAX_TERMS must be an integer >= 1, got {value!r}\n"
+
+
 def test_window_too_small_is_usage_error(capsys):
     code, out, err = run(
         capsys, "truncate", "--builtin", "L", "--power", "3", "--weight-bound", "5",

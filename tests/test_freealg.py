@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hopfkit import builtin
-from hopfkit.errors import AlphabetMismatch, BudgetExceeded
+from hopfkit.errors import AlphabetMismatch, BudgetExceeded, InvalidSetting
 from hopfkit.freealg import (
     Alphabet,
     FreeElement,
@@ -14,6 +14,7 @@ from hopfkit.freealg import (
     free_add,
     free_mul,
     render_terms,
+    term_budget,
     word_weight,
 )
 
@@ -188,3 +189,16 @@ def test_term_budget(monkeypatch):
     monkeypatch.delenv("HOPFKIT_MAX_TERMS")
     assert len((s * s).terms) == 9
     assert len((t * t).terms) == 7
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5", ""])
+def test_malformed_term_budget_names_the_variable(monkeypatch, value):
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", value)
+    message = f"HOPFKIT_MAX_TERMS must be an integer >= 1, got {value!r}"
+    with pytest.raises(InvalidSetting, match=f"^{re.escape(message)}$"):
+        term_budget()
+    J = builtin("J")
+    with pytest.raises(InvalidSetting):
+        J.normal_form({(1, 0): 1})
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "1")
+    assert term_budget() == 1

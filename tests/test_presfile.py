@@ -12,6 +12,7 @@ from hopfkit import (
     parse_expression,
     parse_presentation,
 )
+from hopfkit import presfile
 from hopfkit.errors import ParseError
 from hopfkit.freealg import Alphabet
 
@@ -58,6 +59,13 @@ def test_dump_builtin_round_trip():
 
 def test_dump_exact_text():
     assert dump_presentation(builtin("L")) == L_TEXT
+
+
+def test_builtin_texts_are_their_dumps():
+    # dump-builtin prints what the catalogue's source says
+    assert set(presfile._BUILTIN_TEXTS) == {"H6", "J", "L", "U_n5", "heis3"}
+    for name, text in presfile._BUILTIN_TEXTS.items():
+        assert dump_presentation(builtin(name)) == text, name
 
 
 def test_parse_expression_words_and_coefficients():

@@ -8,6 +8,7 @@
     python3 tools/rate.py products --src src --seed 7 --repeats 5
     python3 tools/rate.py center --src src --seed 7 --repeats 5
     python3 tools/rate.py signature --src src --seed 7 --repeats 5
+    python3 tools/rate.py parse --src src --seed 7 --repeats 5
 
 Each subcommand imports hopfkit from the given source directory, times
 its layer on fixed builtins, best CPU time of `repeats` passes, checks the
@@ -65,6 +66,13 @@ signature  window monomials per second of signature on H6 at window 9, J
            at window 10 and L at window 11, with the window's size; the
            entries must be (1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 2, 2) and
            (1, 1, 1, 2, 2), the generator levels of each algebra.
+parse      presentations per second of parse_presentation, on the dump of
+           each builtin and on each presentations/*.hopf beside the source
+           directory, PARSE_COPIES parses per case and pass; every text
+           must survive a dump round trip (parse, dump, parse again: equal
+           presentations, equal dumps), and each builtin must equal the
+           parse of its dump.  The builtin cases time builtin() itself,
+           builds per second, on the same names.
 
 antipode, coradical and signature run on a fresh presentation whose
 coproduct table of the window was built beforehand, outside the timed
@@ -94,6 +102,8 @@ CORADICAL_PLAN = (("J", 9), ("J", 11), ("L", 9))
 SIGNATURE_PLAN = {("H6", 9): (1,) * 6, ("J", 10): (1, 1, 1, 1, 2, 2), ("L", 11): (1, 1, 1, 2, 2)}
 # (builtin, power, weight bound)
 CENTER_PLAN = (("U_n5", 6, 8), ("L", 4, 9), ("J", 4, 9))
+PARSE_BUILTINS = ("H6", "J", "L", "U_n5", "heis3", "poly(3)", "qplane(3/2)")
+PARSE_COPIES = 20
 
 
 def counted_normal_form(p, word):
@@ -429,9 +439,47 @@ def center(hopfkit, rng, repeats):
         ("centers", "centers_per_s"), ("classes", "classes_per_s"))
 
 
+def parse(hopfkit, rng, repeats):
+    texts = {name: hopfkit.dump_presentation(hopfkit.builtin(name)) for name in PARSE_BUILTINS}
+    files = os.path.join(os.path.dirname(hopfkit.__path__[0]), os.pardir, "presentations")
+    for entry in sorted(os.listdir(files)):
+        if entry.endswith(".hopf"):
+            with open(os.path.join(files, entry), encoding="utf-8") as handle:
+                texts[entry] = handle.read()
+    for key, text in texts.items():
+        p = hopfkit.parse_presentation(text)
+        again = hopfkit.parse_presentation(hopfkit.dump_presentation(p))
+        if again != p or hopfkit.dump_presentation(again) != hopfkit.dump_presentation(p):
+            raise SystemExit(f"{key}: the dump round trip changes the presentation")
+        if key in PARSE_BUILTINS and hopfkit.builtin(key) != p:
+            raise SystemExit(f"{key}: the builtin differs from the parse of its dump")
+
+    def parse_copies(text):
+        for _ in range(PARSE_COPIES):
+            hopfkit.parse_presentation(text)
+
+    def build_copies(name):
+        for _ in range(PARSE_COPIES):
+            hopfkit.builtin(name)
+
+    plan = {key: (parse_copies, text, {"presentations": PARSE_COPIES}) for key, text in texts.items()}
+    plan.update((f"builtin {name}", (build_copies, name, {"builds": PARSE_COPIES}))
+                for name in PARSE_BUILTINS)
+    best = {}
+    for _ in range(repeats):
+        order = list(plan)
+        rng.shuffle(order)
+        for key in order:
+            run, arg, _ = plan[key]
+            elapsed = cpu(run, arg)[1]
+            best[key] = min(best.get(key, elapsed), elapsed)
+    return {key: (counts, best[key]) for key, (_, _, counts) in plan.items()}, (
+        ("presentations", "presentations_per_s"), ("builds", "builds_per_s"))
+
+
 def main(argv=None):
     commands = {"nf": nf, "coproduct": coproduct, "antipode": antipode, "coradical": coradical,
-                "products": products, "center": center, "signature": signature}
+                "products": products, "center": center, "signature": signature, "parse": parse}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=commands)
     parser.add_argument("--src", default="src", help="directory holding the hopfkit package")
