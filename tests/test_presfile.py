@@ -11,8 +11,8 @@ from hopfkit import (
     load_presentation,
     parse_expression,
     parse_presentation,
+    presfile,
 )
-from hopfkit import presfile
 from hopfkit.errors import ParseError
 from hopfkit.freealg import Alphabet
 
