@@ -211,6 +211,16 @@ def test_obstruct_exit_codes(capsys):
     assert keyvalues(out)["obstruct.obstructed"] == "false"
 
 
+@pytest.mark.parametrize(
+    "name", ["H6", "J", "L", "U_n5", "heis3", "poly(3)", "qplane(1)", "qplane(-3/2)"]
+)
+def test_obstruct_degree_defaults_to_the_default_window(capsys, name):
+    window = str(2 * builtin(name).max_weight + 2)
+    assert run(capsys, "obstruct", "--builtin", name) == run(
+        capsys, "obstruct", "--builtin", name, "--degree", window
+    )
+
+
 def test_short_truncations_settle_nothing(tmp_path, capsys):
     # heis3 = U(heis) is Hopf; its weight-2 generator is outside degree 1
     code, out, err = run(capsys, "obstruct", "--builtin", "heis3", "--degree", "1")

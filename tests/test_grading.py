@@ -20,6 +20,7 @@ from hopfkit.grading import PowerSeries, series_settles
 from strategies import nilpotent_lie_algebras
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
+BUILTIN_CASES = ("H6", "J", "L", "U_n5", "heis3", "poly(3)", "qplane(1)", "qplane(-3/2)")
 
 
 def test_series_values():
@@ -37,6 +38,20 @@ def test_series_values():
 def test_series_rendering():
     s = hilbert_series(builtin("L"), 4)
     assert str(s) == "1 + 2t + 4t^2 + 8t^3 + 13t^4 + ..."
+
+
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [
+        ([0], "0 + ..."),
+        ([-1], "-1 + ..."),
+        ([0, -1], "-t + ..."),
+        ([-1, 0, 1, -1, 2, -3], "-1 + t^2 - t^3 + 2t^4 - 3t^5 + ..."),
+        ([0, 0, 0, 5], "5t^3 + ..."),
+    ],
+)
+def test_series_rendering_of_signs_and_gaps(coeffs, text):
+    assert str(PowerSeries(coeffs)) == text
 
 
 def test_series_matches_enumeration():
@@ -121,6 +136,12 @@ def test_obstruction_none_for_hopf_builtins():
         report = hopf_obstruction(builtin(name))
         assert not report.obstructed, name
         assert report.code == "none"
+
+
+@pytest.mark.parametrize("name", BUILTIN_CASES)
+def test_obstruction_degree_defaults_to_the_default_window(name):
+    p = builtin(name)
+    assert hopf_obstruction(p) == hopf_obstruction(p, 2 * p.max_weight + 2)
 
 
 def test_series_below_the_heaviest_generator_settles_nothing():

@@ -272,6 +272,12 @@ def test_antipode_axiom_fails_for_lopsided_coproduct():
     assert str(info.value.residual) == "-a^3"
 
 
+@pytest.mark.parametrize("name", ["H6", "J", "L", "U_n5", "heis3", "poly(3)"])
+def test_antipode_window_defaults_to_the_default_window(name):
+    p = builtin(name)
+    assert solve_antipode(p).weight_bound == 2 * p.max_weight + 2
+
+
 def test_involutive_antipode():
     for name in ("J", "L"):
         report = check_involutive_antipode(builtin(name), weight_bound=6)
