@@ -107,10 +107,10 @@ def _nonnegative(value, flag):
 
 
 def _window(p, bound):
-    """The --weight-bound given, or the default window 2 * max weight + 2."""
+    """The --weight-bound given, or the presentation's default window."""
     if bound is not None:
         return _nonnegative(bound, "--weight-bound")
-    return 2 * p.max_weight + 2
+    return p.default_window
 
 
 # ----- commands ---------------------------------------------------------------

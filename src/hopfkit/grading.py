@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotHopfAdmissible, TailAboveHead
+from .freealg import render_terms
 from .pbw import Presentation
 
 
@@ -60,30 +61,9 @@ class PowerSeries:
         return PowerSeries(coeffs)
 
     def __str__(self):
-        parts = []
-        for d, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if d == 0:
-                parts.append(str(c))
-                continue
-            t = "t" if d == 1 else f"t^{d}"
-            if c == 1:
-                body = t
-            elif c == -1:
-                body = f"-{t}"
-            else:
-                body = f"{c}{t}"
-            parts.append(body)
-        if not parts:
-            return "0 + ..."
-        out = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                out += f" - {body[1:]}"
-            else:
-                out += f" + {body}"
-        return out + " + ..."
+        terms = [(c, "1" if d == 0 else "t" if d == 1 else f"t^{d}")
+                 for d, c in enumerate(self.coeffs) if c]
+        return render_terms(terms) + " + ..."
 
     def __repr__(self):
         return f"<series {self}>"
@@ -193,7 +173,7 @@ def gk_dimension(exponents):
 
 
 def is_commutative(p):
-    return all(rel.q == 1 and not rel.tail for rel in p.relations.values())
+    return all(rel.is_default() for rel in p.relations.values())
 
 
 @dataclass(frozen=True)
@@ -236,8 +216,7 @@ def hopf_obstruction(p, degree=None):
                 ),
                 detail=f"pair ({names[lo]}, {names[hi]}), q = {rel.q}",
             )
-    if degree is None:
-        degree = 2 * p.max_weight + 2
+    degree = p.default_window if degree is None else degree
     if not series_settles(p, degree):
         return ObstructionReport(
             code="none",
@@ -289,7 +268,7 @@ def associated_graded(p):
             relations[(hi, lo)] = (rel.q, tail)
     gr_name = f"gr({p.name})" if p.name else None
     return Presentation(
-        list(zip(p.alphabet.names, p.alphabet.weights)),
+        p.alphabet,
         relations=relations,
         coproduct=None,
         name=gr_name,

@@ -160,11 +160,15 @@ def tensor(x, y):
 # ----- the comultiplication machine ----------------------------------------
 
 
-def _require_hopf(p):
+def _require_coproduct(p):
     if not p.has_coproduct:
         raise NoCoproductAttached(
             f"{p.name or 'presentation'} carries no coproduct data"
         )
+
+
+def _require_hopf(p):
+    _require_coproduct(p)
     names = p.alphabet.names
     for (hi, lo), rel in sorted(p.relations.items()):
         if rel.q != 1:
@@ -173,6 +177,23 @@ def _require_hopf(p):
                 "has q != 1; only q = 1 presentations carry this coproduct shape"
             )
     p.require_confluent()
+
+
+def _first_letter_walk(p, i, stored):
+    """Walk from id i down the first-letter chain m, m / g, ... to the first j with stored(j).
+
+    Numbers each monomial on the way.  Returns j, i itself when stored(i),
+    and the (id, first letter) pairs of the monomials above j, top first.
+    """
+    monos, number = p._monos, p._number
+    chain = []
+    while not stored(i):
+        rest = list(monos[i])
+        gi = next(k for k, e in enumerate(rest) if e)
+        rest[gi] -= 1
+        chain.append((i, gi))
+        i = number(tuple(rest))
+    return i, chain
 
 
 class _Machine:
@@ -194,17 +215,15 @@ class _Machine:
     def __init__(self, p):
         _require_hopf(p)
         self.p = p
-        n = len(p.alphabet)
         self.empty = p._monos[0]
-        self.gen_delta = {gi: dict(p.delta.get(gi, {})) for gi in range(n)}
         self._deltas = [(0, 0, -1)]  # id -> flat delta(m), None until built; delta(1) = -1 (x) 1
-        self._gens = [None] * n  # generator -> flat Delta(g), built on first use
+        self._gens = [None] * len(p.alphabet)  # generator -> flat Delta(g), built on first use
 
     def _gen(self, gi):
         """Delta(g) of a generator, unit terms first, as a flat tuple of ids and coefficients."""
         hit = self._gens[gi]
         if hit is None:
-            number, g, terms = self.p._number, self.p._unit(gi), self.gen_delta[gi].items()
+            number, g, terms = self.p._number, self.p._unit(gi), self.p.delta.get(gi, {}).items()
             hit = self._gens[gi] = (g, 0, 1, 0, g, 1) + tuple(
                 x for (u, v), c in terms for x in (number(u), number(v), _integral(c)))
         return hit
@@ -212,23 +231,14 @@ class _Machine:
     def delta(self, i):
         """delta of the monomial with id i, as the shared flat tuple (u0, v0, c0, ...).
 
-        Built without recursion: walk down the first-letter chain
-        m, m / g, ... to the first stored entry, numbering each monomial
-        on the way, then build upward.
+        Built without recursion: walk down the first-letter chain to the
+        first stored entry, then build upward.
         """
-        deltas, monos, number = self._deltas, self.p._monos, self.p._number
-        hit = deltas[i] if i < len(deltas) else None
-        if hit is not None:
-            return hit
-        chain = []  # (id, first letter) of each monomial above the stored entry
-        while hit is None:
-            rest = list(monos[i])
-            gi = next(k for k, e in enumerate(rest) if e)
-            rest[gi] -= 1
-            chain.append((i, gi))
-            i = number(tuple(rest))
-            hit = deltas[i] if i < len(deltas) else None
-        deltas += [None] * (len(monos) - len(deltas))
+        deltas = self._deltas
+        i, chain = _first_letter_walk(
+            self.p, i, lambda j: j < len(deltas) and deltas[j] is not None)
+        hit = deltas[i]
+        deltas += [None] * (len(self.p._monos) - len(deltas))
         for m, gi in reversed(chain):
             full_rest = (i, 0, 1, 0, i, 1) + hit
             out = _tensor_product(self.p._table, self._gen(gi), full_rest)
@@ -407,7 +417,7 @@ def check_coassociativity(p, weight_bound=None, samples=20, seed=0):
     mach = _machine(p)
     gens = []
     for gi in range(len(p.alphabet)):
-        pairs = mach.gen_delta[gi]
+        pairs = p.delta.get(gi, {})
         left = TensorElement._raw(p, _expand_leg(pairs, 0, mach.reduced_mono))
         right = TensorElement._raw(p, _expand_leg(pairs, 1, mach.reduced_mono))
         gens.append(GeneratorCoassoc(p.alphabet.names[gi], left, right))
@@ -500,15 +510,8 @@ class AntipodeTable:
         """
         p, images = self.pres, self._images
         monos, number = p._monos, p._number
-        chain = []  # (id, first letter) of each monomial above the cached entry
-        hit = None
-        while hit is None and sum(monos[i]) > 1:
-            rest = list(monos[i])
-            gi = next(k for k, e in enumerate(rest) if e)
-            rest[gi] -= 1
-            chain.append((i, gi))
-            i = number(tuple(rest))
-            hit = images.get(i)
+        i, chain = _first_letter_walk(p, i, lambda j: j in images or sum(monos[j]) <= 1)
+        hit = images.get(i)
         if hit is None:
             mono = monos[i]
             terms = self.by_gen[mono.index(1)].terms.items() if any(mono) else ((mono, 1),)
@@ -562,15 +565,14 @@ def solve_antipode(p, weight_bound=None):
     call; a failure decodes its residual back to monomials.
     """
     mach = _machine(p)
-    if weight_bound is None:
-        weight_bound = 2 * p.max_weight + 2
+    weight_bound = p.default_window if weight_bound is None else weight_bound
     table = AntipodeTable(p, {}, weight_bound)
     images, legs, monos, number = table._images, p._table, p._monos, p._number
 
     weights = p.alphabet.weights
     for gi in sorted(range(len(p.alphabet)), key=lambda i: (weights[i], i)):
         correction = {}
-        for (u, v), c in mach.gen_delta[gi].items():
+        for (u, v), c in p.delta.get(gi, {}).items():
             for w, d in p._multiply_ids(images[number(u)], ((number(v), 1),)).items():
                 _acc(correction, w, c * d)
         table.by_gen[gi] = -p.gen(gi) - p.element({monos[w]: c for w, c in correction.items()})
@@ -686,10 +688,7 @@ def drop_correction(p, g):
     valid presentation, but if delta(g) was load-bearing the coproduct
     stops being an algebra map and the compatibility check exposes it.
     """
-    if not p.has_coproduct:
-        raise NoCoproductAttached(
-            f"{p.name or 'presentation'} carries no coproduct data"
-        )
+    _require_coproduct(p)
     gi = g if isinstance(g, int) else p.alphabet.index_of(g)
     delta_in = {}
     for i, terms in p.delta.items():
@@ -703,11 +702,10 @@ def drop_correction(p, g):
         for key, rel in p.relations.items()
         if not rel.is_default()
     }
-    gens = list(zip(p.alphabet.names, p.alphabet.weights))
     name = p.alphabet.names[gi]
     base = p.name or "presentation"
     return Presentation(
-        gens,
+        p.alphabet,
         relations=relations_in,
         coproduct=delta_in,
         name=f"{base} (delta({name}) dropped)",

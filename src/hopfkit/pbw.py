@@ -43,7 +43,6 @@ genuinely cycles, are refused this way.
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -76,7 +75,7 @@ Monomial = tuple
 
 _ONE = Fraction(1)
 
-_DEBUG_ORDER = bool(os.environ.get("HOPFKIT_DEBUG_ORDER"))
+_DEBUG_ORDER = False  # set to check the rewrite order at every step
 
 
 def _integral(c):
@@ -492,6 +491,11 @@ class Presentation:
     def max_weight(self):
         return max(self.alphabet.weights)
 
+    @property
+    def default_window(self):
+        """The weight window used when none is given: 2 * max weight + 2."""
+        return 2 * self.max_weight + 2
+
     def __eq__(self, other):
         return (
             isinstance(other, Presentation)
@@ -554,7 +558,7 @@ class Presentation:
     # ----- rewriting ---------------------------------------------------
 
     def rewrite_key(self, word):
-        """The rewrite order, the reference for the HOPFKIT_DEBUG_ORDER checks."""
+        """The rewrite order, the reference for the _DEBUG_ORDER checks."""
         weight = self.alphabet.word_weight(word)
         return weight, sum(self.psi[letter] for letter in word), len(word), word
 
