@@ -11,6 +11,8 @@ The format is line oriented; `#` starts a comment.  A file looks like
 
 Rules the parser enforces:
 
+  * `name:` is an identifier, optionally followed by one integer or
+    rational in parentheses, as in poly(3) or qplane(-3/2).
   * `generators:` comes before any `rel:` or `delta:` line and gives
     name:weight pairs; names are identifiers, weights positive ints.
   * `rel:` heads are two generator names; the right side is a free
@@ -40,6 +42,7 @@ from .pbw import Presentation
 
 _TOKEN_RE = re.compile(r"\d+/\d+|\d+|\(x\)|[A-Za-z_][A-Za-z0-9_]*|[\^+\-=:]|\S")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\(-?\d+(/\d+)?\))?\Z")
 
 
 def _tokens(text, line):
@@ -212,8 +215,8 @@ def parse_presentation(text):
         head = head.strip()
         rest = rest.strip()
         if head == "name":
-            if not _IDENT_RE.match(rest):
-                raise ParseError(f"name must be an identifier, found {rest!r}", line_no)
+            if not _NAME_RE.match(rest):
+                raise ParseError(f"name must be like L or qplane(-3/2), found {rest!r}", line_no)
             name = rest
         elif head == "generators":
             if gens is not None:
@@ -380,9 +383,7 @@ def builtin(name):
         raise UnknownBuiltin("poly(d) needs d >= 1")
     else:
         source = "generators: " + " ".join(f"x{i}:1" for i in range(1, value + 1))
-    p = parse_presentation(source)
-    p.name = f"{kind}({value})"
-    return p
+    return parse_presentation(f"name: {kind}({value})\n{source}")
 
 
 # ----- dumping ---------------------------------------------------------------
@@ -397,7 +398,7 @@ def dump_presentation(p):
         if not _IDENT_RE.match(gname):
             raise ParseError(f"generator name {gname!r} cannot be written")
     lines = []
-    if p.name and _IDENT_RE.match(p.name):
+    if p.name and _NAME_RE.match(p.name):
         lines.append(f"name: {p.name}")
     lines.append(
         "generators: "

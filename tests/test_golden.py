@@ -38,6 +38,10 @@ One file was re-recorded because its answer was wrong: the
 seven-presentation `compare-centers` at power 3 said the centers
 separate the presentations although H6 and J both have center
 dimension 12; it now says they do not and names that shared dimension.
+Two more were re-recorded when the `name:` grammar came to accept one
+integer or rational in parentheses: `dump-builtin` of poly(3) and of
+qplane(2) each gained only the first line `name: poly(3)` or
+`name: qplane(2)`, so the dump parses back under the builtin's name.
 `--file` paths are relative to the repository root.
 """
 

@@ -57,6 +57,23 @@ def test_dump_builtin_round_trip():
     assert parse_presentation(dump_presentation(p)) == p
 
 
+@pytest.mark.parametrize("name", ["poly(3)", "qplane(2)", "qplane(-3/2)"])
+def test_dump_round_trip_keeps_parametrized_names(name):
+    p = builtin(name)
+    text = dump_presentation(p)
+    assert text.startswith(f"name: {name}\n")
+    again = parse_presentation(text)
+    assert again.name == p.name == name
+    assert again == p
+
+
+@pytest.mark.parametrize("name", ["a=b", "poly(x)", "poly(3", "poly()", "q(1/2/3)", "poly(3)x"])
+def test_names_outside_the_grammar_fail(name):
+    with pytest.raises(ParseError) as info:
+        parse_presentation(f"name: {name}\ngenerators: x:1\n")
+    assert info.value.line == 1
+
+
 def test_dump_exact_text():
     assert dump_presentation(builtin("L")) == L_TEXT
 
