@@ -415,7 +415,8 @@ class Truncation:
 
     Finite dimensional: classes of monomials with fewer than k letters
     span it, and the window must be wide enough to hold them all, which
-    is exactly (k - 1) * max generator weight <= weight bound.
+    is exactly (k - 1) * max generator weight <= weight bound.  I^k is built in
+    that least window, as ideal and index show; no class depends on the window.
     """
 
     def __init__(self, pres, power, weight_bound):
@@ -425,7 +426,7 @@ class Truncation:
                 f"truncation at power {power} needs window {needed}, got {weight_bound}"
             )
         self.pres, self.power, self.weight_bound = pres, power, weight_bound
-        self.ideal = power_ideal_span(pres, power, weight_bound)
+        self.ideal = power_ideal_span(pres, power, max(needed, 0))
         self.index = self.ideal.index
         # D_k's monomials are pivots, so the classes are light non-pivots
         pivots = set(self.ideal.pivots())
@@ -437,8 +438,10 @@ class Truncation:
         self._position = self.index.positions_by_id()
 
     def project(self, x):
-        """Class of x as {basis monomial: coeff}, constant term dropped."""
-        rem = self.ideal.reduce_vector(self.index.vector(x))
+        """Class of x as {basis monomial: coeff}, with D_k and the constant term dropped."""
+        x, degree = self.pres.normal_form(x), self.pres.mono_degree
+        vec = {self.index.index(m): c for m, c in x.terms.items() if degree(m) < self.power}
+        rem = self.ideal.reduce_vector(vec)
         monomials = self.index.monomials
         return {monomials[pos]: c for pos, c in rem.items() if any(monomials[pos])}
 

@@ -208,6 +208,19 @@ def test_truncation_of_u_n5_matches_the_closed_form_at_every_window(k):
     assert light[0] == light[1] == light[2]
 
 
+def test_truncation_builds_its_ideal_in_the_smallest_window():
+    # V, the monomials with fewer than k letters, lies in window
+    # (k - 1) * max weight = 9, and I^k is built there, not in the window
+    # given: J numbers fewer monomials than the 3,045 of window 12
+    J = builtin("J")
+    T = truncation_algebra(J, 4, 12)
+    assert T.index.weight_bound == 9
+    assert len(J._monos) < len(J.enumerate_basis(12)) == 3045
+    assert T.basis == truncation_algebra(builtin("J"), 4, 9).basis
+    # d^5 has weight 15, outside every window here, and lies in D_4
+    assert T.project(J.gen("d") ** 5) == {}
+
+
 def test_filtered_members_of_powers_of_u_n5():
     U = builtin("U_n5")
     x, x1 = U.gen("x"), U.gen("x1")
