@@ -34,12 +34,15 @@ from .pbw import PBWElement, Presentation, _integral
 # ----- tensor elements ------------------------------------------------------
 
 
-def _tensor_product(table, xs, ys):
+def _tensor_product(left, right, xs, ys):
     """Product of two elements of the tensor square, as a {(left, right): coeff} map.
 
     Both factors are flat sequences (left0, right0, coeff0, left1, ...)
-    of monomial ids and coefficients, read three at a time, and
-    table[a][b] is the presentation's product table by id.  The unit leg
+    of monomial ids and coefficients, read three at a time.  The left
+    legs of the product are read from left and the right legs from right,
+    each a product table by id, left[a][b] the (id, coeff) pairs of
+    NF(m_a m_b): the presentation's table twice, or a left table whose
+    entries keep only some monomials (see _build_delta).  The unit leg
     is id 0, and 1 times b is b, so a term a (x) 1 or 1 (x) a multiplies
     one leg only.  Entries that cancel are dropped before the result is
     checked against the term budget.
@@ -51,27 +54,27 @@ def _tensor_product(table, xs, ys):
         it = iter(ys)
         terms = zip(it, it, it)
         if not a2:  # (a1 (x) 1)(b1 (x) b2) = a1 b1 (x) b2
-            lefts = table[a1]
+            lefts = left[a1]
             for b1, b2, d in terms:
                 cd = c * d
                 for u, cu in lefts[b1]:
                     key = (u, b2)
                     out[key] = get(key, 0) + cd * cu
         elif not a1:  # (1 (x) a2)(b1 (x) b2) = b1 (x) a2 b2
-            rights = table[a2]
+            rights = right[a2]
             for b1, b2, d in terms:
                 cd = c * d
                 for v, cv in rights[b2]:
                     key = (b1, v)
                     out[key] = get(key, 0) + cd * cv
         else:
-            lefts, rights = table[a1], table[a2]
+            lefts, rights = left[a1], right[a2]
             for b1, b2, d in terms:
                 cd = c * d
-                right = rights[b2]
+                right_leg = rights[b2]
                 for u, cu in lefts[b1]:
                     cu_cd = cd * cu
-                    for v, cv in right:
+                    for v, cv in right_leg:
                         key = (u, v)
                         out[key] = get(key, 0) + cu_cd * cv
     out = {key: c for key, c in out.items() if c}
@@ -129,7 +132,7 @@ class TensorElement(_LinearCombination):
         number, monos = p._number, p._monos
         xs, ys = ([x for (u, v), c in t.terms.items() for x in (number(u), number(v), c)]
                   for t in (self, other))
-        product = _tensor_product(p._table, xs, ys)
+        product = _tensor_product(p._table, p._table, xs, ys)
         return self._raw(p, {(monos[u], monos[v]): c for (u, v), c in product.items()})
 
     def _order(self, legs):
@@ -196,6 +199,39 @@ def _first_letter_walk(p, i, stored):
     return i, chain
 
 
+def _build_delta(p, gen, deltas, left, i, kept=None):
+    """delta of the monomial with id i, built into deltas and returned as its flat tuple.
+
+    deltas is a list by id of flat tuples (u0, v0, c0, u1, ...), None where
+    not built yet, with deltas[0] = (0, 0, -1): delta(1) = -1 (x) 1.
+    Delta(m) = Delta(g) Delta(m / g), with g the first letter of m and gen(g)
+    the flat Delta(g): walk down the first-letter chain to the first stored
+    entry, then build upward, with no recursion.  The left legs of each
+    product are read from left, the right legs from the product table.
+    With kept None, left is the product table and every term is built.
+    Otherwise kept is a set of ids and left's entries hold only the
+    monomials in kept: then each tuple holds the terms of delta whose left
+    leg is in kept, exactly, provided kept holds 1 and every x for which
+    NF(u x) has a monomial in kept, u a left leg other than 1 of some
+    Delta(g) (see subspace._CoradicalState); a unit term j (x) 1 enters
+    only when j is in kept.
+    """
+    i, chain = _first_letter_walk(p, i, lambda j: j < len(deltas) and deltas[j] is not None)
+    hit = deltas[i]
+    deltas += [None] * (len(p._monos) - len(deltas))
+    for m, gi in reversed(chain):
+        unit = (i, 0, 1) if kept is None or i in kept else ()
+        out = _tensor_product(left, p._table, gen(gi), unit + (0, i, 1) + hit)
+        if kept is None or m in kept:
+            _acc(out, (m, 0), -1)
+        _acc(out, (0, m), -1)
+        if set(map(type, out.values())) - {int}:  # Fractions, some maybe integral
+            out = {key: c if type(c) is int else _integral(c) for key, c in out.items()}
+        hit = deltas[m] = _flat(out)
+        i = m
+    return hit
+
+
 class _Machine:
     """Per-presentation cache of Delta on basis monomials, by the presentation's monomial ids.
 
@@ -229,26 +265,8 @@ class _Machine:
         return hit
 
     def delta(self, i):
-        """delta of the monomial with id i, as the shared flat tuple (u0, v0, c0, ...).
-
-        Built without recursion: walk down the first-letter chain to the
-        first stored entry, then build upward.
-        """
-        deltas = self._deltas
-        i, chain = _first_letter_walk(
-            self.p, i, lambda j: j < len(deltas) and deltas[j] is not None)
-        hit = deltas[i]
-        deltas += [None] * (len(self.p._monos) - len(deltas))
-        for m, gi in reversed(chain):
-            full_rest = (i, 0, 1, 0, i, 1) + hit
-            out = _tensor_product(self.p._table, self._gen(gi), full_rest)
-            for key in ((m, 0), (0, m)):
-                _acc(out, key, -1)
-            if set(map(type, out.values())) - {int}:  # Fractions, some maybe integral
-                out = {key: c if type(c) is int else _integral(c) for key, c in out.items()}
-            hit = deltas[m] = _flat(out)
-            i = m
-        return hit
+        """delta of the monomial with id i, as the shared flat tuple (u0, v0, c0, ...)."""
+        return _build_delta(self.p, self._gen, self._deltas, self.p._table, i)
 
     def reduced_mono(self, mono):
         """delta of a basis monomial: Delta(m) - m (x) 1 - 1 (x) m.

@@ -24,11 +24,13 @@ reduction; Fraction is built only where a result is handed back.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import groupby
 from math import gcd, lcm
+from operator import sub
 
 from .errors import WindowTooSmall
-from .freealg import _acc, over_budget, term_budget
+from .freealg import _Memo, _acc, over_budget, term_budget
 from .pbw import PBWElement
 from . import hopf as _hopf
 from .grading import factor_series, gk_dimension, hilbert_series, series_settles
@@ -521,44 +523,168 @@ def primitive_space(p, weight_bound):
     return _coradical_chain(p, weight_bound, levels=1)[0]
 
 
+def _cut_entry(row, kept, b):
+    """Entry b of a product table row, cut to the monomials whose ids are in kept."""
+    return tuple(t for t in row[b] if t[0] in kept)
+
+
+def _factor(terms):
+    """The factor that clears the denominators of a flat tuple's coefficients terms[2::3]."""
+    return lcm(*(c.denominator for c in terms[2::3] if type(c) is not int))
+
+
 class _CoradicalState:
     """The coradical chain of one window, one level at a time.
 
-    Each reduced coproduct is read in place from the coproduct machine,
-    as the machine's own flat tuple (u0, v0, c0, u1, ...) of the
+    Every level reads only the terms of the reduced coproducts whose left
+    leg is a pivot monomial of primitives already found (see kernel), so
+    the state builds its own coproducts, cut to the left legs in a set V
+    of window monomials, and never the machine's full ones.  V is the
+    smallest set that holds 1 and the pivots U read so far, and that holds
+    x whenever NF(u x) has a monomial in V, for some left leg u other than
+    1 of some Delta(g) (g itself, or a left leg of delta(g)) with
+    wt(u) + wt(x) <= the bound.
+
+    Closure: write Delta(m) = Delta(g) Delta(m / g), g the first letter of
+    m.  A term x (x) y of Delta(m / g) times a term u (x) v of Delta(g) has
+    the left legs NF(u x); u = 1 leaves x, and for u != 1,
+    wt(u) + wt(x) <= wt(g) + wt(m / g) = wt(m) <= the bound, as no leg of
+    Delta(y) outweighs y, so a term whose left leg x is outside V puts no
+    monomial into V.  Hence Delta(m)|_V = (Delta(g) Delta(m / g)|_V)|_V, term for
+    term, and the cut tuples are the machine's tuples with the other terms
+    dropped, in the same order, for every presentation: a V that is the
+    whole window keeps every term.  hopf._build_delta builds them, its
+    left legs read from a product table whose entries are cut to V,
+    memoized per V.
+
+    Finding V (_grow) scans no window.  Every rewrite step of u x
+    swaps a pair or replaces a head pair {hi, lo} by one of its tail
+    words, and a replacement never raises the weight, so each monomial t
+    of NF(u x) comes from the letters of u + x by replacements through
+    multisets of weight <= wt(u) + wt(x).  Undone, they lead from t to
+    u + x: the candidates x for t are s - u, for the s that reverse
+    replacements reach from t at weight <= the bound.  A candidate joins V
+    only if NF(u x), read from the product table, has t among its
+    monomials, so V is exact.
+
+    U grows weight by weight during level 1 (_primitives), and V with it;
+    when V grows, the cut table and the tuples built so far are dropped,
+    and each tuple read again, at a restart of level 1 or by a later
+    level, is built again under the larger V.  A tuple cut to a larger V
+    than a level needs is harmless, since _images reads only the left
+    legs that have an offset.
+
+    A cut tuple is the flat tuple (u0, v0, c0, u1, ...) of the
     presentation's monomial ids and coefficients, three entries per term,
-    and kept in window order with the position of its monomial and the
-    factor that clears its denominators (1 when its coefficients are
-    ints).  The factor is read from the coefficients terms[2::3].  Every
-    level reads only the terms whose left leg is a pivot monomial of
-    primitives already found (see kernel): level 1 finds them weight by
-    weight and skips the other terms of the machine's tuples.  The
-    first time a level past the first is asked for, each tuple is cut
-    once to its terms whose left leg is a pivot of S_1, and kappa's
+    read with the position of its monomial and the factor that clears its
+    denominators (1 when its coefficients are ints), read from the
+    coefficients terms[2::3].  The first time a level past the first is
+    asked for, V is closed over the pivots of S_1 and each tuple is cut
+    once more, to its terms whose left leg is a pivot of S_1; kappa's
     domain, the right legs, is read from the kept terms; level 1 needs no
-    kappa.  Ids follow first sight, not the window, so lists indexed by
-    id restore window order: position and offset
+    kappa.  Ids follow first sight, not the window, so lists indexed by id
+    restore window order: position and offset
     (MonomialIndex.positions_by_id), the window position of a leg and
-    that position times the window size, and, per level, kappa of a
-    right leg that is a pivot of the level before.
+    that position times the window size, and, per level, kappa of a right
+    leg that is a pivot of the level before.  built_terms counts the terms
+    of every cut tuple built, again for each one built again.
     """
 
     def __init__(self, p, weight_bound):
         self.index = MonomialIndex(p, weight_bound)
         self.aug = [m for m in self.index if any(m)]
-        mach = _hopf._machine(p)
-        self.coproducts = []
-        for pos, m in enumerate(self.aug, 1):  # the window's first monomial is 1
-            terms = mach.delta(p._number(m))
-            factor = lcm(*(c.denominator for c in terms[2::3] if type(c) is not int))
-            self.coproducts.append((pos, terms, factor))
+        self._gen = _hopf._machine(p)._gen
+        self.ids = self.index.ids()  # window position -> id
         size = len(self.index)
         self.position = self.index.positions_by_id()  # id -> window position
         self.offset = [None if pos is None else pos * size for pos in self.position]
+        weights, number = p.alphabet.weights, p._number
+        # the left legs u != 1 of every Delta(g), as (monomial, id); one
+        # heavier than the bound meets no window monomial
+        legs = {tuple(int(k == gi) for k in range(len(weights))) for gi in range(len(weights))}
+        legs.update(u for terms in p.delta.values() for u, _ in terms if any(u))
+        self._legs = sorted((u, number(u)) for u in legs if p.mono_weight(u) <= weight_bound)
+        # per tail word of a relation: hi, lo, the word's (letter, exponent)
+        # pairs, and the weight a reverse replacement adds
+        self._tails = []
+        for (hi, lo), rel in sorted(p.relations.items()):
+            for word in rel.tail:
+                letters = tuple((k, word.count(k)) for k in sorted(set(word)))
+                self._tails.append((hi, lo, letters, weights[hi] + weights[lo] - p.word_weight(word)))
+        self.v = frozenset()  # V, as ids
+        self._deltas = [(0, 0, -1)]  # id -> delta cut to V, None until built
+        self._dropped = 0  # terms of the cut tuples dropped when V grew
+        self._grow([0])
+        self.coproducts = None  # (pos, terms, factor) cut to the pivots of S_1, set by _cut
         self.legs = None  # kappa's domain, set when the coproducts are cut
         self.restarts = []  # weights at which level 1 started its elimination over
         self.chain = []
         self.stable = False
+
+    @property
+    def built_terms(self):
+        """Terms of every cut tuple built so far, those dropped when V grew included."""
+        live = sum(map(len, filter(None, self._deltas))) // 3 - 1 if self._deltas else 0
+        return self._dropped + live
+
+    def _grow(self, ids):
+        """Put the monomials with the given ids into V and close it (see the class docstring).
+
+        When V grows, the cut table and the cut tuples built so far are
+        dropped.
+        """
+        p = self.index.pres
+        monos, number, table = p._monos, p._number, p._table
+        v = set(self.v)
+        work = [i for i in ids if i not in v]
+        v.update(work)
+        while work:
+            t = work.pop()
+            for s in self._sources(monos[t]):
+                for u, ui in self._legs:
+                    x = tuple(map(sub, s, u))
+                    if min(x) < 0:
+                        continue
+                    xi = number(x)
+                    if xi not in v and any(w == t for w, _ in table[ui][xi]):
+                        v.add(xi)
+                        work.append(xi)
+        if len(v) == len(self.v):
+            return
+        self._dropped = self.built_terms
+        self.v = v = frozenset(v)
+        self._deltas = [(0, 0, -1)]
+        self._left = _Memo(lambda a: _Memo(partial(_cut_entry, table[a], v)))
+
+    def _sources(self, t):
+        """The exponent vectors that reverse replacements reach from t at weight <= the bound, t included."""
+        bound, weight = self.index.weight_bound, self.index.pres.mono_weight(t)
+        seen, work = {t}, [(t, weight)]
+        while work:
+            s, w = work.pop()
+            for hi, lo, letters, rise in self._tails:
+                if w + rise > bound or any(s[k] < e for k, e in letters):
+                    continue
+                r = list(s)
+                for k, e in letters:
+                    r[k] -= e
+                r[hi] += 1
+                r[lo] += 1
+                r = tuple(r)
+                if r not in seen:
+                    seen.add(r)
+                    work.append((r, w + rise))
+        return seen
+
+    def _delta(self, pos):
+        """The reduced coproduct of the window monomial at pos, cut to V, as a flat tuple."""
+        return _hopf._build_delta(
+            self.index.pres, self._gen, self._deltas, self._left, self.ids[pos], self.v)
+
+    def _coproduct(self, pos):
+        """(pos, terms, factor) of the window monomial at pos, terms cut to V."""
+        terms = self._delta(pos)
+        return pos, terms, _factor(terms)
 
     def kernel(self):
         """Kernel of (id (x) kappa) delta on the monomials that are not
@@ -592,6 +718,15 @@ class _CoradicalState:
         a pivot monomial, is f_u(x) 1 plus the sum of c v over the terms
         c u (x) v of delta x.  Every condition is necessary, so functionals
         beyond a generating set change nothing.
+
+        Those terms are read from the state's own coproducts, built cut
+        to V, which holds U (see the class docstring): by the closure of
+        V, Delta(y)|_V = (Delta(g) Delta(y / g)|_V)|_V for a monomial y
+        with first letter g, since a term whose left leg lies outside V
+        meets V under no left leg of Delta(g); and the candidates that
+        can enter V are found by undoing tail replacements, which never
+        lower the weight when undone.  So every term with its left leg in
+        U is built, and no full coproduct is.
 
         Past the first level E = D and P(E) = S_1: each coproduct is cut
         once to the terms whose left leg is a pivot of S_1, and the cut
@@ -647,26 +782,27 @@ class _CoradicalState:
         Those monomials span a complement of P(D_{<w}), so the tags found
         at weight w complete it to P(D_{<=w}).
         """
-        ids, size = self.index.ids(), len(self.index)
+        ids, size = self.ids, len(self.index)
         weight = self.index.pres.mono_weight
         found = _Echelon()  # the primitives found so far
         left = [None] * len(self.position)  # id -> offset of a pivot of U
         identity = left[:]  # kappa = id
         elim, fed, tags = _Echelon(), [], []
         self.restarts = []
-        for w, group in groupby(zip(self.aug, self.coproducts), lambda pair: weight(pair[0])):
+        for w, group in groupby(enumerate(self.aug, 1), lambda pair: weight(pair[1])):
             new = [pivot for pivot in found.rows if left[ids[pivot]] is None]
             for pivot in new:
                 left[ids[pivot]] = pivot * size
+            self._grow(ids[pivot] for pivot in new)
             if new and elim.rows:
                 self.restarts.append(w)
                 elim = _Echelon()
-                fed = [cop for cop in fed if cop[0] not in found.rows]
-                self._images(elim, fed, left, identity, 1, budget)
-            group = [cop for _, cop in group]
+                fed = [pos for pos in fed if pos not in found.rows]
+                self._images(elim, map(self._coproduct, fed), left, identity, 1, budget)
+            group = [pos for pos, _ in group]
             fed += group
             start = len(elim.kernel)
-            self._images(elim, group, left, identity, 1, budget)
+            self._images(elim, map(self._coproduct, group), left, identity, 1, budget)
             for tag in elim.kernel[start:]:
                 found.insert(tag)
                 tags.append(tag)
@@ -708,16 +844,19 @@ class _CoradicalState:
     def _cut(self):
         """Keep the terms of each coproduct whose left leg is a pivot of S_1.
 
-        kappa's domain becomes the right legs of the kept terms; the
-        factors stay, as they clear the kept coefficients too.
+        V is closed over those pivots first.  kappa's domain becomes the
+        right legs of the kept terms, and each factor is read from the
+        kept coefficients; the tuples cut to V are dropped.
         """
         position, pivots = self.position, self.chain[0]._elim.rows
+        self._grow(self.ids[pivot] for pivot in pivots)
         coproducts, legs = [], set()
-        for pos, terms, factor in self.coproducts:
-            flat = iter(terms)
+        for pos in range(1, len(self.index)):
+            flat = iter(self._delta(pos))
             kept = tuple(x for t in zip(flat, flat, flat) if position[t[0]] in pivots for x in t)
             legs.update(kept[1::3])
-            coproducts.append((pos, kept, factor))
+            coproducts.append((pos, kept, _factor(kept)))
+        self._dropped, self._deltas, self._left = self.built_terms, None, None
         self.coproducts, self.legs = coproducts, legs
 
     def next_level(self):

@@ -397,23 +397,27 @@ def test_coradical_chain_reads_coproducts_numbered_out_of_window_order():
     assert primitives.dim == expected.dim
     assert [str(b) for b in primitives.basis()] == [str(b) for b in expected.basis()]
     state = _CoradicalState(J, 10)
-    assert len(state.coproducts) == len(window) - 1
-    for (pos, terms, factor), m in zip(state.coproducts, window[1:]):
-        assert terms is mach.delta(J._ids[m]), m  # the machine's own tuple, not a copy
-        assert (pos, factor) == (state.index.position[m], 1)
+    state.next_level()
+    assert len(state.v) == 11
+    for pos, m in enumerate(window[1:], 1):  # the machine's tuple, cut to V
+        flat = iter(mach.delta(J._ids[m]))
+        cut = tuple(x for t in zip(flat, flat, flat) if t[0] in state.v for x in t)
+        assert state._coproduct(pos) == (state.index.position[m], cut, 1), m
 
 
 def test_levels_past_the_first_read_only_left_legs_at_the_primitive_pivots():
     # past level 1 each coproduct keeps its terms whose left leg is a
     # pivot monomial of S_1; at J 9 the pivots are a, b, c and c^3, one
-    # of them no letter, and 4,579 of the window's 56,658 terms remain
+    # of them no letter, and 4,579 of the window's 56,658 terms remain;
+    # the chain builds 10,465 terms cut to V, rebuilds included, not the
+    # 56,658 of the machine's tuples
     from hopfkit.subspace import _CoradicalState
 
     J = builtin("J")
     state = _CoradicalState(J, 9)
-    assert sum(len(terms) // 3 for _, terms, _ in state.coproducts) == 56658
     state.next_level()
     state.next_level()
+    assert state.built_terms == 10465
     pivots = state.chain[0].pivots()
     assert [state.index.monomials[pos] for pos in pivots] == [
         (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 3, 0, 0, 0)
@@ -989,6 +993,18 @@ def test_primitive_space_matches_the_reference_on_enveloping_algebras():
     assert sum(restarted) >= len(restarted) // 2
 
 
+def _prebuilt_state(p, bound):
+    """A fresh chain state whose coproducts are all built, cut to the V of
+    the primitives' pivots, under the budget in force."""
+    from hopfkit.subspace import _CoradicalState
+
+    state = _CoradicalState(p, bound)
+    state._grow(state.ids[pos] for pos in primitive_space(p, bound).pivots())
+    for pos in range(1, len(state.index)):
+        state._delta(pos)
+    return state
+
+
 def test_coradical_kernel_keeps_the_term_budget(monkeypatch):
     """kernel() reads the budget once per level and stops an image that
     exceeds it with the standard message, at level 1 as at the levels
@@ -996,16 +1012,37 @@ def test_coradical_kernel_keeps_the_term_budget(monkeypatch):
     not what trips it.  8 terms is the widest image of J at window 6,
     both at level 1 and over the whole chain."""
     from hopfkit.errors import BudgetExceeded
-    from hopfkit.subspace import _coradical_chain
 
     J = builtin("J")
-    _coradical_chain(J, 6, levels=0)  # builds the window's coproducts, memoized by hopf
+    first, whole, fits = (_prebuilt_state(J, 6) for _ in range(3))
     monkeypatch.setenv("HOPFKIT_MAX_TERMS", "7")
-    for run in (primitive_space, coradical_levels):
-        with pytest.raises(BudgetExceeded, match=r"^intermediate expression has \d+ terms, budget is 7 "):
-            run(J, 6)
+    for state, levels in ((first, 1), (whole, None)):
+        with pytest.raises(BudgetExceeded, match=r"^intermediate expression has \d+ terms, budget is 7 ") as info:
+            while not state.stable and (levels is None or len(state.chain) < levels):
+                state.next_level()
+        names = {entry.name for entry in info.traceback}
+        assert "kernel" in names and "_build_delta" not in names
     monkeypatch.setenv("HOPFKIT_MAX_TERMS", "8")
-    assert coradical_levels(J, 6).dims == (1, 5, 17, 41, 87, 137, 217)
+    while not fits.stable:
+        fits.next_level()
+    assert (1,) + tuple(s.dim + 1 for s in fits.chain) == (1, 5, 17, 41, 87, 137, 217)
+
+
+def test_coradical_cut_build_keeps_the_term_budget(monkeypatch):
+    """The chain's own coproduct build checks the budget as the machine's
+    does: a fresh chain of J at window 6 builds tuples of up to 18 terms
+    before any image wider than 8, so under budget 8 the build raises."""
+    from hopfkit.errors import BudgetExceeded
+
+    J = builtin("J")
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "8")
+    for run in (primitive_space, coradical_levels):
+        with pytest.raises(BudgetExceeded, match=r"^intermediate expression has \d+ terms, budget is 8 ") as info:
+            run(J, 6)
+        names = {entry.name for entry in info.traceback}
+        assert "_build_delta" in names
+    monkeypatch.delenv("HOPFKIT_MAX_TERMS")
+    assert max(len(_prebuilt_state(J, 6)._delta(pos)) // 3 for pos in range(1, 217)) == 18
 
 
 def test_signature_raises_when_products_overshoot_a_level(monkeypatch):
@@ -1066,3 +1103,135 @@ def test_one_sided_chain_matches_the_two_sided_reference_on_enveloping_algebras(
             assert [b.terms for b in level.basis()] == [b.terms for b in ref.basis()] == monomials
 
     check()
+
+
+# ----- the chain's own coproducts, cut to the left legs in V ------------------
+
+
+def _cut_state(p, bound):
+    """A chain state after level 1, with V closed over the pivots of S_1,
+    as the later levels read it."""
+    from hopfkit.subspace import _CoradicalState
+
+    state = _CoradicalState(p, bound)
+    state.next_level()
+    pivots = state.chain[0].pivots() if state.chain else []
+    state._grow(state.ids[pos] for pos in pivots)
+    assert 0 in state.v and {state.ids[pos] for pos in pivots} <= state.v
+    return state
+
+
+def _assert_cut_matches_machine(p, bound):
+    """Every tuple the chain builds is the machine's tuple with the terms
+    whose left leg is outside V dropped, term for term and in order, and
+    its factor clears the kept coefficients."""
+    from hopfkit import hopf
+
+    state, mach = _cut_state(p, bound), hopf._machine(p)
+    for pos in range(1, len(state.index)):
+        flat = iter(mach.delta(state.ids[pos]))
+        cut = tuple(x for t in zip(flat, flat, flat) if t[0] in state.v for x in t)
+        factor = lcm(*(Fraction(c).denominator for c in cut[2::3]))
+        assert state._coproduct(pos) == (pos, cut, factor), state.index.monomials[pos]
+    return state
+
+
+def _assert_v_closed(p, bound, state):
+    """No left leg u != 1 of any Delta(g) takes a window monomial x outside V
+    into V: NF(u x), straightened word by word, has no monomial in V when
+    wt(u) + wt(x) <= bound.  Every member of V but 1 and the pivots is
+    taken into V by some leg, so none is there for nothing."""
+    n = len(p.alphabet)
+    legs = {tuple(int(k == g) for k in range(n)) for g in range(n)}
+    legs |= {u for terms in p.delta.values() for u, _ in terms if any(u)}
+    v = {p._monos[i] for i in state.v}
+    pivots = {state.index.monomials[pos] for pos in state.chain[0].pivots()} if state.chain else set()
+    reached = set()
+    for u in legs:
+        for x in state.index.monomials:
+            if p.mono_weight(u) + p.mono_weight(x) > bound:
+                continue
+            hits = set(p.normal_form({p.mono_word(u) + p.mono_word(x): 1}).terms) & v
+            assert x in v or not hits, (p.render_mono(u), p.render_mono(x))
+            if hits:
+                reached.add(x)
+    assert v - {(0,) * n} - pivots <= reached
+
+
+@pytest.mark.parametrize(
+    "name,bound,size",
+    [("J", 9, 11), ("J", 10, 11), ("L", 9, 4), ("U_n5", 7, 6), ("H6", 8, 7), ("heis3", 8, 4)],
+)
+def test_cut_coproducts_are_the_machine_tuples_filtered_to_v(name, bound, size):
+    state = _assert_cut_matches_machine(builtin(name), bound)
+    assert len(state.v) == size
+
+
+def test_v_of_j_holds_the_words_in_a_and_c_below_degree_four():
+    # b a = a b - c sends the letters a and c onto the pivots a, c and c^3
+    J = builtin("J")
+    state = _cut_state(J, 9)
+    assert sorted(J.render_mono(J._monos[i]) for i in state.v) == [
+        "1", "a", "a^2", "a^2c", "a^3", "ac", "ac^2", "b", "c", "c^2", "c^3"]
+
+
+@pytest.mark.parametrize("bound", [8, 9, 10])
+def test_cut_coproducts_match_the_machine_on_l_heavy(bound):
+    _assert_cut_matches_machine(load_presentation(PRESENTATIONS / "L_heavy.hopf"), bound)
+
+
+@pytest.mark.parametrize("text,bound", [(J_SCALED_D, 7), (NESTED, 7)], ids=["J_scaled_d", "nested"])
+def test_cut_coproducts_match_the_machine_with_fractions_and_nested_pivots(text, bound):
+    # J_scaled_d clears by the factors 5 and 25; NESTED has the pivot a^2
+    _assert_cut_matches_machine(parse_presentation(text), bound)
+
+
+def test_cut_coproducts_match_the_machine_on_enveloping_algebras():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+    @hypothesis.given(nilpotent_lie_algebras())
+    def check(algebra):
+        p, degrees = algebra
+        _assert_cut_matches_machine(p, max(degrees) + 2)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "make,bound",
+    [(lambda: builtin("J"), 7), (lambda: builtin("L"), 8), (lambda: builtin("U_n5"), 4),
+     (lambda: builtin("H6"), 6), (lambda: builtin("heis3"), 7),
+     (lambda: load_presentation(PRESENTATIONS / "L_heavy.hopf"), 8),
+     (lambda: parse_presentation(J_SCALED_D), 6), (lambda: parse_presentation(NESTED), 7)],
+    ids=["J", "L", "U_n5", "H6", "heis3", "L_heavy", "J_scaled_d", "nested"],
+)
+def test_v_is_closed_under_every_left_leg(make, bound):
+    p = make()
+    _assert_v_closed(p, bound, _cut_state(p, bound))
+
+
+# two Weyl pairs: each constant tail takes 1, and with it every x whose
+# product with a letter straightens to a constant, into V; not a Hopf
+# algebra (a constant tail breaks the counit), but the chain is defined
+# by its coproduct formula and must still equal the reference
+WEYL_PAIRS = """name: weyl_pairs
+generators: x:1 y:1 u:1 v:1
+rel: y x = x y + 1
+rel: v u = u v + 1
+"""
+
+
+@pytest.mark.parametrize("bound,size", [(4, 22), (6, 51)])
+def test_chain_with_a_constant_tail_matches_the_reference(bound, size):
+    from hopfkit.subspace import _coradical_chain
+
+    p = parse_presentation(WEYL_PAIRS)
+    assert p.confluence().ok
+    state = _assert_cut_matches_machine(p, bound)
+    assert len(state.v) == size
+    _assert_v_closed(p, bound, state)
+    chain, reference = _coradical_chain(p, bound), _reference_chain(p, bound)
+    assert [s.dim for s in chain] == [s.dim for s in reference]
+    for level, ref in zip(chain, reference):
+        assert [b.terms for b in level.basis()] == [b.terms for b in ref.basis()]

@@ -31,14 +31,18 @@ coproduct  basis monomials per second whose Delta the coproduct machine
            inside it counted.
 antipode   basis monomials per second on which solve_antipode verifies the
            antipode axiom; S(S(g)) = g on every generator.
-coradical  levels per second of the coradical chain (coradical_levels); the
-           top level must hold the whole window, as its PBW basis counts it.
+coradical  levels per second of the coradical chain (coradical_levels),
+           the chain's own coproduct build included; the top level must
+           hold the whole window, as its PBW basis counts it.
            level1_terms and later_terms are the reduced-coproduct terms
            the chain's kernel reads at level 1 and at each later level,
            counted on a separate, untimed pass; level 1 builds the
            primitives weight by weight and starts its elimination over
            level1_restarts times, and level1_terms sums its reads over
-           every start.  They move with the code.
+           every start.  built_terms, read from the chain's state on the
+           same pass, is the number of terms its coproducts hold, cut to
+           the left legs the levels can reach, each one built again
+           counted again.  They move with the code.
 products   window monomials per second of solve_antipode on J at window 9
            and of signature on L at window 9, with the counters of the
            presentation's one product table (Presentation._table, by
@@ -74,9 +78,11 @@ parse      presentations per second of parse_presentation, on the dump of
            parse of its dump.  The builtin cases time builtin() itself,
            builds per second, on the same names.
 
-antipode, coradical and signature run on a fresh presentation whose
-coproduct table of the window was built beforehand, outside the timed
-region, and each pass runs the windows in an order shuffled by the seed.
+antipode, coradical and signature run on a fresh presentation, and each
+pass runs the windows in an order shuffled by the seed.  For antipode the
+machine's coproduct table of the window is built beforehand, outside the
+timed region; coradical and signature build their own coproducts, cut to
+the left legs they read, inside it.
 """
 
 import argparse
@@ -219,11 +225,11 @@ def coproduct(hopfkit, rng, repeats):
     return cases, (("monomials", "monomials_per_s"), ("terms", "terms_per_s"))
 
 
-def prebuilt_windows(hopfkit, plan, rng, repeats, run):
+def fresh_windows(hopfkit, plan, rng, repeats, run):
     """{window key: (counts, best seconds)} of run(p, bound, monos, key) -> (counts, seconds).
 
-    Each call gets a fresh presentation whose coproduct table holds the
-    window's basis monomials monos; run times its own part and checks it.
+    Each call gets a fresh presentation and the window's basis monomials
+    monos; run times its own part and checks it.
     """
     cases = {}
     for _ in range(repeats):
@@ -232,7 +238,6 @@ def prebuilt_windows(hopfkit, plan, rng, repeats, run):
         for name, bound in order:
             p = hopfkit.builtin(name)
             monos = p.enumerate_basis(bound)
-            build_coproducts(p, monos)
             key = f"{name}@{bound}"
             counts, elapsed = run(p, bound, monos, key)
             cases[key] = (counts, min(cases.get(key, (None, elapsed))[1], elapsed))
@@ -241,6 +246,7 @@ def prebuilt_windows(hopfkit, plan, rng, repeats, run):
 
 def antipode(hopfkit, rng, repeats):
     def run(p, bound, monos, key):
+        build_coproducts(p, monos)  # outside the timed region
         table, elapsed = cpu(hopfkit.solve_antipode, p, bound)
         if table.monomials_checked != len(monos):
             raise SystemExit(f"{key}: {table.monomials_checked} of {len(monos)} monomials verified")
@@ -249,17 +255,18 @@ def antipode(hopfkit, rng, repeats):
                 raise SystemExit(f"{key}: S(S({name})) is not {name}")
         return {"monomials_checked": table.monomials_checked}, elapsed
 
-    cases = prebuilt_windows(hopfkit, ANTIPODE_PLAN, rng, repeats, run)
+    cases = fresh_windows(hopfkit, ANTIPODE_PLAN, rng, repeats, run)
     return cases, (("monomials_checked", "monomials_per_s"),)
 
 
 def kernel_reads(p, bound):
-    """(reads, restarts) of the coradical kernel, on an untimed pass.
+    """(reads, restarts, built) of the coradical kernel, on an untimed pass.
 
     reads holds per level the coproduct terms the level reads: those
     whose left leg has a column offset in the list its image loop is
     handed, counted again each time level 1 starts its elimination
-    over; restarts is how many times it does.
+    over; restarts is how many times it does, and built is the state's
+    built_terms.
     """
     from hopfkit.subspace import _CoradicalState
 
@@ -275,7 +282,7 @@ def kernel_reads(p, bound):
     while not state.stable:
         reads.append(0)
         state.next_level()
-    return reads, len(state.restarts)
+    return reads, len(state.restarts), state.built_terms
 
 
 def coradical(hopfkit, rng, repeats):
@@ -283,11 +290,11 @@ def coradical(hopfkit, rng, repeats):
         report, elapsed = cpu(hopfkit.coradical_levels, p, bound)
         if report.dims[-1] != len(monos):
             raise SystemExit(f"{key}: top level {report.dims[-1]}, window {len(monos)}")
-        reads, restarts = kernel_reads(p, bound)
-        return {"levels": report.levels, "dim": report.dims[-1], "level1_terms": reads[0],
-                "level1_restarts": restarts, "later_terms": reads[1:]}, elapsed
+        reads, restarts, built = kernel_reads(p, bound)
+        return {"levels": report.levels, "dim": report.dims[-1], "built_terms": built,
+                "level1_terms": reads[0], "level1_restarts": restarts, "later_terms": reads[1:]}, elapsed
 
-    cases = prebuilt_windows(hopfkit, CORADICAL_PLAN, rng, repeats, run)
+    cases = fresh_windows(hopfkit, CORADICAL_PLAN, rng, repeats, run)
     return cases, (("levels", "levels_per_s"),)
 
 
@@ -300,7 +307,7 @@ def signature(hopfkit, rng, repeats):
             raise SystemExit(f"{key}: signature {report}, not {entries[key]}")
         return {"window": len(monos), "entries": len(report.entries)}, elapsed
 
-    cases = prebuilt_windows(hopfkit, SIGNATURE_PLAN, rng, repeats, run)
+    cases = fresh_windows(hopfkit, SIGNATURE_PLAN, rng, repeats, run)
     return cases, (("window", "monomials_per_s"),)
 
 
