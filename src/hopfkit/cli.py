@@ -270,8 +270,25 @@ def cmd_antipode(args, rep, label, p):
     return 0
 
 
+def _require_hopf_axioms(p):
+    """Refuse a coproduct that breaks a relation or is not coassociative.
+
+    The coradical chain's shortcuts are proved for Hopf algebras only, so
+    primitives, coradical and signature first run check's compatibility
+    stage and its coassociativity on the generators, which with Delta an
+    algebra map gives coassociativity on every monomial.
+    """
+    compat = hopf.check_relation_compatibility(p)
+    if not compat.ok:
+        raise HopfkitError(f"the coproduct breaks relation {compat.failures[0].label}")
+    for gen in hopf.check_coassociativity(p, samples=0).generators:
+        if not gen.ok:
+            raise HopfkitError(f"the coproduct is not coassociative on generator {gen.name}")
+
+
 def cmd_primitives(args, rep, label, p):
     bound = _window(p, args.weight_bound)
+    _require_hopf_axioms(p)
     space = subspace.primitive_space(p, bound)
     basis = tuple(str(b) for b in space.basis())
     rep.say(f"primitives of {label} up to weight {bound}: dimension {space.dim}")
@@ -284,6 +301,7 @@ def cmd_primitives(args, rep, label, p):
 
 def cmd_coradical(args, rep, label, p):
     bound = _window(p, args.weight_bound)
+    _require_hopf_axioms(p)
     levels = subspace.coradical_levels(p, bound)
     rep.say(
         f"coradical filtration of {label} up to weight {bound}: "
@@ -296,6 +314,7 @@ def cmd_coradical(args, rep, label, p):
 
 def cmd_signature(args, rep, label, p):
     bound = _window(p, args.weight_bound)
+    _require_hopf_axioms(p)
     sig = subspace.signature(p, bound)
     rep.say(f"signature of {label} up to weight {bound}: {sig}")
     if sig.complete:

@@ -519,7 +519,12 @@ def truncation_algebra(p, power, weight_bound):
 
 
 def primitive_space(p, weight_bound):
-    """Primitives of weight <= bound, as a canonical subspace."""
+    """Primitives of weight <= bound, as a canonical subspace.
+
+    p must be a Hopf algebra: Delta an algebra map and coassociative, as
+    check proves.  The chain reads only some coproduct terms, and on any
+    other coproduct what it returns decides nothing.
+    """
     return _coradical_chain(p, weight_bound, levels=1)[0]
 
 
@@ -572,22 +577,21 @@ class _CoradicalState:
     and each tuple read again, at a restart of level 1 or by a later
     level, is built again under the larger V.  A tuple cut to a larger V
     than a level needs is harmless, since _images reads only the left
-    legs that have an offset.
+    legs that have an offset in left.  left gains U's new pivots at the
+    end of each weight, the top weight included, so it ends level 1
+    holding every pivot of S_1, and V holds them too.
 
     A cut tuple is the flat tuple (u0, v0, c0, u1, ...) of the
     presentation's monomial ids and coefficients, three entries per term,
     read with the position of its monomial and the factor that clears its
     denominators (1 when its coefficients are ints), read from the
-    coefficients terms[2::3].  The first time a level past the first is
-    asked for, V is closed over the pivots of S_1 and each tuple is cut
-    once more, to its terms whose left leg is a pivot of S_1; kappa's
-    domain, the right legs, is read from the kept terms; level 1 needs no
-    kappa.  Ids follow first sight, not the window, so lists indexed by id
-    restore window order: position and offset
-    (MonomialIndex.positions_by_id), the window position of a leg and
-    that position times the window size, and, per level, kappa of a right
-    leg that is a pivot of the level before.  built_terms counts the terms
-    of every cut tuple built, again for each one built again.
+    coefficients terms[2::3].  Ids follow first sight, not the window, so
+    lists indexed by id restore window order: position
+    (MonomialIndex.positions_by_id), the window position of a leg; left,
+    the position of a pivot of U times the window size; and, per level,
+    kappa of a right leg that is a pivot of the level before.  built_terms
+    counts the terms of every cut tuple built, again for each one built
+    again.
     """
 
     def __init__(self, p, weight_bound):
@@ -595,9 +599,8 @@ class _CoradicalState:
         self.aug = [m for m in self.index if any(m)]
         self._gen = _hopf._machine(p)._gen
         self.ids = self.index.ids()  # window position -> id
-        size = len(self.index)
         self.position = self.index.positions_by_id()  # id -> window position
-        self.offset = [None if pos is None else pos * size for pos in self.position]
+        self.left = [None] * len(self.position)  # id -> column offset of a pivot of U
         weights, number = p.alphabet.weights, p._number
         # the left legs u != 1 of every Delta(g), as (monomial, id); one
         # heavier than the bound meets no window monomial
@@ -615,8 +618,7 @@ class _CoradicalState:
         self._deltas = [(0, 0, -1)]  # id -> delta cut to V, None until built
         self._dropped = 0  # terms of the cut tuples dropped when V grew
         self._grow([0])
-        self.coproducts = None  # (pos, terms, factor) cut to the pivots of S_1, set by _cut
-        self.legs = None  # kappa's domain, set when the coproducts are cut
+        self.coproducts = None  # (pos, terms, factor) of every position, set past level 1
         self.restarts = []  # weights at which level 1 started its elimination over
         self.chain = []
         self.stable = False
@@ -728,9 +730,9 @@ class _CoradicalState:
         lower the weight when undone.  So every term with its left leg in
         U is built, and no full coproduct is.
 
-        Past the first level E = D and P(E) = S_1: each coproduct is cut
-        once to the terms whose left leg is a pivot of S_1, and the cut
-        tuples serve every later level.  Level 1, S_1 = P(D), is built
+        Past the first level E = D and P(E) = S_1: the tuples cut to V are
+        built once, and every later level reads them at the offsets of
+        S_1's pivots in left.  Level 1, S_1 = P(D), is built
         weight by weight (_primitives).  For x in D_{<=w}+, and C_0 the
         scalars, A_x = {f in m : x < f in k} contains D_{<w}^perp, an ideal
         of D*, so A_x = m iff its image in D* / D_{<w}^perp = D_{<w}*,
@@ -742,7 +744,7 @@ class _CoradicalState:
         denominator for the level, so each image is built in integers,
         at that denominator times the factor that cleared its coproduct;
         u (x) v is column u * size + v, u and v window positions, which
-        offset, position and kappa give by id whatever order the ids were
+        left, position and kappa give by id whatever order the ids were
         handed out in, and the monomial's tag, scaled by the same factor,
         is column _TAGS + its position.  A right leg that is no pivot of
         the level before is its own remainder, so it writes its one
@@ -755,19 +757,19 @@ class _CoradicalState:
         budget = term_budget()
         if not self.chain:
             return self._primitives(budget)
-        if self.legs is None:
-            self._cut()
+        if self.coproducts is None:
+            self.coproducts = [self._coproduct(pos) for pos in range(1, len(self.index))]
         previous = self.chain[-1]._elim
-        position, pivots = self.position, previous.rows
-        rems = {i: previous.remainder({position[i]: 1}) for i in self.legs if position[i] in pivots}
+        ids, pivots = self.ids, previous.rows
+        rems = {ids[pivot]: previous.remainder({pivot: 1}) for pivot in pivots}
         den = lcm(*(d for _, d in rems.values()))
-        kappa = [None] * len(position)  # id -> kappa of a pivot right leg
+        kappa = [None] * len(self.position)  # id -> kappa of a pivot right leg
         for i, (rem, d) in rems.items():
             scale = den // d
             kappa[i] = tuple((c, v * scale) for c, v in rem.items())
         elim = _Echelon()
         coproducts = (cop for cop in self.coproducts if cop[0] not in pivots)
-        self._images(elim, coproducts, self.offset, kappa, den, budget)
+        self._images(elim, coproducts, self.left, kappa, den, budget)
         return elim.kernel
 
     def _primitives(self, budget):
@@ -780,20 +782,17 @@ class _CoradicalState:
         new columns and could declare false primitives, so a fresh one
         is fed again every monomial of weight < w that is no pivot of U.
         Those monomials span a complement of P(D_{<w}), so the tags found
-        at weight w complete it to P(D_{<=w}).
+        at weight w complete it to P(D_{<=w}).  The new pivots enter left
+        and V at the end of their weight, the top weight's too, which
+        only the later levels read.
         """
-        ids, size = self.ids, len(self.index)
+        ids, size, left = self.ids, len(self.index), self.left
         weight = self.index.pres.mono_weight
         found = _Echelon()  # the primitives found so far
-        left = [None] * len(self.position)  # id -> offset of a pivot of U
-        identity = left[:]  # kappa = id
-        elim, fed, tags = _Echelon(), [], []
+        identity = [None] * len(left)  # kappa = id
+        elim, fed, tags, new = _Echelon(), [], [], []
         self.restarts = []
         for w, group in groupby(enumerate(self.aug, 1), lambda pair: weight(pair[1])):
-            new = [pivot for pivot in found.rows if left[ids[pivot]] is None]
-            for pivot in new:
-                left[ids[pivot]] = pivot * size
-            self._grow(ids[pivot] for pivot in new)
             if new and elim.rows:
                 self.restarts.append(w)
                 elim = _Echelon()
@@ -806,6 +805,10 @@ class _CoradicalState:
             for tag in elim.kernel[start:]:
                 found.insert(tag)
                 tags.append(tag)
+            new = [pivot for pivot in found.rows if left[ids[pivot]] is None]
+            for pivot in new:
+                left[ids[pivot]] = pivot * size
+            self._grow(ids[pivot] for pivot in new)
         return tags
 
     def _images(self, elim, coproducts, left, kappa, den, budget):
@@ -840,24 +843,6 @@ class _CoradicalState:
                 raise over_budget(len(image), budget)
             image[_TAGS + pos] = factor
             elim.insert_cleared(image, factor)
-
-    def _cut(self):
-        """Keep the terms of each coproduct whose left leg is a pivot of S_1.
-
-        V is closed over those pivots first.  kappa's domain becomes the
-        right legs of the kept terms, and each factor is read from the
-        kept coefficients; the tuples cut to V are dropped.
-        """
-        position, pivots = self.position, self.chain[0]._elim.rows
-        self._grow(self.ids[pivot] for pivot in pivots)
-        coproducts, legs = [], set()
-        for pos in range(1, len(self.index)):
-            flat = iter(self._delta(pos))
-            kept = tuple(x for t in zip(flat, flat, flat) if position[t[0]] in pivots for x in t)
-            legs.update(kept[1::3])
-            coproducts.append((pos, kept, _factor(kept)))
-        self._dropped, self._deltas, self._left = self.built_terms, None, None
-        self.coproducts, self.legs = coproducts, legs
 
     def next_level(self):
         """Add the next level S_n = S_{n-1} + kernel(), or mark the chain stable."""
@@ -905,6 +890,10 @@ class CoradicalReport:
 
 
 def coradical_levels(p, weight_bound):
+    """Dimensions of the coradical chain in the window, scalars included.
+
+    p must be a Hopf algebra, as for primitive_space.
+    """
     chain = _coradical_chain(p, weight_bound)
     return CoradicalReport(weight_bound, (1,) + tuple(s.dim + 1 for s in chain))
 
@@ -950,6 +939,8 @@ def signature(p, weight_bound):
     the products S_{n'-q} S_q span every S_{n-q} S_q, since the levels
     are nested, so a level that runs its products to the end has the
     full product span of every earlier level inside it.
+
+    p must be a Hopf algebra, as for primitive_space.
     """
     chain = _coradical_chain(p, weight_bound)
     # window position -> id, from the window the chain listed (an empty

@@ -29,8 +29,12 @@ stopped listing the doubled window; `primitives --file
 presentations/L_heavy.hopf --weight-bound 10`, `primitives --builtin H6
 --weight-bound 9` and `primitives --builtin J --weight-bound 11` before
 level 1 of the coradical chain read only the left legs at the pivots of
-lighter primitives) and is never regenerated: a
-mismatch means a change altered an answer.  `check --file
+lighter primitives; `coradical`, `primitives` and `signature` on
+tests/presentations/not_an_algebra_map.hopf at window 4, and
+`coradical --file tests/presentations/noncoassociative.hopf`, once the
+chain commands refused a coproduct that breaks a relation or is not
+coassociative, where the first printed levels that decide nothing) and
+is never regenerated: a mismatch means a change altered an answer.  `check --file
 tests/presentations/nonconfluent.hopf` was recorded once its
 confluence verdict named the overlap as space-joined letters, as
 `require_confluent` does, instead of a Python tuple.

@@ -405,27 +405,43 @@ def test_coradical_chain_reads_coproducts_numbered_out_of_window_order():
         assert state._coproduct(pos) == (state.index.position[m], cut, 1), m
 
 
-def test_levels_past_the_first_read_only_left_legs_at_the_primitive_pivots():
-    # past level 1 each coproduct keeps its terms whose left leg is a
-    # pivot monomial of S_1; at J 9 the pivots are a, b, c and c^3, one
-    # of them no letter, and 4,579 of the window's 56,658 terms remain;
-    # the chain builds 10,465 terms cut to V, rebuilds included, not the
-    # 56,658 of the machine's tuples
+def _recorded_reads(monkeypatch, p, bound):
+    """A chain state run to its end, and per level the left legs of the
+    terms its image loop reads: those with an offset in the list it is
+    handed, counted again where level 1 starts its elimination over."""
     from hopfkit.subspace import _CoradicalState
 
+    images, reads = _CoradicalState._images, []
+
+    def record(self, elim, coproducts, left, kappa, den, budget):
+        coproducts = list(coproducts)
+        if len(reads) == len(self.chain):
+            reads.append([])
+        reads[-1].extend(u for _, terms, _ in coproducts for u in terms[0::3] if left[u] is not None)
+        images(self, elim, coproducts, left, kappa, den, budget)
+
+    monkeypatch.setattr(_CoradicalState, "_images", record)
+    state = _CoradicalState(p, bound)
+    while not state.stable:
+        state.next_level()
+    return state, reads
+
+
+def test_levels_past_the_first_read_only_left_legs_at_the_primitive_pivots(monkeypatch):
+    # past level 1 every level reads the coproducts cut to V at the
+    # offsets of the pivots of S_1; at J 9 the pivots are a, b, c and c^3,
+    # one of them no letter, and level 2 reads 4,578 of the window's
+    # 56,658 terms; the chain builds 10,465 terms cut to V, rebuilds
+    # included, not the 56,658 of the machine's tuples
     J = builtin("J")
-    state = _CoradicalState(J, 9)
-    state.next_level()
-    state.next_level()
+    state, reads = _recorded_reads(monkeypatch, J, 9)
     assert state.built_terms == 10465
     pivots = state.chain[0].pivots()
     assert [state.index.monomials[pos] for pos in pivots] == [
         (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 3, 0, 0, 0)
     ]
-    kept = [t for _, terms, _ in state.coproducts for t in zip(*[iter(terms)] * 3)]
-    assert len(kept) == 4579
-    assert {state.position[u] for u, _, _ in kept} <= set(pivots)
-    assert state.legs == {v for _, v, _ in kept}
+    assert len(reads[1]) == 4578
+    assert {state.position[u] for u in reads[1]} <= set(pivots)
     assert coradical_levels(J, 9).dims[-1] == len(state.index)
 
 
@@ -494,17 +510,49 @@ def test_level_one_starts_over_before_rows_miss_a_lighter_pivot():
     assert not is_primitive(p, p.gen("a") ** 3 - p.gen("w"))
 
 
-def test_primitive_space_never_cuts_the_coproducts(monkeypatch):
+def test_later_levels_read_the_pivots_found_at_the_top_weight(monkeypatch):
+    # at window 3 the primitive a^2 + z is found at weight 3, the top
+    # weight, with the lighter pivot a^2; the later levels must read the
+    # left leg a^2 as well as a, so left and V take in the top weight's
+    # pivots when level 1 ends
+    from hopfkit.subspace import _coradical_chain
+
+    p = parse_presentation(NESTED)
+    state, reads = _recorded_reads(monkeypatch, p, 3)
+    assert [str(b) for b in state.chain[0].basis()] == ["a", "a^2 + z"]
+    assert [len(level) for level in reads] == [3, 3, 2]
+    assert state.built_terms == 7
+    chain, reference = _coradical_chain(p, 3), _reference_chain(p, 3)
+    assert [b.terms for s in chain for b in s.basis()] == [b.terms for s in reference for b in s.basis()]
+    assert [s.dim for s in chain] == [s.dim for s in reference]
+
+
+def test_primitive_space_never_builds_the_later_levels(monkeypatch):
+    # the later levels run through kernel past level 1 and build the
+    # state's coproducts list; primitive_space does neither
     from hopfkit import subspace
 
-    def cut(self):
-        raise AssertionError("coproducts cut")
+    State, kernel = subspace._CoradicalState, subspace._CoradicalState.kernel
 
-    monkeypatch.setattr(subspace._CoradicalState, "_cut", cut)
+    def first_level_only(self):
+        if self.chain:
+            raise AssertionError("a later level")
+        return kernel(self)
+
+    def store(self, coproducts):
+        if coproducts is not None:
+            raise AssertionError("a later level")
+        self.__dict__["coproducts"] = coproducts
+
     J = builtin("J")
-    assert [str(b) for b in primitive_space(J, 9).basis()] == ["a", "b", "c", "c^3 - 3d"]
-    with pytest.raises(AssertionError, match="coproducts cut"):
-        coradical_levels(J, 9)
+    patches = [("kernel", first_level_only),
+               ("coproducts", property(lambda self: self.__dict__["coproducts"], store))]
+    for name, patch in patches:
+        with monkeypatch.context() as patched:
+            patched.setattr(State, name, patch, raising=False)
+            assert [str(b) for b in primitive_space(J, 9).basis()] == ["a", "b", "c", "c^3 - 3d"]
+            with pytest.raises(AssertionError, match="a later level"):
+                coradical_levels(J, 9)
 
 
 def test_signature_of_l():
