@@ -3,10 +3,9 @@
 Everything here works inside a window: the finite list of basis
 monomials up to a weight bound, in canonical order.  Because the order
 is weight-first, the window for a smaller bound is a prefix of the
-window for a larger one; only power_ideal_span leans on that, when it
-cuts I^k, built in the wider window that holds all of V, down to the
-window.  Powers I^k of the augmentation ideal are exact and do not depend
-on the window.
+window for a larger one.  Powers I^k of the augmentation ideal are built
+on the monomials of fewer than k letters alone, so they are exact and
+do not depend on the window.
 
 Every rank, kernel and remainder comes from one sparse echelon engine
 that puts each pivot at its row's smallest column.  A dimension of the
@@ -338,6 +337,39 @@ def member(space, x):
 # ----- powers of the augmentation ideal --------------------------------------
 
 
+def _power_ideal(p, k, reverse=False):
+    """J_k on V, the normal monomials of fewer than k letters, as (columns, column, echelon).
+
+    columns lists V in window order, reversed if reverse; column maps V's
+    ids to columns (D_k has none).  A constant tail puts 1 in I and empties V.
+    """
+    p.require_confluent()
+    if k < 0:
+        raise ValueError("power must be nonnegative")
+    if any(() in rel.tail for rel in p.relations.values()):
+        k = 0  # a constant tail puts 1 in I
+    columns = [()]  # V, listed directly: every exponent vector is a normal monomial
+    for _ in p.alphabet.weights:
+        columns = [m + (e,) for m in columns for e in range(k - sum(m))]
+    columns.sort(key=p.mono_key, reverse=reverse)
+    ids = [p._number(m) for m in columns]  # column -> id
+    column = {i: col for col, i in enumerate(ids)}
+    elim = _Echelon()
+    elim.rows = {col: {col: 1} for col in column.values()}  # J_0 = V
+    gens = [p._table[p._unit(gi)] for gi in range(len(p.alphabet))]
+    for _ in range(k):
+        rows, elim = elim.rows, _Echelon()
+        for g in gens:
+            for row in rows.values():
+                image = {}
+                for col, c in row.items():
+                    for w, v in g[ids[col]]:
+                        if w in column:  # pi drops D_k
+                            _acc(image, column[w], c * v)
+                elim.insert(image)
+    return columns, column, elim
+
+
 def power_ideal_span(p, k, weight_bound):
     """I^k in the window: the span of normal forms of words of >= k letters.
 
@@ -345,9 +377,9 @@ def power_ideal_span(p, k, weight_bound):
     letters and with k or more; pi projects onto V along D_k.  From
     J_0 = V, J_j = pi(span{g b : g a generator, b in a basis of J_{j-1}})
     and I^j = J_j + D_k, a direct sum, for j <= k.  In the window, J_k
-    keeps the rows whose reversed-column pivot falls there and D_k its unit
-    vectors; from window (k - 1) * max weight on, V lies inside and nothing
-    is cut, so the answer does not depend on the window.
+    keeps the rows whose pivot, their heaviest monomial, falls there and D_k
+    its unit vectors; from window (k - 1) * max weight on, V lies inside and
+    nothing is cut, so the answer does not depend on the window.
 
     D_k lies in I^k (a normal monomial is the product of its letters) and
     pi moves by elements of D_k, so by induction J_j + D_k lies in I^j.
@@ -365,40 +397,15 @@ def power_ideal_span(p, k, weight_bound):
     rest of the tail) in I, so I, and with it every I^k, is the whole
     algebra, and that case is computed as I^0.
     """
-    p.require_confluent()
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    if any(() in rel.tail for rel in p.relations.values()):
-        k = 0  # a constant tail puts 1 in I
+    columns, _, elim = _power_ideal(p, k, reverse=True)
     index = MonomialIndex(p, weight_bound)
-    needed = (k - 1) * p.max_weight
-    monomials = index.monomials if needed <= weight_bound else p.enumerate_basis(needed)
-    last = len(monomials) - 1
-    ids = [p._number(m) for m in reversed(monomials)]  # column -> id
-    column = [None] * len(p._monos)  # id -> its column if in V, None for D_k and beyond
-    rows = {}  # J_0 = V
-    for pos, m in enumerate(monomials):
-        if p.mono_degree(m) < k:
-            col = column[ids[last - pos]] = last - pos
-            rows[col] = {col: 1}
-    gens = [p._table[p._unit(gi)] for gi in range(len(p.alphabet))]
-    for _ in range(k):
-        elim = _Echelon()
-        for g in gens:
-            for row in rows.values():
-                image = {}
-                for col, c in row.items():
-                    for w, v in g[ids[col]]:
-                        if w < len(column) and column[w] is not None:  # pi drops D_k
-                            _acc(image, column[w], c * v)
-                elim.insert(image)
-        rows = elim.rows
     space = Subspace(index)
-    for pivot, row in rows.items():
-        if pivot >= len(monomials) - len(index):  # the row lies in the window
-            space.add_vector({last - col: v for col, v in row.items()})
+    for pivot, row in elim.rows.items():
+        if columns[pivot] in index.position:  # the row lies in the window
+            space.add_vector({index.position[columns[col]]: v for col, v in row.items()})
+    light = set(columns)
     for pos, m in enumerate(index.monomials):
-        if p.mono_degree(m) >= k:
+        if m not in light:  # D_k
             space.add_vector({pos: 1})
     return space
 
@@ -415,10 +422,10 @@ class CenterReport:
 class Truncation:
     """The quotient by the k-th power of the augmentation ideal.
 
-    Finite dimensional: classes of monomials with fewer than k letters
-    span it, and the window must be wide enough to hold them all, which
-    is exactly (k - 1) * max generator weight <= weight bound.  I^k is built in
-    that least window, as ideal and index show; no class depends on the window.
+    Finite dimensional: the classes of V, the monomials with fewer than k
+    letters, span it, and V lies in the window exactly when (k - 1) * max
+    generator weight <= weight bound.  It is V / J_k (see power_ideal_span):
+    classes are V's nonempty monomials off J_k's lightest-monomial pivots.
     """
 
     def __init__(self, pres, power, weight_bound):
@@ -428,24 +435,22 @@ class Truncation:
                 f"truncation at power {power} needs window {needed}, got {weight_bound}"
             )
         self.pres, self.power, self.weight_bound = pres, power, weight_bound
-        self.ideal = power_ideal_span(pres, power, max(needed, 0))
-        self.index = self.ideal.index
-        # D_k's monomials are pivots, so the classes are light non-pivots
-        pivots = set(self.ideal.pivots())
-        self.basis = tuple(
-            m for pos, m in enumerate(self.index.monomials) if any(m) and pos not in pivots
-        )
+        self._monomials, self._column, self._ideal = _power_ideal(pres, power)
+        rows = self._ideal.rows  # J_k on V
+        self.basis = tuple(m for c, m in enumerate(self._monomials) if any(m) and c not in rows)
         self.dim = len(self.basis)
         self._slot = {m: i for i, m in enumerate(self.basis)}
-        self._position = self.index.positions_by_id()
+
+    def _reduce(self, terms):
+        """Class of (id, coeff) pairs; D_k has no column, and the constant term is dropped."""
+        column, monos = self._column, self._monomials
+        rem = self._ideal.reduce({column[i]: c for i, c in terms if i in column})
+        return {monos[col]: c for col, c in rem.items() if any(monos[col])}
 
     def project(self, x):
         """Class of x as {basis monomial: coeff}, with D_k and the constant term dropped."""
-        x, degree = self.pres.normal_form(x), self.pres.mono_degree
-        vec = {self.index.index(m): c for m, c in x.terms.items() if degree(m) < self.power}
-        rem = self.ideal.reduce_vector(vec)
-        monomials = self.index.monomials
-        return {monomials[pos]: c for pos, c in rem.items() if any(monomials[pos])}
+        ids = self.pres._ids  # V's monomials are all numbered
+        return self._reduce((ids.get(m), c) for m, c in self.pres.normal_form(x).terms.items())
 
     def class_element(self, coords):
         return PBWElement(self.pres, dict(coords))
@@ -453,22 +458,17 @@ class Truncation:
     def multiply_classes(self, coords1, coords2):
         """Product of two augmentation-ideal classes."""
         out = {}
-        p, position, monomials = self.pres, self._position, self.index.monomials
+        p = self.pres
         for m1, c1 in coords1.items():
             d1, row = p.mono_degree(m1), p._table[p._number(m1)]
             for m2, c2 in coords2.items():
                 if d1 + p.mono_degree(m2) >= self.power:
                     continue  # lands in the ideal
-                # fewer than power letters: the window holds the product
-                vec = {position[w]: c for w, c in row[p._number(m2)]}
-                for pos, c in self.ideal.reduce_vector(vec).items():
-                    if any(monomials[pos]):  # the constant term is dropped
-                        _acc(out, monomials[pos], c1 * c2 * c)
+                for m, c in self._reduce(row[p._number(m2)]).items():
+                    _acc(out, m, c1 * c2 * c)
         return out
 
     def gen_image(self, g):
-        if self.power <= 1:
-            return {}  # every generator lies in the ideal, whatever the window
         return self.project(self.pres.gen(g))
 
     def center(self):

@@ -204,17 +204,18 @@ def test_truncation_of_u_n5_matches_the_closed_form_at_every_window(k):
         T = truncation_algebra(U, k, bound)
         assert T.dim == len(expected)
         assert list(T.basis) == expected
-        light.append([str(b) for b in T.ideal.basis() if all(sum(m) < k for m in b.terms)])
+        ideal = power_ideal_span(U, k, bound)
+        light.append([str(b) for b in ideal.basis() if all(sum(m) < k for m in b.terms)])
     assert light[0] == light[1] == light[2]
 
 
 def test_truncation_builds_its_ideal_in_the_smallest_window():
     # V, the monomials with fewer than k letters, lies in window
-    # (k - 1) * max weight = 9, and I^k is built there, not in the window
-    # given: J numbers fewer monomials than the 3,045 of window 12
+    # (k - 1) * max weight = 9, and I^k is built on V alone, not in the
+    # window given: J numbers fewer monomials than even window 9 holds
     J = builtin("J")
     T = truncation_algebra(J, 4, 12)
-    assert T.index.weight_bound == 9
+    assert len(J._monos) < len(J.enumerate_basis(9))
     assert len(J._monos) < len(J.enumerate_basis(12)) == 3045
     assert T.basis == truncation_algebra(builtin("J"), 4, 9).basis
     # d^5 has weight 15, outside every window here, and lies in D_4
@@ -274,9 +275,11 @@ def _filiform(n):
 
 AFFINE = "generators: x:1 y:1\nrel: y x = x y + x\n"  # [y, x] = x, so x is in every I^k
 WEYL = "generators: x:1 y:1\nrel: y x = x y + 1\n"  # a constant tail: 1 = [y, x] is in I^2
+# c + d lies in I^2 and neither c nor d does, so the lightest and the
+# heaviest monomial of that row differ
+SUM_TAIL = "generators: a:1 b:1 c:2 d:2\nrel: b a = a b + c + d\n"
 
-
-@pytest.mark.parametrize(
+POWER_GRID = pytest.mark.parametrize(
     "make, powers",
     [
         (lambda: builtin("U_n5"), range(1, 4)),
@@ -294,12 +297,69 @@ WEYL = "generators: x:1 y:1\nrel: y x = x y + 1\n"  # a constant tail: 1 = [y, x
     ],
     ids=["U_n5", "L", "J", "H6", "heis3", "poly3", "qplane2", "filiform4", "filiform5", "affine", "weyl"],
 )
+
+
+@POWER_GRID
 def test_power_ideal_span_matches_words_oracle(make, powers):
     p = make()
     for k in powers:
         least = (k - 1) * p.max_weight
         for bound in sorted({max(least - 1, 0), least, least + 2}):
             _assert_matches_words_oracle(p, k, bound)
+
+
+def _assert_truncation_reduces_modulo_power_ideal_span(p, k, rng):
+    least = max((k - 1) * p.max_weight, 0)
+    T = truncation_algebra(p, k, least)
+    for bound in (least, least + 2):
+        ideal = power_ideal_span(p, k, bound)
+        monomials = ideal.index.monomials
+        for _ in range(6):
+            terms = {rng.choice(monomials): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 6))}
+            x = p.element(terms)
+            rem = ideal.reduce(x).terms
+            assert T.project(x) == {m: c for m, c in rem.items() if any(m)}, (p, k, bound, x)
+    # products of two classes may weigh up to twice the least window
+    ideal = power_ideal_span(p, k, 2 * least)
+    for _ in range(6):
+        c1, c2 = ({m: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                   for m in rng.sample(T.basis, min(3, T.dim))} for _ in range(2))
+        c1, c2 = ({m: c for m, c in coords.items() if c} for coords in (c1, c2))
+        rem = ideal.reduce(T.class_element(c1) * T.class_element(c2)).terms
+        want = {m: c for m, c in rem.items() if any(m)}
+        assert T.multiply_classes(c1, c2) == want, (p, k, c1, c2)
+
+
+@POWER_GRID
+def test_truncation_reduces_modulo_power_ideal_span(make, powers):
+    rng = random.Random(29)
+    p = make()
+    for k in powers:
+        _assert_truncation_reduces_modulo_power_ideal_span(p, k, rng)
+
+
+def test_truncation_classes_match_the_pivots_of_power_ideal_span():
+    # J_2 = span{c + d}: the quotient keeps the heavier d as a class, as
+    # power_ideal_span's canonical basis, whose pivots are lightest, does
+    p = parse_presentation(SUM_TAIL)
+    T = truncation_algebra(p, 2, 2)
+    assert [p.render_mono(m) for m in T.basis] == ["a", "b", "d"]
+    assert "c + d" in [str(b) for b in power_ideal_span(p, 2, 2).basis()]
+    for k in range(1, 5):
+        _assert_truncation_reduces_modulo_power_ideal_span(p, k, random.Random(k))
+
+
+def test_truncation_stores_no_row_for_d_k():
+    # V, the 462 monomials of J with fewer than 6 letters, lies in window
+    # 15; the ideal is J_6 on V alone, with no unit row for a monomial of
+    # D_6, and J numbers V and the products it reaches, not window 15
+    J = builtin("J")
+    T = truncation_algebra(J, 6, 20)
+    light = [m for m in J.enumerate_basis(15) if sum(m) < 6]
+    assert len(light) == 462
+    assert len(T._ideal.rows) <= len(light)
+    assert len(J._monos) < len(J.enumerate_basis(15))
 
 
 def test_constant_tail_keeps_an_empty_truncation():

@@ -65,7 +65,11 @@ center     truncation centers per second (Truncation.center) of U_n5/I^6 at
            window 8, L/I^4 at window 9 and J/I^4 at window 9, each on a
            fresh presentation whose truncation is built outside the timed
            region; every representative must commute with every generator
-           class.
+           class.  Right after each build, read directly off the objects:
+           ids, the monomials the presentation has numbered (len of
+           _monos), and ideal_rows, the rows the truncation stores for
+           I^k (len of Truncation._ideal.rows, J_k on the monomials of
+           fewer than k letters).  These two move with the code.
 signature  window monomials per second of signature on H6 at window 9, J
            at window 10 and L at window 11, with the window's size; the
            entries must be (1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 2, 2) and
@@ -433,6 +437,7 @@ def center(hopfkit, rng, repeats):
         for name, power, bound in order:
             key = f"{name}@{power}/{bound}"
             trunc = hopfkit.truncation_algebra(hopfkit.builtin(name), power, bound)
+            ids, ideal_rows = len(trunc.pres._monos), len(trunc._ideal.rows)
             report, elapsed = cpu(trunc.center)
             gens = [trunc.gen_image(gi) for gi in range(len(trunc.pres.alphabet))]
             for rep in report.basis:
@@ -440,7 +445,8 @@ def center(hopfkit, rng, repeats):
                 if any(trunc.multiply_classes(coords, g) != trunc.multiply_classes(g, coords)
                        for g in gens):
                     raise SystemExit(f"{key}: {rep} does not commute with every generator class")
-            counts = {"centers": 1, "classes": trunc.dim, "center_dim": report.dim}
+            counts = {"centers": 1, "classes": trunc.dim, "center_dim": report.dim,
+                      "ids": ids, "ideal_rows": ideal_rows}
             cases[key] = (counts, min(cases.get(key, (None, elapsed))[1], elapsed))
     return {f"{n}@{k}/{b}": cases[f"{n}@{k}/{b}"] for n, k, b in CENTER_PLAN}, (
         ("centers", "centers_per_s"), ("classes", "classes_per_s"))
