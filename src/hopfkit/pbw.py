@@ -750,24 +750,24 @@ class Presentation:
         (_closed); under q = 1 every such entry is the one shared tuple of
         its id.
 
-        A tailed pair of a confluent presentation is built by _steps from
-        entries (u, e_g), products of basis monomials by generators, each
-        itself an entry of this table under the unit id of g, so
-        NF(m x_g) is stored once whichever product asked for it.  By
-        Bergman's diamond lemma (Adv. Math. 29, 1978) confluence and the
-        terminating rewrite order make the normal form of every word
-        unique, whatever rewrites reach it, so NF(u v) = NF(NF(u) v) and
-        the product built from smaller ones equals normal_form of the word
-        m_a m_b.  A presentation whose confluence() is not ok has no such
-        guarantee: there the pair is straightened by normal_form itself,
-        whose fixed strategy the table need not follow.
+        A tailed pair of a confluent presentation is built by _steps as a
+        sum over one smaller entry of this table, each term multiplied by
+        one more entry, so an entry is stored once whichever product asked
+        for it.  By Bergman's diamond lemma (Adv. Math. 29, 1978)
+        confluence and the terminating rewrite order make the normal form
+        of every word unique, whatever rewrites reach it, so
+        NF(u v) = NF(NF(u) v) and the product built from smaller ones
+        equals normal_form of the word m_a m_b.  A presentation whose
+        confluence() is not ok has no such guarantee: there the pair is
+        straightened by normal_form itself, whose fixed strategy the table
+        need not follow.
 
         Building is iterative: each pair under construction is a suspended
         _steps generator on one explicit stack, which yields the id pair of
         an entry it lacks and is resumed with that entry's pairs.  Every
         pair it yields stands for a word below its own in the rewrite
-        order, so the stack is as deep as a descending chain of such
-        words, not as Python's recursion limit allows.
+        order (see _steps), so the stack is as deep as a descending chain
+        of such words, not as Python's recursion limit allows.
         """
         monos = self._monos
         m1, m2 = monos[a], monos[b]
@@ -798,8 +798,7 @@ class Presentation:
     def _closed(self, m1, m2):
         """NF(m1 m2) as its one-pair entry, or None when a tail crosses.
 
-        m2 may be any sequence of exponents.  An entry with coefficient 1
-        is the one shared tuple ((id, 1),) of its id.
+        An entry with coefficient 1 is its id's one shared tuple ((id, 1),).
         """
         for hi, lo in self._tailed_pairs:
             if m1[hi] and m2[lo]:
@@ -818,60 +817,61 @@ class Presentation:
         return hit
 
     def _steps(self, a, b):
-        """Build the entry (a, b) of a tailed pair; a generator run by _entry.
+        """Build the entry (a, b) of a tailed pair from smaller entries; run by _entry.
 
-        When m_b is a single letter x_g, a tail crosses only below the last
-        letter x_k of m_a (so k > g), and with m_a = m' x_k the relation
-        x_k x_g = q x_g x_k + tail gives
+        When m_b has several letters, x_l its last and m_b = b' x_l, the
+        entry is the sum of the terms w of (a, b'), each multiplied by x_l
+        through (w, e_l).  When m_b = x_g, a tail crosses only below the
+        last letter x_k of m_a, so k > g, and with m_a = m' x_k the relation
+        x_k x_g = q x_g x_k + tail gives m_a x_g = q (m' x_g) x_k + m' tail:
+        the terms w of (m', e_g), each multiplied by x_k through (w, e_k),
+        plus (m', t) for each tail word t.  A pair that no tail crosses is
+        its closed form, taken in place and not stored; any other is read
+        from the table, yielded when missing.  The term budget is read once
+        per call and checked on the running sum after each read.
 
-            m_a x_g = q m' (x_g x_k) + m' tail,
-
-        m' pushed through the word (g, k) and through each tail word.  Any
-        other m_a is pushed through the letters of m_b.  Every word is
-        ordered, so what is left of it is a monomial, and a term is
-        finished by the closed form as soon as no tail crosses it and the
-        rest of its word; otherwise it is multiplied by the next letter
-        x_l, in closed form or through the entry (u, e_l) of the table,
-        yielded when missing.  The term budget is read once per call and
-        checked after each letter.
+        Each yielded pair stands for a word below m_a m_b in the rewrite
+        order, which appending a letter keeps.  (a, b') and (m', e_g) are
+        shorter words; m' t lies below m' x_k x_g as t lies below x_k x_g.
+        A term w of NF(u) lies at or below u, strictly when u is unordered.
+        So w x_k lies at or below m' x_g x_k, which is below m_a x_g; and
+        w x_l lies below m_a b' x_l = m_a m_b, since m_a b' is unordered
+        even when (a, b') is a closed form: the letter of m_a that a tail
+        crosses lies above a letter of m_b, so above m_b's least letter,
+        which b' keeps.
         """
         monos, closed, table, budget = self._monos, self._closed, self._table, term_budget()
         m1, m2 = monos[a], monos[b]
+        # each read (u, v, scale, r): the terms w of (u, v) times scale, each through (w, r)
         if sum(m2) == 1:
-            g = m2.index(1)
             k = max(i for i, e in enumerate(m1) if e)
-            start = self._number(m1[:k] + (m1[k] - 1,) + m1[k + 1:])
-            rel = self.relations[k, g]
-            words = [((g, k), _integral(rel.q))]
-            words += [(word, _integral(coeff)) for word, coeff in rel.tail_items]
+            rel = self.relations[k, m2.index(1)]
+            u = self._number(m1[:k] + (m1[k] - 1,) + m1[k + 1:])
+            reads = [(u, b, _integral(rel.q), self._unit(k))]
+            reads += [(u, self._number(_word_to_monomial(word, len(m1))), _integral(coeff), 0)
+                      for word, coeff in rel.tail_items]  # id 0: the empty monomial
         else:
-            start, words = a, [(self.mono_word(m2), 1)]
+            k = max(i for i, e in enumerate(m2) if e)
+            reads = [(a, self._number(m2[:k] + (m2[k] - 1,) + m2[k + 1:]), 1, self._unit(k))]
         out = {}
-        for word, coeff in words:
-            rest = list(_word_to_monomial(word, len(m1)))
-            terms = {start: coeff}
-            for letter in word:
-                unit, step = self._unit(letter), {}
-                for u, c in terms.items():
-                    mono = monos[u]
-                    pairs = closed(mono, rest)
-                    if pairs is not None:
-                        ((v, d),) = pairs
-                        _acc(out, v, c * d)
-                        continue
-                    pairs = closed(mono, monos[unit])
-                    if pairs is None:
-                        pairs = table[u].get(unit)
-                        if pairs is None:
-                            pairs = yield u, unit
-                    for v, d in pairs:
-                        _acc(step, v, c * d)
-                rest[letter] -= 1
-                terms = step
-                if len(step) + len(out) > budget:
-                    raise over_budget(len(step) + len(out), budget)
-            for u, c in terms.items():
-                _acc(out, u, c)
+        for u, v, scale, r in reads:
+            pairs = closed(monos[u], monos[v])
+            if pairs is None:
+                pairs = table[u].get(v)
+                if pairs is None:
+                    pairs = yield u, v
+            right = monos[r]
+            for w, c in pairs:
+                step = closed(monos[w], right)
+                if step is None:
+                    step = table[w].get(r)
+                    if step is None:
+                        step = yield w, r
+                c *= scale
+                for y, d in step:
+                    _acc(out, y, c * d)
+                if len(out) > budget:
+                    raise over_budget(len(out), budget)
         return tuple((v, _integral(c)) for v, c in out.items())
 
     def commutator(self, x, y):

@@ -399,6 +399,19 @@ def test_malformed_term_budget_is_usage_error(capsys, monkeypatch, value):
     assert err == f"error: HOPFKIT_MAX_TERMS must be an integer >= 1, got {value!r}\n"
 
 
+def test_truncate_heis3_fits_a_budget_of_two_terms(capsys, monkeypatch):
+    # a tailed product entry is a running sum over reads of smaller entries,
+    # and none of its sums holds more than 2 terms here
+    argv = ("truncate", "--builtin", "heis3", "--power", "4", "--weight-bound", "6")
+    expected = run(capsys, *argv)
+    assert expected[0] == 0 and "center dimension: 7\n" in expected[1]
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "2")
+    assert run(capsys, *argv) == expected
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "1")
+    failure = "failure: intermediate expression has 2 terms, budget is 1"
+    assert run(capsys, *argv) == (1, "", failure + " (raise HOPFKIT_MAX_TERMS to override)\n")
+
+
 def test_window_too_small_is_usage_error(capsys):
     code, out, err = run(
         capsys, "truncate", "--builtin", "L", "--power", "3", "--weight-bound", "5",

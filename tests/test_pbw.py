@@ -17,6 +17,7 @@ from hopfkit import (
     load_presentation,
     parse_presentation,
     pbw,
+    solve_antipode,
 )
 from hopfkit.errors import (
     AlphabetMismatch,
@@ -493,6 +494,31 @@ def test_generator_entries_are_stored_once():
     assert len(_stored(p)) == size
 
 
+def test_tailed_entries_are_read_off_two_smaller_entries():
+    # m_b = b' x_l: (a, b) sums the terms w of (a, b'), each through (w, e_l);
+    # y^3 x^2 is read off the entry (y^3, e_x), stored for later reads
+    p = builtin("heis3")
+    y3, x2 = (0, 3, 0), (2, 0, 0)
+    got = p.mono_product(y3, x2)
+    assert got == p.normal_form({p.mono_word(y3) + p.mono_word(x2): 1})
+    stored = _stored(p)[y3, (1, 0, 0)]
+    assert p._table[p._number(y3)][p._unit(0)] is stored
+    # y^3 x^3 is read off (y^3, x^2), which it stores, not built from (y^3, e_x) alone
+    p = builtin("heis3")
+    got = p.mono_product(y3, (3, 0, 0))
+    assert got == p.normal_form({p.mono_word(y3) + p.mono_word((3, 0, 0)): 1})
+    assert (y3, x2) in _stored(p) and (y3, (1, 0, 0)) in _stored(p)
+    # x4 (x1 x3): (x4, x1) is a closed form, taken in place and not stored, and
+    # only the last letter x3 crosses x4, through the stored entry (x1 x4, e_x3)
+    p = builtin("U_n5")
+    m1, m2 = (0, 0, 0, 0, 1), (0, 1, 0, 1, 0)
+    got = p.mono_product(m1, m2)
+    assert got == p.normal_form({p.mono_word(m1) + p.mono_word(m2): 1})
+    assert str(got) == "-xx1 + x1x3x4"
+    assert set(_stored(p)) == {(m1, m2), ((0, 1, 0, 0, 1), (0, 0, 0, 1, 0))}
+    assert (m1, (0, 1, 0, 0, 0)) not in _entries(p)
+
+
 def _check_table(p):
     """Every entry of p's product table against the max() scan's straightening
     of the joined word, and the id invariants; returns the entries checked."""
@@ -546,6 +572,14 @@ def test_every_table_entry_matches_the_reference_straightening():
     assert not _residual().confluence().ok  # its tailed entries straighten the joined word
     assert seen["U(g)"][1] and seen["residual"][1]
     assert seen["qplane(3/2)"][2]  # closed forms with q powers
+
+
+def test_antipode_table_of_j_matches_the_reference_straightening():
+    # every entry that solving and checking J's antipode wrote, tailed entries
+    # built from two smaller ones among them, is the joined word's normal form
+    p = builtin("J")
+    solve_antipode(p, 6)
+    assert _check_table(p) > 1000 and len(_stored(p)) > 100
 
 
 def test_tailless_words_keep_the_budget_point(monkeypatch):

@@ -51,12 +51,16 @@ products   window monomials per second of solve_antipode on J at window 9
            counted on a separate, untimed pass, through rows that count
            their reads: table_reads in all, split into closed_reads (no
            tailed relation crosses the pair, so the entry is a closed
-           form) and stored_reads (a tailed pair, built from smaller
-           entries on its first read).  After the pass: entries and rows
-           of the table, stored_entries (its tailed pairs),
-           generator_entries (tailed pairs whose right factor is a single
-           letter, the (monomial x generator) products that tailed
-           products are built from) and table_bytes, sys.getsizeof of the
+           form) and stored_reads (a tailed pair, built on its first read
+           from two smaller entries: the terms of one, each multiplied by
+           a letter through another).  A closed form that a build reads
+           is taken in place, not through a row, so it is not counted.
+           After the pass: entries and rows of the table, stored_entries
+           (its tailed pairs), generator_entries (tailed pairs whose right
+           factor is a single letter: the (monomial x generator) products
+           by which a build multiplies the terms of a smaller entry, each
+           itself built off the relation of its left factor's last letter
+           with the generator) and table_bytes, sys.getsizeof of the
            table, its rows, entries, pairs, ids and coefficients, each
            object once.  The counters move with the code; the rates are
            over the window's basis monomials, monomials, which depend on
