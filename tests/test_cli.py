@@ -58,6 +58,21 @@ def test_check_reports_dropped_correction(capsys):
     assert "antipode.ok" not in kv
 
 
+def test_check_passes_a_hopf_algebra_whose_antipode_squares_to_no_identity(capsys):
+    # B(0) satisfies every Hopf axiom but has S(S(z)) = z - 2e: S^2 = Id is
+    # no axiom, so check passes and reports the failing monomial apart
+    witness = Path(__file__).resolve().parent / "presentations" / "b0.hopf"
+    code, out, err = run(capsys, "check", "--file", str(witness))
+    assert code == 0
+    assert err == ""
+    kv = keyvalues(out)
+    assert kv["antipode.ok"] == "true"
+    assert kv["involutive.ok"] == "false"
+    assert kv["check.ok"] == "true"
+    assert "antipode square: S(S(z)) = -2e + z, not the identity" in out
+    assert "no grading makes this algebra\n  connected graded" in out
+
+
 def test_check_without_coproduct_runs_algebra_stages_only(capsys):
     code, out, err = run(capsys, "check", "--builtin", "qplane(2)")
     assert code == 0

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import partial
 from math import comb
+from pathlib import Path
 import sys
 
 import pytest
@@ -21,6 +22,7 @@ from hopfkit import (
     drop_correction,
     hilbert_series,
     is_primitive,
+    load_presentation,
     parse_presentation,
     reduced_coproduct,
     solve_antipode,
@@ -726,6 +728,78 @@ def test_both_loops_reject_a_flipped_antipode_entry(monkeypatch):
     assert expected[0] == "ab"
     monkeypatch.setattr(hopf, "AntipodeTable", Flipped)
     assert _failure(lambda: solve_antipode(J, 6)) == expected
+
+
+def test_the_table_holds_s_of_1_and_of_every_generator_before_any_read():
+    for name, p, bound in _hopf_presentations():
+        table = _solved(p, bound)
+        assert set(table.by_gen) == set(range(len(p.alphabet))), name
+        expected = {0: ((0, 1),)}
+        for gi, image in table.by_gen.items():
+            expected[p._unit(gi)] = tuple((p._number(m), c) for m, c in image.terms.items())
+        assert dict(table._images) == expected, name
+
+
+def test_a_table_without_some_generator_raises_key_error_naming_it():
+    # S(d), d the generator with index 5, missing: every monomial whose
+    # first-letter chain meets d raises KeyError(5), as by_gen[5] would,
+    # whether d is the letter the walk stops at or a letter it multiplies by
+    from hopfkit import hopf
+
+    J = builtin("J")
+    by_gen = dict(solve_antipode(J, 0).by_gen)
+    for missing, mono in ((5, (0, 0, 0, 0, 0, 1)), (5, (1, 0, 0, 0, 0, 2)), (0, (1, 1, 0, 0, 0, 0))):
+        table = hopf.AntipodeTable(J, {gi: s for gi, s in by_gen.items() if gi != missing}, 6)
+        with pytest.raises(KeyError) as info:
+            table.apply_mono(mono)
+        assert info.value.args == (missing,), mono
+        assert str(table.apply_mono((0, 0, 1, 0, 0, 0))) == "-c"
+
+
+# ----- check's id stages against the element paths they replaced -----------
+
+
+def _reference_involution(p, table):
+    """The S^2 stage as it was: each monomial through apply_mono and apply,
+    as elements; returns the failures as (monomial, str(S(S(m))))."""
+    failures = []
+    for mono in p.enumerate_basis(table.weight_bound):
+        twice = table.apply(table.apply_mono(mono))
+        if twice != p.element({mono: 1}):
+            failures.append((mono, str(twice)))
+    return failures
+
+
+def _reference_counit_generators(p):
+    """The counit stage's generator checks as they were: Delta(g) decoded by full_mono."""
+    from hopfkit import hopf
+
+    mach, checks = hopf._machine(p), []
+    for gi in range(len(p.alphabet)):
+        gen, left, right = p.gen(gi).terms, {}, {}
+        for (u, v), c in mach.full_mono(next(iter(gen))).items():
+            if u == mach.empty:
+                _acc(left, v, c)
+            if v == mach.empty:
+                _acc(right, u, c)
+        checks.append((p.alphabet.names[gi], left == gen == right))
+    return tuple(checks)
+
+
+def test_id_stages_match_the_element_paths_they_replaced():
+    root = Path(__file__).resolve().parent
+    cases = [(name, builtin(name)) for name in ("H6", "J", "L", "U_n5", "heis3", "poly(3)")]
+    cases += [(path.name, load_presentation(path))
+              for path in (root.parent / "presentations" / "L_heavy.hopf", root / "presentations" / "b0.hopf")]
+    for name, p in cases:
+        table = solve_antipode(p, 6)
+        report = check_involutive_antipode(p, table)
+        assert report.checked == len(p.enumerate_basis(6)), name
+        failures = [(mono, str(twice)) for mono, twice in report.failures]
+        assert failures == _reference_involution(p, table), name
+        assert check_counit(p).generator_checks == _reference_counit_generators(p), name
+    # the comparison is not vacuous: on B(0), S(S(z)) = z - 2e
+    assert failures[0] == ((0, 0, 1), "-2e + z")
 
 
 def test_solve_antipode_keeps_the_term_budget(monkeypatch):

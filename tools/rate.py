@@ -30,7 +30,11 @@ coproduct  basis monomials per second whose Delta the coproduct machine
            of that table: sys.getsizeof of every stored delta, every tuple
            inside it counted.
 antipode   basis monomials per second on which solve_antipode verifies the
-           antipode axiom; S(S(g)) = g on every generator.
+           antipode axiom (cpu_s, monomials_per_s), and on which
+           check_involutive_antipode then finds S(S(m)) = m from the solved
+           table, timed apart (involution_s, involution_monomials_per_s);
+           every monomial must pass both, and S(S(g)) = g is checked again
+           on every generator through AntipodeTable.apply, untimed.
 coradical  levels per second of the coradical chain (coradical_levels),
            the chain's own coproduct build included; the top level must
            hold the whole window, as its PBW basis counts it.
@@ -253,17 +257,27 @@ def fresh_windows(hopfkit, plan, rng, repeats, run):
 
 
 def antipode(hopfkit, rng, repeats):
+    involution = {}  # window key -> best CPU seconds of the S^2 stage
+
     def run(p, bound, monos, key):
         build_coproducts(p, monos)  # outside the timed region
         table, elapsed = cpu(hopfkit.solve_antipode, p, bound)
         if table.monomials_checked != len(monos):
             raise SystemExit(f"{key}: {table.monomials_checked} of {len(monos)} monomials verified")
+        report, seconds = cpu(hopfkit.check_involutive_antipode, p, table)
+        if not report.ok or report.checked != len(monos):
+            raise SystemExit(f"{key}: S(S(m)) = m holds on {report.checked - len(report.failures)} "
+                             f"of {len(monos)} monomials")
+        involution[key] = min(involution.get(key, seconds), seconds)
         for gi, name in enumerate(p.alphabet.names):
             if table.apply(table.of_gen(gi)) != p.gen(gi):
                 raise SystemExit(f"{key}: S(S({name})) is not {name}")
         return {"monomials_checked": table.monomials_checked}, elapsed
 
     cases = fresh_windows(hopfkit, ANTIPODE_PLAN, rng, repeats, run)
+    for key, (counts, _) in cases.items():
+        counts["involution_s"] = round(involution[key], 4)
+        counts["involution_monomials_per_s"] = per_s(counts["monomials_checked"], involution[key])
     return cases, (("monomials_checked", "monomials_per_s"),)
 
 
