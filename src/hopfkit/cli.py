@@ -71,31 +71,37 @@ def _fmt(value):
 
 
 def _add_source(sub):
+    """--builtin and --file, collected in command-line order as (flag, value) pairs."""
     sub.add_argument(
         "--builtin",
         action="append",
+        dest="sources",
         default=[],
+        type=lambda name: ("builtin", name),
         metavar="NAME",
         help="builtin presentation " + "/".join(presfile.BUILTIN_NAMES),
     )
     sub.add_argument(
         "--file",
         action="append",
-        default=[],
+        dest="sources",
+        type=lambda path: ("file", path),
         metavar="PATH",
         help="presentation file",
     )
 
 
 def _load_sources(args):
-    if args.command == "dump-builtin" and (args.file or len(args.builtin) != 1):
+    """The presentations as (label, presentation) pairs, in command-line order."""
+    if args.command == "dump-builtin" and [flag for flag, _ in args.sources] != ["builtin"]:
         raise _UsageError("dump-builtin takes exactly one --builtin")
     targets = []
-    for name in args.builtin:
-        targets.append((name, presfile.builtin(name)))
-    for path in args.file:
-        p = presfile.load_presentation(path)
-        targets.append((p.name or os.path.basename(path), p))
+    for flag, value in args.sources:
+        if flag == "builtin":
+            targets.append((value, presfile.builtin(value)))
+        else:
+            p = presfile.load_presentation(value)
+            targets.append((p.name or os.path.basename(value), p))
     if not targets:
         raise _UsageError("give a presentation with --builtin or --file")
     return targets

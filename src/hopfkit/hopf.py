@@ -18,6 +18,7 @@ tensors, never as tolerances.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 import random
 
 from .errors import (
@@ -42,7 +43,7 @@ def _tensor_product(left, right, xs, ys):
     legs of the product are read from left and the right legs from right,
     each a product table by id, left[a][b] the (id, coeff) pairs of
     NF(m_a m_b): the presentation's table twice, or a left table whose
-    entries keep only some monomials (see _build_delta).  The unit leg
+    entries keep only some monomials (see _Machine).  The unit leg
     is id 0, and 1 times b is b, so a term a (x) 1 or 1 (x) a multiplies
     one leg only.  Entries that cancel are dropped before the result is
     checked against the term budget.
@@ -129,11 +130,10 @@ class TensorElement(_LinearCombination):
         if self.arity not in (2, None) or other.arity not in (2, None):
             raise TypeError("products are defined on the tensor square only")
         p = self.pres
-        number, monos = p._number, p._monos
+        number = p._number
         xs, ys = ([x for (u, v), c in t.terms.items() for x in (number(u), number(v), c)]
                   for t in (self, other))
-        product = _tensor_product(p._table, p._table, xs, ys)
-        return self._raw(p, {(monos[u], monos[v]): c for (u, v), c in product.items()})
+        return _decoded(p, _tensor_product(p._table, p._table, xs, ys))
 
     def _order(self, legs):
         key = self.pres.mono_key
@@ -158,6 +158,13 @@ def tensor(x, y):
         for m2, c2 in y.terms.items():
             terms[(m1, m2)] = c1 * c2
     return TensorElement._raw(x.pres, terms)
+
+
+def _decoded(p, terms):
+    """A tensor from a map keyed by tuples of monomial ids, coefficients as Fractions."""
+    monos = p._monos
+    return TensorElement._raw(
+        p, {tuple(monos[i] for i in key): Fraction(c) for key, c in terms.items()})
 
 
 # ----- the comultiplication machine ----------------------------------------
@@ -199,41 +206,13 @@ def _first_letter_walk(p, i, stored):
     return i, chain
 
 
-def _build_delta(p, gen, deltas, left, i, kept=None):
-    """delta of the monomial with id i, built into deltas and returned as its flat tuple.
-
-    deltas is a list by id of flat tuples (u0, v0, c0, u1, ...), None where
-    not built yet, with deltas[0] = (0, 0, -1): delta(1) = -1 (x) 1.
-    Delta(m) = Delta(g) Delta(m / g), with g the first letter of m and gen(g)
-    the flat Delta(g): walk down the first-letter chain to the first stored
-    entry, then build upward, with no recursion.  The left legs of each
-    product are read from left, the right legs from the product table.
-    With kept None, left is the product table and every term is built.
-    Otherwise kept is a set of ids and left's entries hold only the
-    monomials in kept: then each tuple holds the terms of delta whose left
-    leg is in kept, exactly, provided kept holds 1 and every x for which
-    NF(u x) has a monomial in kept, u a left leg other than 1 of some
-    Delta(g) (see subspace._CoradicalState); a unit term j (x) 1 enters
-    only when j is in kept.
-    """
-    i, chain = _first_letter_walk(p, i, lambda j: j < len(deltas) and deltas[j] is not None)
-    hit = deltas[i]
-    deltas += [None] * (len(p._monos) - len(deltas))
-    for m, gi in reversed(chain):
-        unit = (i, 0, 1) if kept is None or i in kept else ()
-        out = _tensor_product(left, p._table, gen(gi), unit + (0, i, 1) + hit)
-        if kept is None or m in kept:
-            _acc(out, (m, 0), -1)
-        _acc(out, (0, m), -1)
-        if set(map(type, out.values())) - {int}:  # Fractions, some maybe integral
-            out = {key: c if type(c) is int else _integral(c) for key, c in out.items()}
-        hit = deltas[m] = _flat(out)
-        i = m
-    return hit
+def _cut_entry(row, kept, b):
+    """Entry b of a product table row, cut to the monomials whose ids are in kept."""
+    return tuple(t for t in row[b] if t[0] in kept)
 
 
 class _Machine:
-    """Per-presentation cache of Delta on basis monomials, by the presentation's monomial ids.
+    """Cache of Delta on basis monomials, by the presentation's monomial ids.
 
     delta(i) is the reduced coproduct Delta(m) - m (x) 1 - 1 (x) m of
     the monomial with id i, stored as one flat tuple
@@ -241,19 +220,31 @@ class _Machine:
     per term, with no tuple per term, built once and shared; its readers
     take it three at a time with zip(it, it, it), it = iter(delta(i)).
     Delta(m) = Delta(g) Delta(m / g), with g the first letter of m, is
-    built from leg products read from the presentation's product table
-    by id, so a coproduct numbers only its recursion chain and the legs
-    of its leg products.  Coefficients are ints where integral,
-    Fractions otherwise; full_mono and reduced_mono decode a tuple to a
-    {(left, right): coeff} map.
+    built from leg products read by id, so a coproduct numbers only its
+    recursion chain and the legs of its leg products.  Coefficients are
+    ints where integral, Fractions otherwise; full_mono decodes a tuple
+    to a {(left, right): coeff} map.
+
+    The right legs are read from the presentation's product table, and
+    so are the left legs when kept is None: then every term is built, as
+    in the machine _machine(p) shares, which check reads.  Otherwise
+    kept is a set of ids, the left legs are read from the table with its
+    entries cut to the monomials in kept, and each tuple holds exactly
+    the terms of delta whose left leg is in kept, provided kept holds 1
+    and every x for which NF(u x) has a monomial in kept, u a left leg
+    other than 1 of some Delta(g); a unit term j (x) 1 enters only when
+    j is in kept.  The coradical chain builds its coproducts so (see
+    subspace._CoradicalState).
     """
 
-    def __init__(self, p):
+    def __init__(self, p, kept=None):
         _require_hopf(p)
-        self.p = p
+        self.p, self.kept = p, kept
         self.empty = p._monos[0]
         self._deltas = [(0, 0, -1)]  # id -> flat delta(m), None until built; delta(1) = -1 (x) 1
         self._gens = [None] * len(p.alphabet)  # generator -> flat Delta(g), built on first use
+        table = p._table
+        self._left = table if kept is None else _Memo(lambda a: _Memo(partial(_cut_entry, table[a], kept)))
 
     def _gen(self, gi):
         """Delta(g) of a generator, unit terms first, as a flat tuple of ids and coefficients."""
@@ -264,35 +255,41 @@ class _Machine:
                 x for (u, v), c in terms for x in (number(u), number(v), _integral(c)))
         return hit
 
-    def delta(self, i):
-        """delta of the monomial with id i, as the shared flat tuple (u0, v0, c0, ...)."""
-        return _build_delta(self.p, self._gen, self._deltas, self.p._table, i)
+    def _build_delta(self, i):
+        """delta of the monomial with id i, as the shared flat tuple (u0, v0, c0, ...).
+
+        Built into _deltas on first read: Delta(m) = Delta(g) Delta(m / g),
+        so walk down the first-letter chain to the first stored entry, then
+        build upward, with no recursion.
+        """
+        p, deltas, kept = self.p, self._deltas, self.kept
+        i, chain = _first_letter_walk(p, i, lambda j: j < len(deltas) and deltas[j] is not None)
+        hit = deltas[i]
+        deltas += [None] * (len(p._monos) - len(deltas))
+        for m, gi in reversed(chain):
+            unit = (i, 0, 1) if kept is None or i in kept else ()
+            out = _tensor_product(self._left, p._table, self._gen(gi), unit + (0, i, 1) + hit)
+            if kept is None or m in kept:
+                _acc(out, (m, 0), -1)
+            _acc(out, (0, m), -1)
+            if set(map(type, out.values())) - {int}:  # Fractions, some maybe integral
+                out = {key: c if type(c) is int else _integral(c) for key, c in out.items()}
+            hit = deltas[m] = _flat(out)
+            i = m
+        return hit
+
+    delta = _build_delta  # the readers' name; a traceback through a build names _build_delta
 
     def full_delta(self, i):
         """Delta of the monomial with id i, as a flat tuple: its unit terms, then delta(i)."""
         return (i, 0, 1, 0, i, 1) + self.delta(i)
 
-    def reduced_mono(self, mono):
-        """delta of a basis monomial: Delta(m) - m (x) 1 - 1 (x) m.
-
-        A fresh {(left, right): coeff} map, with delta's coefficients.
-        """
-        monos, terms = self.p._monos, iter(self.delta(self.p._number(mono)))
-        return {(monos[u], monos[v]): c for u, v, c in zip(terms, terms, terms)}
-
     def full_mono(self, mono):
-        """Delta of a basis monomial, as a fresh {(left, right): coeff} map."""
-        out = self.reduced_mono(mono)
-        for key in ((mono, self.empty), (self.empty, mono)):
-            _acc(out, key, 1)
+        """Delta of a basis monomial, as a fresh {(left, right): coeff} map, with delta's coefficients."""
+        monos, terms, out = self.p._monos, iter(self.full_delta(self.p._number(mono))), {}
+        for u, v, c in zip(terms, terms, terms):
+            _acc(out, (monos[u], monos[v]), c)
         return out
-
-    def full(self, x):
-        terms = {}
-        for mono, coeff in x.terms.items():
-            for key, c in self.full_mono(mono).items():
-                _acc(terms, key, coeff * c)
-        return TensorElement._raw(self.p, terms)
 
 
 def _machine(p):
@@ -304,16 +301,24 @@ def _machine(p):
 # ----- the coproduct and its immediate derivatives --------------------------
 
 
+def _summed(p, x, flat):
+    """The sum of c flat(i) over the terms c m_i of x's normal form, decoded once."""
+    terms = {}
+    for mono, coeff in p.normal_form(x).terms.items():
+        it = iter(flat(p._number(mono)))
+        for u, v, c in zip(it, it, it):
+            _acc(terms, (u, v), coeff * c)
+    return _decoded(p, terms)
+
+
 def coproduct(p, x):
     """Delta(x), with both tensor legs straightened."""
-    return _machine(p).full(p.normal_form(x))
+    return _summed(p, x, _machine(p).full_delta)
 
 
 def reduced_coproduct(p, x):
     """delta(x) = Delta(x) - x (x) 1 - 1 (x) x."""
-    x = p.normal_form(x)
-    one = p.one()
-    return coproduct(p, x) - tensor(x, one) - tensor(one, x)
+    return _summed(p, x, _machine(p).delta)
 
 
 def counit(p, x):
@@ -395,13 +400,6 @@ def check_relation_compatibility(p):
 
 
 # ----- coassociativity -------------------------------------------------------
-
-
-def _decoded(p, terms):
-    """A tensor from a map keyed by tuples of monomial ids, coefficients as Fractions."""
-    monos = p._monos
-    return TensorElement._raw(
-        p, {tuple(monos[i] for i in key): Fraction(c) for key, c in terms.items()})
 
 
 def _expand_leg(terms, leg, delta):

@@ -23,13 +23,12 @@ reduction; Fraction is built only where a result is handed back.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import groupby
 from math import gcd, lcm
 from operator import sub
 
 from .errors import WindowTooSmall
-from .freealg import _Memo, _acc, over_budget, term_budget
+from .freealg import _acc, over_budget, term_budget
 from .pbw import PBWElement
 from . import hopf as _hopf
 from .grading import factor_series, gk_dimension, hilbert_series, series_settles
@@ -528,11 +527,6 @@ def primitive_space(p, weight_bound):
     return _coradical_chain(p, weight_bound, levels=1)[0]
 
 
-def _cut_entry(row, kept, b):
-    """Entry b of a product table row, cut to the monomials whose ids are in kept."""
-    return tuple(t for t in row[b] if t[0] in kept)
-
-
 def _factor(terms):
     """The factor that clears the denominators of a flat tuple's coefficients terms[2::3]."""
     return lcm(*(c.denominator for c in terms[2::3] if type(c) is not int))
@@ -543,8 +537,9 @@ class _CoradicalState:
 
     Every level reads only the terms of the reduced coproducts whose left
     leg is a pivot monomial of primitives already found (see kernel), so
-    the state builds its own coproducts, cut to the left legs in a set V
-    of window monomials, and never the machine's full ones.  V is the
+    the state builds its coproducts cut to the left legs in a set V of
+    window monomials, through a hopf._Machine of its own with kept = V,
+    and never the full ones of the machine check reads.  V is the
     smallest set that holds 1 and the pivots U read so far, and that holds
     x whenever NF(u x) has a monomial in V, for some left leg u other than
     1 of some Delta(g) (g itself, or a left leg of delta(g)) with
@@ -556,11 +551,9 @@ class _CoradicalState:
     wt(u) + wt(x) <= wt(g) + wt(m / g) = wt(m) <= the bound, as no leg of
     Delta(y) outweighs y, so a term whose left leg x is outside V puts no
     monomial into V.  Hence Delta(m)|_V = (Delta(g) Delta(m / g)|_V)|_V, term for
-    term, and the cut tuples are the machine's tuples with the other terms
+    term, and the cut tuples are the whole ones with the other terms
     dropped, in the same order, for every presentation: a V that is the
-    whole window keeps every term.  hopf._build_delta builds them, its
-    left legs read from a product table whose entries are cut to V,
-    memoized per V.
+    whole window keeps every term.
 
     Finding V (_grow) scans no window.  Every rewrite step of u x
     swaps a pair or replaces a head pair {hi, lo} by one of its tail
@@ -573,13 +566,13 @@ class _CoradicalState:
     monomials, so V is exact.
 
     U grows weight by weight during level 1 (_primitives), and V with it;
-    when V grows, the cut table and the tuples built so far are dropped,
-    and each tuple read again, at a restart of level 1 or by a later
-    level, is built again under the larger V.  A tuple cut to a larger V
-    than a level needs is harmless, since _images reads only the left
-    legs that have an offset in left.  left gains U's new pivots at the
-    end of each weight, the top weight included, so it ends level 1
-    holding every pivot of S_1, and V holds them too.
+    when V grows, the machine is replaced by one cut to the larger V, and
+    each tuple read again, at a restart of level 1 or by a later level,
+    is built again by it.  A tuple cut to a larger V than a level needs
+    is harmless, since _images reads only the left legs that have an
+    offset in left.  left gains U's new pivots at the end of each
+    weight, the top weight included, so it ends level 1 holding every
+    pivot of S_1, and V holds them too.
 
     A cut tuple is the flat tuple (u0, v0, c0, u1, ...) of the
     presentation's monomial ids and coefficients, three entries per term,
@@ -597,16 +590,16 @@ class _CoradicalState:
     def __init__(self, p, weight_bound):
         self.index = MonomialIndex(p, weight_bound)
         self.aug = [m for m in self.index if any(m)]
-        self._gen = _hopf._machine(p)._gen
         self.ids = self.index.ids()  # window position -> id
         self.position = self.index.positions_by_id()  # id -> window position
         self.left = [None] * len(self.position)  # id -> column offset of a pivot of U
-        weights, number = p.alphabet.weights, p._number
+        weights, monos = p.alphabet.weights, p._monos
+        self.v = frozenset()  # V, as ids
+        self.machine = _hopf._Machine(p, self.v)  # the coproducts cut to V
         # the left legs u != 1 of every Delta(g), as (monomial, id); one
         # heavier than the bound meets no window monomial
-        legs = {tuple(int(k == gi) for k in range(len(weights))) for gi in range(len(weights))}
-        legs.update(u for terms in p.delta.values() for u, _ in terms if any(u))
-        self._legs = sorted((u, number(u)) for u in legs if p.mono_weight(u) <= weight_bound)
+        legs = {u for gi in range(len(weights)) for u in self.machine._gen(gi)[0::3] if u}
+        self._legs = sorted((monos[u], u) for u in legs if p.mono_weight(monos[u]) <= weight_bound)
         # per tail word of a relation: hi, lo, the word's (letter, exponent)
         # pairs, and the weight a reverse replacement adds
         self._tails = []
@@ -614,8 +607,6 @@ class _CoradicalState:
             for word in rel.tail:
                 letters = tuple((k, word.count(k)) for k in sorted(set(word)))
                 self._tails.append((hi, lo, letters, weights[hi] + weights[lo] - p.word_weight(word)))
-        self.v = frozenset()  # V, as ids
-        self._deltas = [(0, 0, -1)]  # id -> delta cut to V, None until built
         self._dropped = 0  # terms of the cut tuples dropped when V grew
         self._grow([0])
         self.coproducts = None  # (pos, terms, factor) of every position, set past level 1
@@ -626,14 +617,13 @@ class _CoradicalState:
     @property
     def built_terms(self):
         """Terms of every cut tuple built so far, those dropped when V grew included."""
-        live = sum(map(len, filter(None, self._deltas))) // 3 - 1 if self._deltas else 0
-        return self._dropped + live
+        return self._dropped + sum(map(len, filter(None, self.machine._deltas))) // 3 - 1
 
     def _grow(self, ids):
         """Put the monomials with the given ids into V and close it (see the class docstring).
 
-        When V grows, the cut table and the cut tuples built so far are
-        dropped.
+        When V grows, the machine is replaced by one cut to the new V, and
+        the cut tuples built so far are dropped with the old one.
         """
         p = self.index.pres
         monos, number, table = p._monos, p._number, p._table
@@ -654,9 +644,8 @@ class _CoradicalState:
         if len(v) == len(self.v):
             return
         self._dropped = self.built_terms
-        self.v = v = frozenset(v)
-        self._deltas = [(0, 0, -1)]
-        self._left = _Memo(lambda a: _Memo(partial(_cut_entry, table[a], v)))
+        self.v = frozenset(v)
+        self.machine = _hopf._Machine(p, self.v)
 
     def _sources(self, t):
         """The exponent vectors that reverse replacements reach from t at weight <= the bound, t included."""
@@ -680,8 +669,7 @@ class _CoradicalState:
 
     def _delta(self, pos):
         """The reduced coproduct of the window monomial at pos, cut to V, as a flat tuple."""
-        return _hopf._build_delta(
-            self.index.pres, self._gen, self._deltas, self._left, self.ids[pos], self.v)
+        return self.machine.delta(self.ids[pos])
 
     def _coproduct(self, pos):
         """(pos, terms, factor) of the window monomial at pos, terms cut to V."""

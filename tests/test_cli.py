@@ -281,6 +281,20 @@ def test_compare_centers(capsys):
     assert "separate these presentations" in out
 
 
+def test_compare_centers_pairs_the_bounds_in_command_line_order(capsys):
+    # a --file before a --builtin keeps its place, and its --weight-bound
+    code, out, err = run(
+        capsys, "compare-centers", "--file", str(PRESENTATIONS / "L5_2.hopf"), "--builtin", "L",
+        "--power", "7", "--weight-bound", "6", "--weight-bound", "18",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == [
+        "L5_2: center dimension 163 (truncation dimension 295, power 7, window 6)",
+        "L: center dimension 161 (truncation dimension 295, power 7, window 18)",
+    ]
+    assert keyvalues(out)["compare.separated"] == "true"
+
+
 def test_dump_builtin_is_raw_format(capsys):
     code, out, err = run(capsys, "dump-builtin", "--builtin", "L")
     assert code == 0

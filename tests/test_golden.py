@@ -52,6 +52,10 @@ antipode table came to be seeded by monomial id and `check`'s counit
 and S^2 stages came to read the id tables; its `check` golden was
 recorded once `check` stopped failing on S^2 != Id, which is no Hopf
 axiom, and so exits 0 with `involutive.ok=false`.
+The `compare-centers` of L, U_n5, presentations/L5_2.hopf and
+presentations/r2k3.hopf at power 7 was recorded when those files were
+added, the step of the README's argument that L is no enveloping
+algebra that separates it from h3 + k^2, h5 and r2 + k^3.
 `--file` paths are relative to the repository root.
 """
 

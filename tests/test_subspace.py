@@ -17,6 +17,7 @@ from hopfkit import (
     parse_presentation,
     power_ideal_span,
     primitive_space,
+    reduced_coproduct,
     signature,
     span,
     truncation_algebra,
@@ -899,12 +900,11 @@ def test_coradical_kernels_match_fraction_reference(make, bound):
     """Each level's kernel tags equal, as exact Fractions, the ones the
     Fraction engine gets from Fraction images built the way it did, fed
     the monomials that are not pivots of the last level."""
-    from hopfkit import hopf
     from hopfkit.subspace import _CoradicalState
 
     p = make()
     state = _CoradicalState(p, bound)
-    index, mach = state.index, hopf._machine(p)
+    index = state.index
     previous = _FractionEchelon()  # the scalars: no augmentation part
     while not state.stable:
         kappa = {
@@ -915,7 +915,7 @@ def test_coradical_kernels_match_fraction_reference(make, bound):
             if index.index(m) in previous.rows:
                 continue
             image = {}
-            for (u, v), c in mach.reduced_mono(m).items():
+            for (u, v), c in reduced_coproduct(p, p.element({m: 1})).terms.items():
                 for col, cv in kappa[u].items():
                     _acc(image, (0, col, index.index(v)), c * cv)
                 for col, cv in kappa[v].items():
@@ -946,15 +946,14 @@ def _reference_chain(p, bound):
     """The coradical chain as it was computed with every augmentation
     monomial fed to the kernel: each level is the span of its kernel
     tags alone, and the coproducts are cleared from Fractions."""
-    from hopfkit import hopf
     from hopfkit.subspace import _TAGS, Subspace, _Echelon, _clear
 
     index = MonomialIndex(p, bound)
     aug = [m for m in index if any(m)]
-    mach, position, size = hopf._machine(p), index.position, len(index)
+    position, size = index.position, len(index)
     deltas, legs = [], set()
     for m in aug:
-        delta = {(position[u], position[v]): Fraction(c) for (u, v), c in mach.reduced_mono(m).items()}
+        delta = {(position[u], position[v]): c for (u, v), c in reduced_coproduct(p, p.element({m: 1})).terms.items()}
         terms, den = _clear(delta)
         deltas.append((position[m], [(u, v, c) for (u, v), c in terms.items()], den))
         legs.update(pos for pair in terms for pos in pair)
@@ -1273,6 +1272,21 @@ def _assert_v_closed(p, bound, state):
 def test_cut_coproducts_are_the_machine_tuples_filtered_to_v(name, bound, size):
     state = _assert_cut_matches_machine(builtin(name), bound)
     assert len(state.v) == size
+
+
+def test_chain_and_check_share_the_machine_class_but_not_its_store():
+    # the chain builds its cut coproducts through a hopf._Machine of its
+    # own, kept = V, and builds no whole coproduct in check's machine
+    from hopfkit import hopf
+    from hopfkit.subspace import _CoradicalState
+
+    J = builtin("J")
+    assert coradical_levels(J, 9).dims[-1] == len(J.enumerate_basis(9))
+    assert hopf._machine(J)._deltas == [(0, 0, -1)]
+    state = _cut_state(J, 9)
+    assert type(state.machine) is hopf._Machine and state.machine.kept == state.v
+    assert state.machine is not hopf._machine(J)
+    assert not hasattr(_CoradicalState, "_build_delta") and not hasattr(hopf, "_build_delta")
 
 
 def test_v_of_j_holds_the_words_in_a_and_c_below_degree_four():
