@@ -260,9 +260,12 @@ class _Machine:
 
         Built into _deltas on first read: Delta(m) = Delta(g) Delta(m / g),
         so walk down the first-letter chain to the first stored entry, then
-        build upward, with no recursion.
+        build upward, with no recursion.  A stored entry is returned as it is.
         """
-        p, deltas, kept = self.p, self._deltas, self.kept
+        deltas = self._deltas
+        if i < len(deltas) and (hit := deltas[i]) is not None:
+            return hit
+        p, kept = self.p, self.kept
         i, chain = _first_letter_walk(p, i, lambda j: j < len(deltas) and deltas[j] is not None)
         hit = deltas[i]
         deltas += [None] * (len(p._monos) - len(deltas))
@@ -590,16 +593,17 @@ def solve_antipode(p, weight_bound=None):
     S(m) = S(m / g) S(g) computes it.  The failure stays as a guard, and
     callers that skip those checks can meet it.
 
-    The verification regroups each Delta(m) = sum c u (x) v by bilinearity,
-    left = sum_v (sum_u c S(u)) v and right = sum_u u (sum_v c S(v)), so
-    each distinct leg takes part in one product.  The unit terms
-    m (x) 1 and 1 (x) m seed the sums, and the reduced part is read in
-    place from the machine's flat tuple, three entries per term.  It runs
-    on monomial ids: S-images are AntipodeTable's (id, coeff) pairs, and
-    every product but those with the unit (1 w = w 1 = w, added as it
-    is) is read by id from the product table the coproducts are built
-    from.  Both sides are checked against the term budget, read once per
-    call; a failure decodes its residual back to monomials.
+    The verification walks the machine's flat Delta(m) = sum c u (x) v
+    term by term, three entries per term, the unit terms m (x) 1 and
+    1 (x) m first: the left side adds c S(u) v and the right side
+    c u S(v), with no regrouping by leg, since S-images are a term or two
+    each.  It runs on monomial ids: S-images are AntipodeTable's
+    (id, coeff) pairs, and every product but those with the unit
+    (1 w = w 1 = w, added as it is) is read by id from the product table
+    the coproducts are built from.  The left side is finished, and a
+    failure raised, before the right side is built.  Each side is checked
+    against the term budget, read once per call, after every term of
+    Delta(m); a failure decodes its residual back to monomials.
     """
     mach = _machine(p)
     weight_bound = p.default_window if weight_bound is None else weight_bound
@@ -617,69 +621,34 @@ def solve_antipode(p, weight_bound=None):
         table.by_gen[gi] = PBWElement._raw(p, {monos[w]: Fraction(c) for w, c in images[g]})
 
     budget = term_budget()
-
-    def accumulate(out, sums, leg_first):
-        """Add x a, or a x when leg_first, to out for each leg id a and sum x in sums.
-
-        A product with the unit, id 0, is the other factor, added as it is.
-        """
-        get = out.get
-        for a, x in sums.items():
-            row = legs[a] if leg_first and a else None
-            for w, c in x.items():
-                if a and w:
-                    products = row[w] if leg_first else legs[w][a]
-                else:
-                    products = ((a or w, 1),)
-                for m, d in products:
-                    cd = c * d
-                    old = get(m)
-                    if old is None:
-                        out[m] = cd
-                    elif new := old + cd:
-                        out[m] = new
-                    else:
-                        del out[m]
-            if len(out) > budget:
-                raise over_budget(len(out), budget)
-        return out
-
-    def failure(mono, out, side):
-        residual = p.element({monos[m]: c for m, c in out.items()})
-        return AxiomFailure(p.render_mono(mono), residual, side)
-
     checked = 0
     for mono in p.enumerate_basis(weight_bound):
         i = number(mono)
-        # v -> sum_u c S(u) and u -> sum_v c S(v), all by id, starting from
-        # the unit terms m (x) 1 and 1 (x) m, with S(1) = 1
-        if i:
-            by_right, by_left = {0: dict(images[i]), i: {0: 1}}, {i: {0: 1}, 0: dict(images[i])}
-            flat = iter(mach.delta(i))
-        else:  # Delta(1) = 1 (x) 1
-            by_right, by_left, flat = {0: {0: 1}}, {0: {0: 1}}, iter(())
-        for u, v, c in zip(flat, flat, flat):
-            for sums, leg, terms in ((by_right, v, images[u]), (by_left, u, images[v])):
-                x = sums.get(leg)
-                if x is None:
-                    x = sums[leg] = {}
-                get = x.get
-                for w, d in terms:
-                    cd = c * d
-                    old = get(w)
-                    if old is None:
-                        x[w] = cd
-                    elif new := old + cd:
-                        x[w] = new
+        flat = mach.full_delta(i)
+        for side, left in (("left", True), ("right", False)):
+            out = {} if i else {0: -1}  # -epsilon(m) 1; the empty monomial is id 0
+            get, terms = out.get, iter(flat)
+            for u, v, c in zip(terms, terms, terms):
+                a, image = (v, images[u]) if left else (u, images[v])
+                for w, d in image:
+                    if a and w:  # S(u) v or u S(v)
+                        products = legs[w][a] if left else legs[a][w]
                     else:
-                        del x[w]
-        eps = {} if i else {0: -1}  # -epsilon(m) 1; the empty monomial is id 0
-        left = accumulate(dict(eps), by_right, False)
-        if left:
-            raise failure(mono, left, "left")
-        right = accumulate(eps, by_left, True)
-        if right:
-            raise failure(mono, right, "right")
+                        products = ((a or w, 1),)
+                    cd = c * d
+                    for m, e in products:
+                        old = get(m)
+                        if old is None:
+                            out[m] = cd * e
+                        elif new := old + cd * e:
+                            out[m] = new
+                        else:
+                            del out[m]
+                if len(out) > budget:
+                    raise over_budget(len(out), budget)
+            if out:
+                residual = p.element({monos[m]: c for m, c in out.items()})
+                raise AxiomFailure(p.render_mono(mono), residual, side)
         checked += 1
     table.monomials_checked = checked
     return table

@@ -356,6 +356,10 @@ def _hopf_presentations():
         p = builtin(name)
         yield name, p, 2 * p.max_weight + 2
     yield "J_scaled_d", parse_presentation(J_SCALED_D), 7
+    # S^2 != Id: of these, only B(0)'s antipode check fails if the loop reads
+    # S(u) v as v S(u) and u S(v) as S(v) u
+    b0 = load_presentation(Path(__file__).resolve().parent / "presentations" / "b0.hopf")
+    yield "B(0)", b0, 2 * b0.max_weight + 2
 
 
 def test_full_mono_matches_the_reference_recursion():
@@ -466,6 +470,23 @@ def test_coproduct_store_takes_at_most_32_bytes_a_term():
     terms = sum(len(reduced_coproduct(J, J.element({m: 1})).terms) for m in window)
     assert terms > 100_000
     assert size <= 32 * terms, size / terms
+
+
+def test_a_stored_coproduct_is_read_without_a_walk(monkeypatch):
+    # a read of a stored delta returns the stored tuple itself, with no walk
+    # down the first-letter chain; a monomial not yet built still walks
+    from hopfkit import hopf
+
+    J = builtin("J")
+    mach = hopf._machine(J)
+    ids = [J._number(m) for m in J.enumerate_basis(8)]
+    first = [mach.delta(i) for i in ids]
+    stored, walk, walks = list(mach._deltas), hopf._first_letter_walk, []
+    monkeypatch.setattr(hopf, "_first_letter_walk", lambda p, i, stored: walks.append(i) or walk(p, i, stored))
+    assert all(mach.delta(i) is d for i, d in zip(ids, first))
+    assert walks == [] and mach._deltas == stored
+    a9 = J._number((9, 0, 0, 0, 0, 0))
+    assert mach.delta(a9) and walks == [a9]
 
 
 def _check_tensor_products(p, xs, ys):

@@ -35,6 +35,12 @@ antipode   basis monomials per second on which solve_antipode verifies the
            table, timed apart (involution_s, involution_monomials_per_s);
            every monomial must pass both, and S(S(g)) = g is checked again
            on every generator through AntipodeTable.apply, untimed.
+           delta_terms (the terms of the coproducts the machine stores,
+           len // 3 of each flat tuple, delta(1) = -1 (x) 1 included) and
+           table_entries (the entries of the presentation's product table)
+           are read off the objects after the solve: the verification
+           walks each Delta(m) term by term, so they size its work.  They
+           move with the code.
 coradical  levels per second of the coradical chain (coradical_levels),
            the chain's own coproduct build included; the top level must
            hold the whole window, as its PBW basis counts it.
@@ -260,10 +266,13 @@ def antipode(hopfkit, rng, repeats):
     involution = {}  # window key -> best CPU seconds of the S^2 stage
 
     def run(p, bound, monos, key):
-        build_coproducts(p, monos)  # outside the timed region
+        mach = build_coproducts(p, monos)  # outside the timed region
         table, elapsed = cpu(hopfkit.solve_antipode, p, bound)
         if table.monomials_checked != len(monos):
             raise SystemExit(f"{key}: {table.monomials_checked} of {len(monos)} monomials verified")
+        counts = {"monomials_checked": table.monomials_checked,
+                  "delta_terms": sum(len(d) // 3 for d in mach._deltas if d is not None),
+                  "table_entries": sum(map(len, p._table.values()))}
         report, seconds = cpu(hopfkit.check_involutive_antipode, p, table)
         if not report.ok or report.checked != len(monos):
             raise SystemExit(f"{key}: S(S(m)) = m holds on {report.checked - len(report.failures)} "
@@ -272,7 +281,7 @@ def antipode(hopfkit, rng, repeats):
         for gi, name in enumerate(p.alphabet.names):
             if table.apply(table.of_gen(gi)) != p.gen(gi):
                 raise SystemExit(f"{key}: S(S({name})) is not {name}")
-        return {"monomials_checked": table.monomials_checked}, elapsed
+        return counts, elapsed
 
     cases = fresh_windows(hopfkit, ANTIPODE_PLAN, rng, repeats, run)
     for key, (counts, _) in cases.items():
