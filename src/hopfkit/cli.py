@@ -47,14 +47,13 @@ class Report:
     def set(self, key, value):
         self.values.append((key, _fmt(value)))
 
-    def emit(self, stream=None):
-        stream = stream or sys.stdout
+    def emit(self):
         for line in self.lines:
-            print(line, file=stream)
+            print(line)
         if self.values:
-            print(file=stream)
+            print()
             for key, value in self.values:
-                print(f"{key}={value}", file=stream)
+                print(f"{key}={value}")
 
 
 def _fmt(value):

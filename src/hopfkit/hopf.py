@@ -189,21 +189,27 @@ def _require_hopf(p):
     p.require_confluent()
 
 
-def _first_letter_walk(p, i, stored):
-    """Walk from id i down the first-letter chain m, m / g, ... to the first j with stored(j).
+def _first_letter_build(p, store, i, step):
+    """store[i], built with every monomial below it on the first-letter chain m, m / g, ... .
 
-    Numbers each monomial on the way.  Returns j, i itself when stored(i),
-    and the (id, first letter) pairs of the monomials above j, top first.
+    Walks down from id i to the first id already in store, numbering each
+    monomial on the way, then builds back up with no recursion:
+    store[m] = step(store[m / g], id of m / g, g, m), g the index of the
+    first letter of m, bottom first.  Returns store[i].
     """
     monos, number = p._monos, p._number
     chain = []
-    while not stored(i):
+    while i not in store:
         rest = list(monos[i])
         gi = next(k for k, e in enumerate(rest) if e)
         rest[gi] -= 1
         chain.append((i, gi))
         i = number(tuple(rest))
-    return i, chain
+    hit = store[i]
+    for m, gi in reversed(chain):
+        hit = store[m] = step(hit, i, gi, m)
+        i = m
+    return hit
 
 
 def _cut_entry(row, kept, b):
@@ -219,11 +225,15 @@ class _Machine:
     (u0, v0, c0, u1, v1, c1, ...) of left id, right id and coefficient
     per term, with no tuple per term, built once and shared; its readers
     take it three at a time with zip(it, it, it), it = iter(delta(i)).
-    Delta(m) = Delta(g) Delta(m / g), with g the first letter of m, is
-    built from leg products read by id, so a coproduct numbers only its
-    recursion chain and the legs of its leg products.  Coefficients are
-    ints where integral, Fractions otherwise; full_mono decodes a tuple
-    to a {(left, right): coeff} map.
+    The tuples live in _deltas, a _Memo by id seeded with
+    delta(1) = -1 (x) 1, and the generators' flat Delta(g) in _gens, a
+    _Memo by generator index; delta and _gen read them.  A missing delta
+    is built by _first_letter_build, as AntipodeTable builds S:
+    Delta(m) = Delta(g) Delta(m / g), with g the first letter of m, from
+    leg products read by id, so a coproduct numbers only its first-letter
+    chain and the legs of its leg products.  Coefficients are ints where
+    integral, Fractions otherwise; full_mono decodes a tuple to a
+    {(left, right): coeff} map.
 
     The right legs are read from the presentation's product table, and
     so are the left legs when kept is None: then every term is built, as
@@ -241,47 +251,34 @@ class _Machine:
         _require_hopf(p)
         self.p, self.kept = p, kept
         self.empty = p._monos[0]
-        self._deltas = [(0, 0, -1)]  # id -> flat delta(m), None until built; delta(1) = -1 (x) 1
-        self._gens = [None] * len(p.alphabet)  # generator -> flat Delta(g), built on first use
+        self._deltas = _Memo(self._build_delta)  # id -> flat delta(m), built on first read
+        self._deltas[0] = (0, 0, -1)  # delta(1) = -1 (x) 1
+        self._gens = _Memo(self._build_gen)  # generator -> flat Delta(g), built on first read
+        self.delta, self._gen = self._deltas.__getitem__, self._gens.__getitem__
         table = p._table
         self._left = table if kept is None else _Memo(lambda a: _Memo(partial(_cut_entry, table[a], kept)))
 
-    def _gen(self, gi):
+    def _build_gen(self, gi):
         """Delta(g) of a generator, unit terms first, as a flat tuple of ids and coefficients."""
-        hit = self._gens[gi]
-        if hit is None:
-            number, g, terms = self.p._number, self.p._unit(gi), self.p.delta.get(gi, {}).items()
-            hit = self._gens[gi] = (g, 0, 1, 0, g, 1) + tuple(
-                x for (u, v), c in terms for x in (number(u), number(v), _integral(c)))
-        return hit
+        number, g, terms = self.p._number, self.p._unit(gi), self.p.delta.get(gi, {}).items()
+        return (g, 0, 1, 0, g, 1) + tuple(
+            x for (u, v), c in terms for x in (number(u), number(v), _integral(c)))
 
     def _build_delta(self, i):
-        """delta of the monomial with id i, as the shared flat tuple (u0, v0, c0, ...).
+        """delta of the monomial with id i, built into _deltas with the chain below it."""
+        return _first_letter_build(self.p, self._deltas, i, self._delta_step)
 
-        Built into _deltas on first read: Delta(m) = Delta(g) Delta(m / g),
-        so walk down the first-letter chain to the first stored entry, then
-        build upward, with no recursion.  A stored entry is returned as it is.
-        """
-        deltas = self._deltas
-        if i < len(deltas) and (hit := deltas[i]) is not None:
-            return hit
+    def _delta_step(self, below, j, gi, m):
+        """delta(m) from delta(m / g) = below, m / g with id j: Delta(m) = Delta(g) Delta(m / g)."""
         p, kept = self.p, self.kept
-        i, chain = _first_letter_walk(p, i, lambda j: j < len(deltas) and deltas[j] is not None)
-        hit = deltas[i]
-        deltas += [None] * (len(p._monos) - len(deltas))
-        for m, gi in reversed(chain):
-            unit = (i, 0, 1) if kept is None or i in kept else ()
-            out = _tensor_product(self._left, p._table, self._gen(gi), unit + (0, i, 1) + hit)
-            if kept is None or m in kept:
-                _acc(out, (m, 0), -1)
-            _acc(out, (0, m), -1)
-            if set(map(type, out.values())) - {int}:  # Fractions, some maybe integral
-                out = {key: c if type(c) is int else _integral(c) for key, c in out.items()}
-            hit = deltas[m] = _flat(out)
-            i = m
-        return hit
-
-    delta = _build_delta  # the readers' name; a traceback through a build names _build_delta
+        unit = (j, 0, 1) if kept is None or j in kept else ()
+        out = _tensor_product(self._left, p._table, self._gens[gi], unit + (0, j, 1) + below)
+        if kept is None or m in kept:
+            _acc(out, (m, 0), -1)
+        _acc(out, (0, m), -1)
+        if set(map(type, out.values())) - {int}:  # Fractions, some maybe integral
+            out = {key: c if type(c) is int else _integral(c) for key, c in out.items()}
+        return _flat(out)
 
     def full_delta(self, i):
         """Delta of the monomial with id i, as a flat tuple: its unit terms, then delta(i)."""
@@ -517,11 +514,13 @@ def check_counit(p):
 class AntipodeTable:
     """S on the generators, with enough cache to apply it anywhere.
 
-    S is held by the presentation's monomial ids: _images[i] is S of the
-    monomial with id i as (id, coeff) pairs, ints where integral, seeded
-    when the table is made with S(1) = 1 at id 0 and by_gen's S(g) at each
-    generator's id, and built elsewhere on first read by _image.  by_gen
-    holds the same S(g) as elements, for the reports.
+    S is held by the presentation's monomial ids: _images, a _Memo, maps
+    id i to S of the monomial with id i as (id, coeff) pairs, ints where
+    integral.  It is seeded when the table is made with S(1) = 1 at id 0
+    and by_gen's S(g) at each generator's id; any other entry is built on
+    first read by _image, through _first_letter_build, as _Machine builds
+    its coproducts.  by_gen holds the same S(g) as elements, for the
+    reports.
     """
 
     pres: Presentation
@@ -544,21 +543,16 @@ class AntipodeTable:
     def _image(self, i):
         """S of the monomial with id i: S(m) = S(m / g) S(g), g the first letter of m.
 
-        Built without recursion: walk down the first-letter chain to a
-        stored entry, then build upward, products read from the product
-        table.  The walk ends at the latest at a generator or at 1, both
-        seeded; a generator with no stored S(g) raises KeyError naming it.
+        Built with the chain below it by _first_letter_build, products read
+        from the product table.  1 and the generators are seeded; a
+        generator with no stored S(g) raises KeyError naming it.
         """
         p, images = self.pres, self._images
-        monos = p._monos
-        i, chain = _first_letter_walk(p, i, lambda j: j in images or sum(monos[j]) == 1)
-        hit = images.get(i)
-        if hit is None:
-            raise KeyError(monos[i].index(1))
-        for m, gi in reversed(chain):
-            out = p._multiply_ids(hit, images[p._unit(gi)])
-            hit = images[m] = tuple((w, _integral(c)) for w, c in out.items())
-        return hit
+        mono = p._monos[i]
+        if sum(mono) == 1:
+            raise KeyError(mono.index(1))
+        return _first_letter_build(p, images, i, lambda below, j, gi, m: tuple(
+            (w, _integral(c)) for w, c in p._multiply_ids(below, images[p._unit(gi)]).items()))
 
     def apply_mono(self, mono):
         """S on a basis monomial, as a fresh element with Fraction coefficients."""

@@ -617,7 +617,7 @@ class _CoradicalState:
     @property
     def built_terms(self):
         """Terms of every cut tuple built so far, those dropped when V grew included."""
-        return self._dropped + sum(map(len, filter(None, self.machine._deltas))) // 3 - 1
+        return self._dropped + sum(map(len, self.machine._deltas.values())) // 3 - 1
 
     def _grow(self, ids):
         """Put the monomials with the given ids into V and close it (see the class docstring).

@@ -465,7 +465,7 @@ def test_coproduct_store_takes_at_most_32_bytes_a_term():
     window = J.enumerate_basis(10)
     for m in window:
         mach.delta(J._number(m))
-    stored = [d for d in mach._deltas if d is not None]
+    stored = list(mach._deltas.values())
     size = sum(sys.getsizeof(d) + sum(sys.getsizeof(x) for x in d if type(x) is tuple) for d in stored)
     terms = sum(len(reduced_coproduct(J, J.element({m: 1})).terms) for m in window)
     assert terms > 100_000
@@ -481,12 +481,38 @@ def test_a_stored_coproduct_is_read_without_a_walk(monkeypatch):
     mach = hopf._machine(J)
     ids = [J._number(m) for m in J.enumerate_basis(8)]
     first = [mach.delta(i) for i in ids]
-    stored, walk, walks = list(mach._deltas), hopf._first_letter_walk, []
-    monkeypatch.setattr(hopf, "_first_letter_walk", lambda p, i, stored: walks.append(i) or walk(p, i, stored))
+    stored, build, walks = dict(mach._deltas), hopf._first_letter_build, []
+    monkeypatch.setattr(hopf, "_first_letter_build", lambda p, store, i, step: walks.append(i) or build(p, store, i, step))
     assert all(mach.delta(i) is d for i, d in zip(ids, first))
     assert walks == [] and mach._deltas == stored
     a9 = J._number((9, 0, 0, 0, 0, 0))
     assert mach.delta(a9) and walks == [a9]
+
+
+def test_the_first_letter_builder_steps_up_the_chain_once_per_monomial():
+    # a3b walks down a3b, a2b, ab, b to the seeded 1, then builds back up,
+    # bottom first: one step per monomial, each given the value stored
+    # below it, that monomial's id, the first letter and the new id
+    from hopfkit import hopf
+
+    J = builtin("J")
+    ids = [J._number(m) for m in ((0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0),
+                                  (2, 1, 0, 0, 0, 0), (3, 1, 0, 0, 0, 0))]
+    store, calls = {0: "one"}, []
+
+    def step(below, j, gi, m):
+        calls.append((below, j, gi, m))
+        return ("built", m)
+
+    assert hopf._first_letter_build(J, store, ids[-1], step) == ("built", ids[-1])
+    built = [("built", m) for m in ids[1:]]
+    assert calls == [(below, j, gi, m) for below, j, gi, m
+                     in zip(["one"] + built, ids, (1, 0, 0, 0), ids[1:])]
+    assert store == dict(zip(ids, ["one"] + built))
+    for i in ids:
+        assert hopf._first_letter_build(J, store, i, step) == store[i]
+    assert len(calls) == 4
+    assert hopf._Machine(J)._deltas == {0: (0, 0, -1)}
 
 
 def _check_tensor_products(p, xs, ys):

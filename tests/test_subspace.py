@@ -1282,7 +1282,7 @@ def test_chain_and_check_share_the_machine_class_but_not_its_store():
 
     J = builtin("J")
     assert coradical_levels(J, 9).dims[-1] == len(J.enumerate_basis(9))
-    assert hopf._machine(J)._deltas == [(0, 0, -1)]
+    assert hopf._machine(J)._deltas == {0: (0, 0, -1)}
     state = _cut_state(J, 9)
     assert type(state.machine) is hopf._Machine and state.machine.kept == state.v
     assert state.machine is not hopf._machine(J)

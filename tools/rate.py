@@ -205,8 +205,7 @@ def store_bytes(mach):
     """sys.getsizeof of every delta the coproduct machine stores, every tuple inside it counted."""
     return sum(
         sys.getsizeof(d) + sum(sys.getsizeof(x) for x in d if type(x) is tuple)
-        for d in mach._deltas
-        if d is not None
+        for d in mach._deltas.values()
     )
 
 
@@ -271,7 +270,7 @@ def antipode(hopfkit, rng, repeats):
         if table.monomials_checked != len(monos):
             raise SystemExit(f"{key}: {table.monomials_checked} of {len(monos)} monomials verified")
         counts = {"monomials_checked": table.monomials_checked,
-                  "delta_terms": sum(len(d) // 3 for d in mach._deltas if d is not None),
+                  "delta_terms": sum(len(d) // 3 for d in mach._deltas.values()),
                   "table_entries": sum(map(len, p._table.values()))}
         report, seconds = cpu(hopfkit.check_involutive_antipode, p, table)
         if not report.ok or report.checked != len(monos):
