@@ -91,6 +91,22 @@ def _row(pres, a):
     return _Memo(lambda b: pres()._entry(a, b))
 
 
+def _last_letter(pres, i):
+    """(k, id of m / x_k, id of x_k), x_k the last letter of monomial i; held as in _row."""
+    p = pres()
+    m = p._monos[i]
+    k = max(j for j, e in enumerate(m) if e)
+    return k, p._number(m[:k] + (m[k] - 1,) + m[k + 1:]), p._unit(k)
+
+
+def _relation_ids(pres, pair):
+    """q of the relation pair of pres() and its tail words as (id, coeff) pairs, held as in _row."""
+    p = pres()
+    rel, n = p.relations[pair], len(p.alphabet)
+    return _integral(rel.q), tuple((p._number(_word_to_monomial(word, n)), _integral(coeff))
+                                   for word, coeff in rel.tail_items)
+
+
 def _is_ordered(word):
     return all(word[i] <= word[i + 1] for i in range(len(word) - 1))
 
@@ -312,7 +328,10 @@ class Presentation:
         self._monos = [(0,) * n]  # id -> monomial
         self._ids = {self._monos[0]: 0}  # monomial -> id
         self._unit_ids = [None] * n  # generator -> id of its monomial, numbered on first use
-        self._table = _Memo(partial(_row, weakref.ref(self)))  # _table[a][b], see _entry
+        ref = weakref.ref(self)
+        self._table = _Memo(partial(_row, ref))  # _table[a][b], see _entry
+        self._lasts = _Memo(partial(_last_letter, ref))  # id -> (k, id of m/x_k, id of x_k)
+        self._relation_ids = _Memo(partial(_relation_ids, ref))  # (hi, lo) -> q, tail ids
         self._ones = {}  # id -> its closed-form entry ((id, 1),), shared by every pair giving it
         self._shared = {}  # each distinct built entry's one tuple, keyed by itself
         self._hopf_machine = None  # hopf._machine(self): coproducts by monomial id
@@ -825,10 +844,12 @@ class Presentation:
         last letter x_k of m_a, so k > g, and with m_a = m' x_k the relation
         x_k x_g = q x_g x_k + tail gives m_a x_g = q (m' x_g) x_k + m' tail:
         the terms w of (m', e_g), each multiplied by x_k through (w, e_k),
-        plus (m', t) for each tail word t.  A pair that no tail crosses is
-        its closed form, taken in place and not stored; any other is read
-        from the table, yielded when missing.  The term budget is read once
-        per call and checked on the running sum after each read.
+        plus the terms of (m', t) for each tail word t, as they are (w 1 = w).
+        Each pair is looked up in the table first, by get, which makes no
+        row; a pair not stored is its closed form when no tail crosses it,
+        taken in place and not stored, and is yielded otherwise.  The term
+        budget is read once per call and checked on the running sum after
+        each read.
 
         Each yielded pair stands for a word below m_a m_b in the rewrite
         order, which appending a letter keeps.  (a, b') and (m', e_g) are
@@ -840,39 +861,41 @@ class Presentation:
         crosses lies above a letter of m_b, so above m_b's least letter,
         which b' keeps.
         """
-        monos, closed, table, budget = self._monos, self._closed, self._table, term_budget()
-        m1, m2 = monos[a], monos[b]
+        monos, closed, table, lasts, no_row, budget = (
+            self._monos, self._closed, self._table, self._lasts, {}, term_budget())
         # each read (u, v, scale, r): the terms w of (u, v) times scale, each through (w, r)
-        if sum(m2) == 1:
-            k = max(i for i, e in enumerate(m1) if e)
-            rel = self.relations[k, m2.index(1)]
-            u = self._number(m1[:k] + (m1[k] - 1,) + m1[k + 1:])
-            reads = [(u, b, _integral(rel.q), self._unit(k))]
-            reads += [(u, self._number(_word_to_monomial(word, len(m1))), _integral(coeff), 0)
-                      for word, coeff in rel.tail_items]  # id 0: the empty monomial
-        else:
-            k = max(i for i, e in enumerate(m2) if e)
-            reads = [(a, self._number(m2[:k] + (m2[k] - 1,) + m2[k + 1:]), 1, self._unit(k))]
+        g, v, r = lasts[b]
+        if v:
+            reads = [(a, v, 1, r)]
+        else:  # m_b = x_g
+            k, u, r = lasts[a]
+            q, tails = self._relation_ids[k, g]
+            reads = [(u, b, q, r)] + [(u, t, coeff, 0) for t, coeff in tails]  # id 0: the unit
         out = {}
         for u, v, scale, r in reads:
-            pairs = closed(monos[u], monos[v])
+            pairs = table.get(u, no_row).get(v)
             if pairs is None:
-                pairs = table[u].get(v)
+                pairs = closed(monos[u], monos[v])
                 if pairs is None:
                     pairs = yield u, v
             right = monos[r]
             for w, c in pairs:
-                step = closed(monos[w], right)
-                if step is None:
-                    step = table[w].get(r)
-                    if step is None:
-                        step = yield w, r
                 c *= scale
-                for y, d in step:
-                    _acc(out, y, c * d)
+                if not r:
+                    _acc(out, w, c)
+                else:
+                    step = table.get(w, no_row).get(r)
+                    if step is None:
+                        step = closed(monos[w], right)
+                        if step is None:
+                            step = yield w, r
+                    for y, d in step:
+                        _acc(out, y, c * d)
                 if len(out) > budget:
                     raise over_budget(len(out), budget)
-        return tuple((v, _integral(c)) for v, c in out.items())
+        if set(map(type, out.values())) - {int}:  # Fractions, some maybe integral
+            return tuple((v, _integral(c)) for v, c in out.items())
+        return tuple(out.items())
 
     def commutator(self, x, y):
         return self.multiply(x, y) - self.multiply(y, x)

@@ -522,7 +522,10 @@ def primitive_space(p, weight_bound):
 
     p must be a Hopf algebra: Delta an algebra map and coassociative, as
     check proves.  The chain reads only some coproduct terms, and on any
-    other coproduct what it returns decides nothing.
+    other coproduct what it returns decides nothing.  Nothing here checks
+    that: only the command line refuses such a coproduct, so on
+    tests/presentations/not_an_algebra_map.hopf, whose Delta is no algebra
+    map, this still returns a space.
     """
     return _coradical_chain(p, weight_bound, levels=1)[0]
 
@@ -880,7 +883,8 @@ class CoradicalReport:
 def coradical_levels(p, weight_bound):
     """Dimensions of the coradical chain in the window, scalars included.
 
-    p must be a Hopf algebra, as for primitive_space.
+    p must be a Hopf algebra, as for primitive_space: when Delta is not an
+    algebra map the levels decide nothing, and are returned unchecked.
     """
     chain = _coradical_chain(p, weight_bound)
     return CoradicalReport(weight_bound, (1,) + tuple(s.dim + 1 for s in chain))
@@ -928,7 +932,9 @@ def signature(p, weight_bound):
     are nested, so a level that runs its products to the end has the
     full product span of every earlier level inside it.
 
-    p must be a Hopf algebra, as for primitive_space.
+    p must be a Hopf algebra, as for primitive_space: when Delta is not an
+    algebra map the levels and their counts decide nothing, and are
+    returned unchecked.
     """
     chain = _coradical_chain(p, weight_bound)
     # window position -> id, from the window the chain listed (an empty

@@ -1,10 +1,13 @@
 """Straightening engine: normal forms, confluence, builtins, validation."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from heapq import heappop
 from itertools import product
 from math import comb
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -517,6 +520,66 @@ def test_tailed_entries_are_read_off_two_smaller_entries():
     assert str(got) == "-xx1 + x1x3x4"
     assert set(_stored(p)) == {(m1, m2), ((0, 1, 0, 0, 1), (0, 0, 0, 1, 0))}
     assert (m1, (0, 1, 0, 0, 0)) not in _entries(p)
+
+
+def test_a_build_reads_a_stored_pair_before_its_closed_form(monkeypatch):
+    # _steps looks each pair up in the table first, by get: a stored pair is
+    # read with no closed form computed and no row made
+    p = builtin("J")
+    solve_antipode(p, 7)
+    monos, ids, table = p._monos, p._ids, p._table
+    stored = {(a, b) for a, row in table.items() for b in row}
+    calls = []
+    closed = p._closed
+    monkeypatch.setattr(
+        p, "_closed", lambda m1, m2: calls.append((ids[m1], ids[m2])) or closed(m1, m2))
+    tailed = [pair for pair, rel in p.relations.items() if rel.tail]
+    builds = [(a, b) for a, b in sorted(stored)
+              if any(monos[a][hi] and monos[b][lo] for hi, lo in tailed)]
+    silent = 0  # builds that compute no closed form at all
+    for a, b in builds:
+        calls.clear()
+        steps = p._steps(a, b)
+        with pytest.raises(StopIteration) as built:  # every pair it lacks is a closed form
+            next(steps)
+        assert built.value.value == table[a][b], (monos[a], monos[b])
+        assert not stored & set(calls)
+        silent += not calls
+    assert len(builds) > 1000 and silent > 100
+    assert {(a, b) for a, row in table.items() for b in row} == stored
+
+
+def test_last_letters_and_relation_ids_match_the_monomials():
+    p = builtin("J")
+    solve_antipode(p, 7)
+    monos, n = p._monos, len(p.alphabet)
+    for i in range(1, len(monos)):
+        k, u, r = p._lasts[i]
+        assert k == max(j for j, e in enumerate(monos[i]) if e)
+        assert monos[r] == tuple(int(j == k) for j in range(n))
+        assert tuple(map(add, monos[u], monos[r])) == monos[i]
+    for pair, rel in p.relations.items():
+        q, tails = p._relation_ids[pair]
+        assert q == rel.q and type(q) is int
+        assert {monos[t]: c for t, c in tails} == {
+            pbw._word_to_monomial(word, n): c for word, c in rel.tail.items()}
+
+
+def test_a_presentation_used_for_products_is_freed_by_reference_counting():
+    # the table's rows and the per-id memos hold the presentation weakly, so
+    # products leave no reference cycle through it (solve_antipode does leave
+    # one, through the coproduct machine it keeps in p._hopf_machine)
+    gc.disable()
+    try:
+        p = builtin("J")
+        p.multiply(p.gen("b") ** 3 * p.gen("w"), p.gen("a") * p.gen("d") * p.gen("z") ** 2)
+        p.mono_product((0, 2, 0, 0, 3, 0), (1, 0, 0, 2, 0, 0))
+        assert p._lasts and p._relation_ids and any(p._table.values())
+        ref = weakref.ref(p)
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _check_table(p):

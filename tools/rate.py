@@ -63,8 +63,12 @@ products   window monomials per second of solve_antipode on J at window 9
            tailed relation crosses the pair, so the entry is a closed
            form) and stored_reads (a tailed pair, built on its first read
            from two smaller entries: the terms of one, each multiplied by
-           a letter through another).  A closed form that a build reads
-           is taken in place, not through a row, so it is not counted.
+           a letter through another).  A build looks every pair it reads
+           up in the table before it takes a closed form; those lookups
+           are counted apart, as lookup_hits and lookup_misses, and only
+           those of tailed pairs, which a build cannot do without, also
+           count as stored_reads.  A closed form that a build takes in
+           place is not counted as a read.
            After the pass: entries and rows of the table, stored_entries
            (its tailed pairs), generator_entries (tailed pairs whose right
            factor is a single letter: the (monomial x generator) products
@@ -366,13 +370,17 @@ def counted_products(p, run):
     """run() once with every read of p's product table counted, untimed.
 
     For the run each row of the table is switched to a subclass that
-    counts its reads, by subscript or by get, as closed or stored, and so
-    is each new row as it is made; the table itself is not changed.
+    counts its reads by subscript, as closed or stored, and a build's
+    lookups by get, and so is each new row as it is made.  The table is
+    switched to a subclass whose get hands a build an empty counting row,
+    kept out of the table, for a row that is not there, so each lookup is
+    counted; what the table holds is not changed.
     """
     from hopfkit.freealg import _Memo
 
     monos, tailed = p._monos, [pair for pair, rel in p.relations.items() if rel.tail]
-    counts = dict.fromkeys(("table_reads", "closed_reads", "stored_reads"), 0)
+    counts = dict.fromkeys(
+        ("table_reads", "closed_reads", "stored_reads", "lookup_hits", "lookup_misses"), 0)
     left = {}  # id of a row -> its left factor
 
     def crosses(a, b):
@@ -390,8 +398,17 @@ def counted_products(p, run):
             return super().__getitem__(b)
 
         def get(self, b, default=None):
-            count(self, b)
+            counts["lookup_hits" if b in self else "lookup_misses"] += 1
+            if crosses(left[id(self)], b):
+                count(self, b)
             return super().get(b, default)
+
+    class CountingTable(_Memo):
+        __slots__ = ()
+
+        def get(self, a, default=None):
+            row = super().get(a)
+            return counting(a, _Memo(None)) if row is None else row
 
     def counting(a, row):
         left[id(row)] = a
@@ -402,9 +419,11 @@ def counted_products(p, run):
     for a, row in table.items():
         counting(a, row)
     table.build = lambda a: counting(a, build(a))
+    table.__class__ = CountingTable
     try:
         result = run()
     finally:
+        table.__class__ = _Memo
         table.build = build
         for row in table.values():
             row.__class__ = _Memo
