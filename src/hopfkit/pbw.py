@@ -107,6 +107,11 @@ def _relation_ids(pres, pair):
                                    for word, coeff in rel.tail_items)
 
 
+def _scaled(c, num, den):
+    """c * num / den for an int or Fraction c, as an int where it is integral."""
+    return _integral(Fraction(c.numerator * num, c.denominator * den))
+
+
 def _is_ordered(word):
     return all(word[i] <= word[i + 1] for i in range(len(word) - 1))
 
@@ -341,11 +346,12 @@ class Presentation:
         self._skew_pairs = tuple(
             (hi, lo, rel.q) for (hi, lo), rel in sorted(self.relations.items()) if rel.q != 1
         )
-        # per pair: q, and per tail word its drops below the head, code and n^len
+        # per pair: q as (numerator, denominator), None for q = 1, and per tail
+        # word its int-where-integral coefficient, drops below the head, code and n^len
         key = self.rewrite_key
         self._rewrites = {
-            pair: (_ONE if rel.q == 1 else rel.q, tuple(
-                (word, coeff, *(h - t for h, t in zip(key(pair)[:3], key(word))),
+            pair: (None if rel.q == 1 else (rel.q.numerator, rel.q.denominator), tuple(
+                (word, _integral(coeff), *(h - t for h, t in zip(key(pair)[:3], key(word))),
                  _word_code(word, n), n ** len(word))
                 for word, coeff in rel.tail.items()
             ))
@@ -612,6 +618,16 @@ class Presentation:
         swap of a popped word and after every swap that pushes or merges a
         word; a held swap with no tail changes no count since the check
         before it, so it skips the check.
+
+        Inside, a coefficient is an int wherever it is integral: the input's
+        and the relations' tails pass through _integral, and the result's
+        are turned back into Fractions at the end, so public values stay
+        Fractions.  A held run does not multiply its coefficient by q at
+        each swap: it gathers the swaps' q's as one numerator qn and one
+        denominator qd, and multiplies them in, once, just before the
+        coefficient is read: when the ordered word goes to the result, when
+        a tail term is formed (after which qn = qd = 1 again), and when the
+        swapped word is pushed or merged.
         """
         if isinstance(x, PBWElement):
             if x.pres is not self and x.pres != self:
@@ -620,13 +636,21 @@ class Presentation:
         if isinstance(x, FreeElement):
             if x.alphabet != self.alphabet:
                 raise AlphabetMismatch("element lives over a different alphabet")
-            work = dict(x.terms)
+            work = {word: _integral(coeff) for word, coeff in x.terms.items()}
         else:
             work = {}
             for word, coeff in x.items():
                 coeff = as_coeff(coeff)
                 if coeff:
-                    _acc(work, tuple(word), coeff)
+                    _acc(work, tuple(word), _integral(coeff))
+        return PBWElement._raw(self, {m: Fraction(c) for m, c in self._straighten(work).items()})
+
+    def _straighten(self, work):
+        """The loop of normal_form on a {word: coeff} map, which it consumes.
+
+        Returns {monomial: coeff}, a coefficient an int or a Fraction (which
+        may be integral: a tail's Fraction times an int stays one).
+        """
         n, weights, psi = len(self.alphabet), self.alphabet.weights, self.psi
         letters, heap = range(n), []
         for word in work:
@@ -648,18 +672,20 @@ class Presentation:
                 key = self.rewrite_key(word)
                 assert entry == (-key[0], -key[1], -key[2], -_word_code(word, n), word)
             w, size, start, below = list(word), len(word), 0, (kw, kpsi, klen + 1)
-            first = True
+            first, qn, qd = True, 1, 1  # coeff * qn / qd is the held word's coefficient
             while True:
                 for pos in range(start, size - 1):
                     if w[pos] > w[pos + 1]:
                         break
                 else:
-                    _acc(out, _word_to_monomial(w, n), coeff)
+                    _acc(out, _word_to_monomial(w, n), _scaled(coeff, qn, qd) if qn != qd else coeff)
                     break
                 hi, lo = w[pos], w[pos + 1]
                 q, tails = rewrites[hi, lo]
                 shift = n ** (size - pos - 2)
                 if tails:
+                    if qn != qd:
+                        coeff, qn, qd = _scaled(coeff, qn, qd), 1, 1
                     prefix, suffix = tuple(w[:pos]), tuple(w[pos + 2:])
                     prefix_code, suffix_code = -kcode // (shift * n * n), -kcode % shift
                     for tail_word, tail_coeff, dw, dpsi, dlen, tcode, tscale in tails:
@@ -672,8 +698,9 @@ class Presentation:
                         _acc(work, produced, coeff * tail_coeff)
                 w[pos], w[pos + 1] = lo, hi
                 kcode += (hi - lo) * (n - 1) * shift
-                if q is not _ONE:
-                    coeff *= q
+                if q is not None:
+                    qn *= q[0]
+                    qd *= q[1]
                 if _DEBUG_ORDER:  # the swap lowers the key, and the entry follows it
                     above, key = key, self.rewrite_key(tuple(w))
                     assert key < above
@@ -685,7 +712,7 @@ class Presentation:
                     if swapped in work or heap[0] < entry:
                         if swapped not in work:
                             heappush(heap, entry)
-                        _acc(work, swapped, coeff)
+                        _acc(work, swapped, _scaled(coeff, qn, qd) if qn != qd else coeff)
                         held = False
                 if first or tails or not held:
                     if len(work) + held + len(out) > budget:
@@ -694,7 +721,7 @@ class Presentation:
                 if not held:
                     break
                 start = pos - 1 if pos and w[pos - 1] > lo else pos + 1
-        return PBWElement._raw(self, out)
+        return out
 
     def multiply(self, x, y):
         """Product of two elements of this algebra, in normal form.
@@ -795,8 +822,8 @@ class Presentation:
             return closed
         shared = self._shared
         if not self.confluence().ok:
-            terms = self.normal_form({self.mono_word(m1) + self.mono_word(m2): _ONE}).terms
-            entry = tuple((self._number(m), _integral(c)) for m, c in terms.items())
+            out = self._straighten({self.mono_word(m1) + self.mono_word(m2): 1})
+            entry = tuple((self._number(m), _integral(c)) for m, c in out.items())
             return shared.setdefault(entry, entry)
         table, hit = self._table, None
         stack = [(a, b, self._steps(a, b))]
@@ -936,10 +963,11 @@ class Presentation:
         count = 0
         for k, j, i in combinations(range(len(self.alphabet) - 1, -1, -1), 3):
             count += 1
-            first = self._one_step((k, j, i), 0)
-            second = self._one_step((k, j, i), 1)
-            diff = self.normal_form(first) - self.normal_form(second)
-            if not diff.is_zero():
+            diff = self._straighten(self._one_step((k, j, i), 0))
+            for m, c in self._straighten(self._one_step((k, j, i), 1)).items():
+                _acc(diff, m, -c)
+            if diff:
+                diff = PBWElement._raw(self, {m: Fraction(c) for m, c in diff.items()})
                 residuals.append(((names[k], names[j], names[i]), diff))
         self._confluence = ConfluenceReport(triples_checked=count, residuals=residuals)
         return self._confluence
@@ -948,9 +976,9 @@ class Presentation:
         hi, lo = word[pos], word[pos + 1]
         rel = self.relations[(hi, lo)]
         prefix, suffix = word[:pos], word[pos + 2:]
-        terms = {prefix + (lo, hi) + suffix: rel.q}
+        terms = {prefix + (lo, hi) + suffix: _integral(rel.q)}
         for tail_word, coeff in rel.tail.items():
-            _acc(terms, prefix + tail_word + suffix, coeff)
+            _acc(terms, prefix + tail_word + suffix, _integral(coeff))
         return terms
 
     def require_confluent(self):

@@ -1031,3 +1031,86 @@ def test_out_of_range_letters_rejected(x):
         x = FreeElement._raw(J.alphabet, {(-1,): Fraction(1)})
     with pytest.raises(AlphabetMismatch, match=r"letter (-1|6) "):
         J.normal_form(x)
+
+
+# ----- int coefficients inside, Fractions at the boundary --------------------
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: builtin("J"), lambda: builtin("L"), lambda: builtin("qplane(3/2)"), _qskew_mixed],
+    ids=["J", "L", "qplane(3/2)", "qskew_mixed"],
+)
+def test_public_coefficients_stay_fractions(make):
+    # normal_form straightens on ints where it can; what it, multiply and
+    # mono_product hand out are Fractions all the same, for every input kind
+    p = make()
+    rng = random.Random(36)
+    n = len(p.alphabet)
+    for _ in range(12):
+        words = [tuple(rng.randrange(n) for _ in range(rng.randint(1, 8))) for _ in range(3)]
+        inputs = (
+            {words[0]: 1},
+            {word: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)) for word in words},
+            FreeElement(p.alphabet, {word: rng.choice(QS) for word in words}),
+        )
+        outputs = [p.normal_form(x) for x in inputs]
+        outputs += [p.multiply(x, y) for x, y in product(inputs, repeat=2)]
+        outputs += [p.mono_product(m1, m2) for m1 in outputs[1].terms for m2 in outputs[0].terms]
+        for x, nf in zip(inputs, outputs):
+            terms = x.terms if isinstance(x, FreeElement) else x
+            assert nf.terms == _reference_normal_form(p, terms)
+        for out in outputs:
+            assert {type(c) for c in out.terms.values()} <= {Fraction}, out
+
+
+def test_a_held_run_takes_its_q_power_once(monkeypatch):
+    # y^20 x^20 in qplane(3/2) is one held run of 400 swaps by q = 3/2; their
+    # q's are gathered as one numerator and one denominator and multiplied in
+    # once, when the ordered word goes to the result: no Fraction product per
+    # swap, where one per swap made 400
+    p = builtin("qplane(3/2)")
+    want = {(20, 20): Fraction(3, 2) ** 400}
+    products = []
+
+    def counting(op):
+        def counted(a, b):
+            products.append((a, b))
+            return op(a, b)
+        return counted
+
+    monkeypatch.setattr(Fraction, "__mul__", counting(Fraction.__mul__))
+    monkeypatch.setattr(Fraction, "__rmul__", counting(Fraction.__rmul__))
+    terms = p.normal_form({(1,) * 20 + (0,) * 20: 1}).terms
+    monkeypatch.undo()
+    assert terms == want
+    assert len(products) <= 2
+
+
+def test_gathered_q_powers_are_flushed_before_tails_and_pushes(monkeypatch):
+    # held runs that mix q != 1 swaps with tailed pairs: the gathered q-power
+    # is multiplied in before a tail term is formed and before the swapped
+    # word is pushed or merged, so terms, their order and the budget point
+    # are the max() scan's
+    flushed = []
+
+    def recording(c, num, den):
+        flushed.append((num, den))
+        return scaled(c, num, den)
+
+    scaled = pbw._scaled
+    monkeypatch.setattr(pbw, "_scaled", recording)
+    rng = random.Random(36)
+    for p in (_qskew_mixed(), _qskew_with_tail()):
+        n = len(p.alphabet)
+        for length in range(2, 25):
+            for _ in range(2):
+                x = {tuple(rng.randrange(n) for _ in range(length)): rng.choice(QS)}
+                for budget in (None, "2", "5", "20"):
+                    if budget is None:
+                        monkeypatch.delenv("HOPFKIT_MAX_TERMS", raising=False)
+                    else:
+                        monkeypatch.setenv("HOPFKIT_MAX_TERMS", budget)
+                    expected = _outcome(lambda: _reference_normal_form(p, x))
+                    assert _outcome(lambda: p.normal_form(x).terms) == expected, (p.name, x, budget)
+    # qskew_mixed's single swaps take q = 2, 3 or 6; some flushes carry more
+    assert {num for num, den in flushed} - {2, 3, 6}

@@ -21,7 +21,9 @@ directly.
 nf         rewrite steps per second of Presentation.normal_form, on seeded
            words of L, J, U_n5, heis3 and qplane(3/2); a counting loop that
            follows the rewrite strategy (the largest live word first, at its
-           leftmost misordered pair) gives the steps and the answers.
+           leftmost misordered pair) gives the steps and the answers, and
+           q_swaps, the steps at a pair whose q is not 1: the swaps whose
+           q-powers normal_form gathers per held run.
 coproduct  basis monomials per second whose Delta the coproduct machine
            builds into its table by monomial id (_Machine.delta), in a
            seeded order, on a fresh presentation per pass; the counit law is
@@ -135,8 +137,8 @@ PARSE_COPIES = 20
 
 
 def counted_normal_form(p, word):
-    """(terms, steps) of one word, by a max() scan over p.rewrite_key."""
-    work, out, steps = {word: 1}, {}, 0
+    """(terms, steps, q_swaps) of one word, by a max() scan over p.rewrite_key."""
+    work, out, steps, q_swaps = {word: 1}, {}, 0, 0
     n = len(p.alphabet)
     while work:
         word = max(work, key=p.rewrite_key)
@@ -149,6 +151,7 @@ def counted_normal_form(p, word):
         steps += 1
         hi, lo = word[pos], word[pos + 1]
         rel = p.relations[(hi, lo)]
+        q_swaps += rel.q != 1
         prefix, suffix = word[:pos], word[pos + 2:]
         produced = [(prefix + (lo, hi) + suffix, rel.q)]
         produced += [(prefix + tail + suffix, c) for tail, c in rel.tail.items()]
@@ -156,7 +159,7 @@ def counted_normal_form(p, word):
             work[new] = work.get(new, 0) + coeff * c
             if not work[new]:
                 del work[new]
-    return {m: c for m, c in out.items() if c}, steps
+    return {m: c for m, c in out.items() if c}, steps, q_swaps
 
 
 def counit_holds(mono, delta, empty):
@@ -189,19 +192,20 @@ def nf(hopfkit, rng, repeats):
         n = len(p.alphabet)
         words = [tuple(rng.randrange(n) for _ in range(lo + (i * 7) % (hi - lo + 1)))
                  for i in range(count)]
-        steps = 0
+        steps = q_swaps = 0
         for word in words:
-            terms, word_steps = counted_normal_form(p, word)
+            terms, word_steps, word_q_swaps = counted_normal_form(p, word)
             if p.normal_form({word: 1}).terms != terms:
                 raise SystemExit(f"normal_form disagrees with the counting loop on {name} {word}")
             steps += word_steps
+            q_swaps += word_q_swaps
 
         def straighten():
             for word in words:
                 p.normal_form({word: 1})
 
         best = min(cpu(straighten)[1] for _ in range(repeats))
-        cases[name] = ({"words": count, "steps": steps}, best)
+        cases[name] = ({"words": count, "steps": steps, "q_swaps": q_swaps}, best)
     return cases, (("steps", "steps_per_s"),)
 
 
