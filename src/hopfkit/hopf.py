@@ -587,17 +587,20 @@ def solve_antipode(p, weight_bound=None):
     S(m) = S(m / g) S(g) computes it.  The failure stays as a guard, and
     callers that skip those checks can meet it.
 
-    The verification walks the machine's flat Delta(m) = sum c u (x) v
-    term by term, three entries per term, the unit terms m (x) 1 and
-    1 (x) m first: the left side adds c S(u) v and the right side
-    c u S(v), with no regrouping by leg, since S-images are a term or two
-    each.  It runs on monomial ids: S-images are AntipodeTable's
-    (id, coeff) pairs, and every product but those with the unit
-    (1 w = w 1 = w, added as it is) is read by id from the product table
-    the coproducts are built from.  The left side is finished, and a
-    failure raised, before the right side is built.  Each side is checked
-    against the term budget, read once per call, after every term of
-    Delta(m); a failure decodes its residual back to monomials.
+    The verification walks Delta(m) term by term, with no regrouping by
+    leg, since S-images are a term or two each, in one loop per side: the
+    left adds c S(u) v, the right c u S(v).  The unit terms come first, as
+    they are: S(m) then m on the left, whose sum the right side starts
+    from.  Then comes the machine's delta(m), whose legs are never 1 for
+    m != 1; m = 1, where both sides are 1 - epsilon(1) 1 = 0, reads
+    nothing.  Every other product is read by id from the product table the
+    coproducts are built from, S-images as AntipodeTable's (id, coeff)
+    pairs.  A side's sum keeps cancelled terms as zeros, dropped once at
+    its end; the left side is finished, and a failure raised, before the
+    right is built.  The term budget, read once per call, is checked after
+    every term of Delta(m), exactly: a sum longer than the budget drops its
+    zeros, and over_budget is raised only if its nonzero terms still
+    exceed it.  A failure decodes its residual back to monomials.
     """
     mach = _machine(p)
     weight_bound = p.default_window if weight_bound is None else weight_bound
@@ -614,38 +617,54 @@ def solve_antipode(p, weight_bound=None):
         images[g] = tuple((w, _integral(c)) for w, c in image.items())
         table.by_gen[gi] = PBWElement._raw(p, {monos[w]: Fraction(c) for w, c in images[g]})
 
-    budget = term_budget()
-    checked = 0
-    for mono in p.enumerate_basis(weight_bound):
+    budget, basis = term_budget(), p.enumerate_basis(weight_bound)
+    for mono in basis:
         i = number(mono)
-        flat = mach.full_delta(i)
-        for side, left in (("left", True), ("right", False)):
-            out = {} if i else {0: -1}  # -epsilon(m) 1; the empty monomial is id 0
-            get, terms = out.get, iter(flat)
-            for u, v, c in zip(terms, terms, terms):
-                a, image = (v, images[u]) if left else (u, images[v])
-                for w, d in image:
-                    if a and w:  # S(u) v or u S(v)
-                        products = legs[w][a] if left else legs[a][w]
-                    else:
-                        products = ((a or w, 1),)
-                    cd = c * d
-                    for m, e in products:
-                        old = get(m)
-                        if old is None:
-                            out[m] = cd * e
-                        elif new := old + cd * e:
-                            out[m] = new
-                        else:
-                            del out[m]
-                if len(out) > budget:
-                    raise over_budget(len(out), budget)
-            if out:
-                residual = p.element({monos[m]: c for m, c in out.items()})
-                raise AxiomFailure(p.render_mono(mono), residual, side)
-        checked += 1
-    table.monomials_checked = checked
+        if not i:  # 1: both sides are 1 - epsilon(1) 1 = 0
+            continue
+        out = dict(images[i])  # the unit terms: S(m) 1, then 1 m
+        if len(out) > budget:
+            _drop_zeros(out, budget)
+        out[i] = out.get(i, 0) + 1
+        if len(out) > budget:
+            _drop_zeros(out, budget)
+        right = dict(out)  # m 1 + 1 S(m), the same sum, within the budget the left just met
+        get, terms = out.get, iter(mach.delta(i))
+        for u, v, c in zip(terms, terms, terms):
+            for w, d in images[u]:  # c S(u) v
+                cd = c * d
+                for m, e in legs[w][v]:
+                    out[m] = get(m, 0) + cd * e
+            if len(out) > budget:
+                _drop_zeros(out, budget)
+        _side_vanishes(p, mono, out, "left")
+        out, get, terms = right, right.get, iter(mach.delta(i))
+        for u, v, c in zip(terms, terms, terms):
+            row = legs[u]
+            for w, d in images[v]:  # c u S(v)
+                cd = c * d
+                for m, e in row[w]:
+                    out[m] = get(m, 0) + cd * e
+            if len(out) > budget:
+                _drop_zeros(out, budget)
+        _side_vanishes(p, mono, out, "right")
+    table.monomials_checked = len(basis)
     return table
+
+
+def _drop_zeros(out, budget):
+    """Delete the zero terms of a running sum; raise over_budget if more than budget remain."""
+    for m in [m for m, e in out.items() if not e]:
+        del out[m]
+    if len(out) > budget:
+        raise over_budget(len(out), budget)
+
+
+def _side_vanishes(p, mono, out, side):
+    """Raise AxiomFailure on mono unless every term of out, one side of the axiom, is zero."""
+    if any(out.values()):
+        residual = p.element({p._monos[m]: c for m, c in out.items() if c})
+        raise AxiomFailure(p.render_mono(mono), residual, side)
 
 
 def antipode(p, x, table=None):
@@ -669,7 +688,9 @@ def check_involutive_antipode(p, table=None, weight_bound=None):
     """Is S an involution on the basis up to the weight bound?
 
     S(S(m)) = sum c S(w) over the terms c w of S(m), read by id from the
-    table's _images, must be m alone; only a failing S(S(m)) is decoded.
+    table's _images, must be m alone once its zeros are dropped: the sum
+    keeps a cancelled term as a zero, as solve_antipode's sides do.  Only a
+    failing S(S(m)) is decoded.
     S^2 = Id is no Hopf axiom: it holds on every connected graded Hopf
     algebra of finite GK dimension, and can fail on a connected one.
     """
@@ -679,11 +700,14 @@ def check_involutive_antipode(p, table=None, weight_bound=None):
     images, monos, basis, failures = table._images, p._monos, p.enumerate_basis(bound), []
     for mono in basis:
         i, twice = p._number(mono), {}
+        get = twice.get
         for w, c in images[i]:
             for x, d in images[w]:
-                _acc(twice, x, c * d)
-        if twice != {i: 1}:
-            failures.append((mono, p.element({monos[x]: c for x, c in twice.items()})))
+                twice[x] = get(x, 0) + c * d
+        one = twice.pop(i, 0)
+        if one != 1 or any(twice.values()):  # zeros kept from cancellation are no failure
+            twice[i] = one
+            failures.append((mono, p.element({monos[x]: c for x, c in twice.items() if c})))
     return InvolutiveReport(len(basis), tuple(failures))
 
 

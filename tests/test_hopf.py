@@ -645,6 +645,38 @@ def _reference_verify(p, table):
     return checked
 
 
+def _replica_verify(p, table):
+    """The id loop as it was before its sides were split: one loop for both
+    sides, the unit terms taken from full_delta, each cancelled term deleted
+    as it cancels, the term budget read from the environment.  Returns the
+    monomials checked and the widest running side, in nonzero terms."""
+    from hopfkit import hopf
+    from hopfkit.freealg import term_budget
+
+    mach, images, legs, monos = hopf._machine(p), table._images, p._table, p._monos
+    budget, checked, widest = term_budget(), 0, 0
+    for mono in p.enumerate_basis(table.weight_bound):
+        i = p._number(mono)
+        flat = mach.full_delta(i)
+        for side, left in (("left", True), ("right", False)):
+            out = {} if i else {0: -1}
+            terms = iter(flat)
+            for u, v, c in zip(terms, terms, terms):
+                a, image = (v, images[u]) if left else (u, images[v])
+                for w, d in image:
+                    products = (legs[w][a] if left else legs[a][w]) if a and w else ((a or w, 1),)
+                    for m, e in products:
+                        _acc(out, m, c * d * e)
+                widest = max(widest, len(out))
+                if len(out) > budget:
+                    raise hopf.over_budget(len(out), budget)
+            if out:
+                residual = p.element({monos[m]: c for m, c in out.items()})
+                raise AxiomFailure(p.render_mono(mono), residual, side)
+        checked += 1
+    return checked, widest
+
+
 def _solved(p, bound, table_class=None):
     """A table of S on the generators, to be verified up to bound.
 
@@ -753,6 +785,85 @@ def test_antipode_check_multiplies_by_the_unit_directly(monkeypatch):
     assert _reference_verify(bad, _solved(bad, 9)) == 945
 
 
+def test_the_budget_fails_where_the_delete_on_cancel_loop_fails(monkeypatch):
+    # zeros kept until a side would exceed the budget: at every budget up to
+    # the widest running side, solve_antipode stops after the same product
+    # read and with the same count as the loop that deleted each cancelled
+    # term, or finishes where it finishes
+    from hopfkit import hopf
+
+    reads = []
+
+    class Counting(Memo):
+        __slots__ = ()
+
+        def __getitem__(self, b):
+            reads.append(b)
+            return super().__getitem__(b)
+
+    def outcome(run):
+        reads.clear()
+        try:
+            return "done", run(), len(reads)
+        except BudgetExceeded as error:
+            return "raised", str(error), len(reads)
+
+    def replica(p):
+        table = solve_antipode(p, 0)  # the generator solve, under the same budget
+        table.weight_bound = 6  # verified on, with the S-images the solve built
+        return _replica_verify(p, table)[0]
+
+    for p in (builtin("J"), drop_correction(builtin("J"), "d")):
+        assert solve_antipode(p, 6).monomials_checked == 217  # the table and coproducts built
+        checked, widest = _replica_verify(p, _solved(p, 6))
+        assert checked == 217 and widest > 4
+        rows = len(p._table)
+        for row in p._table.values():
+            row.__class__ = Counting
+        seen = []
+        for budget in range(1, widest + 1):
+            monkeypatch.setenv("HOPFKIT_MAX_TERMS", str(budget))
+            expected = outcome(lambda: replica(p))
+            assert outcome(lambda: solve_antipode(p, 6).monomials_checked) == expected, budget
+            seen.append(expected)
+        monkeypatch.delenv("HOPFKIT_MAX_TERMS")
+        for row in p._table.values():
+            row.__class__ = Memo
+        assert len(p._table) == rows
+        assert seen[-1][:2] == ("done", 217)
+        assert seen[-2][1] == str(hopf.over_budget(widest, widest - 1))
+        # the failures stop at distinct points, most of them in the verification
+        assert len({read for _, _, read in seen}) == widest
+        assert sum(read > 1000 for _, _, read in seen) > widest // 2
+
+
+def test_the_antipode_check_leaves_the_product_table_as_it_was():
+    # with the window's coproducts built, solve_antipode(J, 9) leaves the
+    # table with the entries, rows and tailed entries (a pair that a relation
+    # with a tail crosses) that tools/rate.py products counts for it
+    from hopfkit import hopf
+
+    J = builtin("J")
+    mach = hopf._machine(J)
+    for mono in J.enumerate_basis(9):
+        mach.delta(J._number(mono))
+    assert solve_antipode(J, 9).monomials_checked == 945
+    monos, tailed = J._monos, [pair for pair, rel in J.relations.items() if rel.tail]
+    crossing = sum(any(monos[a][hi] and monos[b][lo] for hi, lo in tailed)
+                   for a, row in J._table.items() for b in row)
+    assert (sum(map(len, J._table.values())), len(J._table), crossing) == (21_000, 602, 6_047)
+
+
+def test_a_constant_tail_gives_the_reference_failure():
+    # y x = x y + 1 puts the unit into S(xy): its products are read from the
+    # table, whose closed form for 1 w and w 1 is w, and fail where the
+    # reference loop fails
+    p = load_presentation(Path(__file__).resolve().parent / "presentations" / "not_an_algebra_map.hopf")
+    expected = _failure(lambda: _reference_verify(p, _solved(p, 6)))
+    assert expected[:2] == ("yz", "left")
+    assert _failure(lambda: solve_antipode(p, weight_bound=6)) == expected
+
+
 def test_both_loops_reject_a_flipped_antipode_entry(monkeypatch):
     from hopfkit import hopf
 
@@ -847,6 +958,25 @@ def test_id_stages_match_the_element_paths_they_replaced():
         assert check_counit(p).generator_checks == _reference_counit_generators(p), name
     # the comparison is not vacuous: on B(0), S(S(z)) = z - 2e
     assert failures[0] == ((0, 0, 1), "-2e + z")
+
+
+def test_the_involution_stage_fails_as_an_acc_sum_does():
+    # S(S(m)) summed with zeros kept and dropped once gives B(0)'s failures
+    # as a sum that deletes each cancelled term does, equal as values
+    p = load_presentation(Path(__file__).resolve().parent / "presentations" / "b0.hopf")
+    table = solve_antipode(p, 6)
+    images, monos, expected = table._images, p._monos, []
+    for mono in p.enumerate_basis(6):
+        i, twice = p._number(mono), {}
+        for w, c in images[i]:
+            for x, d in images[w]:
+                _acc(twice, x, c * d)
+        if twice != {i: 1}:
+            expected.append((mono, p.element({monos[x]: c for x, c in twice.items()})))
+    report = check_involutive_antipode(p, table)
+    assert report.failures == tuple(expected)
+    assert len(expected) > 1
+    assert report.failures[0] == ((0, 0, 1), p.element({(0, 0, 1): 1, (0, 1, 0): -2}))
 
 
 def test_solve_antipode_keeps_the_term_budget(monkeypatch):
