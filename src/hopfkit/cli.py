@@ -25,6 +25,7 @@ from .errors import (
     UnknownBuiltin,
     WindowTooSmall,
 )
+from .freealg import _one_budget
 
 MATH_EXIT = 1
 USAGE_EXIT = 2
@@ -483,13 +484,14 @@ def main(argv=None):
         return USAGE_EXIT
     rep = Report()
     try:
-        targets = _load_sources(args)
-        if args.func is cmd_compare_centers:
-            code = cmd_compare_centers(args, rep, targets)
-        elif len(targets) > 1:
-            raise _UsageError("this command takes exactly one presentation")
-        else:
-            code = args.func(args, rep, *targets[0])
+        with _one_budget():  # HOPFKIT_MAX_TERMS is read once per command
+            targets = _load_sources(args)
+            if args.func is cmd_compare_centers:
+                code = cmd_compare_centers(args, rep, targets)
+            elif len(targets) > 1:
+                raise _UsageError("this command takes exactly one presentation")
+            else:
+                code = args.func(args, rep, *targets[0])
     except (
         _UsageError,
         OSError,

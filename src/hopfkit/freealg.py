@@ -19,6 +19,8 @@ display and for the file format.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,9 +29,39 @@ from .errors import AlphabetMismatch, BudgetExceeded, InvalidSetting
 Word = tuple
 
 DEFAULT_MAX_TERMS = 10_000_000
+_BUDGET_SCOPE = ContextVar("hopfkit_budget_scope", default=None)
 
 
 def term_budget():
+    """HOPFKIT_MAX_TERMS, or DEFAULT_MAX_TERMS when it is unset.
+
+    Outside a _one_budget scope every call reads the environment.  Inside
+    one, the first call reads it and every later call returns that value,
+    so a command reads the variable once however many builds it drives.
+    A malformed value raises InvalidSetting at each read that meets it.
+    """
+    scope = _BUDGET_SCOPE.get()
+    if scope is None:
+        return _read_budget()
+    if not scope:
+        scope.append(_read_budget())
+    return scope[0]
+
+
+@contextmanager
+def _one_budget():
+    """A scope in which term_budget reads the environment once; nested, it does nothing."""
+    if _BUDGET_SCOPE.get() is not None:
+        yield
+        return
+    token = _BUDGET_SCOPE.set([])
+    try:
+        yield
+    finally:
+        _BUDGET_SCOPE.reset(token)
+
+
+def _read_budget():
     raw = os.environ.get("HOPFKIT_MAX_TERMS")
     if raw is None:
         return DEFAULT_MAX_TERMS

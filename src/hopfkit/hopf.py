@@ -28,7 +28,7 @@ from .errors import (
     NonzeroConstantTerm,
     QSkewRejected,
 )
-from .freealg import _LinearCombination, _Memo, _acc, check_budget, over_budget, term_budget
+from .freealg import _LinearCombination, _Memo, _acc, _one_budget, check_budget, over_budget, term_budget
 from .pbw import PBWElement, Presentation, _integral
 
 
@@ -567,13 +567,15 @@ class AntipodeTable:
         return p.element({monos[w]: c for w, c in total.items()})
 
 
+@_one_budget()
 def solve_antipode(p, weight_bound=None):
     """Solve for the antipode and verify both axiom sides up to a weight.
 
     m(S (x) id) Delta(g) = 0 pins down S(g) = -g - sum c S(u) v over the
     terms c u (x) v of delta(g); generators are processed in weight order
     so every S(u) is already known.  Each S(g) is solved by id into the
-    table's _images, then decoded once into by_gen.  The two-sided axiom
+    table's _images, its running sum held to the term budget after every
+    term of delta(g), then decoded once into by_gen.  The two-sided axiom
     is then re-derived on every basis monomial up to the bound, and the
     first failure raises AxiomFailure with the offending monomial and
     residual.
@@ -600,12 +602,15 @@ def solve_antipode(p, weight_bound=None):
     right is built.  The term budget, read once per call, is checked after
     every term of Delta(m), exactly: a sum longer than the budget drops its
     zeros, and over_budget is raised only if its nonzero terms still
-    exceed it.  A failure decodes its residual back to monomials.
+    exceed it.  A failure decodes its residual back to monomials.  The
+    call is one budget scope (freealg._one_budget): the coproducts and
+    products it builds read the budget that this call read.
     """
     mach = _machine(p)
     weight_bound = p.default_window if weight_bound is None else weight_bound
     table = AntipodeTable(p, {}, weight_bound)
     images, legs, monos, number = table._images, p._table, p._monos, p._number
+    budget = term_budget()
 
     weights = p.alphabet.weights
     for gi in sorted(range(len(p.alphabet)), key=lambda i: (weights[i], i)):
@@ -614,10 +619,12 @@ def solve_antipode(p, weight_bound=None):
         for u, v, c in zip(terms, terms, terms):
             for w, d in p._multiply_ids(images[u], ((v, 1),)).items():
                 _acc(image, w, -c * d)
+            if len(image) > budget:
+                raise over_budget(len(image), budget)
         images[g] = tuple((w, _integral(c)) for w, c in image.items())
         table.by_gen[gi] = PBWElement._raw(p, {monos[w]: Fraction(c) for w, c in images[g]})
 
-    budget, basis = term_budget(), p.enumerate_basis(weight_bound)
+    basis = p.enumerate_basis(weight_bound)
     for mono in basis:
         i = number(mono)
         if not i:  # 1: both sides are 1 - epsilon(1) 1 = 0

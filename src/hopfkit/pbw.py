@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from operator import add
+from operator import add, itemgetter
 
 from .errors import (
     AlphabetMismatch,
@@ -875,8 +875,9 @@ class Presentation:
         Each pair is looked up in the table first, by get, which makes no
         row; a pair not stored is its closed form when no tail crosses it,
         taken in place and not stored, and is yielded otherwise.  The term
-        budget is read once per call and checked on the running sum after
-        each read.
+        budget is read once per call, so once per built entry outside a
+        budget scope (freealg._one_budget) and once per scope inside one,
+        and checked on the running sum after each read.
 
         Each yielded pair stands for a word below m_a m_b in the rewrite
         order, which appending a letter keeps.  (a, b') and (m', e_g) are
@@ -930,7 +931,17 @@ class Presentation:
     # ----- basis enumeration -------------------------------------------
 
     def enumerate_basis(self, max_weight):
-        """All ordered monomials of weight <= max_weight, canonically sorted."""
+        """All ordered monomials of weight <= max_weight, canonically sorted.
+
+        The canonical order is mono_key's: weight, then the word.  Every
+        generator weight is positive, so no word of a weight is a proper
+        prefix of another word of that weight, and two words of one weight
+        first differ where their exponent vectors do: the word with the
+        larger exponent there holds that letter where the other holds a
+        later one.  So within a weight the words rise as the exponent
+        vectors fall, and the window is sorted in C, with no key per
+        monomial: by exponent vector descending, then stably by weight.
+        """
         if max_weight < 0:
             return []
         partial = [((), 0)]
@@ -942,9 +953,9 @@ class Presentation:
                     extended.append((mono + (e,), weight + e * gw))
                     e += 1
             partial = extended
-        monos = [m for m, _ in partial]
-        monos.sort(key=self.mono_key)
-        return monos
+        partial.sort(reverse=True)
+        partial.sort(key=itemgetter(1))
+        return [m for m, _ in partial]
 
     def basis_counts(self, max_weight):
         counts = [0] * (max_weight + 1)

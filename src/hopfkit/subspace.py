@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import sub
 
 from .errors import WindowTooSmall
-from .freealg import _acc, over_budget, term_budget
+from .freealg import _acc, _one_budget, over_budget, term_budget
 from .pbw import PBWElement
 from . import hopf as _hopf
 from .grading import factor_series, gk_dimension, hilbert_series, series_settles
@@ -742,8 +742,9 @@ class _CoradicalState:
         column, at the level's denominator, with no kappa entry.  The
         level's denominator cancels, so the kernel tags,
         {position: Fraction} maps, are exactly those of the rational
-        images.  The term budget is read once per level; an image of more
-        terms raises BudgetExceeded.
+        images.  The term budget is read once per level when the levels are
+        driven on their own; _coradical_chain reads it once for the whole
+        chain.  An image of more terms raises BudgetExceeded.
         """
         budget = term_budget()
         if not self.chain:
@@ -851,6 +852,7 @@ class _CoradicalState:
             self.stable = True
 
 
+@_one_budget()
 def _coradical_chain(p, weight_bound, levels=None):
     """Augmentation-part levels S_1 <= S_2 <= ... inside the window.
 
@@ -860,7 +862,8 @@ def _coradical_chain(p, weight_bound, levels=None):
     C_0 (x) H): for x in H+, x (x) 1 and 1 (x) x already lie in that
     sum, and both legs of the reduced coproduct lie in H+, so only its
     right leg is tested.  Levels are computed up to `levels` (all when
-    None) and stop for good once one repeats.
+    None) and stop for good once one repeats.  The term budget is read
+    once for the call (freealg._one_budget).
     """
     state = _CoradicalState(p, weight_bound)
     while not state.stable and (levels is None or len(state.chain) < levels):
@@ -906,6 +909,7 @@ class SignatureReport:
         return f"({body})"
 
 
+@_one_budget()
 def signature(p, weight_bound):
     """Level multiset of coradical growth not explained by products.
 

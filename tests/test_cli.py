@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfkit import builtin, cli, dump_presentation
+from hopfkit import builtin, cli, dump_presentation, freealg
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 
@@ -439,6 +439,42 @@ def test_truncate_heis3_fits_a_budget_of_two_terms(capsys, monkeypatch):
     monkeypatch.setenv("HOPFKIT_MAX_TERMS", "1")
     failure = "failure: intermediate expression has 2 terms, budget is 1"
     assert run(capsys, *argv) == (1, "", failure + " (raise HOPFKIT_MAX_TERMS to override)\n")
+
+
+BUDGETS = (1, 2, 3, 4, 8, 16, 64)
+
+# per command, the term count each budget of BUDGETS fails at, None where
+# the command succeeds with its unbudgeted output; the same whether each
+# build reads HOPFKIT_MAX_TERMS or the command reads it once
+FAILURE_POINTS = {
+    ("check", "--builtin", "J", "--weight-bound", "6"): (2, 6, 6, 6, 20, 20, None),
+    ("coradical", "--builtin", "J", "--weight-bound", "6"): (2, 6, 6, 6, 20, 20, None),
+    ("signature", "--builtin", "L", "--weight-bound", "6"): (2, 6, 6, 6, 20, 20, None),
+    ("truncate", "--builtin", "heis3", "--power", "4", "--weight-bound", "6"):
+        (2, None, None, None, None, None, None),
+}
+
+
+@pytest.mark.parametrize("argv", FAILURE_POINTS)
+def test_a_command_reads_the_term_budget_once(capsys, monkeypatch, argv):
+    reads = []
+    read = freealg._read_budget
+    monkeypatch.setattr(freealg, "_read_budget", lambda: reads.append(1) or read())
+    assert run(capsys, *argv)[0] == 0
+    assert reads == [1]
+
+
+@pytest.mark.parametrize("argv, counts", FAILURE_POINTS.items())
+def test_the_term_budget_fails_at_the_pinned_points(capsys, monkeypatch, argv, counts):
+    expected = run(capsys, *argv)
+    assert expected[0] == 0 and expected[2] == ""
+    for budget, count in zip(BUDGETS, counts):
+        monkeypatch.setenv("HOPFKIT_MAX_TERMS", str(budget))
+        if count is None:
+            assert run(capsys, *argv) == expected, budget
+        else:
+            failure = f"failure: intermediate expression has {count} terms, budget is {budget}"
+            assert run(capsys, *argv) == (1, "", failure + " (raise HOPFKIT_MAX_TERMS to override)\n")
 
 
 def test_window_too_small_is_usage_error(capsys):

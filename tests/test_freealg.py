@@ -10,6 +10,7 @@ from hopfkit.errors import AlphabetMismatch, BudgetExceeded, InvalidSetting
 from hopfkit.freealg import (
     Alphabet,
     FreeElement,
+    _one_budget,
     as_coeff,
     free_add,
     free_mul,
@@ -202,3 +203,30 @@ def test_malformed_term_budget_names_the_variable(monkeypatch, value):
         J.normal_form({(1, 0): 1})
     monkeypatch.setenv("HOPFKIT_MAX_TERMS", "1")
     assert term_budget() == 1
+
+
+def test_a_budget_scope_reads_the_variable_once(monkeypatch):
+    from hopfkit import freealg
+
+    reads = []
+    read = freealg._read_budget
+    monkeypatch.setattr(freealg, "_read_budget", lambda: reads.append(1) or read())
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "5")
+    assert (term_budget(), term_budget()) == (5, 5) and len(reads) == 2  # no scope: every call
+    reads.clear()
+    with _one_budget():
+        assert term_budget() == 5
+        monkeypatch.setenv("HOPFKIT_MAX_TERMS", "6")
+        with _one_budget():  # a nested scope keeps the outer one's value
+            assert term_budget() == 5
+        assert term_budget() == 5
+    assert reads == [1]
+    assert term_budget() == 6  # closed: the environment is read again
+    # the read stays lazy: a malformed value raises at the first read in a
+    # scope, with the message it has outside one, and at every later read
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "abc")
+    message = "HOPFKIT_MAX_TERMS must be an integer >= 1, got 'abc'"
+    with _one_budget():
+        for _ in range(2):
+            with pytest.raises(InvalidSetting, match=f"^{re.escape(message)}$"):
+                term_budget()

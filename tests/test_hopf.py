@@ -35,7 +35,7 @@ from hopfkit.errors import (
     NonzeroConstantTerm,
     QSkewRejected,
 )
-from hopfkit.freealg import DEFAULT_MAX_TERMS, _Memo as Memo, _acc, check_budget
+from hopfkit.freealg import DEFAULT_MAX_TERMS, _Memo as Memo, _acc, check_budget, over_budget
 from hopfkit.pbw import _ONE, Presentation
 
 from strategies import nilpotent_lie_algebras
@@ -1004,3 +1004,26 @@ def test_solve_antipode_keeps_the_term_budget(monkeypatch):
     assert reads == [4]
     assert solve_under(DEFAULT_MAX_TERMS).monomials_checked == 217
     assert reads == [4, DEFAULT_MAX_TERMS]
+
+
+def test_solve_antipode_reads_the_variable_once(monkeypatch):
+    from hopfkit import freealg
+
+    reads = []
+    read = freealg._read_budget
+    monkeypatch.setattr(freealg, "_read_budget", lambda: reads.append(1) or read())
+    assert solve_antipode(builtin("J"), 6).monomials_checked == 217
+    assert reads == [1]
+
+
+def test_each_generator_image_keeps_the_term_budget(monkeypatch):
+    # S(z) = ab - z: its running sum is held to the call's budget as it is
+    # solved, before the verification builds a coproduct
+    p = parse_presentation("generators: a:1 b:1 z:2\ndelta: z = z (x) 1 + 1 (x) z + a (x) b\n")
+    assert str(solve_antipode(p, 4).by_gen[2]) == "ab - z"
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "1")
+    with pytest.raises(BudgetExceeded) as info:
+        solve_antipode(p, 4)
+    assert str(info.value) == str(over_budget(2, 1))
+    names = [entry.name for entry in info.traceback]
+    assert names[-1] == "solve_antipode" and "_build_delta" not in names

@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from contextlib import nullcontext
 from fractions import Fraction
 from heapq import heappop
 from itertools import product
@@ -232,6 +233,27 @@ def test_basis_is_sorted_and_unique():
     keys = [L.mono_key(m) for m in basis]
     assert keys == sorted(keys)
     assert len(set(basis)) == len(basis)
+
+
+def test_window_is_listed_in_mono_key_order():
+    # enumerate_basis sorts by exponent vector and weight, never by the word
+    # itself; it must agree with mono_key's order on every window
+    for name in ("H6", "J", "L", "U_n5", "heis3", "poly(3)", "qplane(2)"):
+        p = builtin(name)
+        for bound in range(13):
+            basis = p.enumerate_basis(bound)
+            assert basis == sorted(basis, key=p.mono_key), (name, bound)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+    @hypothesis.given(nilpotent_lie_algebras(), st.integers(0, 9))
+    def random_algebras(algebra, bound):
+        p = algebra[0]
+        basis = p.enumerate_basis(bound)
+        assert basis == sorted(basis, key=p.mono_key)
+
+    random_algebras()
 
 
 def _seeded_element(p, rng, max_weight, size):
@@ -482,6 +504,25 @@ def test_table_products_keep_the_term_budget(monkeypatch):
     monkeypatch.setattr(pbw, "term_budget", lambda: reads.append(1) or term_budget())
     assert len(p._table[p._number(m1)][p._number(m2)]) == 16
     assert len(reads) == len(_stored(p))
+
+
+def test_table_reads_outside_a_call_read_the_variable_per_entry(monkeypatch):
+    from hopfkit import freealg
+
+    m1, m2 = (0, 0, 3, 0, 3), (0, 3, 0, 3, 0)
+    reads = []
+    read = freealg._read_budget
+    monkeypatch.setattr(freealg, "_read_budget", lambda: reads.append(1) or read())
+    sizes = []
+    for scoped in (False, True):
+        p = builtin("U_n5")
+        p.confluence()
+        reads.clear()
+        with freealg._one_budget() if scoped else nullcontext():
+            assert len(p._table[p._number(m1)][p._number(m2)]) == 16
+        sizes.append((len(reads), len(_stored(p))))
+    (outside, entries), inside = sizes
+    assert outside == entries > 1 and inside == (1, entries)
 
 
 def test_generator_entries_are_stored_once():

@@ -1135,6 +1135,28 @@ def test_coradical_kernel_keeps_the_term_budget(monkeypatch):
     assert (1,) + tuple(s.dim + 1 for s in fits.chain) == (1, 5, 17, 41, 87, 137, 217)
 
 
+def test_coradical_and_signature_read_the_variable_once(monkeypatch):
+    """A call reads HOPFKIT_MAX_TERMS once, however many levels and
+    builds it drives; a level driven on its own, outside such a call,
+    still reads it once per level."""
+    from hopfkit import freealg
+
+    reads = []
+    read = freealg._read_budget
+    monkeypatch.setattr(freealg, "_read_budget", lambda: reads.append(1) or read())
+    assert coradical_levels(builtin("J"), 6).dims == (1, 5, 17, 41, 87, 137, 217)
+    assert reads == [1]
+    reads.clear()
+    assert str(signature(builtin("L"), 6)) == "(1, 1, 1, 2, 2)"
+    assert reads == [1]
+    state, levels = _prebuilt_state(builtin("J"), 6), 0
+    reads.clear()
+    while not state.stable:
+        state.next_level()
+        levels += 1
+    assert len(reads) == levels == 6
+
+
 def test_coradical_cut_build_keeps_the_term_budget(monkeypatch):
     """The chain's own coproduct build checks the budget as the machine's
     does: a fresh chain of J at window 6 builds tuples of up to 18 terms
