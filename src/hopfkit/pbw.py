@@ -648,8 +648,11 @@ class Presentation:
     def _straighten(self, work):
         """The loop of normal_form on a {word: coeff} map, which it consumes.
 
-        Returns {monomial: coeff}, a coefficient an int or a Fraction (which
-        may be integral: a tail's Fraction times an int stays one).
+        Returns {monomial: coeff}, a coefficient an int or a Fraction.  A
+        tail term's coefficient, the held one times the tail's, is stored
+        as an int when it is integral, so a word made by c^3 / 3 from 3 w
+        is rewritten on ints; where both factors are ints no Fraction is
+        touched.  A sum of Fractions may still be an integral Fraction.
         """
         n, weights, psi = len(self.alphabet), self.alphabet.weights, self.psi
         letters, heap = range(n), []
@@ -695,7 +698,10 @@ class Presentation:
                         if produced not in work:
                             code = (prefix_code * tscale + tcode) * shift + suffix_code
                             heappush(heap, (kw + dw, kpsi + dpsi, klen + dlen, -code, produced))
-                        _acc(work, produced, coeff * tail_coeff)
+                        product = coeff * tail_coeff
+                        if type(product) is not int:  # a Fraction, perhaps integral
+                            product = _integral(product)
+                        _acc(work, produced, product)
                 w[pos], w[pos + 1] = lo, hi
                 kcode += (hi - lo) * (n - 1) * shift
                 if q is not None:

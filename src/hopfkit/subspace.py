@@ -23,6 +23,7 @@ reduction; Fraction is built only where a result is handed back.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import groupby
 from math import gcd, lcm
 from operator import sub
@@ -123,6 +124,44 @@ def _combine(vec, r, a, row):
             vec[c] = new
         else:
             del vec[c]
+
+
+def _clear_blocks(vec, rows, size, hits):
+    """Clear the columns of an integer vec at rows' pivots, block by block, in place.
+
+    Column c < _TAGS is position c % size of block c // size, and hits
+    lists vec's columns at pivots.  Each step is _Echelon._reduce's with
+    the row read at the block's offset; it adds only columns past the one
+    it clears, and those at pivots join the hits.
+    """
+    heapify(hits)
+    get = vec.get
+    while hits:
+        col = heappop(hits)
+        a = get(col)
+        if a is None:  # cancelled, or a second entry of a column cleared
+            continue
+        pos = col % size
+        row, offset = rows[pos], col - pos
+        r = row[pos]
+        g = gcd(a, r)
+        if g != 1:
+            a //= g
+            r //= g
+        if r != 1:
+            for c in vec:
+                vec[c] *= r
+        for c, v in row.items():
+            key = offset + c
+            old = get(key)
+            if old is None:
+                vec[key] = -a * v
+                if c in rows:
+                    heappush(hits, key)
+            elif new := old - a * v:
+                vec[key] = new
+            else:
+                del vec[key]
 
 
 class _Echelon:
@@ -570,10 +609,10 @@ class _CoradicalState:
 
     U grows weight by weight during level 1 (_primitives), and V with it;
     when V grows, the machine is replaced by one cut to the larger V, and
-    each tuple read again, at a restart of level 1 or by a later level,
-    is built again by it.  A tuple cut to a larger V than a level needs
-    is harmless, since _images reads only the left legs that have an
-    offset in left.  left gains U's new pivots at the end of each
+    each tuple read again, at a restart of level 1 or by the image pass
+    after it, is built again by it.  A tuple cut to a larger V than a
+    level needs is harmless, since _images reads only the left legs that
+    have an offset in left.  left gains U's new pivots at the end of each
     weight, the top weight included, so it ends level 1 holding every
     pivot of S_1, and V holds them too.
 
@@ -583,11 +622,10 @@ class _CoradicalState:
     denominators (1 when its coefficients are ints), read from the
     coefficients terms[2::3].  Ids follow first sight, not the window, so
     lists indexed by id restore window order: position
-    (MonomialIndex.positions_by_id), the window position of a leg; left,
-    the position of a pivot of U times the window size; and, per level,
-    kappa of a right leg that is a pivot of the level before.  built_terms
-    counts the terms of every cut tuple built, again for each one built
-    again.
+    (MonomialIndex.positions_by_id), the window position of a leg, and
+    left, the position of a pivot of U times the window size.
+    built_terms counts the terms of every cut tuple built, again for each
+    one built again.
     """
 
     def __init__(self, p, weight_bound):
@@ -612,7 +650,8 @@ class _CoradicalState:
                 self._tails.append((hi, lo, letters, weights[hi] + weights[lo] - p.word_weight(word)))
         self._dropped = 0  # terms of the cut tuples dropped when V grew
         self._grow([0])
-        self.coproducts = None  # (pos, terms, factor) of every position, set past level 1
+        self.echelon = None  # E, the images of S_1's non-pivots, set past level 1
+        self.updates = []  # per level past 1: (rows reduced, rows inserted again)
         self.restarts = []  # weights at which level 1 started its elimination over
         self.chain = []
         self.stable = False
@@ -680,15 +719,10 @@ class _CoradicalState:
         return pos, terms, _factor(terms)
 
     def kernel(self):
-        """Kernel of (id (x) kappa) delta on the monomials that are not
-        pivots of the last level, kappa the remainder modulo S_{n-1} (the
-        identity before the first level); see _coradical_chain for why
-        the right leg alone decides.
-
-        Those monomials span a complement of S_{n-1}, and S_{n-1} lies in
-        S_n, so S_n = S_{n-1} + (S_n intersected with that span): a
-        member of S_n minus its remainder modulo S_{n-1} is in S_{n-1}.
-        The kernel found here is that intersection.
+        """Kernel tags of the next level: a basis of the x in a complement
+        of S_{n-1} whose reduced coproduct, read at the terms below, lies in
+        H+ (x) S_{n-1} (see _coradical_chain for why the right leg alone
+        decides), S_0 the scalars.  S_n = S_{n-1} + their span.
 
         Only the terms u (x) v whose left leg u lies in a set U of pivot
         monomials of primitives are read.  Both legs of the reduced
@@ -721,47 +755,80 @@ class _CoradicalState:
         lower the weight when undone.  So every term with its left leg in
         U is built, and no full coproduct is.
 
-        Past the first level E = D and P(E) = S_1: the tuples cut to V are
-        built once, and every later level reads them at the offsets of
-        S_1's pivots in left.  Level 1, S_1 = P(D), is built
-        weight by weight (_primitives).  For x in D_{<=w}+, and C_0 the
-        scalars, A_x = {f in m : x < f in k} contains D_{<w}^perp, an ideal
-        of D*, so A_x = m iff its image in D* / D_{<w}^perp = D_{<w}*,
-        connected, is all of m_{D_{<w}}.  E = D_{<w} then gives U = the
-        pivots of P(D_{<w}): x is primitive iff the sum of c v over the
-        terms c u (x) v of delta x vanishes for each u in U.
+        Level 1, S_1 = P(D), is built weight by weight (_primitives).  For
+        x in D_{<=w}+, and C_0 the scalars, A_x = {f in m : x < f in k}
+        contains D_{<w}^perp, an ideal of D*, so A_x = m iff its image in
+        D* / D_{<w}^perp = D_{<w}*, connected, is all of m_{D_{<w}}.
+        E = D_{<w} then gives U = the pivots of P(D_{<w}): x is primitive
+        iff the sum of c v over the terms c u (x) v of delta x vanishes for
+        each u in U.
 
-        kappa of every right-leg monomial is brought to one integer
-        denominator for the level, so each image is built in integers,
-        at that denominator times the factor that cleared its coproduct;
-        u (x) v is column u * size + v, u and v window positions, which
-        left, position and kappa give by id whatever order the ids were
-        handed out in, and the monomial's tag, scaled by the same factor,
-        is column _TAGS + its position.  A right leg that is no pivot of
-        the level before is its own remainder, so it writes its one
-        column, at the level's denominator, with no kappa entry.  The
-        level's denominator cancels, so the kernel tags,
-        {position: Fraction} maps, are exactly those of the rational
-        images.  The term budget is read once per level when the levels are
-        driven on their own; _coradical_chain reads it once for the whole
-        chain.  An image of more terms raises BudgetExceeded.
+        Past level 1, E = D and U = the pivots of S_1.  Write phi(x) for
+        the sum of c v placed in block u, over the terms c u (x) v of
+        delta x with u in U, and kappa_n for the remainder modulo S_n in
+        every block: x is in S_{n+1} iff kappa_n phi(x) = 0.  The images
+        phi of S_1's non-pivots, tagged by position, go once into one
+        echelon E, the image pass, whose kernel is empty: S_1 meets the
+        span of its non-pivots in 0.  Level n+1 reduces each row of E
+        modulo S_n and inserts again the rows whose pivot that clears;
+        those that reduce to a zero image give its kernel, their tags
+        (_update).  This is correct because the remainder modulo S_n is
+        linear and canonical, so a row holding kappa_{n-1} phi(t), t its
+        tag, comes to hold kappa_n phi(t); the rows' tags, with the
+        kernels found so far, span the complement that S_1's non-pivots
+        span; and every kernel found so far lies in S_n, so
+        S_{n+1} = S_n + the span of the new kernel.  The levels are the
+        same spans, so every reader, which reads spans, pivots, remainders
+        or back-substituted rows, sees what any complement would give.
+
+        In E, u (x) v is column left[u] + position[v], u and v window
+        positions, and the tag, scaled by the factor that cleared the
+        coproduct, is column _TAGS + the position.  The term budget is read
+        once per level when the levels are driven on their own, and once for
+        the whole chain by _coradical_chain; an image, or the image part of
+        a row a level reduces, of more terms raises BudgetExceeded.  Each
+        call takes E one level on: next_level calls it once per level.
         """
         budget = term_budget()
         if not self.chain:
             return self._primitives(budget)
-        if self.coproducts is None:
-            self.coproducts = [self._coproduct(pos) for pos in range(1, len(self.index))]
-        previous = self.chain[-1]._elim
-        ids, pivots = self.ids, previous.rows
-        rems = {ids[pivot]: previous.remainder({pivot: 1}) for pivot in pivots}
-        den = lcm(*(d for _, d in rems.values()))
-        kappa = [None] * len(self.position)  # id -> kappa of a pivot right leg
-        for i, (rem, d) in rems.items():
-            scale = den // d
-            kappa[i] = tuple((c, v * scale) for c, v in rem.items())
-        elim = _Echelon()
-        coproducts = (cop for cop in self.coproducts if cop[0] not in pivots)
-        self._images(elim, coproducts, self.left, kappa, den, budget)
+        if self.echelon is None:  # the image pass
+            pivots, self.echelon = self.chain[0]._elim.rows, _Echelon()
+            self._images(self.echelon, (self._coproduct(pos) for pos in range(1, len(self.index))
+                                        if pos not in pivots), budget)
+            if self.echelon.kernel:
+                raise AssertionError(f"coradical chain: the images of S_1's non-pivots have a "
+                                     f"kernel of dimension {len(self.echelon.kernel)}")
+        return self._update(budget)
+
+    def _update(self, budget):
+        """Reduce E's rows modulo the last level S_n, block by block; returns the kernel tags found.
+
+        The rows were reduced modulo S_{n-1}, and so is any combination of
+        them, so only the pivots that S_n adds can be hit, and a row with
+        no column at one is left as it is.  A reduced row keeps its pivot
+        unless that is at a pivot of S_n, as a step adds only columns past
+        the one it clears; the rows whose pivot is cleared are inserted
+        again.
+        """
+        elim, size, rows = self.echelon, len(self.index), self.chain[-1]._elim.rows
+        elim.kernel, moved, reduced = [], [], 0
+        for pivot, row in elim.rows.items():
+            hits = [c for c in row if c < _TAGS and c % size in rows]
+            if not hits:
+                continue
+            reduced += 1
+            _clear_blocks(row, rows, size, hits)
+            width = sum(c < _TAGS for c in row)
+            if width > budget:
+                raise over_budget(width, budget)
+            if pivot in row:
+                elim._normalize(pivot)
+            else:
+                moved.append(pivot)
+        for pivot in moved:
+            elim.insert_cleared(elim.rows.pop(pivot), 1)
+        self.updates.append((reduced, len(moved)))
         return elim.kernel
 
     def _primitives(self, budget):
@@ -781,7 +848,6 @@ class _CoradicalState:
         ids, size, left = self.ids, len(self.index), self.left
         weight = self.index.pres.mono_weight
         found = _Echelon()  # the primitives found so far
-        identity = [None] * len(left)  # kappa = id
         elim, fed, tags, new = _Echelon(), [], [], []
         self.restarts = []
         for w, group in groupby(enumerate(self.aug, 1), lambda pair: weight(pair[1])):
@@ -789,11 +855,11 @@ class _CoradicalState:
                 self.restarts.append(w)
                 elim = _Echelon()
                 fed = [pos for pos in fed if pos not in found.rows]
-                self._images(elim, map(self._coproduct, fed), left, identity, 1, budget)
+                self._images(elim, map(self._coproduct, fed), budget)
             group = [pos for pos, _ in group]
             fed += group
             start = len(elim.kernel)
-            self._images(elim, map(self._coproduct, group), left, identity, 1, budget)
+            self._images(elim, map(self._coproduct, group), budget)
             for tag in elim.kernel[start:]:
                 found.insert(tag)
                 tags.append(tag)
@@ -803,13 +869,13 @@ class _CoradicalState:
             self._grow(ids[pivot] for pivot in new)
         return tags
 
-    def _images(self, elim, coproducts, left, kappa, den, budget):
+    def _images(self, elim, coproducts, budget):
         """Insert the image of each coproduct into elim, tagged by its position.
 
-        A term u (x) v is read when left[u], u's column offset, is not
-        None; kappa and den are the level's (see kernel).
+        A term c u (x) v is read when left[u], u's column offset, is not
+        None, and adds c at column left[u] + position[v] (see kernel).
         """
-        position = self.position
+        position, left = self.position, self.left
         for pos, terms, factor in coproducts:
             flat = iter(terms)
             terms = zip(flat, flat, flat)
@@ -822,14 +888,8 @@ class _CoradicalState:
                 start = left[u]
                 if start is None:  # u is no pivot of U
                     continue
-                kappa_v = kappa[v]
-                if kappa_v is None:  # kappa(v) = v
-                    key = start + position[v]
-                    image[key] = get(key, 0) + c * den
-                else:
-                    for col, cv in kappa_v:
-                        key = start + col
-                        image[key] = get(key, 0) + c * cv
+                key = start + position[v]
+                image[key] = get(key, 0) + c
             image = {k: x for k, x in image.items() if x}
             if len(image) > budget:
                 raise over_budget(len(image), budget)

@@ -759,6 +759,37 @@ def test_certificate_psi(text, psi):
     assert report.triples_checked == comb(len(p.alphabet), 3)
 
 
+def test_straighten_stores_integral_tail_products_as_ints(monkeypatch):
+    """L's tail -1/3 c^3 times an int coefficient divisible by 3 is
+    integral; _straighten stores it as an int, so no integral Fraction made
+    by a tail product enters its maps.  Tail coefficients that record
+    their products find such products on 150 seeded words."""
+    p = builtin("L")
+    made = []  # every Fraction a tail coefficient made, kept alive for `is`
+
+    class Recording(Fraction):
+        def __rmul__(self, other):
+            product = Fraction(self.numerator * other.numerator, self.denominator * other.denominator)
+            made.append(product)
+            return product
+
+    p._rewrites = {
+        pair: (q, tuple((word, Recording(c) if type(c) is Fraction else c, *rest)
+                        for word, c, *rest in tails))
+        for pair, (q, tails) in p._rewrites.items()
+    }
+    stored = []
+    monkeypatch.setattr(pbw, "_acc", lambda d, k, v: stored.append(v) or _acc(d, k, v))
+    rng = random.Random(7)
+    n = len(p.alphabet)
+    for i in range(150):
+        word = tuple(rng.randrange(n) for _ in range(4 + (i * 7) % 13))
+        assert p._straighten({word: 1}) == _reference_normal_form(p, {word: 1})
+    integral = {id(x) for x in made if x.denominator == 1}
+    assert integral
+    assert not any(id(v) in integral for v in stored)
+
+
 DEBUG_BUILTINS = ("H6", "J", "L", "U_n5", "heis3", "poly(1)", "poly(3)", "qplane(3/2)", "qplane(-1)")
 
 

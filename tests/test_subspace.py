@@ -474,12 +474,12 @@ def _recorded_reads(monkeypatch, p, bound):
 
     images, reads = _CoradicalState._images, []
 
-    def record(self, elim, coproducts, left, kappa, den, budget):
+    def record(self, elim, coproducts, budget):
         coproducts = list(coproducts)
         if len(reads) == len(self.chain):
             reads.append([])
-        reads[-1].extend(u for _, terms, _ in coproducts for u in terms[0::3] if left[u] is not None)
-        images(self, elim, coproducts, left, kappa, den, budget)
+        reads[-1].extend(u for _, terms, _ in coproducts for u in terms[0::3] if self.left[u] is not None)
+        images(self, elim, coproducts, budget)
 
     monkeypatch.setattr(_CoradicalState, "_images", record)
     state = _CoradicalState(p, bound)
@@ -489,14 +489,15 @@ def _recorded_reads(monkeypatch, p, bound):
 
 
 def test_levels_past_the_first_read_only_left_legs_at_the_primitive_pivots(monkeypatch):
-    # past level 1 every level reads the coproducts cut to V at the
+    # past level 1 the one image pass reads the coproducts cut to V at the
     # offsets of the pivots of S_1; at J 9 the pivots are a, b, c and c^3,
-    # one of them no letter, and level 2 reads 4,578 of the window's
-    # 56,658 terms; the chain builds 10,465 terms cut to V, rebuilds
-    # included, not the 56,658 of the machine's tuples
+    # one of them no letter, and it reads 4,578 of the window's 56,658
+    # terms; the levels past 2 read none; the chain builds 10,465 terms
+    # cut to V, rebuilds included, not the 56,658 of the machine's tuples
     J = builtin("J")
     state, reads = _recorded_reads(monkeypatch, J, 9)
     assert state.built_terms == 10465
+    assert len(state.chain) == 9 and len(reads) == 2
     pivots = state.chain[0].pivots()
     assert [state.index.monomials[pos] for pos in pivots] == [
         (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 3, 0, 0, 0)
@@ -516,12 +517,12 @@ def test_level_one_reads_only_left_legs_at_pivots_of_lighter_primitives(monkeypa
     lighter = {w: set(primitive_space(J, w - 1).pivots()) for w in range(1, 10)}
     images, reads = _CoradicalState._images, []
 
-    def record(self, elim, coproducts, left, kappa, den, budget):
+    def record(self, elim, coproducts, budget):
         coproducts = list(coproducts)
         if not self.chain:
             for pos, terms, _ in coproducts:
-                reads.extend((pos, self.position[u]) for u in terms[0::3] if left[u] is not None)
-        images(self, elim, coproducts, left, kappa, den, budget)
+                reads.extend((pos, self.position[u]) for u in terms[0::3] if self.left[u] is not None)
+        images(self, elim, coproducts, budget)
 
     monkeypatch.setattr(_CoradicalState, "_images", record)
     state = _CoradicalState(J, 9)
@@ -573,15 +574,16 @@ def test_level_one_starts_over_before_rows_miss_a_lighter_pivot():
 
 def test_later_levels_read_the_pivots_found_at_the_top_weight(monkeypatch):
     # at window 3 the primitive a^2 + z is found at weight 3, the top
-    # weight, with the lighter pivot a^2; the later levels must read the
-    # left leg a^2 as well as a, so left and V take in the top weight's
-    # pivots when level 1 ends
+    # weight, with the lighter pivot a^2; the image pass after level 1
+    # must read the left leg a^2 as well as a, so left and V take in the
+    # top weight's pivots when level 1 ends; level 3 reads no term
     from hopfkit.subspace import _coradical_chain
 
     p = parse_presentation(NESTED)
     state, reads = _recorded_reads(monkeypatch, p, 3)
     assert [str(b) for b in state.chain[0].basis()] == ["a", "a^2 + z"]
-    assert [len(level) for level in reads] == [3, 3, 2]
+    assert len(state.chain) == 3
+    assert [len(level) for level in reads] == [3, 3]
     assert state.built_terms == 7
     chain, reference = _coradical_chain(p, 3), _reference_chain(p, 3)
     assert [b.terms for s in chain for b in s.basis()] == [b.terms for s in reference for b in s.basis()]
@@ -590,7 +592,7 @@ def test_later_levels_read_the_pivots_found_at_the_top_weight(monkeypatch):
 
 def test_primitive_space_never_builds_the_later_levels(monkeypatch):
     # the later levels run through kernel past level 1 and build the
-    # state's coproducts list; primitive_space does neither
+    # state's echelon of images; primitive_space does neither
     from hopfkit import subspace
 
     State, kernel = subspace._CoradicalState, subspace._CoradicalState.kernel
@@ -600,14 +602,14 @@ def test_primitive_space_never_builds_the_later_levels(monkeypatch):
             raise AssertionError("a later level")
         return kernel(self)
 
-    def store(self, coproducts):
-        if coproducts is not None:
+    def store(self, echelon):
+        if echelon is not None:
             raise AssertionError("a later level")
-        self.__dict__["coproducts"] = coproducts
+        self.__dict__["echelon"] = echelon
 
     J = builtin("J")
     patches = [("kernel", first_level_only),
-               ("coproducts", property(lambda self: self.__dict__["coproducts"], store))]
+               ("echelon", property(lambda self: self.__dict__["echelon"], store))]
     for name, patch in patches:
         with monkeypatch.context() as patched:
             patched.setattr(State, name, patch, raising=False)
@@ -897,14 +899,26 @@ delta: d = d (x) 1 + 1 (x) d + 6/5 c (x) c^2 + 6/5 c^2 (x) c
     ids=["L", "J_scaled_d"],
 )
 def test_coradical_kernels_match_fraction_reference(make, bound):
-    """Each level's kernel tags equal, as exact Fractions, the ones the
-    Fraction engine gets from Fraction images built the way it did, fed
-    the monomials that are not pivots of the last level."""
+    """Each level equals, as exact Fractions, the S_n that the Fraction
+    engine gets from Fraction images, kappa applied to both legs, fed the
+    monomials that are not pivots of the last level: the same pivots and
+    the same back-substituted rows.  The chain's kernel tags lie in that
+    S_n and extend S_{n-1} by the dimension of the reference's kernel."""
     from hopfkit.subspace import _CoradicalState
 
     p = make()
     state = _CoradicalState(p, bound)
     index = state.index
+    kernels, kernel = [], state.kernel
+    state.kernel = lambda: kernels.append(kernel()) or kernels[-1]
+
+    def spanned(*parts):
+        elim = _FractionEchelon()
+        for part in parts:
+            for vec in part:
+                elim.insert(vec)
+        return elim
+
     previous = _FractionEchelon()  # the scalars: no augmentation part
     while not state.stable:
         kappa = {
@@ -922,12 +936,19 @@ def test_coradical_kernels_match_fraction_reference(make, bound):
                     _acc(image, (1, index.index(u), col), c * cv)
             ref.insert(image, {index.index(m): Fraction(1)})
         assert ref.kernel
-        assert state.kernel() == ref.kernel
-        for tag in ref.kernel:  # S_n = S_{n-1} + the kernel
-            previous.insert(tag)
+        level = spanned(previous.rows.values(), ref.kernel)  # S_n = S_{n-1} + the kernel
         state.next_level()
-        if not state.stable:
-            assert state.chain[-1].dim == len(previous.rows)
+        tags = kernels[-1]
+        assert len(tags) == len(ref.kernel)
+        assert all(type(v) is Fraction for tag in tags for v in tag.values())
+        assert all(not level.reduce(tag) for tag in tags)
+        assert len(spanned(previous.rows.values(), tags).rows) == len(level.rows)
+        level.back_substitute()
+        basis = [{index.index(m): c for m, c in b.terms.items()} for b in state.chain[-1].basis()]
+        assert all(type(c) is Fraction for b in basis for c in b.values())
+        assert basis == [level.rows[pivot] for pivot in sorted(level.rows)]
+        previous = level
+    assert state.chain[-1].dim == len(state.aug)
 
 
 def test_rescaled_j_keeps_the_invariants_of_j():
@@ -1133,6 +1154,44 @@ def test_coradical_kernel_keeps_the_term_budget(monkeypatch):
     while not fits.stable:
         fits.next_level()
     assert (1,) + tuple(s.dim + 1 for s in fits.chain) == (1, 5, 17, 41, 87, 137, 217)
+
+
+def test_a_later_level_holds_its_reduced_rows_to_the_term_budget(monkeypatch):
+    """At J 8 no image of level 1 or of the image pass after it has more
+    than 11 terms, but level 6 reduces a row of the echelon of images to
+    12: under budget 11 the chain stops there, in _update, with the
+    standard message, and under budget 12 it runs to its end."""
+    from hopfkit.errors import BudgetExceeded
+
+    J = builtin("J")
+    dims = coradical_levels(J, 8).dims
+    tight, fits = _prebuilt_state(J, 8), _prebuilt_state(J, 8)
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "11")
+    with pytest.raises(BudgetExceeded, match=r"^intermediate expression has 12 terms, budget is 11 ") as info:
+        while not tight.stable:
+            tight.next_level()
+    assert len(tight.chain) == 5
+    assert "_update" in {entry.name for entry in info.traceback}
+    monkeypatch.setenv("HOPFKIT_MAX_TERMS", "12")
+    while not fits.stable:
+        fits.next_level()
+    assert (1,) + tuple(s.dim + 1 for s in fits.chain) == dims
+
+
+def test_the_image_pass_raises_when_s1_misses_a_primitive():
+    # the images of S_1's non-pivots have no kernel, as S_1 meets their
+    # span in 0; a level 1 that lost the row of c^3 - 3d feeds the pivot
+    # c^3, and the primitive c^3 - 3d must trip the check
+    from hopfkit.subspace import _CoradicalState
+
+    state = _CoradicalState(builtin("J"), 6)
+    state.next_level()
+    rows = state.chain[0]._elim.rows
+    assert state.index.monomials[max(rows)] == (0, 0, 3, 0, 0, 0)
+    del rows[max(rows)]
+    with pytest.raises(AssertionError, match=r"^coradical chain: the images of S_1's non-pivots "
+                                             r"have a kernel of dimension 1$"):
+        state.next_level()
 
 
 def test_coradical_and_signature_read_the_variable_once(monkeypatch):
@@ -1379,3 +1438,47 @@ def test_chain_with_a_constant_tail_matches_the_reference(bound, size):
     assert [s.dim for s in chain] == [s.dim for s in reference]
     for level, ref in zip(chain, reference):
         assert [b.terms for b in level.basis()] == [b.terms for b in ref.basis()]
+
+
+# ----- coproducts that are no primitive generators plus a correction ---------
+
+
+def _zhuang_a(l1, l2, alpha):
+    """Zhuang's A(l1, l2, alpha) of GK dimension 3 (J. London Math. Soc. 87,
+    2013): x and y primitive and commuting, [z, x] = l1 x,
+    [z, y] = l2 y + alpha x and Delta(z) = z (x) 1 + 1 (x) z + x (x) y.
+    Names look like L, so A(1, -1, 0) is named A_1_m1_0."""
+    def tail(*terms):
+        return "".join(f" + {c} {g}" if c > 0 else f" - {-c} {g}" for c, g in terms if c)
+
+    name = "A_" + "_".join(str(v).replace("-", "m") for v in (l1, l2, alpha))
+    return (f"name: {name}\ngenerators: x:1 y:1 z:2\n"
+            f"rel: z x = x z{tail((l1, 'x'))}\n"
+            f"rel: z y = y z{tail((l2, 'y'), (alpha, 'x'))}\n"
+            "delta: z = z (x) 1 + 1 (x) z + x (x) y\n")
+
+
+ZHUANG_A = ((1, 2, 1), (0, 0, 0), (0, 0, 1), (1, 1, 1), (1, -1, 0), (2, 3, 5))
+
+
+@pytest.mark.parametrize(
+    "source", [*ZHUANG_A, "b0"], ids=[*(f"A{member}" for member in ZHUANG_A), "b0"]
+)
+def test_chain_matches_the_reference_on_a_correction_of_x_by_y(source):
+    # z is no primitive: its correction x (x) y (in b0, h (x) e - e (x) h)
+    # puts terms with a left leg at a pivot of S_1 into every coproduct
+    # with z in it; the chain must equal the two-sided reference level for
+    # level, basis for basis, with dimensions 1, 3, 7, ..., 95 at window 8
+    from hopfkit.subspace import _coradical_chain
+
+    if source == "b0":
+        p = load_presentation(Path(__file__).resolve().parent / "presentations" / "b0.hopf")
+    else:
+        p = parse_presentation(_zhuang_a(*source))
+        assert p.name == "A_" + "_".join(str(v).replace("-", "m") for v in source)
+    chain, reference = _coradical_chain(p, 8), _reference_chain(p, 8)
+    assert [s.dim for s in chain] == [s.dim for s in reference]
+    for level, ref in zip(chain, reference):
+        assert level.pivots() == ref.pivots()
+        assert [b.terms for b in level.basis()] == [b.terms for b in ref.basis()]
+    assert coradical_levels(p, 8).dims == (1, 3, 7, 13, 22, 34, 50, 70, 95)

@@ -49,15 +49,20 @@ antipode   basis monomials per second on which solve_antipode verifies the
 coradical  levels per second of the coradical chain (coradical_levels),
            the chain's own coproduct build included; the top level must
            hold the whole window, as its PBW basis counts it.
-           level1_terms and later_terms are the reduced-coproduct terms
-           the chain's kernel reads at level 1 and at each later level,
-           counted on a separate, untimed pass; level 1 builds the
-           primitives weight by weight and starts its elimination over
-           level1_restarts times, and level1_terms sums its reads over
-           every start.  built_terms, read from the chain's state on the
-           same pass, is the number of terms its coproducts hold, cut to
-           the left legs the levels can reach, each one built again
-           counted again.  They move with the code.
+           level1_terms and image_terms are the reduced-coproduct terms
+           the chain reads at level 1 and in the one image pass after it,
+           which builds the echelon of images that every later level
+           updates in place, reading no term; they are counted on a
+           separate, untimed pass.  Level 1 builds the primitives weight
+           by weight and starts its elimination over level1_restarts
+           times, and level1_terms sums its reads over every start.  Read
+           from the chain's state on the same pass: built_terms, the
+           number of terms its coproducts hold, cut to the left legs the
+           levels can reach, each one built again counted again; and, per
+           level past 1, rows_reduced, the rows of the echelon that the
+           level reduces modulo the last level, and rows_reinserted, those
+           among them whose pivot that clears, inserted again.  They move
+           with the code.
 products   window monomials per second of solve_antipode on J at window 9
            and of signature on L at window 9, with the counters of the
            presentation's one product table (Presentation._table, by
@@ -309,29 +314,28 @@ def antipode(hopfkit, rng, repeats):
 
 
 def kernel_reads(p, bound):
-    """(reads, restarts, built) of the coradical kernel, on an untimed pass.
+    """(reads, restarts, state) of the coradical chain, on an untimed pass.
 
-    reads holds per level the coproduct terms the level reads: those
-    whose left leg has a column offset in the list its image loop is
-    handed, counted again each time level 1 starts its elimination
-    over; restarts is how many times it does, and built is the state's
-    built_terms.
+    reads holds the coproduct terms read at level 1 and in the image pass
+    after it: those whose left leg has a column offset in the state's
+    left, counted again each time level 1 starts its elimination over;
+    restarts is how many times it does, and state is the chain's state
+    at its end.
     """
     from hopfkit.subspace import _CoradicalState
 
-    state, reads = _CoradicalState(p, bound), []
+    state, reads = _CoradicalState(p, bound), [0, 0]
     images = state._images
 
-    def counted(elim, coproducts, left, kappa, den, budget):
+    def counted(elim, coproducts, budget):
         coproducts = list(coproducts)
-        reads[-1] += sum(left[u] is not None for _, terms, _ in coproducts for u in terms[0::3])
-        images(elim, coproducts, left, kappa, den, budget)
+        reads[len(state.chain)] += sum(state.left[u] is not None for _, terms, _ in coproducts for u in terms[0::3])
+        images(elim, coproducts, budget)
 
     state._images = counted
     while not state.stable:
-        reads.append(0)
         state.next_level()
-    return reads, len(state.restarts), state.built_terms
+    return reads, len(state.restarts), state
 
 
 def coradical(hopfkit, rng, repeats):
@@ -339,9 +343,11 @@ def coradical(hopfkit, rng, repeats):
         report, elapsed = cpu(hopfkit.coradical_levels, p, bound)
         if report.dims[-1] != len(monos):
             raise SystemExit(f"{key}: top level {report.dims[-1]}, window {len(monos)}")
-        reads, restarts, built = kernel_reads(p, bound)
-        return {"levels": report.levels, "dim": report.dims[-1], "built_terms": built,
-                "level1_terms": reads[0], "level1_restarts": restarts, "later_terms": reads[1:]}, elapsed
+        reads, restarts, state = kernel_reads(p, bound)
+        return {"levels": report.levels, "dim": report.dims[-1], "built_terms": state.built_terms,
+                "level1_terms": reads[0], "level1_restarts": restarts, "image_terms": reads[1],
+                "rows_reduced": [reduced for reduced, _ in state.updates],
+                "rows_reinserted": [moved for _, moved in state.updates]}, elapsed
 
     cases = fresh_windows(hopfkit, CORADICAL_PLAN, rng, repeats, run)
     return cases, (("levels", "levels_per_s"),)
