@@ -346,17 +346,16 @@ class Presentation:
         self._skew_pairs = tuple(
             (hi, lo, rel.q) for (hi, lo), rel in sorted(self.relations.items()) if rel.q != 1
         )
-        # per pair: q as (numerator, denominator), None for q = 1, and per tail
-        # word its int-where-integral coefficient, drops below the head, code and n^len
-        key = self.rewrite_key
-        self._rewrites = {
-            pair: (None if rel.q == 1 else (rel.q.numerator, rel.q.denominator), tuple(
-                (word, _integral(coeff), *(h - t for h, t in zip(key(pair)[:3], key(word))),
+        # at hi * n + lo, per pair: q as (numerator, denominator), None for q = 1, and per
+        # tail word its int-where-integral coefficient, drops below the head, code and n^len
+        key, self._rewrites = self.rewrite_key, [None] * (n * n)
+        for (hi, lo), rel in self.relations.items():
+            q = None if rel.q == 1 else (rel.q.numerator, rel.q.denominator)
+            self._rewrites[hi * n + lo] = (q, tuple(
+                (word, _integral(coeff), *(h - t for h, t in zip(key((hi, lo))[:3], key(word))),
                  _word_code(word, n), n ** len(word))
                 for word, coeff in rel.tail.items()
             ))
-            for pair, rel in self.relations.items()
-        }
 
     # ----- construction helpers -------------------------------------
 
@@ -597,37 +596,50 @@ class Presentation:
         none remains.  The term budget is read once per call.
 
         Live words wait in a binary heap of entries (-weight, -psi-weight,
-        -length, -code, word), code being the word read in base n: on equal
-        lengths codes order as the words do, so the heap pops the largest
-        word.  Produced entries come from the parent's: a swap of hi > lo
-        lowers only the code, by (hi - lo)(n - 1) n^|suffix|; a tail word
-        adds its relation's drops and splices its code between prefix and
-        suffix.  A word is pushed when it enters the live map; a popped
-        entry whose word is gone is skipped (lazy deletion).  Every rewrite
-        lowers the key, so a popped word never comes back.
+        -length, -code, word, hint), code being the word read in base n: on
+        equal lengths codes order as the words do, so the heap pops the
+        largest word.  Produced entries come from the parent's: a swap of
+        hi > lo (its rewrite at hi * n + lo of one flat list) lowers only the
+        code, by (hi - lo)(n - 1) n^|suffix|, from a list of powers grown
+        with the words; a tail word adds its relation's drops and splices
+        its code between prefix and suffix.  A word is pushed when it enters
+        the live map; a popped entry whose word is gone is skipped.  Every
+        rewrite lowers the key, so a popped word never comes back.
+
+        The hint is where the scan for the leftmost descent may start: 0
+        for an input word, pos - 1 (or 0) for one that a tail or a swap
+        makes at the descent pos, as the letters before pos are ordered.
+        The descent is the word's own, so any producer's hint bounds it; a
+        word merged into a live one leaves that one's hint.  Equal codes at
+        equal lengths mean equal words, so the hint decides between two
+        entries of one word only, and either pops to the same rewrites.
 
         A popped word stays in a list and is rewritten in place while the
         heap would pop it next.  A swap keeps weight, psi-weight and length
         and lowers the code, so while no entry shares those three
         (heap[0] >= below) the swapped word is not live and its entry is
-        the least; else each swap tests both.  A word that fails is pushed
-        or merged as any other.  Each in-place step is thus the heap's own
-        next pop, so for any presentation, confluent or not, the terms come
-        out in the same order, and BudgetExceeded at the same count, the
-        held word counted as live.  The budget is checked after the first
-        swap of a popped word and after every swap that pushes or merges a
-        word; a held swap with no tail changes no count since the check
-        before it, so it skips the check.
+        the least.  Else the swap is contested; the top, at least the popped
+        entry, shares all three, and a live swapped word has an entry at
+        least the top, so the word is pushed or merged iff the top's code
+        is above its own, or equal (the same word) with the word live; only
+        those cases build its tuple.  Each in-place step is thus the heap's
+        own next pop, so for any presentation, confluent or not, the terms
+        come out in the same order, and BudgetExceeded at the same count,
+        the held word counted as live.  The budget is checked after the
+        first swap of a popped word and after every swap that pushes or
+        merges a word; a held swap with no tail changes no count since the
+        check before it, so it skips the check.
 
         Inside, a coefficient is an int wherever it is integral: the input's
-        and the relations' tails pass through _integral, and the result's
-        are turned back into Fractions at the end, so public values stay
-        Fractions.  A held run does not multiply its coefficient by q at
-        each swap: it gathers the swaps' q's as one numerator qn and one
-        denominator qd, and multiplies them in, once, just before the
-        coefficient is read: when the ordered word goes to the result, when
-        a tail term is formed (after which qn = qd = 1 again), and when the
-        swapped word is pushed or merged.
+        and the relations' tails pass through _integral, so does each
+        popped coefficient that is no int, and the result's are turned back
+        into Fractions at the end, so public values stay Fractions.  A held
+        run does not multiply its coefficient by q at each swap: it gathers
+        the swaps' q's as one numerator qn and one denominator qd, and
+        multiplies them in, once, just before the coefficient is read: when
+        the ordered word goes to the result, when a tail term is formed
+        (after which qn = qd = 1 again), and when the swapped word is pushed
+        or merged.
         """
         if isinstance(x, PBWElement):
             if x.pres is not self and x.pres != self:
@@ -652,29 +664,32 @@ class Presentation:
         tail term's coefficient, the held one times the tail's, is stored
         as an int when it is integral, so a word made by c^3 / 3 from 3 w
         is rewritten on ints; where both factors are ints no Fraction is
-        touched.  A sum of Fractions may still be an integral Fraction.
+        touched; a popped sum of Fractions is an int if it is integral.
         """
         n, weights, psi = len(self.alphabet), self.alphabet.weights, self.psi
         letters, heap = range(n), []
         for word in work:
             for letter in word:
-                if letter not in letters:
+                if not isinstance(letter, int) or letter not in letters:
                     raise AlphabetMismatch(f"letter {letter!r} of {word!r} is not a generator")
             heap.append((-sum(weights[g] for g in word), -sum(psi[g] for g in word),
-                         -len(word), -_word_code(word, n), word))
+                         -len(word), -_word_code(word, n), word, 0))
         heapify(heap)
-        rewrites, out = self._rewrites, {}
+        rewrites, out, powers = self._rewrites, {}, [1]
         budget = term_budget()
         while heap:
-            entry = heappop(heap)
-            kw, kpsi, klen, kcode, word = entry
+            kw, kpsi, klen, kcode, word, start = entry = heappop(heap)
             coeff = work.pop(word, None)
             if coeff is None:
                 continue
+            coeff = coeff if type(coeff) is int else _integral(coeff)
             if _DEBUG_ORDER:
                 key = self.rewrite_key(word)
-                assert entry == (-key[0], -key[1], -key[2], -_word_code(word, n), word)
-            w, size, start, below = list(word), len(word), 0, (kw, kpsi, klen + 1)
+                assert entry[:5] == (-key[0], -key[1], -key[2], -_word_code(word, n), word)
+                assert _is_ordered(word[:start + 1])
+            w, size, below = list(word), len(word), (kw, kpsi, klen + 1)
+            while len(powers) <= size:
+                powers.append(powers[-1] * n)
             first, qn, qd = True, 1, 1  # coeff * qn / qd is the held word's coefficient
             while True:
                 for pos in range(start, size - 1):
@@ -684,20 +699,21 @@ class Presentation:
                     _acc(out, _word_to_monomial(w, n), _scaled(coeff, qn, qd) if qn != qd else coeff)
                     break
                 hi, lo = w[pos], w[pos + 1]
-                q, tails = rewrites[hi, lo]
-                shift = n ** (size - pos - 2)
+                q, tails = rewrites[hi * n + lo]
+                shift = powers[size - pos - 2]
                 if tails:
                     if qn != qd:
                         coeff, qn, qd = _scaled(coeff, qn, qd), 1, 1
                     prefix, suffix = tuple(w[:pos]), tuple(w[pos + 2:])
-                    prefix_code, suffix_code = -kcode // (shift * n * n), -kcode % shift
+                    prefix_code, suffix_code = -kcode // powers[size - pos], -kcode % shift
+                    hint = pos - 1 if pos else 0
                     for tail_word, tail_coeff, dw, dpsi, dlen, tcode, tscale in tails:
                         produced = prefix + tail_word + suffix
                         if _DEBUG_ORDER:
                             assert self.rewrite_key(produced) < key
                         if produced not in work:
                             code = (prefix_code * tscale + tcode) * shift + suffix_code
-                            heappush(heap, (kw + dw, kpsi + dpsi, klen + dlen, -code, produced))
+                            heappush(heap, (kw + dw, kpsi + dpsi, klen + dlen, -code, produced, hint))
                         product = coeff * tail_coeff
                         if type(product) is not int:  # a Fraction, perhaps integral
                             product = _integral(product)
@@ -712,12 +728,11 @@ class Presentation:
                     assert key < above
                     assert (kw, kpsi, klen, kcode) == (-key[0], -key[1], -key[2], -_word_code(w, n))
                 held = True  # the swapped word is the heap's next pop, rewritten here
-                if heap and heap[0] < below:
+                if heap and (top := heap[0]) < below and top[3] <= kcode:  # contested, top no smaller
                     swapped = tuple(w)
-                    entry = (kw, kpsi, klen, kcode, swapped)
-                    if swapped in work or heap[0] < entry:
+                    if swapped in work or top[3] < kcode:
                         if swapped not in work:
-                            heappush(heap, entry)
+                            heappush(heap, (kw, kpsi, klen, kcode, swapped, pos - 1 if pos else 0))
                         _acc(work, swapped, _scaled(coeff, qn, qd) if qn != qd else coeff)
                         held = False
                 if first or tails or not held:

@@ -5,7 +5,7 @@ import random
 import weakref
 from contextlib import nullcontext
 from fractions import Fraction
-from heapq import heappop
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import comb
 from operator import add
@@ -773,11 +773,11 @@ def test_straighten_stores_integral_tail_products_as_ints(monkeypatch):
             made.append(product)
             return product
 
-    p._rewrites = {
-        pair: (q, tuple((word, Recording(c) if type(c) is Fraction else c, *rest)
-                        for word, c, *rest in tails))
-        for pair, (q, tails) in p._rewrites.items()
-    }
+    p._rewrites = [
+        rewrite and (rewrite[0], tuple((word, Recording(c) if type(c) is Fraction else c, *rest)
+                                       for word, c, *rest in rewrite[1]))
+        for rewrite in p._rewrites
+    ]
     stored = []
     monkeypatch.setattr(pbw, "_acc", lambda d, k, v: stored.append(v) or _acc(d, k, v))
     rng = random.Random(7)
@@ -788,6 +788,24 @@ def test_straighten_stores_integral_tail_products_as_ints(monkeypatch):
     integral = {id(x) for x in made if x.denominator == 1}
     assert integral
     assert not any(id(v) in integral for v in stored)
+
+
+def test_straighten_rewrites_a_popped_integral_sum_on_an_int():
+    """Two Fractions can sum to an integral Fraction in the live map;
+    each popped coefficient that is no int passes through _integral, so on
+    150 seeded L words the raw map holds no integral Fraction (it held 42
+    of 533 coefficients when such sums stayed Fractions)."""
+    p = builtin("L")
+    rng = random.Random(7)
+    n = len(p.alphabet)
+    coeffs = []
+    for i in range(150):
+        word = tuple(rng.randrange(n) for _ in range(4 + (i * 7) % 13))
+        raw = p._straighten({word: 1})
+        assert raw == _reference_normal_form(p, {word: 1})
+        coeffs += raw.values()
+    assert len(coeffs) == 533
+    assert not [c for c in coeffs if type(c) is Fraction and c.denominator == 1]
 
 
 DEBUG_BUILTINS = ("H6", "J", "L", "U_n5", "heis3", "poly(1)", "poly(3)", "qplane(3/2)", "qplane(-1)")
@@ -1077,6 +1095,140 @@ def test_heap_matches_max_scan_on_long_words(monkeypatch):
                     assert _outcome(lambda: p.normal_form(x).terms) == expected, (p.name, x)
 
 
+# ----- the rewrite loop against the one it was made leaner from --------------
+
+
+def _pair_rewrites(p):
+    """The rewrite table the older loop read: a dict by (hi, lo) pair."""
+    n, key = len(p.alphabet), p.rewrite_key
+    return {
+        pair: (None if rel.q == 1 else (rel.q.numerator, rel.q.denominator), tuple(
+            (word, pbw._integral(coeff), *(h - t for h, t in zip(key(pair)[:3], key(word))),
+             pbw._word_code(word, n), n ** len(word))
+            for word, coeff in rel.tail.items()
+        ))
+        for pair, rel in p.relations.items()
+    }
+
+
+def _older_straighten(p, work, ties=None):
+    """Presentation._straighten before the descent-start hint, the flat
+    rewrite table and the code test on contested swaps: each popped word
+    scanned from 0, pairs looked up by tuple, and every contested swap
+    compared as a whole entry.  ties, if given, records per contested swap
+    whose top has the held word's code whether that word is live."""
+    n, weights, psi = len(p.alphabet), p.alphabet.weights, p.psi
+    heap = [(-sum(weights[g] for g in word), -sum(psi[g] for g in word),
+             -len(word), -pbw._word_code(word, n), word) for word in work]
+    heapify(heap)
+    rewrites, out = _pair_rewrites(p), {}
+    budget = term_budget()
+    while heap:
+        kw, kpsi, klen, kcode, word = heappop(heap)
+        coeff = work.pop(word, None)
+        if coeff is None:
+            continue
+        w, size, start, below = list(word), len(word), 0, (kw, kpsi, klen + 1)
+        first, qn, qd = True, 1, 1
+        while True:
+            for pos in range(start, size - 1):
+                if w[pos] > w[pos + 1]:
+                    break
+            else:
+                _acc(out, pbw._word_to_monomial(w, n), pbw._scaled(coeff, qn, qd) if qn != qd else coeff)
+                break
+            hi, lo = w[pos], w[pos + 1]
+            q, tails = rewrites[hi, lo]
+            shift = n ** (size - pos - 2)
+            if tails:
+                if qn != qd:
+                    coeff, qn, qd = pbw._scaled(coeff, qn, qd), 1, 1
+                prefix, suffix = tuple(w[:pos]), tuple(w[pos + 2:])
+                prefix_code, suffix_code = -kcode // (shift * n * n), -kcode % shift
+                for tail_word, tail_coeff, dw, dpsi, dlen, tcode, tscale in tails:
+                    produced = prefix + tail_word + suffix
+                    if produced not in work:
+                        code = (prefix_code * tscale + tcode) * shift + suffix_code
+                        heappush(heap, (kw + dw, kpsi + dpsi, klen + dlen, -code, produced))
+                    product = coeff * tail_coeff
+                    if type(product) is not int:
+                        product = pbw._integral(product)
+                    _acc(work, produced, product)
+            w[pos], w[pos + 1] = lo, hi
+            kcode += (hi - lo) * (n - 1) * shift
+            if q is not None:
+                qn *= q[0]
+                qd *= q[1]
+            held = True
+            if heap and heap[0] < below:
+                swapped = tuple(w)
+                entry = (kw, kpsi, klen, kcode, swapped)
+                if ties is not None and heap[0][3] == kcode:
+                    ties.append(swapped in work)
+                if swapped in work or heap[0] < entry:
+                    if swapped not in work:
+                        heappush(heap, entry)
+                    _acc(work, swapped, pbw._scaled(coeff, qn, qd) if qn != qd else coeff)
+                    held = False
+            if first or tails or not held:
+                if len(work) + held + len(out) > budget:
+                    raise over_budget(len(work) + held + len(out), budget)
+                first = False
+            if not held:
+                break
+            start = pos - 1 if pos and w[pos - 1] > lo else pos + 1
+    return out
+
+
+def _budget_outcomes(straighten, x, monkeypatch):
+    """The terms in order at no budget, then the outcome at budgets 1-64."""
+    monkeypatch.delenv("HOPFKIT_MAX_TERMS", raising=False)
+    outcomes = [list(straighten(dict(x)).items())]
+    for budget in range(1, 65):
+        monkeypatch.setenv("HOPFKIT_MAX_TERMS", str(budget))
+        outcomes.append(_outcome(lambda: straighten(dict(x))))
+    return outcomes
+
+
+def test_straighten_keeps_the_older_loops_order_and_budget_points(monkeypatch):
+    # seeded single words, and rearrangements of one word, whose swaps are
+    # contested; L_heavy's tail c^3 lengthens words past their input length
+    presentations = [builtin(name) for name in EQUIVALENCE_BUILTINS]
+    presentations += [SHARED_CLASS, load_presentation(PRESENTATIONS / "L_heavy.hopf")]
+    rng = random.Random(40)
+    ties = []
+    for p in presentations:
+        n = len(p.alphabet)
+        for _ in range(4):
+            word = [rng.randrange(n) for _ in range(rng.randint(4, 10))]
+            coeffs = [pbw._integral(c) for c in QS]
+            rearranged = {tuple(rng.sample(word, len(word))): rng.choice(coeffs[:2]) for _ in range(3)}
+            for x in ({tuple(word): rng.choice(coeffs)}, rearranged):
+                _older_straighten(p, dict(x), ties)
+                assert _budget_outcomes(p._straighten, x, monkeypatch) == _budget_outcomes(
+                    lambda work: _older_straighten(p, work), x, monkeypatch), (p.name, x)
+    assert set(ties) == {False, True}
+
+
+def test_a_dead_entry_of_the_held_word_leaves_it_held(monkeypatch):
+    # in heis3, y x z (-1) swaps to x y z (1) under the top x z y, merges and
+    # cancels it, leaving a dead entry; x z y (-1) then swaps to x y z, the
+    # heap top's very code, and as x y z is not live it is held, not pushed
+    p = builtin("heis3")
+    x = {(1, 0, 2): -1, (0, 1, 2): 1, (0, 2, 1): -1}
+    ties = []
+    _older_straighten(p, dict(x), ties)
+    assert ties == [False]
+    pushed = []
+    monkeypatch.setattr(pbw, "heappush",
+                        lambda heap, entry: pushed.append(entry[4]) or heappush(heap, entry))
+    assert list(p._straighten(dict(x)).items()) == [((1, 1, 1), -1), ((0, 0, 2), 1)]
+    assert pushed == [(2, 2)]
+    monkeypatch.undo()
+    assert _budget_outcomes(p._straighten, x, monkeypatch) == _budget_outcomes(
+        lambda work: _older_straighten(p, work), x, monkeypatch)
+
+
 def test_a_q_commuting_word_is_rewritten_in_place(monkeypatch):
     # y^20 x^20 in qplane(3/2) takes 400 swaps; each swapped word is the
     # heap's next pop, so all of them happen in place after the first pop
@@ -1094,14 +1246,15 @@ def test_a_q_commuting_word_is_rewritten_in_place(monkeypatch):
 
 @pytest.mark.parametrize(
     "x",
-    [{(-1,): 1}, {(6,): 1}, {(6, 0): 1}, {(0, -1): 1}, "free"],
-    ids=["negative", "past_end", "past_end_first", "negative_second", "free_element"],
+    [{(-1,): 1}, {(6,): 1}, {(6, 0): 1}, {(0, -1): 1}, {(1.0, 0): 1}, {(1, 0.0): 1}, "free"],
+    ids=["negative", "past_end", "past_end_first", "negative_second", "float_first", "float_second",
+         "free_element"],
 )
 def test_out_of_range_letters_rejected(x):
     J = builtin("J")
     if x == "free":  # construction rejects the letter too, so build it raw
         x = FreeElement._raw(J.alphabet, {(-1,): Fraction(1)})
-    with pytest.raises(AlphabetMismatch, match=r"letter (-1|6) "):
+    with pytest.raises(AlphabetMismatch, match=r"letter (-1|6|1\.0|0\.0) "):
         J.normal_form(x)
 
 

@@ -19,11 +19,21 @@ the code, so two checkouts give the same counts and their rates compare
 directly.
 
 nf         rewrite steps per second of Presentation.normal_form, on seeded
-           words of L, J, U_n5, heis3 and qplane(3/2); a counting loop that
+           words of L, J, U_n5, heis3, qplane(3/2) and L_heavy (read from
+           presentations/ beside the source directory), and on J's
+           rearranged row, whose inputs are three rearrangements of one
+           seeded word with coefficients 1 or -1; a counting loop that
            follows the rewrite strategy (the largest live word first, at its
-           leftmost misordered pair) gives the steps and the answers, and
+           leftmost misordered pair) gives the steps and the answers,
            q_swaps, the steps at a pair whose q is not 1: the swaps whose
-           q-powers normal_form gathers per held run.
+           q-powers normal_form gathers per held run, and tail_steps, the
+           steps at a pair with a tail.  Every row reads the flat rewrite
+           table and resumes each popped word at its hint.  The rows of L
+           and L_heavy, whose tail c^3 lengthens words (and in L_heavy
+           lowers their weight), grow the list of powers and push tail
+           words with their hints; the rearranged row's words share weight,
+           psi-weight and length, so nearly all of its swaps are contested
+           and decided on the heap top's code.
 coproduct  basis monomials per second whose Delta the coproduct machine
            builds into its table by monomial id (_Machine.delta), in a
            seeded order, on a fresh presentation per pass; the counit law is
@@ -124,13 +134,16 @@ import random
 import sys
 import time
 
-# (builtin, words, shortest, longest); lengths cycle through the range
+# (row, builtin or presentations/ file, inputs, shortest, longest, rearranged);
+# lengths cycle through the range
 NF_PLAN = (
-    ("L", 150, 4, 16),
-    ("J", 150, 4, 18),
-    ("U_n5", 150, 4, 16),
-    ("heis3", 150, 4, 18),
-    ("qplane(3/2)", 150, 8, 40),
+    ("L", "L", 150, 4, 16, False),
+    ("J", "J", 150, 4, 18, False),
+    ("U_n5", "U_n5", 150, 4, 16, False),
+    ("heis3", "heis3", 150, 4, 18, False),
+    ("qplane(3/2)", "qplane(3/2)", 150, 8, 40, False),
+    ("L_heavy", "L_heavy.hopf", 150, 4, 16, False),
+    ("J rearranged", "J", 100, 10, 16, True),
 )
 # (builtin, weight bound)
 COPRODUCT_PLAN = (("J", 9), ("L", 9))
@@ -144,9 +157,10 @@ PARSE_BUILTINS = ("H6", "J", "L", "U_n5", "heis3", "poly(3)", "qplane(3/2)")
 PARSE_COPIES = 20
 
 
-def counted_normal_form(p, word):
-    """(terms, steps, q_swaps) of one word, by a max() scan over p.rewrite_key."""
-    work, out, steps, q_swaps = {word: 1}, {}, 0, 0
+def counted_normal_form(p, x):
+    """(terms, steps, q_swaps, tail_steps) of a {word: coeff} map, by a max()
+    scan over p.rewrite_key."""
+    work, out, steps, q_swaps, tail_steps = dict(x), {}, 0, 0, 0
     n = len(p.alphabet)
     while work:
         word = max(work, key=p.rewrite_key)
@@ -160,6 +174,7 @@ def counted_normal_form(p, word):
         hi, lo = word[pos], word[pos + 1]
         rel = p.relations[(hi, lo)]
         q_swaps += rel.q != 1
+        tail_steps += bool(rel.tail)
         prefix, suffix = word[:pos], word[pos + 2:]
         produced = [(prefix + (lo, hi) + suffix, rel.q)]
         produced += [(prefix + tail + suffix, c) for tail, c in rel.tail.items()]
@@ -167,7 +182,7 @@ def counted_normal_form(p, word):
             work[new] = work.get(new, 0) + coeff * c
             if not work[new]:
                 del work[new]
-    return {m: c for m, c in out.items() if c}, steps, q_swaps
+    return {m: c for m, c in out.items() if c}, steps, q_swaps, tail_steps
 
 
 def counit_holds(mono, delta, empty):
@@ -194,26 +209,35 @@ def per_s(count, seconds):
 
 
 def nf(hopfkit, rng, repeats):
+    files = os.path.join(os.path.dirname(hopfkit.__path__[0]), os.pardir, "presentations")
     cases = {}
-    for name, count, lo, hi in NF_PLAN:
-        p = hopfkit.builtin(name)
+    for row, name, count, lo, hi, rearranged in NF_PLAN:
+        if name.endswith(".hopf"):
+            p = hopfkit.load_presentation(os.path.join(files, name))
+        else:
+            p = hopfkit.builtin(name)
         n = len(p.alphabet)
         words = [tuple(rng.randrange(n) for _ in range(lo + (i * 7) % (hi - lo + 1)))
                  for i in range(count)]
-        steps = q_swaps = 0
-        for word in words:
-            terms, word_steps, word_q_swaps = counted_normal_form(p, word)
-            if p.normal_form({word: 1}).terms != terms:
-                raise SystemExit(f"normal_form disagrees with the counting loop on {name} {word}")
-            steps += word_steps
-            q_swaps += word_q_swaps
+        if rearranged:
+            xs = [{tuple(rng.sample(word, len(word))): rng.choice((1, -1)) for _ in range(3)}
+                  for word in words]
+        else:
+            xs = [{word: 1} for word in words]
+        counts = {"inputs": count, "steps": 0, "q_swaps": 0, "tail_steps": 0}
+        for x in xs:
+            terms, *steps = counted_normal_form(p, x)
+            if p.normal_form(x).terms != terms:
+                raise SystemExit(f"normal_form disagrees with the counting loop on {row} {x}")
+            for key, value in zip(("steps", "q_swaps", "tail_steps"), steps):
+                counts[key] += value
 
         def straighten():
-            for word in words:
-                p.normal_form({word: 1})
+            for x in xs:
+                p.normal_form(x)
 
         best = min(cpu(straighten)[1] for _ in range(repeats))
-        cases[name] = ({"words": count, "steps": steps, "q_swaps": q_swaps}, best)
+        cases[row] = (counts, best)
     return cases, (("steps", "steps_per_s"),)
 
 
