@@ -996,6 +996,19 @@ def signature(p, weight_bound):
     are nested, so a level that runs its products to the end has the
     full product span of every earlier level inside it.
 
+    Each S_a's back-substituted basis is split into N_a, its rows at the
+    pivots that S_{a-1}'s rows lack, and O_a, the rest.  Nested spaces
+    have nested reduced-echelon pivot sets over the same columns, so N_a
+    is a complement of S_{a-1} in S_a.  Level n feeds N_{n-q} N_q for
+    every q first, then N_{n-q} O_q, then O_{n-q} S_q, which together are
+    every pair of S_{n-q} x S_q.  The feeding order changes no count:
+    the early-stop argument above holds in any order.  Since
+    S_a = S_{a-1} + N_a, S_{n-q} S_q lies in N_{n-q} N_q + C_{n-1}: the
+    new pairs carry what lies beyond C_{n-1}, so they come first.  At a
+    level's end only N_n is inserted: the echelon already spans S_{n-1},
+    so the span, and every later value of `explained`, is the same as
+    with all of S_n.
+
     p must be a Hopf algebra, as for primitive_space: when Delta is not an
     algebra map the levels and their counts decide nothing, and are
     returned unchecked.
@@ -1010,12 +1023,18 @@ def signature(p, weight_bound):
         column[w] = col
     known = len(column)
     # bases[n] = basis of S_n, each element its primitive integer row as
-    # (id, coeff) pairs: a basis vector's scale changes no span
-    bases = [[]]
+    # (id, coeff) pairs: a basis vector's scale changes no span; news[n]
+    # holds its rows at the pivots S_{n-1} lacks, N_n, and olds[n] the rest
+    bases, news, olds = [[]], [[]], [[]]
+    lower = {}
     for level in chain:
         level._elim.back_substitute()
         rows = level._elim.rows
-        bases.append([[(ids[c], v) for c, v in rows[pivot].items()] for pivot in sorted(rows)])
+        pivots = sorted(rows)
+        bases.append([[(ids[c], v) for c, v in rows[pivot].items()] for pivot in pivots])
+        news.append([b for pivot, b in zip(pivots, bases[-1]) if pivot not in lower])
+        olds.append([b for pivot, b in zip(pivots, bases[-1]) if pivot in lower])
+        lower = rows
     elim = _Echelon()
     explained = 0
 
@@ -1030,7 +1049,13 @@ def signature(p, weight_bound):
     top = len(chain)
     for n in range(1, top + 1):
         dim = chain[n - 1].dim
-        products = ((b1, b2) for q in range(1, n) for b1 in bases[n - q] for b2 in bases[q])
+        products = (
+            (b1, b2)
+            for left, right in ((news, news), (news, olds), (olds, bases))
+            for q in range(1, n)
+            for b1 in left[n - q]
+            for b2 in right[q]
+        )
         for b1, b2 in products:
             if explained == dim:
                 break
@@ -1044,7 +1069,7 @@ def signature(p, weight_bound):
         if count > 0:
             entries.extend([n] * count)
             by_level.append((n, count))
-        for b in bases[n]:
+        for b in news[n]:
             insert(b)
     gk = None
     degree = max(10, 2 * weight_bound)

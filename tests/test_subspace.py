@@ -25,7 +25,7 @@ from hopfkit import (
 from hopfkit.errors import WindowTooSmall
 from hopfkit.pbw import Presentation
 from hopfkit.subspace import Subspace, _Echelon
-from hopfkit.freealg import _acc
+from hopfkit.freealg import _acc, _one_budget
 
 from strategies import nilpotent_lie_algebras
 
@@ -1071,6 +1071,142 @@ def test_one_sided_chain_matches_references_on_rescaled_j():
     assert [str(b) for b in chain[0].basis()] == ["a", "b", "c", "c^3 - 5/2 d"]
 
 
+def _unipotent_coordinate_ring(n):
+    """O(U_n) (Waterhouse, 1979): commuting x_ij for i < j, of weight
+    j - i, with Delta(x_ij) = x_ij (x) 1 + 1 (x) x_ij + the sum of
+    x_ik (x) x_kj over i < k < j.  Its signature is the weights."""
+    gens = [(i, i + d) for d in range(1, n) for i in range(1, n - d + 1)]
+    lines = [f"name: O_U{n}", "generators: " + " ".join(f"x{i}{j}:{j - i}" for i, j in gens)]
+    for i, j in gens:
+        if j - i > 1:
+            tail = "".join(f" + x{i}{k} (x) x{k}{j}" for k in range(i + 1, j))
+            lines.append(f"delta: x{i}{j} = x{i}{j} (x) 1 + 1 (x) x{i}{j}{tail}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "make,bound,entries",
+    [(lambda: load_presentation(PRESENTATIONS / "r2k3.hopf"), 5, (1,) * 5),
+     (lambda: parse_presentation(_unipotent_coordinate_ring(4)), 6, (1, 1, 1, 2, 2, 3)),
+     (lambda: parse_presentation(_unipotent_coordinate_ring(5)), 6, (1, 1, 1, 1, 2, 2, 2, 3, 3, 4))],
+    ids=["r2k3", "O(U_4)", "O(U_5)"],
+)
+def test_signature_matches_references_past_the_builtins(make, bound, entries):
+    # r2k3's tail x2 of x2 x1 = x1 x2 - x2 has lower weight, so a level's
+    # new rows, those at the pivots the level below lacks, are no weight
+    # block; O(U_n) has generators past level 2, whose levels run their
+    # products to the end, through the pairs with an old row
+    _, sig = _assert_matches_references(make(), bound)
+    assert sig.entries == entries and sig.complete
+
+
+B0 = Path(__file__).resolve().parent / "presentations" / "b0.hopf"
+
+
+@_one_budget()
+def _older_signature(p, bound):
+    """signature's (entries, by_level) as it fed its products before the
+    split: each level n feeds every S_{n-q} S_q for q = 1, 2, ... in pivot
+    order until explained == dim S_n, then inserts all of S_n's basis."""
+    from hopfkit.subspace import _coradical_chain
+
+    chain = _coradical_chain(p, bound)
+    ids = chain[0].index.ids() if chain else []
+    column = [-1 - w for w in range(len(p._monos))]
+    for col, w in enumerate(reversed(ids)):
+        column[w] = col
+    known = len(column)
+    bases = [[]]
+    for level in chain:
+        level._elim.back_substitute()
+        rows = level._elim.rows
+        bases.append([[(ids[c], v) for c, v in rows[pivot].items()] for pivot in sorted(rows)])
+    elim = _Echelon()
+    explained = 0
+
+    def insert(terms):
+        nonlocal explained
+        pivot = elim.insert({column[w] if w < known else -1 - w: v for w, v in terms})
+        if pivot is not None and pivot >= 0:
+            explained += 1
+
+    entries, by_level = [], []
+    for n in range(1, len(chain) + 1):
+        dim = chain[n - 1].dim
+        products = ((b1, b2) for q in range(1, n) for b1 in bases[n - q] for b2 in bases[q])
+        for b1, b2 in products:
+            if explained == dim:
+                break
+            insert(p._multiply_ids(b1, b2).items())
+        count = dim - explained
+        if count > 0:
+            entries.extend([n] * count)
+            by_level.append((n, count))
+        for b in bases[n]:
+            insert(b)
+    return tuple(entries), tuple(by_level)
+
+
+SIGNATURE_CASES = {"L 6": (lambda: builtin("L"), 6), "L 9": (lambda: builtin("L"), 9),
+                   "J 8": (lambda: builtin("J"), 8), "H6 8": (lambda: builtin("H6"), 8),
+                   "U_n5 7": (lambda: builtin("U_n5"), 7), "b0 6": (lambda: load_presentation(B0), 6),
+                   "O(U_4) 6": (lambda: parse_presentation(_unipotent_coordinate_ring(4)), 6)}
+
+
+def _signature_outcome(run, make, bound):
+    """(entries, by_level) of run on a fresh presentation, or the budget error's text."""
+    from hopfkit.errors import BudgetExceeded
+
+    try:
+        return run(make(), bound)
+    except BudgetExceeded as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("case", SIGNATURE_CASES)
+def test_signature_keeps_the_older_orders_counts_and_budget_points(case, monkeypatch):
+    """Feeding the new x new products first and inserting only each
+    level's new rows change no count, and no outcome at budgets 1-64:
+    each run gets a fresh presentation, so no table entry is inherited."""
+    make, bound = SIGNATURE_CASES[case]
+
+    def settled(p, bound):
+        sig = signature(p, bound)
+        return sig.entries, sig.by_level
+
+    monkeypatch.delenv("HOPFKIT_MAX_TERMS", raising=False)
+    assert settled(make(), bound) == _older_signature(make(), bound)
+    for budget in range(1, 65):
+        monkeypatch.setenv("HOPFKIT_MAX_TERMS", str(budget))
+        older = _signature_outcome(_older_signature, make, bound)
+        assert _signature_outcome(settled, make, bound) == older, (case, budget)
+
+
+@pytest.mark.parametrize(
+    "make,bound,products,older",
+    [(lambda: builtin("L"), 9, 809, 2693), (lambda: builtin("J"), 9, 3955, 11308),
+     (lambda: parse_presentation(_unipotent_coordinate_ring(4)), 6, 1152, 2583),
+     (lambda: parse_presentation(_unipotent_coordinate_ring(5)), 6, 4487, 8272)],
+    ids=["L 9", "J 9", "O(U_4) 6", "O(U_5) 6"],
+)
+def test_signature_feeds_fewer_products_than_the_older_order(make, bound, products, older, monkeypatch):
+    # the pinned counts move only with the feeding order; re-pin on purpose.
+    # L and J stop every level with no generator inside the new x new
+    # pairs; O(U_n)'s levels past 2 run on through the pairs with old rows
+    counts = []
+    multiply_ids = Presentation._multiply_ids
+
+    def counting(self, xs, ys):
+        counts[-1] += 1
+        return multiply_ids(self, xs, ys)
+
+    monkeypatch.setattr(Presentation, "_multiply_ids", counting)
+    for run in (signature, _older_signature):
+        counts.append(0)
+        run(make(), bound)
+    assert counts == [products, older]
+
+
 def _assert_primitives_match_reference(p, bound):
     """primitive_space, built weight by weight, equals the reference's
     first level, which reads every term: the same pivots, basis for basis."""
@@ -1468,17 +1604,13 @@ def test_chain_matches_the_reference_on_a_correction_of_x_by_y(source):
     # z is no primitive: its correction x (x) y (in b0, h (x) e - e (x) h)
     # puts terms with a left leg at a pivot of S_1 into every coproduct
     # with z in it; the chain must equal the two-sided reference level for
-    # level, basis for basis, with dimensions 1, 3, 7, ..., 95 at window 8
-    from hopfkit.subspace import _coradical_chain
-
+    # level, basis for basis, with dimensions 1, 3, 7, ..., 95 at window 8,
+    # and the signature, whose new rows are then no weight block, its
+    # reference
     if source == "b0":
-        p = load_presentation(Path(__file__).resolve().parent / "presentations" / "b0.hopf")
+        p = load_presentation(B0)
     else:
         p = parse_presentation(_zhuang_a(*source))
         assert p.name == "A_" + "_".join(str(v).replace("-", "m") for v in source)
-    chain, reference = _coradical_chain(p, 8), _reference_chain(p, 8)
-    assert [s.dim for s in chain] == [s.dim for s in reference]
-    for level, ref in zip(chain, reference):
-        assert level.pivots() == ref.pivots()
-        assert [b.terms for b in level.basis()] == [b.terms for b in ref.basis()]
+    _assert_matches_references(p, 8)
     assert coradical_levels(p, 8).dims == (1, 3, 7, 13, 22, 34, 50, 70, 95)

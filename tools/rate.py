@@ -111,7 +111,13 @@ center     truncation centers per second (Truncation.center) of U_n5/I^6 at
 signature  window monomials per second of signature on H6 at window 9, J
            at window 10 and L at window 11, with the window's size; the
            entries must be (1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 2, 2) and
-           (1, 1, 1, 2, 2), the generator levels of each algebra.
+           (1, 1, 1, 2, 2), the generator levels of each algebra.  Counted
+           on a separate, untimed pass: products, the products of basis
+           rows that signature feeds (Presentation._multiply_ids calls),
+           and inserts, the vectors it inserts into its own echelon
+           (_Echelon.insert calls, products and level rows both; the
+           coradical chain's inserts are not counted).  They move with the
+           code.
 parse      presentations per second of parse_presentation, on the dump of
            each builtin and on each presentations/*.hopf beside the source
            directory, PARSE_COPIES parses per case and pass; every text
@@ -377,6 +383,43 @@ def coradical(hopfkit, rng, repeats):
     return cases, (("levels", "levels_per_s"),)
 
 
+def signature_counts(hopfkit, p, bound):
+    """(products, inserts) of one signature call, on an untimed pass.
+
+    products counts the presentation's _multiply_ids calls; inserts counts
+    the _Echelon.insert calls outside the coradical chain, which signature
+    builds first and whose levels insert their own kernel elements.
+    """
+    from hopfkit import subspace
+
+    counts = [0, 0]
+    multiply, insert, chain = p._multiply_ids, subspace._Echelon.insert, subspace._coradical_chain
+
+    def counted_multiply(xs, ys):
+        counts[0] += 1
+        return multiply(xs, ys)
+
+    def counted_insert(elim, vec, tag=None):
+        counts[1] += 1
+        return insert(elim, vec, tag)
+
+    def uncounted_chain(p, bound):
+        subspace._Echelon.insert = insert
+        try:
+            return chain(p, bound)
+        finally:
+            subspace._Echelon.insert = counted_insert
+
+    p._multiply_ids, subspace._Echelon.insert, subspace._coradical_chain = (
+        counted_multiply, counted_insert, uncounted_chain)
+    try:
+        hopfkit.signature(p, bound)
+    finally:
+        del p._multiply_ids
+        subspace._Echelon.insert, subspace._coradical_chain = insert, chain
+    return counts
+
+
 def signature(hopfkit, rng, repeats):
     entries = {f"{name}@{bound}": want for (name, bound), want in SIGNATURE_PLAN.items()}
 
@@ -384,7 +427,9 @@ def signature(hopfkit, rng, repeats):
         report, elapsed = cpu(hopfkit.signature, p, bound)
         if report.entries != entries[key]:
             raise SystemExit(f"{key}: signature {report}, not {entries[key]}")
-        return {"window": len(monos), "entries": len(report.entries)}, elapsed
+        products, inserts = signature_counts(hopfkit, p, bound)
+        return {"window": len(monos), "entries": len(report.entries), "products": products,
+                "inserts": inserts}, elapsed
 
     cases = fresh_windows(hopfkit, SIGNATURE_PLAN, rng, repeats, run)
     return cases, (("window", "monomials_per_s"),)
