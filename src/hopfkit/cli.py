@@ -11,6 +11,7 @@ identity is reported, but S^2 = Id is no Hopf axiom, so check exits 0.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -422,6 +423,7 @@ def cmd_dump_builtin(args, rep, label, p):
 # ----- parser -----------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves it as it was: an append copies its default first
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hopfkit",

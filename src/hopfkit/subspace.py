@@ -609,12 +609,12 @@ class _CoradicalState:
 
     U grows weight by weight during level 1 (_primitives), and V with it;
     when V grows, the machine is replaced by one cut to the larger V, and
-    each tuple read again, at a restart of level 1 or by the image pass
-    after it, is built again by it.  A tuple cut to a larger V than a
-    level needs is harmless, since _images reads only the left legs that
-    have an offset in left.  left gains U's new pivots at the end of each
-    weight, the top weight included, so it ends level 1 holding every
-    pivot of S_1, and V holds them too.
+    each tuple read again at a restart of level 1 is built again by it.
+    A tuple cut to a larger V than a level needs is harmless, since
+    _images reads only the left legs that have an offset in left.  left
+    gains U's new pivots at the end of each weight, the top weight
+    included, so it ends level 1 holding every pivot of S_1, and V holds
+    them too.
 
     A cut tuple is the flat tuple (u0, v0, c0, u1, ...) of the
     presentation's monomial ids and coefficients, three entries per term,
@@ -650,9 +650,9 @@ class _CoradicalState:
                 self._tails.append((hi, lo, letters, weights[hi] + weights[lo] - p.word_weight(word)))
         self._dropped = 0  # terms of the cut tuples dropped when V grew
         self._grow([0])
-        self.echelon = None  # E, the images of S_1's non-pivots, set past level 1
+        self.echelon = None  # E, level 1's echelon: the images of S_1's non-pivots
         self.updates = []  # per level past 1: (rows reduced, rows inserted again)
-        self.restarts = []  # weights at which level 1 started its elimination over
+        self.restarts = []  # per restart of level 1's elimination, the first weight the fresh one serves
         self.chain = []
         self.stable = False
 
@@ -766,11 +766,11 @@ class _CoradicalState:
         Past level 1, E = D and U = the pivots of S_1.  Write phi(x) for
         the sum of c v placed in block u, over the terms c u (x) v of
         delta x with u in U, and kappa_n for the remainder modulo S_n in
-        every block: x is in S_{n+1} iff kappa_n phi(x) = 0.  The images
-        phi of S_1's non-pivots, tagged by position, go once into one
-        echelon E, the image pass, whose kernel is empty: S_1 meets the
-        span of its non-pivots in 0.  Level n+1 reduces each row of E
-        modulo S_n and inserts again the rows whose pivot that clears;
+        every block: x is in S_{n+1} iff kappa_n phi(x) = 0.  E is level
+        1's echelon, which ends holding the images phi of S_1's
+        non-pivots, tagged by position (see _primitives), one row each, as
+        S_1 meets their span in 0.  Level n+1 reduces each row of E modulo
+        S_n and inserts again the rows whose pivot that clears;
         those that reduce to a zero image give its kernel, their tags
         (_update).  This is correct because the remainder modulo S_n is
         linear and canonical, so a row holding kappa_{n-1} phi(t), t its
@@ -790,16 +790,7 @@ class _CoradicalState:
         call takes E one level on: next_level calls it once per level.
         """
         budget = term_budget()
-        if not self.chain:
-            return self._primitives(budget)
-        if self.echelon is None:  # the image pass
-            pivots, self.echelon = self.chain[0]._elim.rows, _Echelon()
-            self._images(self.echelon, (self._coproduct(pos) for pos in range(1, len(self.index))
-                                        if pos not in pivots), budget)
-            if self.echelon.kernel:
-                raise AssertionError(f"coradical chain: the images of S_1's non-pivots have a "
-                                     f"kernel of dimension {len(self.echelon.kernel)}")
-        return self._update(budget)
+        return self._update(budget) if self.chain else self._primitives(budget)
 
     def _update(self, budget):
         """Reduce E's rows modulo the last level S_n, block by block; returns the kernel tags found.
@@ -832,30 +823,27 @@ class _CoradicalState:
         return elim.kernel
 
     def _primitives(self, budget):
-        """Kernel tags of level 1, S_1 = P(D), found weight by weight.
+        """Kernel tags of level 1, S_1 = P(D), found weight by weight; its echelon becomes E.
 
         At each weight w, U is the set of pivots of P(D_{<w}), the tags
         found so far, and the left legs read are U's (see kernel).  One
         elimination serves while U stays the same, and each weight's
-        monomials are inserted into it; once U grows, its rows lack the
-        new columns and could declare false primitives, so a fresh one
-        is fed again every monomial of weight < w that is no pivot of U.
-        Those monomials span a complement of P(D_{<w}), so the tags found
-        at weight w complete it to P(D_{<=w}).  The new pivots enter left
-        and V at the end of their weight, the top weight's too, which
-        only the later levels read.
+        monomials are inserted into it.  The new pivots enter left and V
+        at the end of their weight, the top weight's too; rows held then
+        lack the new columns and could declare false primitives, so a
+        fresh elimination, recorded as a restart at w + 1, is fed again
+        every monomial of weight <= w that is no pivot of U.  They span a
+        complement of P(D_{<=w}), so their images have no kernel.  After
+        the last restart every row is inserted under U = S_1's pivots, so
+        the elimination ends holding the images of S_1's non-pivots, in
+        window order: E.
         """
         ids, size, left = self.ids, len(self.index), self.left
         weight = self.index.pres.mono_weight
         found = _Echelon()  # the primitives found so far
-        elim, fed, tags, new = _Echelon(), [], [], []
+        elim, fed, tags = _Echelon(), [], []
         self.restarts = []
         for w, group in groupby(enumerate(self.aug, 1), lambda pair: weight(pair[1])):
-            if new and elim.rows:
-                self.restarts.append(w)
-                elim = _Echelon()
-                fed = [pos for pos in fed if pos not in found.rows]
-                self._images(elim, map(self._coproduct, fed), budget)
             group = [pos for pos, _ in group]
             fed += group
             start = len(elim.kernel)
@@ -867,6 +855,15 @@ class _CoradicalState:
             for pivot in new:
                 left[ids[pivot]] = pivot * size
             self._grow(ids[pivot] for pivot in new)
+            if new and elim.rows:
+                self.restarts.append(w + 1)
+                elim = _Echelon()
+                fed = [pos for pos in fed if pos not in found.rows]
+                self._images(elim, map(self._coproduct, fed), budget)
+                if elim.kernel:
+                    raise AssertionError(f"coradical chain: the images of the non-pivots of weight "
+                                         f"<= {w} have a kernel of dimension {len(elim.kernel)}")
+        self.echelon = elim
         return tags
 
     def _images(self, elim, coproducts, budget):

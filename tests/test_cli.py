@@ -41,6 +41,18 @@ def test_check_passes_for_j(capsys):
     assert kv["check.ok"] == "true"
 
 
+def test_main_builds_one_parser_and_each_call_sees_only_its_sources(capsys):
+    # every call parses with the same parser; a --builtin or --file that
+    # one call appends must not reach the next
+    assert cli.build_parser() is cli.build_parser()
+    for flag, source, name in [("--builtin", "J", "J"), ("--file", str(PRESENTATIONS / "L5_2.hopf"), "L5_2"),
+                               ("--builtin", "L", "L")]:
+        code, out, err = run(capsys, "primitives", flag, source, "--weight-bound", "2")
+        assert (code, err) == (0, ""), (flag, err)
+        assert out.startswith(f"primitives of {name} up to weight 2: "), out
+    assert cli.build_parser().parse_args(["nf", "--expr", "a"]).sources == []
+
+
 def test_check_reports_dropped_correction(capsys):
     code, out, err = run(
         capsys, "check", "--builtin", "J", "--corrupt", "drop-dd-correction",

@@ -488,22 +488,23 @@ def _recorded_reads(monkeypatch, p, bound):
     return state, reads
 
 
-def test_levels_past_the_first_read_only_left_legs_at_the_primitive_pivots(monkeypatch):
-    # past level 1 the one image pass reads the coproducts cut to V at the
-    # offsets of the pivots of S_1; at J 9 the pivots are a, b, c and c^3,
-    # one of them no letter, and it reads 4,578 of the window's 56,658
-    # terms; the levels past 2 read none; the chain builds 10,465 terms
-    # cut to V, rebuilds included, not the 56,658 of the machine's tuples
+def test_levels_past_the_first_read_no_coproduct_term(monkeypatch):
+    # level 1 reads the coproducts cut to V at the offsets of the pivots
+    # it has found; at J 9 those of S_1 are a, b, c and c^3, one of them
+    # no letter, and it reads 4,628 of the window's 56,658 terms, counted
+    # again where it starts over; the levels past 1 update its echelon
+    # and read none; the chain builds 10,465 terms cut to V, rebuilds
+    # included, not the 56,658 of the machine's tuples
     J = builtin("J")
     state, reads = _recorded_reads(monkeypatch, J, 9)
     assert state.built_terms == 10465
-    assert len(state.chain) == 9 and len(reads) == 2
+    assert len(state.chain) == 9 and len(reads) == 1
     pivots = state.chain[0].pivots()
     assert [state.index.monomials[pos] for pos in pivots] == [
         (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 3, 0, 0, 0)
     ]
-    assert len(reads[1]) == 4578
-    assert {state.position[u] for u in reads[1]} <= set(pivots)
+    assert len(reads[0]) == 4628
+    assert {state.position[u] for u in reads[0]} <= set(pivots)
     assert coradical_levels(J, 9).dims[-1] == len(state.index)
 
 
@@ -574,16 +575,18 @@ def test_level_one_starts_over_before_rows_miss_a_lighter_pivot():
 
 def test_later_levels_read_the_pivots_found_at_the_top_weight(monkeypatch):
     # at window 3 the primitive a^2 + z is found at weight 3, the top
-    # weight, with the lighter pivot a^2; the image pass after level 1
-    # must read the left leg a^2 as well as a, so left and V take in the
-    # top weight's pivots when level 1 ends; level 3 reads no term
+    # weight, with the lighter pivot a^2, while level 1 holds rows; the
+    # echelon the later levels update must read the left leg a^2 as well
+    # as a, so level 1 starts over at the end of the top weight too, with
+    # a^2 in left and V, and feeds a^3 and z again, reading 3 of their
+    # terms where it read 2; the levels past 1 read no term
     from hopfkit.subspace import _coradical_chain
 
     p = parse_presentation(NESTED)
     state, reads = _recorded_reads(monkeypatch, p, 3)
     assert [str(b) for b in state.chain[0].basis()] == ["a", "a^2 + z"]
-    assert len(state.chain) == 3
-    assert [len(level) for level in reads] == [3, 3]
+    assert len(state.chain) == 3 and state.restarts == [4]
+    assert [len(level) for level in reads] == [6]
     assert state.built_terms == 7
     chain, reference = _coradical_chain(p, 3), _reference_chain(p, 3)
     assert [b.terms for s in chain for b in s.basis()] == [b.terms for s in reference for b in s.basis()]
@@ -591,7 +594,7 @@ def test_later_levels_read_the_pivots_found_at_the_top_weight(monkeypatch):
 
 
 def test_primitive_space_never_builds_the_later_levels(monkeypatch):
-    # the later levels run through kernel past level 1 and build the
+    # the later levels run through kernel past level 1 and update the
     # state's echelon of images; primitive_space does neither
     from hopfkit import subspace
 
@@ -602,17 +605,13 @@ def test_primitive_space_never_builds_the_later_levels(monkeypatch):
             raise AssertionError("a later level")
         return kernel(self)
 
-    def store(self, echelon):
-        if echelon is not None:
-            raise AssertionError("a later level")
-        self.__dict__["echelon"] = echelon
+    def update(self, budget):
+        raise AssertionError("a later level")
 
     J = builtin("J")
-    patches = [("kernel", first_level_only),
-               ("echelon", property(lambda self: self.__dict__["echelon"], store))]
-    for name, patch in patches:
+    for name, patch in [("kernel", first_level_only), ("_update", update)]:
         with monkeypatch.context() as patched:
-            patched.setattr(State, name, patch, raising=False)
+            patched.setattr(State, name, patch)
             assert [str(b) for b in primitive_space(J, 9).basis()] == ["a", "b", "c", "c^3 - 3d"]
             with pytest.raises(AssertionError, match="a later level"):
                 coradical_levels(J, 9)
@@ -1293,9 +1292,8 @@ def test_coradical_kernel_keeps_the_term_budget(monkeypatch):
 
 
 def test_a_later_level_holds_its_reduced_rows_to_the_term_budget(monkeypatch):
-    """At J 8 no image of level 1 or of the image pass after it has more
-    than 11 terms, but level 6 reduces a row of the echelon of images to
-    12: under budget 11 the chain stops there, in _update, with the
+    """At J 8 no image of level 1 has more than 11 terms, but level 6
+    reduces a row of the echelon of images to 12: under budget 11 the chain stops there, in _update, with the
     standard message, and under budget 12 it runs to its end."""
     from hopfkit.errors import BudgetExceeded
 
@@ -1314,20 +1312,28 @@ def test_a_later_level_holds_its_reduced_rows_to_the_term_budget(monkeypatch):
     assert (1,) + tuple(s.dim + 1 for s in fits.chain) == dims
 
 
-def test_the_image_pass_raises_when_s1_misses_a_primitive():
-    # the images of S_1's non-pivots have no kernel, as S_1 meets their
-    # span in 0; a level 1 that lost the row of c^3 - 3d feeds the pivot
-    # c^3, and the primitive c^3 - 3d must trip the check
+def test_a_restart_raises_when_its_images_have_a_kernel(monkeypatch):
+    # the non-pivots a restart of level 1 feeds span a complement of the
+    # primitives found, so their images have no kernel; J 6 starts over at
+    # the end of weight 3, and a restart that reads its first coproduct,
+    # a^2's, as empty feeds a zero image, which must trip the check
     from hopfkit.subspace import _CoradicalState
 
+    images = _CoradicalState._images
+
+    def emptied(self, elim, coproducts, budget):
+        if self.restarts and not elim.rows:  # the restart's fresh elimination
+            (pos, _, factor), *rest = coproducts
+            assert self.index.monomials[pos] == (2, 0, 0, 0, 0, 0)
+            coproducts = [(pos, (), factor), *rest]
+        images(self, elim, coproducts, budget)
+
+    monkeypatch.setattr(_CoradicalState, "_images", emptied)
     state = _CoradicalState(builtin("J"), 6)
-    state.next_level()
-    rows = state.chain[0]._elim.rows
-    assert state.index.monomials[max(rows)] == (0, 0, 3, 0, 0, 0)
-    del rows[max(rows)]
-    with pytest.raises(AssertionError, match=r"^coradical chain: the images of S_1's non-pivots "
-                                             r"have a kernel of dimension 1$"):
+    with pytest.raises(AssertionError, match=r"^coradical chain: the images of the non-pivots of "
+                                             r"weight <= 3 have a kernel of dimension 1$"):
         state.next_level()
+    assert state.restarts == [4]
 
 
 def test_coradical_and_signature_read_the_variable_once(monkeypatch):
@@ -1614,3 +1620,58 @@ def test_chain_matches_the_reference_on_a_correction_of_x_by_y(source):
         assert p.name == "A_" + "_".join(str(v).replace("-", "m") for v in source)
     _assert_matches_references(p, 8)
     assert coradical_levels(p, 8).dims == (1, 3, 7, 13, 22, 34, 50, 70, 95)
+
+
+# ----- level 1's echelon is the one the later levels update ------------------
+
+
+def _image_pass_rows(state):
+    """The rows, in dict order, of the echelon of images as the chain once
+    built it after level 1, from scratch: a fresh elimination fed the
+    coproducts of S_1's non-pivots in window order, under the final left
+    and V, with no kernel."""
+    from hopfkit.freealg import term_budget
+
+    pivots, elim = state.chain[0]._elim.rows, _Echelon()
+    state._images(elim, (state._coproduct(pos) for pos in range(1, len(state.index))
+                         if pos not in pivots), term_budget())
+    assert not elim.kernel
+    return list(elim.rows.items())
+
+
+def _assert_level_one_keeps_the_image_pass(p, bound):
+    from hopfkit.subspace import _CoradicalState
+
+    state = _CoradicalState(p, bound)
+    state.next_level()
+    assert list(state.echelon.rows.items()) == _image_pass_rows(state), (p.name, bound)
+    return state
+
+
+@pytest.mark.parametrize(
+    "make,bound",
+    [(lambda: builtin("J"), 9), (lambda: builtin("J"), 11), (lambda: builtin("L"), 9),
+     (lambda: builtin("H6"), 8), (lambda: builtin("U_n5"), 7),
+     (lambda: parse_presentation(NESTED), 3), (lambda: parse_presentation(NESTED), 6),
+     (lambda: load_presentation(B0), 8), (lambda: load_presentation(PRESENTATIONS / "r2k3.hopf"), 8),
+     (lambda: load_presentation(PRESENTATIONS / "L_heavy.hopf"), 10),
+     *((lambda member=member: parse_presentation(_zhuang_a(*member)), 8) for member in ZHUANG_A[:3])],
+    ids=["J 9", "J 11", "L 9", "H6 8", "U_n5 7", "NESTED 3", "NESTED 6", "b0 8", "r2k3 8",
+         "L_heavy 10", *(f"A{member} 8" for member in ZHUANG_A[:3])],
+)
+def test_level_one_ends_with_the_echelon_of_images(make, bound):
+    # level 1's elimination after its last restart is the echelon the
+    # later levels update, row for row and in the same order
+    _assert_level_one_keeps_the_image_pass(make(), bound)
+
+
+def test_level_one_ends_with_the_echelon_of_images_on_enveloping_algebras():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(derandomize=True, max_examples=20, deadline=None)
+    @hypothesis.given(nilpotent_lie_algebras())
+    def check(algebra):
+        p, degrees = algebra
+        _assert_level_one_keeps_the_image_pass(p, max(degrees) + 2)
+
+    check()

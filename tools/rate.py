@@ -59,9 +59,8 @@ antipode   basis monomials per second on which solve_antipode verifies the
 coradical  levels per second of the coradical chain (coradical_levels),
            the chain's own coproduct build included; the top level must
            hold the whole window, as its PBW basis counts it.
-           level1_terms and image_terms are the reduced-coproduct terms
-           the chain reads at level 1 and in the one image pass after it,
-           which builds the echelon of images that every later level
+           level1_terms are the reduced-coproduct terms the chain reads,
+           all at level 1, whose echelon of images every later level
            updates in place, reading no term; they are counted on a
            separate, untimed pass.  Level 1 builds the primitives weight
            by weight and starts its elimination over level1_restarts
@@ -346,20 +345,20 @@ def antipode(hopfkit, rng, repeats):
 def kernel_reads(p, bound):
     """(reads, restarts, state) of the coradical chain, on an untimed pass.
 
-    reads holds the coproduct terms read at level 1 and in the image pass
-    after it: those whose left leg has a column offset in the state's
-    left, counted again each time level 1 starts its elimination over;
-    restarts is how many times it does, and state is the chain's state
-    at its end.
+    reads counts the coproduct terms the chain reads, all at level 1:
+    those whose left leg has a column offset in the state's left, counted
+    again each time level 1 starts its elimination over; restarts is how
+    many times it does, and state is the chain's state at its end.
     """
     from hopfkit.subspace import _CoradicalState
 
-    state, reads = _CoradicalState(p, bound), [0, 0]
+    state, reads = _CoradicalState(p, bound), 0
     images = state._images
 
     def counted(elim, coproducts, budget):
+        nonlocal reads
         coproducts = list(coproducts)
-        reads[len(state.chain)] += sum(state.left[u] is not None for _, terms, _ in coproducts for u in terms[0::3])
+        reads += sum(state.left[u] is not None for _, terms, _ in coproducts for u in terms[0::3])
         images(elim, coproducts, budget)
 
     state._images = counted
@@ -375,7 +374,7 @@ def coradical(hopfkit, rng, repeats):
             raise SystemExit(f"{key}: top level {report.dims[-1]}, window {len(monos)}")
         reads, restarts, state = kernel_reads(p, bound)
         return {"levels": report.levels, "dim": report.dims[-1], "built_terms": state.built_terms,
-                "level1_terms": reads[0], "level1_restarts": restarts, "image_terms": reads[1],
+                "level1_terms": reads, "level1_restarts": restarts,
                 "rows_reduced": [reduced for reduced, _ in state.updates],
                 "rows_reinserted": [moved for _, moved in state.updates]}, elapsed
 
