@@ -173,7 +173,10 @@ class _Echelon:
     entries at later pivot columns until back_substitute() clears them.
     Remainders are canonical either way, because reduction clears the
     pivot columns in increasing order and a vector of the span is fixed
-    by its pivot coordinates.
+    by its pivot coordinates.  A stored row is never edited, so echelons
+    may share rows; E, the coradical chain's echelon of images, is the one
+    whose rows _CoradicalState._update and _clear_blocks edit, and it
+    shares no row.
 
     Reduction is fraction-free: at pivot p, with a = vec[p], r = row[p]
     and g = gcd(a, r), vec becomes (r/g) vec - (a/g) row, and a running
@@ -283,7 +286,7 @@ class _Echelon:
         return {c: Fraction(v, lead) for c, v in row.items()}
 
     def back_substitute(self):
-        """Clear every row at the other pivot columns, in place.
+        """Clear every row at the other pivot columns, replacing each row that changes.
 
         Rows are done from the largest pivot down, so each row used for
         clearing is already reduced and brings in no pivot column; a
@@ -291,13 +294,13 @@ class _Echelon:
         """
         rows = self.rows
         for pivot in sorted(rows, reverse=True):
-            row = rows[pivot]
-            cols = [c for c in row if c != pivot and c in rows]
-            for col in cols:
-                a, r = row[col], rows[col][col]
-                g = gcd(a, r)
-                _combine(row, r // g, a // g, rows[col])
+            cols = [c for c in rows[pivot] if c != pivot and c in rows]
             if cols:
+                row = rows[pivot] = dict(rows[pivot])
+                for col in cols:
+                    a, r = row[col], rows[col][col]
+                    g = gcd(a, r)
+                    _combine(row, r // g, a // g, rows[col])
                 self._normalize(pivot)
 
 
@@ -894,11 +897,13 @@ class _CoradicalState:
             elim.insert_cleared(image, factor)
 
     def next_level(self):
-        """Add the next level S_n = S_{n-1} + kernel(), or mark the chain stable."""
+        """Add the next level S_n = S_{n-1} + kernel(), or mark the chain stable.
+
+        S_n starts from S_{n-1}'s rows, the same objects; only its kernel rows are new.
+        """
         level = Subspace(self.index)
         if self.chain:
-            rows = self.chain[-1]._elim.rows
-            level._elim.rows = {pivot: dict(row) for pivot, row in rows.items()}
+            level._elim.rows = dict(self.chain[-1]._elim.rows)
         for tag in self.kernel():
             level.add_vector(tag)
         if level.dim == (self.chain[-1].dim if self.chain else 0):
@@ -993,18 +998,17 @@ def signature(p, weight_bound):
     are nested, so a level that runs its products to the end has the
     full product span of every earlier level inside it.
 
-    Each S_a's back-substituted basis is split into N_a, its rows at the
-    pivots that S_{a-1}'s rows lack, and O_a, the rest.  Nested spaces
-    have nested reduced-echelon pivot sets over the same columns, so N_a
-    is a complement of S_{a-1} in S_a.  Level n feeds N_{n-q} N_q for
-    every q first, then N_{n-q} O_q, then O_{n-q} S_q, which together are
-    every pair of S_{n-q} x S_q.  The feeding order changes no count:
-    the early-stop argument above holds in any order.  Since
-    S_a = S_{a-1} + N_a, S_{n-q} S_q lies in N_{n-q} N_q + C_{n-1}: the
-    new pairs carry what lies beyond C_{n-1}, so they come first.  At a
-    level's end only N_n is inserted: the echelon already spans S_{n-1},
-    so the span, and every later value of `explained`, is the same as
-    with all of S_n.
+    S_a's rows are S_{a-1}'s rows plus N_a, the rows level a inserted,
+    a complement of S_{a-1} in S_a; O_a is S_{a-1}'s rows.  They are
+    read as stored, as the argument above reads spans.  Level n feeds
+    N_{n-q} N_q for every q first, then N_{n-q} O_q, then O_{n-q} S_q,
+    which together are every pair of S_{n-q} x S_q.  The feeding order
+    changes no count: the early-stop argument above holds in any order.
+    Since S_a = S_{a-1} + N_a, S_{n-q} S_q lies in N_{n-q} N_q + C_{n-1}:
+    the new pairs carry what lies beyond C_{n-1}, so they come first.
+    At a level's end only N_n is inserted: the echelon already spans
+    S_{n-1}, so the span, and every later value of `explained`, is the
+    same as with all of S_n.
 
     p must be a Hopf algebra, as for primitive_space: when Delta is not an
     algebra map the levels and their counts decide nothing, and are
@@ -1019,19 +1023,16 @@ def signature(p, weight_bound):
     for col, w in enumerate(reversed(ids)):
         column[w] = col
     known = len(column)
-    # bases[n] = basis of S_n, each element its primitive integer row as
-    # (id, coeff) pairs: a basis vector's scale changes no span; news[n]
-    # holds its rows at the pivots S_{n-1} lacks, N_n, and olds[n] the rest
-    bases, news, olds = [[]], [[]], [[]]
-    lower = {}
+    # bases[n] = S_n's primitive integer rows in pivot order, each encoded once
+    # as (id, coeff) pairs; news[n] = N_n, olds[n] = S_{n-1}'s rows
+    encoded, bases, news = {}, [[]], [[]]
     for level in chain:
-        level._elim.back_substitute()
         rows = level._elim.rows
-        pivots = sorted(rows)
-        bases.append([[(ids[c], v) for c, v in rows[pivot].items()] for pivot in pivots])
-        news.append([b for pivot, b in zip(pivots, bases[-1]) if pivot not in lower])
-        olds.append([b for pivot, b in zip(pivots, bases[-1]) if pivot in lower])
-        lower = rows
+        new = sorted(rows.keys() - encoded.keys())
+        encoded.update((pivot, [(ids[c], v) for c, v in rows[pivot].items()]) for pivot in new)
+        bases.append([encoded[pivot] for pivot in sorted(rows)])
+        news.append([encoded[pivot] for pivot in new])
+    olds = [[]] + bases[:-1]
     elim = _Echelon()
     explained = 0
 
@@ -1041,11 +1042,9 @@ def signature(p, weight_bound):
         if pivot is not None and pivot >= 0:
             explained += 1
 
-    entries = []
-    by_level = []
-    top = len(chain)
-    for n in range(1, top + 1):
-        dim = chain[n - 1].dim
+    entries, by_level = [], []
+    for n, level in enumerate(chain, 1):
+        dim = level.dim
         products = (
             (b1, b2)
             for left, right in ((news, news), (news, olds), (olds, bases))

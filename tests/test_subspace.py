@@ -1675,3 +1675,86 @@ def test_level_one_ends_with_the_echelon_of_images_on_enveloping_algebras():
         _assert_level_one_keeps_the_image_pass(p, max(degrees) + 2)
 
     check()
+
+
+# ----- a stored row is never edited, so echelons share rows ------------------
+
+
+def _snapshot(elim):
+    """Each stored row with a copy of its entries, by pivot."""
+    return {pivot: (row, dict(row)) for pivot, row in elim.rows.items()}
+
+
+def _assert_unchanged(elim, snapshot):
+    assert elim.rows.keys() == snapshot.keys()
+    for pivot, (row, entries) in snapshot.items():
+        assert elim.rows[pivot] is row and row == entries, pivot
+
+
+def test_back_substitute_leaves_a_shared_row_as_it_was():
+    # the second echelon shares the first's rows; the vector's pivot, 1,
+    # lies inside the support of the shared row at 0, which
+    # back-substitution must change in the second echelon alone
+    first = _Echelon()
+    for vec in ({0: 1, 1: 2, 3: 1}, {2: 1, 3: -1}, {4: 3, 5: 1}):
+        first.insert({c: Fraction(v) for c, v in vec.items()})
+    before = _snapshot(first)
+    second, deep = _Echelon(), _Echelon()
+    second.rows = dict(first.rows)
+    deep.rows = {pivot: dict(row) for pivot, row in first.rows.items()}
+    for elim in (second, deep):
+        assert elim.insert({1: Fraction(1), 5: Fraction(2)}) == 1
+        elim.back_substitute()
+    _assert_unchanged(first, before)
+    assert second.rows == deep.rows
+    assert second.rows[0] == {0: 1, 3: 1, 5: -4} and second.rows[0] is not first.rows[0]
+    assert all(second.rows[pivot] is first.rows[pivot] for pivot in (2, 4))  # unchanged, kept
+
+
+def test_back_substitute_leaves_shared_rows_of_random_systems_as_they_were():
+    rng = random.Random(20160126)
+    for _ in range(40):
+        n_cols = rng.randint(2, 12)
+        rows = random_sparse_rows(rng, rng.randint(2, 10), n_cols)
+        split = rng.randint(1, len(rows) - 1)
+        first = _Echelon()
+        for row in rows[:split]:
+            first.insert(row)
+        before = _snapshot(first)
+        second, deep = _Echelon(), _Echelon()
+        second.rows = dict(first.rows)
+        deep.rows = {pivot: dict(row) for pivot, row in first.rows.items()}
+        for elim in (second, deep):
+            for row in rows[split:]:
+                elim.insert(row)
+            elim.back_substitute()
+        _assert_unchanged(first, before)
+        assert second.rows == deep.rows
+        first.back_substitute()  # the first's own replacements leave the second as it is
+        assert second.rows == deep.rows
+
+
+@pytest.mark.parametrize(
+    "make,bound,top", [(lambda: builtin("J"), 9, 944), (lambda: load_presentation(B0), 8, 94)],
+    ids=["J 9", "b0 8"],
+)
+def test_chain_levels_share_their_rows(make, bound, top):
+    # level n holds level n-1's row objects at level n-1's pivots, so the
+    # chain stores one row per dimension of its top level, and
+    # back-substituting the top level edits no lower level's rows
+    from hopfkit.subspace import _coradical_chain
+
+    p = make()
+    chain = _coradical_chain(p, bound)
+    for lower, level in zip(chain, chain[1:]):
+        assert all(level._elim.rows[pivot] is row for pivot, row in lower._elim.rows.items())
+    assert len({id(row) for level in chain for row in level._elim.rows.values()}) == chain[-1].dim == top
+    lowers = [_snapshot(level._elim) for level in chain[:-1]]
+    chain[-1].basis()
+    for level, snapshot in zip(chain, lowers):
+        _assert_unchanged(level._elim, snapshot)
+    reference = _reference_chain(p, bound)
+    assert [s.dim for s in chain] == [s.dim for s in reference]
+    for level, ref in zip(chain, reference):
+        assert level.pivots() == ref.pivots()
+        assert [b.terms for b in level.basis()] == [b.terms for b in ref.basis()]

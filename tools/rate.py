@@ -70,8 +70,10 @@ coradical  levels per second of the coradical chain (coradical_levels),
            levels can reach, each one built again counted again; and, per
            level past 1, rows_reduced, the rows of the echelon that the
            level reduces modulo the last level, and rows_reinserted, those
-           among them whose pivot that clears, inserted again.  They move
-           with the code.
+           among them whose pivot that clears, inserted again; and
+           chain_rows, the distinct row dicts the levels hold, read off
+           the objects, as a level shares the rows of the level below.
+           They move with the code.
 products   window monomials per second of solve_antipode on J at window 9
            and of signature on L at window 9, with the counters of the
            presentation's one product table (Presentation._table, by
@@ -373,10 +375,11 @@ def coradical(hopfkit, rng, repeats):
         if report.dims[-1] != len(monos):
             raise SystemExit(f"{key}: top level {report.dims[-1]}, window {len(monos)}")
         reads, restarts, state = kernel_reads(p, bound)
+        rows = {id(row) for level in state.chain for row in level._elim.rows.values()}
         return {"levels": report.levels, "dim": report.dims[-1], "built_terms": state.built_terms,
                 "level1_terms": reads, "level1_restarts": restarts,
                 "rows_reduced": [reduced for reduced, _ in state.updates],
-                "rows_reinserted": [moved for _, moved in state.updates]}, elapsed
+                "rows_reinserted": [moved for _, moved in state.updates], "chain_rows": len(rows)}, elapsed
 
     cases = fresh_windows(hopfkit, CORADICAL_PLAN, rng, repeats, run)
     return cases, (("levels", "levels_per_s"),)
