@@ -559,6 +559,7 @@ def truncation_algebra(p, power, weight_bound):
 # ----- primitives and the coradical chain ------------------------------------
 
 
+@_one_budget()
 def primitive_space(p, weight_bound):
     """Primitives of weight <= bound, as a canonical subspace.
 
@@ -567,9 +568,12 @@ def primitive_space(p, weight_bound):
     other coproduct what it returns decides nothing.  Nothing here checks
     that: only the command line refuses such a coproduct, so on
     tests/presentations/not_an_algebra_map.hopf, whose Delta is no algebra
-    map, this still returns a space.
+    map, this still returns a space.  It builds level 1 alone and reads
+    the term budget once.
     """
-    return _coradical_chain(p, weight_bound, levels=1)[0]
+    state = _CoradicalState(p, weight_bound)
+    state.next_level()
+    return state.chain[0] if state.chain else Subspace(state.index)
 
 
 def _factor(terms):
@@ -581,7 +585,7 @@ class _CoradicalState:
     """The coradical chain of one window, one level at a time.
 
     Every level reads only the terms of the reduced coproducts whose left
-    leg is a pivot monomial of primitives already found (see kernel), so
+    leg is a pivot monomial of primitives already found (see next_level), so
     the state builds its coproducts cut to the left legs in a set V of
     window monomials, through a hopf._Machine of its own with kept = V,
     and never the full ones of the machine check reads.  V is the
@@ -721,11 +725,115 @@ class _CoradicalState:
         terms = self._delta(pos)
         return pos, terms, _factor(terms)
 
-    def kernel(self):
-        """Kernel tags of the next level: a basis of the x in a complement
-        of S_{n-1} whose reduced coproduct, read at the terms below, lies in
+    def _update(self, budget):
+        """Reduce E's rows modulo the last level S_n, block by block; returns the kernel tags found.
+
+        The rows were reduced modulo S_{n-1}, and so is any combination of
+        them, so only the pivots that S_n adds can be hit, and a row with
+        no column at one is left as it is.  A reduced row keeps its pivot
+        unless that is at a pivot of S_n, as a step adds only columns past
+        the one it clears; the rows whose pivot is cleared are inserted
+        again.
+        """
+        elim, size, rows = self.echelon, len(self.index), self.chain[-1]._elim.rows
+        elim.kernel, moved, reduced = [], [], 0
+        for pivot, row in elim.rows.items():
+            hits = [c for c in row if c < _TAGS and c % size in rows]
+            if not hits:
+                continue
+            reduced += 1
+            _clear_blocks(row, rows, size, hits)
+            width = sum(c < _TAGS for c in row)
+            if width > budget:
+                raise over_budget(width, budget)
+            if pivot in row:
+                elim._normalize(pivot)
+            else:
+                moved.append(pivot)
+        for pivot in moved:
+            elim.insert_cleared(elim.rows.pop(pivot), 1)
+        self.updates.append((reduced, len(moved)))
+        return elim.kernel
+
+    def _primitives(self, budget):
+        """S_1 = P(D), found weight by weight; returns its echelon and keeps the images' as E.
+
+        At each weight w, U is the set of pivots of P(D_{<w}), the kernel
+        tags found so far, and the left legs read are U's (see next_level).  One
+        elimination serves while U stays the same, and each weight's
+        monomials are inserted into it.  The new pivots enter left and V
+        at the end of their weight, the top weight's too; rows held then
+        lack the new columns and could declare false primitives, so a
+        fresh elimination, recorded as a restart at w + 1, is fed again
+        every monomial of weight <= w that is no pivot of U.  They span a
+        complement of P(D_{<=w}), so their images have no kernel.  After
+        the last restart every row is inserted under U = S_1's pivots, so
+        the elimination ends holding the images of S_1's non-pivots, in
+        window order: E.
+        """
+        ids, size, left = self.ids, len(self.index), self.left
+        weight = self.index.pres.mono_weight
+        found = _Echelon()  # the primitives found so far
+        elim, fed = _Echelon(), []
+        self.restarts = []
+        for w, group in groupby(enumerate(self.aug, 1), lambda pair: weight(pair[1])):
+            group = [pos for pos, _ in group]
+            fed += group
+            start = len(elim.kernel)
+            self._images(elim, map(self._coproduct, group), budget)
+            for tag in elim.kernel[start:]:
+                found.insert(tag)
+            new = [pivot for pivot in found.rows if left[ids[pivot]] is None]
+            for pivot in new:
+                left[ids[pivot]] = pivot * size
+            self._grow(ids[pivot] for pivot in new)
+            if new and elim.rows:
+                self.restarts.append(w + 1)
+                elim = _Echelon()
+                fed = [pos for pos in fed if pos not in found.rows]
+                self._images(elim, map(self._coproduct, fed), budget)
+                if elim.kernel:
+                    raise AssertionError(f"coradical chain: the images of the non-pivots of weight "
+                                         f"<= {w} have a kernel of dimension {len(elim.kernel)}")
+        self.echelon = elim
+        return found
+
+    def _images(self, elim, coproducts, budget):
+        """Insert the image of each coproduct into elim, tagged by its position.
+
+        A term c u (x) v is read when left[u], u's column offset, is not
+        None, and adds c at column left[u] + position[v] (see next_level).
+        """
+        position, left = self.position, self.left
+        for pos, terms, factor in coproducts:
+            flat = iter(terms)
+            terms = zip(flat, flat, flat)
+            if factor != 1:  # the terms read are cleared one by one, never stored
+                terms = ((u, v, c.numerator * (factor // c.denominator))
+                         for u, v, c in terms if left[u] is not None)
+            image = {}
+            get = image.get
+            for u, v, c in terms:
+                start = left[u]
+                if start is None:  # u is no pivot of U
+                    continue
+                key = start + position[v]
+                image[key] = get(key, 0) + c
+            image = {k: x for k, x in image.items() if x}
+            if len(image) > budget:
+                raise over_budget(len(image), budget)
+            image[_TAGS + pos] = factor
+            elim.insert_cleared(image, factor)
+
+    def next_level(self):
+        """Add the next level S_n, or mark the chain stable.
+
+        S_n = S_{n-1} + the span of a basis of the x in a complement of
+        S_{n-1} whose reduced coproduct, read at the terms below, lies in
         H+ (x) S_{n-1} (see _coradical_chain for why the right leg alone
-        decides), S_0 the scalars.  S_n = S_{n-1} + their span.
+        decides), S_0 the scalars.  Level 1 is _primitives' echelon as it
+        is; a later S_n starts from S_{n-1}'s rows, the same objects, and
+        only the kernel rows _update finds are new.
 
         Only the terms u (x) v whose left leg u lies in a set U of pivot
         monomials of primitives are read.  Both legs of the reduced
@@ -770,7 +878,7 @@ class _CoradicalState:
         the sum of c v placed in block u, over the terms c u (x) v of
         delta x with u in U, and kappa_n for the remainder modulo S_n in
         every block: x is in S_{n+1} iff kappa_n phi(x) = 0.  E is level
-        1's echelon, which ends holding the images phi of S_1's
+        1's echelon of images, which ends holding the images phi of S_1's
         non-pivots, tagged by position (see _primitives), one row each, as
         S_1 meets their span in 0.  Level n+1 reduces each row of E modulo
         S_n and inserts again the rows whose pivot that clears;
@@ -789,123 +897,16 @@ class _CoradicalState:
         coproduct, is column _TAGS + the position.  The term budget is read
         once per level when the levels are driven on their own, and once for
         the whole chain by _coradical_chain; an image, or the image part of
-        a row a level reduces, of more terms raises BudgetExceeded.  Each
-        call takes E one level on: next_level calls it once per level.
+        a row a level reduces, of more terms raises BudgetExceeded.
         """
         budget = term_budget()
-        return self._update(budget) if self.chain else self._primitives(budget)
-
-    def _update(self, budget):
-        """Reduce E's rows modulo the last level S_n, block by block; returns the kernel tags found.
-
-        The rows were reduced modulo S_{n-1}, and so is any combination of
-        them, so only the pivots that S_n adds can be hit, and a row with
-        no column at one is left as it is.  A reduced row keeps its pivot
-        unless that is at a pivot of S_n, as a step adds only columns past
-        the one it clears; the rows whose pivot is cleared are inserted
-        again.
-        """
-        elim, size, rows = self.echelon, len(self.index), self.chain[-1]._elim.rows
-        elim.kernel, moved, reduced = [], [], 0
-        for pivot, row in elim.rows.items():
-            hits = [c for c in row if c < _TAGS and c % size in rows]
-            if not hits:
-                continue
-            reduced += 1
-            _clear_blocks(row, rows, size, hits)
-            width = sum(c < _TAGS for c in row)
-            if width > budget:
-                raise over_budget(width, budget)
-            if pivot in row:
-                elim._normalize(pivot)
-            else:
-                moved.append(pivot)
-        for pivot in moved:
-            elim.insert_cleared(elim.rows.pop(pivot), 1)
-        self.updates.append((reduced, len(moved)))
-        return elim.kernel
-
-    def _primitives(self, budget):
-        """Kernel tags of level 1, S_1 = P(D), found weight by weight; its echelon becomes E.
-
-        At each weight w, U is the set of pivots of P(D_{<w}), the tags
-        found so far, and the left legs read are U's (see kernel).  One
-        elimination serves while U stays the same, and each weight's
-        monomials are inserted into it.  The new pivots enter left and V
-        at the end of their weight, the top weight's too; rows held then
-        lack the new columns and could declare false primitives, so a
-        fresh elimination, recorded as a restart at w + 1, is fed again
-        every monomial of weight <= w that is no pivot of U.  They span a
-        complement of P(D_{<=w}), so their images have no kernel.  After
-        the last restart every row is inserted under U = S_1's pivots, so
-        the elimination ends holding the images of S_1's non-pivots, in
-        window order: E.
-        """
-        ids, size, left = self.ids, len(self.index), self.left
-        weight = self.index.pres.mono_weight
-        found = _Echelon()  # the primitives found so far
-        elim, fed, tags = _Echelon(), [], []
-        self.restarts = []
-        for w, group in groupby(enumerate(self.aug, 1), lambda pair: weight(pair[1])):
-            group = [pos for pos, _ in group]
-            fed += group
-            start = len(elim.kernel)
-            self._images(elim, map(self._coproduct, group), budget)
-            for tag in elim.kernel[start:]:
-                found.insert(tag)
-                tags.append(tag)
-            new = [pivot for pivot in found.rows if left[ids[pivot]] is None]
-            for pivot in new:
-                left[ids[pivot]] = pivot * size
-            self._grow(ids[pivot] for pivot in new)
-            if new and elim.rows:
-                self.restarts.append(w + 1)
-                elim = _Echelon()
-                fed = [pos for pos in fed if pos not in found.rows]
-                self._images(elim, map(self._coproduct, fed), budget)
-                if elim.kernel:
-                    raise AssertionError(f"coradical chain: the images of the non-pivots of weight "
-                                         f"<= {w} have a kernel of dimension {len(elim.kernel)}")
-        self.echelon = elim
-        return tags
-
-    def _images(self, elim, coproducts, budget):
-        """Insert the image of each coproduct into elim, tagged by its position.
-
-        A term c u (x) v is read when left[u], u's column offset, is not
-        None, and adds c at column left[u] + position[v] (see kernel).
-        """
-        position, left = self.position, self.left
-        for pos, terms, factor in coproducts:
-            flat = iter(terms)
-            terms = zip(flat, flat, flat)
-            if factor != 1:  # the terms read are cleared one by one, never stored
-                terms = ((u, v, c.numerator * (factor // c.denominator))
-                         for u, v, c in terms if left[u] is not None)
-            image = {}
-            get = image.get
-            for u, v, c in terms:
-                start = left[u]
-                if start is None:  # u is no pivot of U
-                    continue
-                key = start + position[v]
-                image[key] = get(key, 0) + c
-            image = {k: x for k, x in image.items() if x}
-            if len(image) > budget:
-                raise over_budget(len(image), budget)
-            image[_TAGS + pos] = factor
-            elim.insert_cleared(image, factor)
-
-    def next_level(self):
-        """Add the next level S_n = S_{n-1} + kernel(), or mark the chain stable.
-
-        S_n starts from S_{n-1}'s rows, the same objects; only its kernel rows are new.
-        """
         level = Subspace(self.index)
         if self.chain:
             level._elim.rows = dict(self.chain[-1]._elim.rows)
-        for tag in self.kernel():
-            level.add_vector(tag)
+            for tag in self._update(budget):
+                level.add_vector(tag)
+        else:
+            level._elim = self._primitives(budget)
         if level.dim == (self.chain[-1].dim if self.chain else 0):
             self.stable = True  # a repeat; S_0 has no augmentation part
             return
@@ -915,7 +916,7 @@ class _CoradicalState:
 
 
 @_one_budget()
-def _coradical_chain(p, weight_bound, levels=None):
+def _coradical_chain(p, weight_bound):
     """Augmentation-part levels S_1 <= S_2 <= ... inside the window.
 
     S_n collects the x in H+ whose reduced coproduct lies in
@@ -923,16 +924,13 @@ def _coradical_chain(p, weight_bound, levels=None):
     zero.  This is Sweedler's wedge C_n = Delta^-1(H (x) C_{n-1} +
     C_0 (x) H): for x in H+, x (x) 1 and 1 (x) x already lie in that
     sum, and both legs of the reduced coproduct lie in H+, so only its
-    right leg is tested.  Levels are computed up to `levels` (all when
-    None) and stop for good once one repeats.  The term budget is read
-    once for the call (freealg._one_budget).
+    right leg is tested.  Levels run until one repeats or fills the
+    window; the term budget is read once (freealg._one_budget).
     """
     state = _CoradicalState(p, weight_bound)
-    while not state.stable and (levels is None or len(state.chain) < levels):
+    while not state.stable:
         state.next_level()
-    if levels is None:
-        return state.chain
-    return state.chain[:levels] if state.chain else [Subspace(state.index)]
+    return state.chain
 
 
 @dataclass

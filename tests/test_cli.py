@@ -431,6 +431,15 @@ def test_zero_denominator_is_usage_error(tmp_path, capsys):
     assert err == "error: line 2: zero denominator in '3/0'\n"
 
 
+def test_invalid_coproduct_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.hopf"
+    bad.write_text("generators: a:1 b:1 z:3\ndelta: z = z (x) 1 + 1 (x) z + b a (x) a\n")
+    code, out, err = run(capsys, "check", "--file", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: delta(z) left factor ba is not an ordered monomial\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_malformed_term_budget_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("HOPFKIT_MAX_TERMS", value)

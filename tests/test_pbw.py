@@ -26,6 +26,7 @@ from hopfkit import (
 from hopfkit.errors import (
     AlphabetMismatch,
     BudgetExceeded,
+    InvalidCoproduct,
     NotConfluent,
     PresentationError,
     TailNotNormal,
@@ -191,6 +192,27 @@ def test_divergent_tail_rejected():
     # tail y^3 has weight 3, above the head weight 2
     with pytest.raises(TailNotSmaller):
         Presentation([("x", 1), ("y", 1)], {("y", "x"): (1, {(1, 1, 1): 1})})
+
+
+@pytest.mark.parametrize("generators, delta, message", [
+    ([("a", 1), ("z", 2)], {((), (0,)): 1},
+     "delta(z) has a constant left factor; reduced coproduct factors must sit in the augmentation ideal"),
+    ([("a", 1), ("b", 1), ("z", 3)], {((1, 0), (0,)): 1}, "delta(z) left factor ba is not an ordered monomial"),
+    ([("a", 1), ("z", 2)], {((1,), (0,)): 1}, "delta(z) left factor z has weight >= weight(z)"),
+    ([("a", 1), ("c", 2), ("z", 3)], {((1,), (1,)): 1}, "delta(z) term exceeds the weight of z"),
+])
+def test_invalid_coproduct_rejected(generators, delta, message):
+    # a leg of the reduced coproduct must be a nonconstant ordered monomial
+    # lighter than its generator, and a term no heavier than it
+    with pytest.raises(InvalidCoproduct) as info:
+        Presentation(generators, {}, coproduct={"z": delta})
+    assert str(info.value) == message
+    assert issubclass(InvalidCoproduct, PresentationError)
+
+
+def test_parse_rejects_a_coproduct_term_heavier_than_its_generator():
+    with pytest.raises(InvalidCoproduct, match=r"^delta\(z\) term exceeds the weight of z$"):
+        parse_presentation("generators: a:1 c:2 z:3\ndelta: z = z (x) 1 + 1 (x) z + c (x) c\n")
 
 
 def test_equal_weight_tail_needs_certificate():

@@ -594,27 +594,39 @@ def test_later_levels_read_the_pivots_found_at_the_top_weight(monkeypatch):
 
 
 def test_primitive_space_never_builds_the_later_levels(monkeypatch):
-    # the later levels run through kernel past level 1 and update the
-    # state's echelon of images; primitive_space does neither
+    # the later levels update the state's echelon of images; primitive_space
+    # never does
     from hopfkit import subspace
-
-    State, kernel = subspace._CoradicalState, subspace._CoradicalState.kernel
-
-    def first_level_only(self):
-        if self.chain:
-            raise AssertionError("a later level")
-        return kernel(self)
 
     def update(self, budget):
         raise AssertionError("a later level")
 
     J = builtin("J")
-    for name, patch in [("kernel", first_level_only), ("_update", update)]:
-        with monkeypatch.context() as patched:
-            patched.setattr(State, name, patch)
-            assert [str(b) for b in primitive_space(J, 9).basis()] == ["a", "b", "c", "c^3 - 3d"]
-            with pytest.raises(AssertionError, match="a later level"):
-                coradical_levels(J, 9)
+    monkeypatch.setattr(subspace._CoradicalState, "_update", update)
+    assert [str(b) for b in primitive_space(J, 9).basis()] == ["a", "b", "c", "c^3 - 3d"]
+    with pytest.raises(AssertionError, match="a later level"):
+        coradical_levels(J, 9)
+
+
+def test_level_one_inserts_each_primitive_once(monkeypatch):
+    """Level 1 is the echelon _primitives fills as it finds each primitive,
+    handed to the chain as it is: no primitive is inserted into a level
+    again."""
+    from hopfkit import subspace
+
+    def add_vector(self, vec):
+        raise AssertionError("a primitive inserted again")
+
+    J = builtin("J")
+    primitives = subspace._CoradicalState._primitives
+    found = []
+    monkeypatch.setattr(subspace._CoradicalState, "_primitives",
+                        lambda self, budget: found.append(primitives(self, budget)) or found[-1])
+    monkeypatch.setattr(subspace.Subspace, "add_vector", add_vector)
+    assert [str(b) for b in primitive_space(J, 9).basis()] == ["a", "b", "c", "c^3 - 3d"]
+    state = subspace._CoradicalState(J, 9)
+    state.next_level()
+    assert len(found) == 2 and state.chain[0]._elim is found[-1]
 
 
 def test_signature_of_l():
@@ -908,8 +920,8 @@ def test_coradical_kernels_match_fraction_reference(make, bound):
     p = make()
     state = _CoradicalState(p, bound)
     index = state.index
-    kernels, kernel = [], state.kernel
-    state.kernel = lambda: kernels.append(kernel()) or kernels[-1]
+    kernels, update = [], state._update
+    state._update = lambda budget: kernels.append(update(budget)) or kernels[-1]
 
     def spanned(*parts):
         elim = _FractionEchelon()
@@ -937,7 +949,11 @@ def test_coradical_kernels_match_fraction_reference(make, bound):
         assert ref.kernel
         level = spanned(previous.rows.values(), ref.kernel)  # S_n = S_{n-1} + the kernel
         state.next_level()
-        tags = kernels[-1]
+        if len(state.chain) == 1:  # level 1 is an echelon of primitives: read its rows
+            elim = state.chain[0]._elim
+            tags = [elim.row(pivot) for pivot in sorted(elim.rows)]
+        else:
+            tags = kernels[-1]
         assert len(tags) == len(ref.kernel)
         assert all(type(v) is Fraction for tag in tags for v in tag.values())
         assert all(not level.reduce(tag) for tag in tags)
@@ -1269,7 +1285,7 @@ def _prebuilt_state(p, bound):
 
 
 def test_coradical_kernel_keeps_the_term_budget(monkeypatch):
-    """kernel() reads the budget once per level and stops an image that
+    """next_level reads the budget once per level and stops an image that
     exceeds it with the standard message, at level 1 as at the levels
     after it; the coproducts, built first under the default budget, are
     not what trips it.  8 terms is the widest image of J at window 6,
@@ -1284,7 +1300,7 @@ def test_coradical_kernel_keeps_the_term_budget(monkeypatch):
             while not state.stable and (levels is None or len(state.chain) < levels):
                 state.next_level()
         names = {entry.name for entry in info.traceback}
-        assert "kernel" in names and "_build_delta" not in names
+        assert names & {"next_level", "_images"} and "_build_delta" not in names
     monkeypatch.setenv("HOPFKIT_MAX_TERMS", "8")
     while not fits.stable:
         fits.next_level()

@@ -289,23 +289,35 @@ def coproduct(hopfkit, rng, repeats):
     return cases, (("monomials", "monomials_per_s"), ("terms", "terms_per_s"))
 
 
+def best_of(plan, rng, repeats, run):
+    """{case: (counts, best seconds)} of run(case) -> (counts, seconds), in plan's order.
+
+    Each of the `repeats` passes runs every case of plan once, in an order
+    shuffled by rng; the counts kept are the last pass's.
+    """
+    cases = {}
+    for _ in range(repeats):
+        order = list(plan)
+        rng.shuffle(order)
+        for case in order:
+            counts, elapsed = run(case)
+            cases[case] = (counts, min(cases.get(case, (None, elapsed))[1], elapsed))
+    return {case: cases[case] for case in plan}
+
+
 def fresh_windows(hopfkit, plan, rng, repeats, run):
     """{window key: (counts, best seconds)} of run(p, bound, monos, key) -> (counts, seconds).
 
     Each call gets a fresh presentation and the window's basis monomials
     monos; run times its own part and checks it.
     """
-    cases = {}
-    for _ in range(repeats):
-        order = list(plan)
-        rng.shuffle(order)
-        for name, bound in order:
-            p = hopfkit.builtin(name)
-            monos = p.enumerate_basis(bound)
-            key = f"{name}@{bound}"
-            counts, elapsed = run(p, bound, monos, key)
-            cases[key] = (counts, min(cases.get(key, (None, elapsed))[1], elapsed))
-    return {f"{name}@{bound}": cases[f"{name}@{bound}"] for name, bound in plan}
+    def window(case):
+        name, bound = case
+        p = hopfkit.builtin(name)
+        return run(p, bound, p.enumerate_basis(bound), f"{name}@{bound}")
+
+    cases = best_of(plan, rng, repeats, window)
+    return {f"{name}@{bound}": cases[name, bound] for name, bound in plan}
 
 
 def antipode(hopfkit, rng, repeats):
@@ -550,42 +562,38 @@ def products(hopfkit, rng, repeats):
         return run
 
     plan = {"antipode J@9": ("J", antipode_j), "signature L@9": ("L", signature_l)}
-    cases = {}
-    for _ in range(repeats):
-        order = list(plan)
-        rng.shuffle(order)
-        for key in order:
-            name, prepare = plan[key]
-            elapsed = cpu(prepare(hopfkit.builtin(name)))[1]
-            cases[key] = min(cases.get(key, elapsed), elapsed)
+
+    def timed(key):
+        name, prepare = plan[key]
+        return None, cpu(prepare(hopfkit.builtin(name)))[1]
+
+    cases = best_of(plan, rng, repeats, timed)
     for key, (name, prepare) in plan.items():
         p = hopfkit.builtin(name)
         _, counts = counted_products(p, prepare(p))
         counts["monomials"] = len(p.enumerate_basis(9))
-        cases[key] = (counts, cases[key])
+        cases[key] = (counts, cases[key][1])
     return cases, (("monomials", "monomials_per_s"),)
 
 
 def center(hopfkit, rng, repeats):
-    cases = {}
-    for _ in range(repeats):
-        order = list(CENTER_PLAN)
-        rng.shuffle(order)
-        for name, power, bound in order:
-            key = f"{name}@{power}/{bound}"
-            trunc = hopfkit.truncation_algebra(hopfkit.builtin(name), power, bound)
-            ids, ideal_rows = len(trunc.pres._monos), len(trunc._ideal.rows)
-            report, elapsed = cpu(trunc.center)
-            gens = [trunc.gen_image(gi) for gi in range(len(trunc.pres.alphabet))]
-            for rep in report.basis:
-                coords = dict(rep.terms)
-                if any(trunc.multiply_classes(coords, g) != trunc.multiply_classes(g, coords)
-                       for g in gens):
-                    raise SystemExit(f"{key}: {rep} does not commute with every generator class")
-            counts = {"centers": 1, "classes": trunc.dim, "center_dim": report.dim,
-                      "ids": ids, "ideal_rows": ideal_rows}
-            cases[key] = (counts, min(cases.get(key, (None, elapsed))[1], elapsed))
-    return {f"{n}@{k}/{b}": cases[f"{n}@{k}/{b}"] for n, k, b in CENTER_PLAN}, (
+    def run(case):
+        name, power, bound = case
+        key = f"{name}@{power}/{bound}"
+        trunc = hopfkit.truncation_algebra(hopfkit.builtin(name), power, bound)
+        ids, ideal_rows = len(trunc.pres._monos), len(trunc._ideal.rows)
+        report, elapsed = cpu(trunc.center)
+        gens = [trunc.gen_image(gi) for gi in range(len(trunc.pres.alphabet))]
+        for rep in report.basis:
+            coords = dict(rep.terms)
+            if any(trunc.multiply_classes(coords, g) != trunc.multiply_classes(g, coords)
+                   for g in gens):
+                raise SystemExit(f"{key}: {rep} does not commute with every generator class")
+        return {"centers": 1, "classes": trunc.dim, "center_dim": report.dim,
+                "ids": ids, "ideal_rows": ideal_rows}, elapsed
+
+    cases = best_of(CENTER_PLAN, rng, repeats, run)
+    return {f"{n}@{k}/{b}": cases[n, k, b] for n, k, b in CENTER_PLAN}, (
         ("centers", "centers_per_s"), ("classes", "classes_per_s"))
 
 
@@ -615,15 +623,11 @@ def parse(hopfkit, rng, repeats):
     plan = {key: (parse_copies, text, {"presentations": PARSE_COPIES}) for key, text in texts.items()}
     plan.update((f"builtin {name}", (build_copies, name, {"builds": PARSE_COPIES}))
                 for name in PARSE_BUILTINS)
-    best = {}
-    for _ in range(repeats):
-        order = list(plan)
-        rng.shuffle(order)
-        for key in order:
-            run, arg, _ = plan[key]
-            elapsed = cpu(run, arg)[1]
-            best[key] = min(best.get(key, elapsed), elapsed)
-    return {key: (counts, best[key]) for key, (_, _, counts) in plan.items()}, (
+    def timed(key):
+        run, arg, counts = plan[key]
+        return counts, cpu(run, arg)[1]
+
+    return best_of(plan, rng, repeats, timed), (
         ("presentations", "presentations_per_s"), ("builds", "builds_per_s"))
 
 
