@@ -235,6 +235,12 @@ class _Machine:
     integral, Fractions otherwise; full_mono decodes a tuple to a
     {(left, right): coeff} map.
 
+    The memo is shared: the machine _machine(p) serves coproduct,
+    reduced_coproduct, check_coassociativity, check_counit and
+    solve_antipode alike.  solve_antipode drops the deltas of the window's
+    heaviest monomials from _deltas once it has verified them; a later
+    read of a dropped entry builds it again, equal to the one dropped.
+
     The right legs are read from the presentation's product table, and
     so are the left legs when kept is None: then every term is built, as
     in the machine _machine(p) shares, which check reads.  Otherwise
@@ -605,6 +611,12 @@ def solve_antipode(p, weight_bound=None):
     exceed it.  A failure decodes its residual back to monomials.  The
     call is one budget scope (freealg._one_budget): the coproducts and
     products it builds read the budget that this call read.
+
+    Delta(m) is read by its own check and, through the first-letter
+    recursion, by Delta(g m) alone, so once both sides of a monomial
+    heavier than the bound minus the least generator weight are verified,
+    its delta leaves the machine's store: no window monomial reads it
+    again, and the store holds the lighter ones only.
     """
     mach = _machine(p)
     weight_bound = p.default_window if weight_bound is None else weight_bound
@@ -613,6 +625,7 @@ def solve_antipode(p, weight_bound=None):
     budget = term_budget()
 
     weights = p.alphabet.weights
+    last = weight_bound - min(weights)  # the heaviest m whose Delta(m) a Delta(g m) in the window reads
     for gi in sorted(range(len(p.alphabet)), key=lambda i: (weights[i], i)):
         g, terms = p._unit(gi), iter(mach._gen(gi)[6:])  # delta(g), the unit terms dropped
         image = {g: -1}
@@ -655,6 +668,8 @@ def solve_antipode(p, weight_bound=None):
             if len(out) > budget:
                 _drop_zeros(out, budget)
         _side_vanishes(p, mono, out, "right")
+        if p.mono_weight(mono) > last:
+            del mach._deltas[i]
     table.monomials_checked = len(basis)
     return table
 

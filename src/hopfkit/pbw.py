@@ -75,6 +75,10 @@ Monomial = tuple
 
 _ONE = Fraction(1)
 
+# bits per letter of a monomial's exponent code; a monomial with an exponent at or
+# above half a field gets no code, so a sum of two codes never carries into a letter
+_FIELD = 32
+
 _DEBUG_ORDER = False  # set to check the rewrite order at every step
 
 
@@ -83,12 +87,23 @@ def _integral(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _row(pres, a):
-    """Row a of the product table of pres(): row[b] is its _entry(a, b).
+class _Row(dict):
+    """Row a of the product table of pres(): row[b] is NF(m_a m_b), see _entry.
 
-    The presentation is held weakly, so its table makes no reference cycle.
+    A missing entry is its closed form (Presentation._closed) when no tail
+    crosses the pair, and is built by _entry otherwise.  The presentation
+    is held weakly, so its table makes no reference cycle.
     """
-    return _Memo(lambda b: pres()._entry(a, b))
+
+    __slots__ = ("pres", "a")
+
+    def __init__(self, pres, a):
+        self.pres, self.a = pres, a
+
+    def __missing__(self, b):
+        p, a = self.pres(), self.a
+        hit = self[b] = p._closed(a, b) or p._entry(a, b)
+        return hit
 
 
 def _last_letter(pres, i):
@@ -333,16 +348,22 @@ class Presentation:
         self._monos = [(0,) * n]  # id -> monomial
         self._ids = {self._monos[0]: 0}  # monomial -> id
         self._unit_ids = [None] * n  # generator -> id of its monomial, numbered on first use
+        # per id, for _closed: its exponent code (_FIELD bits per letter, or _wide when an
+        # exponent reaches half a field), its letter mask, and its blocked mask, the letters
+        # lo of the tailed relations (hi, lo) with hi in it; _by_code maps codes back to ids
+        self._codes, self._masks, self._blocked, self._by_code = [0], [0], [0], {0: 0}
+        self._wide = -1 << (_FIELD * n)
+        self._tails_below = [0] * n  # hi -> the mask of every lo of a tailed relation (hi, lo)
+        for (hi, lo), rel in self.relations.items():
+            if rel.tail:
+                self._tails_below[hi] |= 1 << lo
         ref = weakref.ref(self)
-        self._table = _Memo(partial(_row, ref))  # _table[a][b], see _entry
+        self._table = _Memo(partial(_Row, ref))  # _table[a][b], see _entry
         self._lasts = _Memo(partial(_last_letter, ref))  # id -> (k, id of m/x_k, id of x_k)
         self._relation_ids = _Memo(partial(_relation_ids, ref))  # (hi, lo) -> q, tail ids
         self._ones = {}  # id -> its closed-form entry ((id, 1),), shared by every pair giving it
         self._shared = {}  # each distinct built entry's one tuple, keyed by itself
         self._hopf_machine = None  # hopf._machine(self): coproducts by monomial id
-        self._tailed_pairs = tuple(
-            (hi, lo) for (hi, lo), rel in sorted(self.relations.items()) if rel.tail
-        )
         self._skew_pairs = tuple(
             (hi, lo, rel.q) for (hi, lo), rel in sorted(self.relations.items()) if rel.q != 1
         )
@@ -788,11 +809,31 @@ class Presentation:
     # ----- the product table, by monomial id ----------------------------
 
     def _number(self, mono):
-        """The id of a monomial tuple, given on first sight; _monos maps it back."""
+        """The id of a monomial tuple, given on first sight; _monos maps it back.
+
+        A new id gets its exponent code, letter mask and blocked mask (see
+        __init__); a code is kept in _by_code only for a monomial whose
+        exponents all lie below half a field, and any other monomial's code
+        is _wide, which is negative by more than a code can be positive, so
+        no sum with it is ever found there.
+        """
         i = self._ids.get(mono)
         if i is None:
             i = self._ids[mono] = len(self._monos)
             self._monos.append(mono)
+            code = mask = blocked = 0
+            for k, e in enumerate(mono):
+                if e:
+                    code |= e << (_FIELD * k)
+                    mask |= 1 << k
+                    blocked |= self._tails_below[k]
+            if max(mono) >> (_FIELD - 1):
+                code = self._wide
+            else:
+                self._by_code[code] = i
+            self._codes.append(code)
+            self._masks.append(mask)
+            self._blocked.append(blocked)
         return i
 
     def _unit(self, g):
@@ -814,8 +855,10 @@ class Presentation:
         a relation with a tail, straightening only swaps letters, and each
         such inversion exactly once.  The product is then the single
         monomial m_a + m_b with coefficient prod q_{hi,lo}^(m_a[hi] m_b[lo])
-        (_closed); under q = 1 every such entry is the one shared tuple of
-        its id.
+        (_closed, read off the two ids' exponent codes); under q = 1 every
+        such entry is the one shared tuple of its id.  A row of the table
+        takes the closed form itself and calls _entry only for a pair that
+        a tail crosses.
 
         A tailed pair of a confluent presentation is built by _steps as a
         sum over one smaller entry of this table, each term multiplied by
@@ -836,13 +879,12 @@ class Presentation:
         order (see _steps), so the stack is as deep as a descending chain
         of such words, not as Python's recursion limit allows.
         """
-        monos = self._monos
-        m1, m2 = monos[a], monos[b]
-        closed = self._closed(m1, m2)
+        closed = self._closed(a, b)
         if closed is not None:
             return closed
         shared = self._shared
         if not self.confluence().ok:
+            m1, m2 = self._monos[a], self._monos[b]
             out = self._straighten({self.mono_word(m1) + self.mono_word(m2): 1})
             entry = tuple((self._number(m), _integral(c)) for m, c in out.items())
             return shared.setdefault(entry, entry)
@@ -862,20 +904,27 @@ class Presentation:
                 stack.append((*need, self._steps(*need)))
                 hit = None
 
-    def _closed(self, m1, m2):
-        """NF(m1 m2) as its one-pair entry, or None when a tail crosses.
+    def _closed(self, a, b):
+        """NF(m_a m_b) as its one-pair entry, or None when a tail crosses.
 
-        An entry with coefficient 1 is its id's one shared tuple ((id, 1),).
+        Read off the two ids: a tail crosses iff a letter of m_b is blocked
+        by m_a, and the product's id is that of the sum of their exponent
+        codes, numbered from the sum of the tuples only when that code is
+        new or wide.  An entry with coefficient 1 is its id's one shared
+        tuple ((id, 1),).
         """
-        for hi, lo in self._tailed_pairs:
-            if m1[hi] and m2[lo]:
-                return None
+        if self._masks[b] & self._blocked[a]:
+            return None
         coeff = 1
-        for hi, lo, q in self._skew_pairs:
-            e = m1[hi] * m2[lo]
-            if e:
-                coeff = _integral(coeff * q**e)
-        i = self._number(tuple(map(add, m1, m2)))
+        if self._skew_pairs:
+            m1, m2 = self._monos[a], self._monos[b]
+            for hi, lo, q in self._skew_pairs:
+                e = m1[hi] * m2[lo]
+                if e:
+                    coeff = _integral(coeff * q**e)
+        i = self._by_code.get(self._codes[a] + self._codes[b])
+        if i is None:
+            i = self._number(tuple(map(add, self._monos[a], self._monos[b])))
         if coeff != 1:
             return ((i, coeff),)
         hit = self._ones.get(i)
@@ -910,8 +959,8 @@ class Presentation:
         crosses lies above a letter of m_b, so above m_b's least letter,
         which b' keeps.
         """
-        monos, closed, table, lasts, no_row, budget = (
-            self._monos, self._closed, self._table, self._lasts, {}, term_budget())
+        closed, table, lasts, no_row, budget = (
+            self._closed, self._table, self._lasts, {}, term_budget())
         # each read (u, v, scale, r): the terms w of (u, v) times scale, each through (w, r)
         g, v, r = lasts[b]
         if v:
@@ -924,10 +973,9 @@ class Presentation:
         for u, v, scale, r in reads:
             pairs = table.get(u, no_row).get(v)
             if pairs is None:
-                pairs = closed(monos[u], monos[v])
+                pairs = closed(u, v)
                 if pairs is None:
                     pairs = yield u, v
-            right = monos[r]
             for w, c in pairs:
                 c *= scale
                 if not r:
@@ -935,7 +983,7 @@ class Presentation:
                 else:
                     step = table.get(w, no_row).get(r)
                     if step is None:
-                        step = closed(monos[w], right)
+                        step = closed(w, r)
                         if step is None:
                             step = yield w, r
                     for y, d in step:

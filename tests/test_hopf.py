@@ -792,17 +792,22 @@ def test_the_budget_fails_where_the_delete_on_cancel_loop_fails(monkeypatch):
     # read and with the same count as the loop that deleted each cancelled
     # term, or finishes where it finishes
     from hopfkit import hopf
+    from hopfkit.pbw import _Row
 
     reads = []
 
-    class Counting(Memo):
+    class Counting(_Row):
         __slots__ = ()
 
         def __getitem__(self, b):
             reads.append(b)
             return super().__getitem__(b)
 
-    def outcome(run):
+    def outcome(p, run):
+        with monkeypatch.context() as unbounded:  # the coproducts a solve dropped, built again uncounted
+            unbounded.delenv("HOPFKIT_MAX_TERMS")
+            for mono in p.enumerate_basis(6):
+                hopf._machine(p).delta(p._number(mono))
         reads.clear()
         try:
             return "done", run(), len(reads)
@@ -824,12 +829,12 @@ def test_the_budget_fails_where_the_delete_on_cancel_loop_fails(monkeypatch):
         seen = []
         for budget in range(1, widest + 1):
             monkeypatch.setenv("HOPFKIT_MAX_TERMS", str(budget))
-            expected = outcome(lambda: replica(p))
-            assert outcome(lambda: solve_antipode(p, 6).monomials_checked) == expected, budget
+            expected = outcome(p, lambda: replica(p))
+            assert outcome(p, lambda: solve_antipode(p, 6).monomials_checked) == expected, budget
             seen.append(expected)
         monkeypatch.delenv("HOPFKIT_MAX_TERMS")
         for row in p._table.values():
-            row.__class__ = Memo
+            row.__class__ = _Row
         assert len(p._table) == rows
         assert seen[-1][:2] == ("done", 217)
         assert seen[-2][1] == str(hopf.over_budget(widest, widest - 1))
@@ -853,6 +858,34 @@ def test_the_antipode_check_leaves_the_product_table_as_it_was():
     crossing = sum(any(monos[a][hi] and monos[b][lo] for hi, lo in tailed)
                    for a, row in J._table.items() for b in row)
     assert (sum(map(len, J._table.values())), len(J._table), crossing) == (21_000, 602, 6_047)
+
+
+def test_the_antipode_check_drops_the_coproducts_no_later_monomial_reads():
+    # Delta(m) is read by its own check and by Delta(g m) alone, so after the
+    # check at window 9 no weight-9 coproduct is held (J's least generator
+    # weight is 1); a second check builds them again and gives the same table
+    from hopfkit import hopf
+
+    J = builtin("J")
+    first = solve_antipode(J, 9)
+    mach, monos = hopf._machine(J), J._monos
+    held = {J.mono_weight(monos[i]) for i in mach._deltas}
+    assert held == set(range(9))
+
+    def entries():
+        return {(a, b): pairs for a, row in J._table.items() for b, pairs in row.items()}
+
+    kept, table, images = dict(mach._deltas), entries(), dict(first._images)
+    second = solve_antipode(J, 9)
+    assert second.monomials_checked == first.monomials_checked == 945
+    assert second.by_gen == first.by_gen and dict(second._images) == images
+    assert entries() == table and mach._deltas == kept
+    # a dropped coproduct read again is built again, equal to a fresh one
+    fresh = builtin("J")
+    top = [mono for mono in J.enumerate_basis(9) if J.mono_weight(mono) == 9]
+    assert len(top) > 300
+    assert all(mach.full_mono(mono) == hopf._machine(fresh).full_mono(mono) for mono in top)
+    assert {J.mono_weight(monos[i]) for i in mach._deltas} == set(range(10))
 
 
 def test_a_constant_tail_gives_the_reference_failure():

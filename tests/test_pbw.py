@@ -343,6 +343,75 @@ def test_mono_product_closed_form():
     assert y**2 * x**3 == expected
 
 
+def _tuple_closed(p, a, b):
+    """(a, b)'s closed form read off the two monomial tuples, as _closed read it
+    before exponent codes: None when a tail crosses, else (m_a + m_b, coeff)."""
+    m1, m2 = p._monos[a], p._monos[b]
+    if any(m1[hi] and m2[lo] for (hi, lo), rel in p.relations.items() if rel.tail):
+        return None
+    coeff = 1
+    for (hi, lo), rel in sorted(p.relations.items()):
+        if rel.q != 1 and m1[hi] * m2[lo]:
+            coeff = pbw._integral(coeff * rel.q ** (m1[hi] * m2[lo]))
+    return tuple(map(add, m1, m2)), coeff
+
+
+def test_wide_exponents_take_the_tuple_route():
+    # an exponent at or above half its code field gets no code, so no sum of
+    # codes carries into the next letter: x^(2^40) would otherwise be coded as
+    # y^256, and x^(2^32 - 1) x as y, both numbered here first
+    half = 1 << (pbw._FIELD - 1)
+    e = 1 << 40
+    for name in ("qplane(3/2)", "L"):
+        p = builtin(name)
+        n = len(p.alphabet)
+        y, y256 = (0, 1) + (0,) * (n - 2), (0, 256) + (0,) * (n - 2)
+        assert p._codes[p._number(y256)] == e
+        assert p._codes[p._number(y)] == 1 << pbw._FIELD
+        x = [(k,) + (0,) * (n - 1) for k in (e, 2 * half - 1, half, half - 1, 1, 5)]
+        pairs = [(x[0], x[0]), (x[0], (0, e) + (0,) * (n - 2)), (x[0], (0, 3) + (0,) * (n - 2)),
+                 (x[1], x[4]), (x[3], x[4]), (x[3], x[3]), (x[2], x[5])]
+        if name == "qplane(3/2)":
+            pairs.append(((e, 3), (5, 0)))  # y^3 x^5 = (3/2)^15 x^5 y^3
+        for m1, m2 in pairs:
+            a, b = p._number(m1), p._number(m2)
+            mono, coeff = _tuple_closed(p, a, b)
+            assert p.mono_product(m1, m2) == p.element({mono: coeff}), (name, m1, m2)
+            assert p._closed(a, b) == ((p._ids[mono], coeff),)
+        assert p._codes[p._ids[x[2]]] == p._wide and p._codes[p._ids[x[3]]] == half - 1
+        assert p._by_code == {p._codes[i]: i for i in range(len(p._monos)) if p._codes[i] >= 0}
+
+
+@pytest.mark.parametrize("name, bound", [("J", 9), ("U_n5", 8), ("L", 9), ("qplane(3/2)", 6)])
+def test_closed_forms_from_exponent_codes_match_the_tuple_sums(name, bound):
+    # every pair the table holds: _closed, read off the two ids' codes and
+    # masks, gives what the sum of the two tuples gives, numbers nothing new,
+    # and a closed form with coefficient 1 is its id's one tuple
+    p = builtin(name)
+    if p.has_coproduct:
+        solve_antipode(p, bound)
+    else:
+        window = p.enumerate_basis(bound)
+        for m1, m2 in product(window, repeat=2):
+            p.mono_product(m1, m2)
+    size, table = len(p._monos), p._table
+    kinds = {"tailed": 0, "one": 0, "q": 0}
+    for a, row in table.items():
+        for b, pairs in row.items():
+            want, got = _tuple_closed(p, a, b), p._closed(a, b)
+            if want is None:
+                assert got is None, (p._monos[a], p._monos[b])
+                kinds["tailed"] += 1
+                continue
+            mono, coeff = want
+            assert got == pairs == ((p._ids[mono], coeff),), (p._monos[a], p._monos[b])
+            if coeff == 1:
+                assert got is pairs is p._ones[p._ids[mono]]
+            kinds["one" if coeff == 1 else "q"] += 1
+    assert len(p._monos) == size
+    assert kinds["one"] > 100 and (kinds["q"] if name == "qplane(3/2)" else kinds["tailed"]) > 100
+
+
 def test_qplane_straightening():
     p = builtin("qplane(2)")
     x, y = p.gen("x"), p.gen("y")
@@ -590,12 +659,11 @@ def test_a_build_reads_a_stored_pair_before_its_closed_form(monkeypatch):
     # read with no closed form computed and no row made
     p = builtin("J")
     solve_antipode(p, 7)
-    monos, ids, table = p._monos, p._ids, p._table
+    monos, table = p._monos, p._table
     stored = {(a, b) for a, row in table.items() for b in row}
     calls = []
     closed = p._closed
-    monkeypatch.setattr(
-        p, "_closed", lambda m1, m2: calls.append((ids[m1], ids[m2])) or closed(m1, m2))
+    monkeypatch.setattr(p, "_closed", lambda a, b: calls.append((a, b)) or closed(a, b))
     tailed = [pair for pair, rel in p.relations.items() if rel.tail]
     builds = [(a, b) for a, b in sorted(stored)
               if any(monos[a][hi] and monos[b][lo] for hi, lo in tailed)]

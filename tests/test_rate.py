@@ -31,3 +31,14 @@ def test_rate_signature_counts():
     assert list(result) == ["H6@9", "J@10", "L@11", "total"]
     counts = {key: (result[key]["products"], result[key]["inserts"]) for key in ("H6@9", "J@10", "L@11")}
     assert counts == {"H6@9": (2441, 3385), "J@10": (7019, 8452), "L@11": (1354, 1876)}
+
+
+def test_rate_products_counts():
+    # the script switches the product table's rows to a counting subclass of
+    # their own class for one pass, and switches them back
+    result = rate("products")
+    assert list(result) == ["antipode J@9", "signature L@9", "total"]
+    j9 = result["antipode J@9"]
+    assert (j9["table_reads"], j9["entries"], j9["rows"], j9["stored_entries"]) == (160158, 21000, 602, 6047)
+    assert (j9["lookup_hits"], j9["lookup_misses"]) == (17863, 376)
+    assert result["signature L@9"]["entries"] == 1102

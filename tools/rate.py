@@ -47,15 +47,17 @@ antipode   basis monomials per second on which solve_antipode verifies the
            table, timed apart (involution_s, involution_monomials_per_s);
            every monomial must pass both, and S(S(g)) = g is checked again
            on every generator through AntipodeTable.apply, untimed.
-           delta_terms (the terms of the coproducts the machine stores,
-           len // 3 of each flat tuple, delta(1) = -1 (x) 1 included) and
-           table_entries (the entries of the presentation's product table)
-           are read off the objects after the solve: the verification
-           walks each Delta(m) term by term, so they size its work.  They
-           move with the code.  verify_s times a second solve_antipode on
-           the same presentation, its product table and coproducts built,
-           so only the solve of S on the generators and the verification
-           loop run; it must build no table entry.
+           delta_terms (the terms of the window's coproducts the machine
+           stores, len // 3 of each flat tuple, delta(1) = -1 (x) 1
+           included), read before the solve, which drops the heaviest, and
+           table_entries (the entries of the presentation's product table),
+           read after it, are read off the objects: the verification walks
+           each Delta(m) term by term, so they size its work.  They move
+           with the code.  verify_s times a second solve_antipode on the
+           same presentation, its product table and coproducts built (the
+           dropped ones again, untimed), so only the solve of S on the
+           generators and the verification loop run; it must build no
+           table entry.
 coradical  levels per second of the coradical chain (coradical_levels),
            the chain's own coproduct build included; the top level must
            hold the whole window, as its PBW basis counts it.
@@ -96,10 +98,11 @@ products   window monomials per second of solve_antipode on J at window 9
            by which a build multiplies the terms of a smaller entry, each
            itself built off the relation of its left factor's last letter
            with the generator) and table_bytes, sys.getsizeof of the
-           table, its rows, entries, pairs, ids and coefficients, each
-           object once.  The counters move with the code; the rates are
-           over the window's basis monomials, monomials, which depend on
-           the algebra and the window alone.
+           table, its rows, their weak reference to the presentation,
+           entries, pairs, ids and coefficients, each object once.  The
+           counters move with the code; the rates are over the window's
+           basis monomials, monomials, which depend on the algebra and
+           the window alone.
 center     truncation centers per second (Truncation.center) of U_n5/I^6 at
            window 8, L/I^4 at window 9 and J/I^4 at window 9, each on a
            fresh presentation whose truncation is built outside the timed
@@ -326,17 +329,18 @@ def antipode(hopfkit, rng, repeats):
 
     def run(p, bound, monos, key):
         mach = build_coproducts(p, monos)  # outside the timed region
+        delta_terms = sum(len(d) // 3 for d in mach._deltas.values())
         table, elapsed = cpu(hopfkit.solve_antipode, p, bound)
         if table.monomials_checked != len(monos):
             raise SystemExit(f"{key}: {table.monomials_checked} of {len(monos)} monomials verified")
-        counts = {"monomials_checked": table.monomials_checked,
-                  "delta_terms": sum(len(d) // 3 for d in mach._deltas.values()),
+        counts = {"monomials_checked": table.monomials_checked, "delta_terms": delta_terms,
                   "table_entries": sum(map(len, p._table.values()))}
         report, seconds = cpu(hopfkit.check_involutive_antipode, p, table)
         if not report.ok or report.checked != len(monos):
             raise SystemExit(f"{key}: S(S(m)) = m holds on {report.checked - len(report.failures)} "
                              f"of {len(monos)} monomials")
         involution[key] = min(involution.get(key, seconds), seconds)
+        build_coproducts(p, monos)  # the deltas the solve dropped, outside the timed region
         again, seconds = cpu(hopfkit.solve_antipode, p, bound)
         entries = sum(map(len, p._table.values()))
         if again.monomials_checked != len(monos) or entries != counts["table_entries"]:
@@ -450,9 +454,10 @@ def signature(hopfkit, rng, repeats):
 
 
 def table_bytes(table):
-    """sys.getsizeof of a product table, its rows, entries, pairs, ids and coefficients.
+    """sys.getsizeof of a product table and of what it holds.
 
-    Each object is counted once, however many entries share it.
+    Its rows, their weak reference to the presentation, entries, pairs, ids
+    and coefficients, each object counted once, however many entries share it.
     """
     seen = set()
 
@@ -464,7 +469,7 @@ def table_bytes(table):
 
     total = size(table)
     for row in table.values():
-        total += size(row) + size(row.build)
+        total += size(row) + size(row.pres)
         for pairs in row.values():
             total += size(pairs) + sum(size(pair) + size(pair[0]) + size(pair[1]) for pair in pairs)
     return total
@@ -481,20 +486,20 @@ def counted_products(p, run):
     counted; what the table holds is not changed.
     """
     from hopfkit.freealg import _Memo
+    from hopfkit.pbw import _Row
 
     monos, tailed = p._monos, [pair for pair, rel in p.relations.items() if rel.tail]
     counts = dict.fromkeys(
         ("table_reads", "closed_reads", "stored_reads", "lookup_hits", "lookup_misses"), 0)
-    left = {}  # id of a row -> its left factor
 
     def crosses(a, b):
         return any(monos[a][hi] and monos[b][lo] for hi, lo in tailed)
 
     def count(row, b):
         counts["table_reads"] += 1
-        counts["stored_reads" if crosses(left[id(row)], b) else "closed_reads"] += 1
+        counts["stored_reads" if crosses(row.a, b) else "closed_reads"] += 1
 
-    class Counting(_Memo):
+    class Counting(_Row):
         __slots__ = ()
 
         def __getitem__(self, b):
@@ -503,7 +508,7 @@ def counted_products(p, run):
 
         def get(self, b, default=None):
             counts["lookup_hits" if b in self else "lookup_misses"] += 1
-            if crosses(left[id(self)], b):
+            if crosses(self.a, b):
                 count(self, b)
             return super().get(b, default)
 
@@ -512,17 +517,16 @@ def counted_products(p, run):
 
         def get(self, a, default=None):
             row = super().get(a)
-            return counting(a, _Memo(None)) if row is None else row
+            return counting(_Row(None, a)) if row is None else row
 
-    def counting(a, row):
-        left[id(row)] = a
+    def counting(row):
         row.__class__ = Counting
         return row
 
     table, build = p._table, p._table.build
-    for a, row in table.items():
-        counting(a, row)
-    table.build = lambda a: counting(a, build(a))
+    for row in table.values():
+        counting(row)
+    table.build = lambda a: counting(build(a))
     table.__class__ = CountingTable
     try:
         result = run()
@@ -530,7 +534,7 @@ def counted_products(p, run):
         table.__class__ = _Memo
         table.build = build
         for row in table.values():
-            row.__class__ = _Memo
+            row.__class__ = _Row
     stored = [(a, b) for a, row in table.items() for b in row if crosses(a, b)]
     counts.update(entries=sum(map(len, table.values())), rows=len(table), stored_entries=len(stored),
                   generator_entries=sum(sum(monos[b]) == 1 for _, b in stored),
