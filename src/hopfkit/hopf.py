@@ -612,6 +612,12 @@ def solve_antipode(p, weight_bound=None):
     call is one budget scope (freealg._one_budget): the coproducts and
     products it builds read the budget that this call read.
 
+    S(m), the first unit term, needs no check of its own: the table is
+    new for each call, and every S-image in it was held to this call's
+    budget when it was stored, a built one by _multiply_ids'
+    check_budget, S(g) by the check after each term of delta(g), and S(1)
+    has one term.  S(m) + m, the sum after the second, is checked.
+
     Delta(m) is read by its own check and, through the first-letter
     recursion, by Delta(g m) alone, so once both sides of a monomial
     heavier than the bound minus the least generator weight are verified,
@@ -643,8 +649,6 @@ def solve_antipode(p, weight_bound=None):
         if not i:  # 1: both sides are 1 - epsilon(1) 1 = 0
             continue
         out = dict(images[i])  # the unit terms: S(m) 1, then 1 m
-        if len(out) > budget:
-            _drop_zeros(out, budget)
         out[i] = out.get(i, 0) + 1
         if len(out) > budget:
             _drop_zeros(out, budget)

@@ -188,11 +188,11 @@ class _Echelon:
     A vector may be inserted with a tag, a {key: coeff} map, which is
     appended to it as the block of columns _TAGS + key and so follows
     every row operation.  A tagged vector that reduces to zero leaves a
-    remainder whose pivot falls in that block: its tag part, at the
-    reduction's scale, is a kernel element, appended to `kernel` as
-    exact Fractions, and the row is not stored.  Stored rows keep their
-    tag blocks, which remainders drop.  Insert every vector with a tag or
-    none.
+    remainder whose pivot falls in that block: its tag part, the
+    reduction's scale times a kernel element, is appended to `kernel` as
+    it is, an integer map that is a positive multiple of that element,
+    and the row is not stored.  Stored rows keep their tag blocks, which
+    remainders drop.  Insert every vector with a tag or none.
     """
 
     def __init__(self):
@@ -249,21 +249,19 @@ class _Echelon:
         """Add a rational vector; returns its pivot column, or None if dependent."""
         if tag is not None:
             vec = vec | {_TAGS + k: v for k, v in tag.items()}
-        return self.insert_cleared(*_clear(vec))
+        return self.insert_cleared(_clear(vec)[0])
 
-    def insert_cleared(self, vec, scale):
-        """Add an integer vector that is scale times the one meant.
+    def insert_cleared(self, vec):
+        """Add an integer vector, tag block included, with no zero entries.
 
-        vec, tag block included, is an integer map with no zero entries;
-        the engine takes it over.  Returns the pivot column, or None if
-        dependent.
+        The engine takes vec over; returns the pivot column, or None if dependent.
         """
-        scale *= self._reduce(vec)
+        self._reduce(vec)
         if not vec:
             return None
         pivot = min(vec)
         if pivot >= _TAGS:
-            self.kernel.append({c - _TAGS: Fraction(v, scale) for c, v in vec.items()})
+            self.kernel.append({c - _TAGS: v for c, v in vec.items()})
             return None
         self.rows[pivot] = vec
         self._normalize(pivot)
@@ -532,10 +530,12 @@ class Truncation:
                 for mm, c in self.multiply_classes(g, coords).items():
                     _acc(commutators, gi * dim + slot[mm], -c)
             elim.insert(commutators, {i: Fraction(1)})
-        # each kernel tag has coefficient 1 on its own slot and otherwise
-        # only slots inserted before it, so the tags are independent
-        tags = sorted(elim.kernel, key=min)
-        reps = [{self.basis[i]: c for i, c in tag.items()} for tag in tags]
+        # a tag's own slot, its largest key, holds the positive multiple of a kernel element
+        # that is 1 there and elsewhere holds only earlier slots: the tags are independent
+        reps = []
+        for tag in sorted(elim.kernel, key=min):
+            lead = tag[max(tag)]
+            reps.append({self.basis[i]: Fraction(c, lead) for i, c in tag.items()})
         degree = self.pres.mono_degree
         for coords in reps:  # double-check against every basis class
             heavy = self.power - min(map(degree, coords))
@@ -751,7 +751,7 @@ class _CoradicalState:
             else:
                 moved.append(pivot)
         for pivot in moved:
-            elim.insert_cleared(elim.rows.pop(pivot), 1)
+            elim.insert_cleared(elim.rows.pop(pivot))
         self.updates.append((reduced, len(moved)))
         return elim.kernel
 
@@ -782,7 +782,7 @@ class _CoradicalState:
             start = len(elim.kernel)
             self._images(elim, map(self._coproduct, group), budget)
             for tag in elim.kernel[start:]:
-                found.insert(tag)
+                found.insert_cleared(tag)
             new = [pivot for pivot in found.rows if left[ids[pivot]] is None]
             for pivot in new:
                 left[ids[pivot]] = pivot * size
@@ -823,7 +823,7 @@ class _CoradicalState:
             if len(image) > budget:
                 raise over_budget(len(image), budget)
             image[_TAGS + pos] = factor
-            elim.insert_cleared(image, factor)
+            elim.insert_cleared(image)
 
     def next_level(self):
         """Add the next level S_n, or mark the chain stable.
@@ -904,7 +904,7 @@ class _CoradicalState:
         if self.chain:
             level._elim.rows = dict(self.chain[-1]._elim.rows)
             for tag in self._update(budget):
-                level.add_vector(tag)
+                level._elim.insert_cleared(tag)
         else:
             level._elim = self._primitives(budget)
         if level.dim == (self.chain[-1].dim if self.chain else 0):

@@ -602,7 +602,8 @@ def test_public_values_stay_fractions():
         state._update = lambda budget: kernels.append(update(budget)) or kernels[-1]
         while not state.stable:
             state.next_level()
-        assert all(_fractions(tag) for tags in kernels for tag in tags), name
+        # the chain's kernel tags are internal integer maps, not public values
+        assert all(type(v) is int for tags in kernels for tag in tags for v in tag.values()), name
     p = Presentation(
         [("a", 1), ("z", 2), ("u", 3)],
         {},

@@ -15,6 +15,7 @@ from hopfkit import (
 )
 from hopfkit.errors import ParseError
 from hopfkit.freealg import Alphabet
+from hopfkit.pbw import Presentation
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 
@@ -165,6 +166,47 @@ def test_parse_error_lines():
     with pytest.raises(ParseError) as info:
         parse_presentation("generators: a:1 @\n")
     assert "unexpected character" in str(info.value)
+
+
+_GENS = "generators: a:1 b:1\n"
+_DELTA = "delta: a = a (x) 1 + 1 (x) a\n"
+_PARSE_ERRORS = [
+    (_GENS + "rel: b = a b\n", 2, "unexpected end of line"),
+    ("generators: a 1\n", 1, "expected ':', found '1'"),
+    (_GENS + "rel: b a = a^0 b\n", 2, "bad exponent '0'"),
+    (_GENS + "rel: b a = a b 2\n", 2, "expected + or - between terms, found '2'"),
+    (_GENS + "delta: a = a (x) 1 + 1 (x) a + (x) b\n", 2, "missing tensor leg"),
+    ("generators a 1\n", 1, "expected a 'keyword:' directive, found 'generators a 1'"),
+    ("generators: a:1\ngenerators: b:1\n", 2, "duplicate generators line"),
+    ("generators: 1:1\n", 1, "generator name expected, found '1'"),
+    ("generators: a:1 a:2\n", 1, "duplicate generator 'a'"),
+    ("generators: a:0\n", 1, "weight of 'a' must be a positive integer"),
+    ("generators:\n", 1, "generators line is empty"),
+    ("rel: b a = a b\n", 1, "rel before generators"),
+    (_GENS + "rel: b a\n", 2, "rel needs an = sign"),
+    (_GENS + "rel: b a a = a b\n", 2, "relation head must be exactly two generators"),
+    (_GENS + "rel: b 2 = a b\n", 2, "generator name expected, found '2'"),
+    (_DELTA, 1, "delta before generators"),
+    ("generators: a:1\ncoproduct: none\n" + _DELTA, 3, "delta line after coproduct: none"),
+    ("generators: a:1\ndelta: a\n", 2, "delta needs an = sign"),
+    ("generators: a:1\n" + _DELTA + _DELTA, 3, "duplicate delta for a"),
+    ("generators: a:1\ncoproduct: some\n", 2, "coproduct directive only accepts 'none'"),
+    ("name: L\n", 1, "missing generators line"),
+    (None, None, "generator name 'a b' cannot be written"),
+]
+
+
+@pytest.mark.parametrize("source,line,message", _PARSE_ERRORS, ids=[m for _, _, m in _PARSE_ERRORS])
+def test_parse_error_messages(source, line, message):
+    """The format's ParseErrors, one per raise, each with its message and
+    line; the last is dump_presentation's, which has no line."""
+    with pytest.raises(ParseError) as info:
+        if source is None:
+            dump_presentation(Presentation([("a b", 1)], {}))
+        else:
+            parse_presentation(source)
+    assert info.value.line == line
+    assert str(info.value) == (message if line is None else f"line {line}: {message}")
 
 
 def test_q_coefficient_extraction():

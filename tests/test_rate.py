@@ -22,11 +22,13 @@ def test_rate_coradical_counts():
     assert list(result) == ["J@9", "J@11", "L@9", "total"]
     j9 = result["J@9"]
     assert (j9["built_terms"], j9["level1_terms"], j9["level1_restarts"], j9["chain_rows"]) == (10465, 4628, 1, 944)
+    assert j9["rows_reduced"] == [16, 53, 115, 226, 234, 363, 175, 245]
+    assert j9["rows_reinserted"] == [12, 29, 60, 110, 146, 217, 175, 245]
 
 
 def test_rate_signature_counts():
-    # the script patches _Echelon.insert and _coradical_chain to count the
-    # inserts signature makes outside the chain
+    # the script patches _Echelon.insert to count signature's inserts; the
+    # chain inserts through _Echelon.insert_cleared and adds none
     result = rate("signature")
     assert list(result) == ["H6@9", "J@10", "L@11", "total"]
     counts = {key: (result[key]["products"], result[key]["inserts"]) for key in ("H6@9", "J@10", "L@11")}

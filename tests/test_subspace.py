@@ -863,8 +863,14 @@ def test_integer_echelon_matches_fraction_reference():
             assert {c: v for c, v in fractions.items() if c < _TAGS} == ref.rows[pivot]
             tag = {c - _TAGS: v for c, v in fractions.items() if c >= _TAGS}
             assert tag == ref.tags.get(pivot, {})
-        assert elim.kernel == ref.kernel
-        assert all(type(v) is Fraction for tag in elim.kernel for v in tag.values())
+        # each kernel tag is an integer map, a positive multiple of the reference's
+        assert len(elim.kernel) == len(ref.kernel)
+        for tag, want in zip(elim.kernel, ref.kernel):
+            assert all(type(v) is int for v in tag.values())
+            assert tag.keys() == want.keys()
+            c = next(iter(want))
+            ratio = Fraction(tag[c]) / want[c]
+            assert ratio > 0 and tag == {k: ratio * v for k, v in want.items()}
         for probe in probes:
             rem = elim.reduce(probe)
             assert rem == ref.reduce(probe)
@@ -888,6 +894,22 @@ def test_integer_echelon_matches_fraction_reference():
         agree(elim, ref, probes)
 
     check()
+
+
+def test_clear_blocks_skips_a_hit_whose_column_cancelled():
+    """The step at column 0 cancels column 1, a hit too, so its later pop
+    finds nothing; in block 1 the same happens at the block's offset.
+    Every block ends empty, as _Echelon._reduce leaves block 0."""
+    from hopfkit.subspace import _clear_blocks
+
+    rows = {0: {0: 1, 1: 1}, 1: {1: 1}}
+    vec = {0: 1, 1: 1, 2: 1, 3: 1}
+    _clear_blocks(vec, rows, 2, [0, 1, 2, 3])
+    assert vec == {}
+    elim, block0 = _Echelon(), {0: 1, 1: 1}
+    elim.rows = rows
+    elim._reduce(block0)
+    assert block0 == {}
 
 
 # J with d scaled by 6/5: the correction of its coproduct is fractional,
@@ -952,10 +974,11 @@ def test_coradical_kernels_match_fraction_reference(make, bound):
         if len(state.chain) == 1:  # level 1 is an echelon of primitives: read its rows
             elim = state.chain[0]._elim
             tags = [elim.row(pivot) for pivot in sorted(elim.rows)]
-        else:
-            tags = kernels[-1]
+            assert all(type(v) is Fraction for tag in tags for v in tag.values())
+        else:  # the kernel tags past level 1 are integer maps, fed to the reference exactly
+            assert all(type(v) is int for tag in kernels[-1] for v in tag.values())
+            tags = [{c: Fraction(v) for c, v in tag.items()} for tag in kernels[-1]]
         assert len(tags) == len(ref.kernel)
-        assert all(type(v) is Fraction for tag in tags for v in tag.values())
         assert all(not level.reduce(tag) for tag in tags)
         assert len(spanned(previous.rows.values(), tags).rows) == len(level.rows)
         level.back_substitute()
@@ -1008,7 +1031,7 @@ def _reference_chain(p, bound):
                 for col, cv in kappa[v].items():
                     _acc(image, size * size + u * size + col, c * cv)
             image[_TAGS + pos] = factor
-            elim.insert_cleared(image, factor)
+            elim.insert_cleared(image)
         level = Subspace(index)
         for tag in elim.kernel:
             level.add_vector(tag)

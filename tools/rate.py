@@ -120,7 +120,8 @@ signature  window monomials per second of signature on H6 at window 9, J
            rows that signature feeds (Presentation._multiply_ids calls),
            and inserts, the vectors it inserts into its own echelon
            (_Echelon.insert calls, products and level rows both; the
-           coradical chain's inserts are not counted).  They move with the
+           coradical chain inserts its integer vectors through
+           _Echelon.insert_cleared, so it adds none).  They move with the
            code.
 parse      presentations per second of parse_presentation, on the dump of
            each builtin and on each presentations/*.hopf beside the source
@@ -405,13 +406,14 @@ def signature_counts(hopfkit, p, bound):
     """(products, inserts) of one signature call, on an untimed pass.
 
     products counts the presentation's _multiply_ids calls; inserts counts
-    the _Echelon.insert calls outside the coradical chain, which signature
-    builds first and whose levels insert their own kernel elements.
+    the _Echelon.insert calls, all signature's own: the coradical chain,
+    which signature builds first, inserts its integer vectors with
+    _Echelon.insert_cleared.
     """
     from hopfkit import subspace
 
     counts = [0, 0]
-    multiply, insert, chain = p._multiply_ids, subspace._Echelon.insert, subspace._coradical_chain
+    multiply, insert = p._multiply_ids, subspace._Echelon.insert
 
     def counted_multiply(xs, ys):
         counts[0] += 1
@@ -421,20 +423,12 @@ def signature_counts(hopfkit, p, bound):
         counts[1] += 1
         return insert(elim, vec, tag)
 
-    def uncounted_chain(p, bound):
-        subspace._Echelon.insert = insert
-        try:
-            return chain(p, bound)
-        finally:
-            subspace._Echelon.insert = counted_insert
-
-    p._multiply_ids, subspace._Echelon.insert, subspace._coradical_chain = (
-        counted_multiply, counted_insert, uncounted_chain)
+    p._multiply_ids, subspace._Echelon.insert = counted_multiply, counted_insert
     try:
         hopfkit.signature(p, bound)
     finally:
         del p._multiply_ids
-        subspace._Echelon.insert, subspace._coradical_chain = insert, chain
+        subspace._Echelon.insert = insert
     return counts
 
 
