@@ -16,9 +16,11 @@ vector's tag rides along as a trailing block of columns, and a
 remainder whose pivot falls in that block is a kernel element.
 
 Ranks, memberships, remainders and kernels are exact.  Values come in
-and go out as Fraction, but the engine keeps its rows as primitive
-integer vectors and reduces fraction-free, with one integer scale per
-reduction; Fraction is built only where a result is handed back.
+as ints or Fractions and go out as Fraction, but the engine keeps its
+rows as primitive integer vectors and reduces fraction-free, with one
+integer scale per reduction.  Rationals are cleared where a vector
+enters the engine, by _Echelon.insert or _Echelon.remainder, and
+Fraction is built only where a result is handed back.
 """
 
 from dataclasses import dataclass
@@ -181,9 +183,10 @@ class _Echelon:
     Reduction is fraction-free: at pivot p, with a = vec[p], r = row[p]
     and g = gcd(a, r), vec becomes (r/g) vec - (a/g) row, and a running
     integer scale is multiplied by r/g.  Fraction appears only at the
-    boundary: insert() and reduce() clear their input by the lcm of its
-    denominators, reduce() returns exact Fraction remainders, and
-    row(p) reads a row as row / row[p].
+    boundary: insert() takes a tagless map of nonzero ints over as it
+    is and clears any other vector into an integer copy by the lcm of
+    its denominators, as remainder() clears its input; reduce() returns
+    exact Fraction remainders, and row(p) reads a row as row / row[p].
 
     A vector may be inserted with a tag, a {key: coeff} map, which is
     appended to it as the block of columns _TAGS + key and so follows
@@ -246,16 +249,17 @@ class _Echelon:
         return {c: Fraction(v, den) for c, v in vec.items()}
 
     def insert(self, vec, tag=None):
-        """Add a rational vector; returns its pivot column, or None if dependent."""
-        if tag is not None:
-            vec = vec | {_TAGS + k: v for k, v in tag.items()}
-        return self.insert_cleared(_clear(vec)[0])
+        """Add a vector; returns its pivot column, or None if dependent.
 
-    def insert_cleared(self, vec):
-        """Add an integer vector, tag block included, with no zero entries.
-
-        The engine takes vec over; returns the pivot column, or None if dependent.
+        A tagless map of nonzero ints, which may hold a tag block of its
+        own, is taken over as it is: the engine edits and keeps it.  Any
+        other map, with a Fraction or a zero entry or given with a tag, is
+        first cleared into a fresh integer copy, the tag block included.
         """
+        if tag is not None:
+            vec = _clear(vec | {_TAGS + k: v for k, v in tag.items()})[0]
+        elif not all(type(v) is int and v for v in vec.values()):
+            vec = _clear(vec)[0]
         self._reduce(vec)
         if not vec:
             return None
@@ -327,7 +331,8 @@ class Subspace:
         return self.add_vector(self.index.vector(x))
 
     def add_vector(self, vec):
-        return self._elim.insert(vec) is not None
+        """Add a {position: coeff} map; True if it enlarged the span.  vec is left as it is."""
+        return self._elim.insert(dict(vec)) is not None
 
     def member(self, x):
         return not self._elim.remainder(self.index.vector(x))[0]
@@ -576,11 +581,6 @@ def primitive_space(p, weight_bound):
     return state.chain[0] if state.chain else Subspace(state.index)
 
 
-def _factor(terms):
-    """The factor that clears the denominators of a flat tuple's coefficients terms[2::3]."""
-    return lcm(*(c.denominator for c in terms[2::3] if type(c) is not int))
-
-
 class _CoradicalState:
     """The coradical chain of one window, one level at a time.
 
@@ -625,14 +625,14 @@ class _CoradicalState:
 
     A cut tuple is the flat tuple (u0, v0, c0, u1, ...) of the
     presentation's monomial ids and coefficients, three entries per term,
-    read with the position of its monomial and the factor that clears its
-    denominators (1 when its coefficients are ints), read from the
-    coefficients terms[2::3].  Ids follow first sight, not the window, so
-    lists indexed by id restore window order: position
-    (MonomialIndex.positions_by_id), the window position of a leg, and
-    left, the position of a pivot of U times the window size.
-    built_terms counts the terms of every cut tuple built, again for each
-    one built again.
+    read by the position of its monomial (_delta); _images adds the
+    coefficients as they are stored, ints or Fractions, and
+    _Echelon.insert clears an image that holds a Fraction.  Ids follow
+    first sight, not the window, so lists indexed by id restore window
+    order: position (MonomialIndex.positions_by_id), the window position
+    of a leg, and left, the position of a pivot of U times the window
+    size.  built_terms counts the terms of every cut tuple built, again
+    for each one built again.
     """
 
     def __init__(self, p, weight_bound):
@@ -720,11 +720,6 @@ class _CoradicalState:
         """The reduced coproduct of the window monomial at pos, cut to V, as a flat tuple."""
         return self.machine.delta(self.ids[pos])
 
-    def _coproduct(self, pos):
-        """(pos, terms, factor) of the window monomial at pos, terms cut to V."""
-        terms = self._delta(pos)
-        return pos, terms, _factor(terms)
-
     def _update(self, budget):
         """Reduce E's rows modulo the last level S_n, block by block; returns the kernel tags found.
 
@@ -751,7 +746,7 @@ class _CoradicalState:
             else:
                 moved.append(pivot)
         for pivot in moved:
-            elim.insert_cleared(elim.rows.pop(pivot))
+            elim.insert(elim.rows.pop(pivot))
         self.updates.append((reduced, len(moved)))
         return elim.kernel
 
@@ -780,9 +775,9 @@ class _CoradicalState:
             group = [pos for pos, _ in group]
             fed += group
             start = len(elim.kernel)
-            self._images(elim, map(self._coproduct, group), budget)
+            self._images(elim, group, budget)
             for tag in elim.kernel[start:]:
-                found.insert_cleared(tag)
+                found.insert(tag)
             new = [pivot for pivot in found.rows if left[ids[pivot]] is None]
             for pivot in new:
                 left[ids[pivot]] = pivot * size
@@ -791,29 +786,27 @@ class _CoradicalState:
                 self.restarts.append(w + 1)
                 elim = _Echelon()
                 fed = [pos for pos in fed if pos not in found.rows]
-                self._images(elim, map(self._coproduct, fed), budget)
+                self._images(elim, fed, budget)
                 if elim.kernel:
                     raise AssertionError(f"coradical chain: the images of the non-pivots of weight "
                                          f"<= {w} have a kernel of dimension {len(elim.kernel)}")
         self.echelon = elim
         return found
 
-    def _images(self, elim, coproducts, budget):
-        """Insert the image of each coproduct into elim, tagged by its position.
+    def _images(self, elim, positions, budget):
+        """Insert into elim the image of the coproduct of each window position, tagged by it.
 
         A term c u (x) v is read when left[u], u's column offset, is not
-        None, and adds c at column left[u] + position[v] (see next_level).
+        None, and adds c, as stored, at column left[u] + position[v] (see
+        next_level).  The tag is 1 at column _TAGS + the position, and
+        elim.insert clears an image that holds a Fraction, tag included.
         """
         position, left = self.position, self.left
-        for pos, terms, factor in coproducts:
-            flat = iter(terms)
-            terms = zip(flat, flat, flat)
-            if factor != 1:  # the terms read are cleared one by one, never stored
-                terms = ((u, v, c.numerator * (factor // c.denominator))
-                         for u, v, c in terms if left[u] is not None)
+        for pos in positions:
+            flat = iter(self._delta(pos))
             image = {}
             get = image.get
-            for u, v, c in terms:
+            for u, v, c in zip(flat, flat, flat):
                 start = left[u]
                 if start is None:  # u is no pivot of U
                     continue
@@ -822,8 +815,8 @@ class _CoradicalState:
             image = {k: x for k, x in image.items() if x}
             if len(image) > budget:
                 raise over_budget(len(image), budget)
-            image[_TAGS + pos] = factor
-            elim.insert_cleared(image)
+            image[_TAGS + pos] = 1
+            elim.insert(image)
 
     def next_level(self):
         """Add the next level S_n, or mark the chain stable.
@@ -893,18 +886,19 @@ class _CoradicalState:
         or back-substituted rows, sees what any complement would give.
 
         In E, u (x) v is column left[u] + position[v], u and v window
-        positions, and the tag, scaled by the factor that cleared the
-        coproduct, is column _TAGS + the position.  The term budget is read
-        once per level when the levels are driven on their own, and once for
-        the whole chain by _coradical_chain; an image, or the image part of
-        a row a level reduces, of more terms raises BudgetExceeded.
+        positions, and the tag is column _TAGS + the position: 1, times
+        the lcm of the image's denominators once insert has cleared it.
+        The term budget is read once per level when the levels are driven
+        on their own, and once for the whole chain by _coradical_chain; an
+        image, or the image part of a row a level reduces, of more terms
+        raises BudgetExceeded.
         """
         budget = term_budget()
         level = Subspace(self.index)
         if self.chain:
             level._elim.rows = dict(self.chain[-1]._elim.rows)
             for tag in self._update(budget):
-                level._elim.insert_cleared(tag)
+                level._elim.insert(tag)
         else:
             level._elim = self._primitives(budget)
         if level.dim == (self.chain[-1].dim if self.chain else 0):

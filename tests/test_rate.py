@@ -28,7 +28,8 @@ def test_rate_coradical_counts():
 
 def test_rate_signature_counts():
     # the script patches _Echelon.insert to count signature's inserts; the
-    # chain inserts through _Echelon.insert_cleared and adds none
+    # chain inserts through the same method, so the script builds it first,
+    # uncounted, and hands it to signature
     result = rate("signature")
     assert list(result) == ["H6@9", "J@10", "L@11", "total"]
     counts = {key: (result[key]["products"], result[key]["inserts"]) for key in ("H6@9", "J@10", "L@11")}

@@ -463,7 +463,8 @@ def test_coradical_chain_reads_coproducts_numbered_out_of_window_order():
     for pos, m in enumerate(window[1:], 1):  # the machine's tuple, cut to V
         flat = iter(mach.delta(J._ids[m]))
         cut = tuple(x for t in zip(flat, flat, flat) if t[0] in state.v for x in t)
-        assert state._coproduct(pos) == (state.index.position[m], cut, 1), m
+        assert state.index.position[m] == pos and state._delta(pos) == cut, m
+        assert all(type(c) is int for c in cut[2::3]), m  # no image of J needs clearing
 
 
 def _recorded_reads(monkeypatch, p, bound):
@@ -474,12 +475,12 @@ def _recorded_reads(monkeypatch, p, bound):
 
     images, reads = _CoradicalState._images, []
 
-    def record(self, elim, coproducts, budget):
-        coproducts = list(coproducts)
+    def record(self, elim, positions, budget):
+        positions = list(positions)
         if len(reads) == len(self.chain):
             reads.append([])
-        reads[-1].extend(u for _, terms, _ in coproducts for u in terms[0::3] if self.left[u] is not None)
-        images(self, elim, coproducts, budget)
+        reads[-1].extend(u for pos in positions for u in self._delta(pos)[0::3] if self.left[u] is not None)
+        images(self, elim, positions, budget)
 
     monkeypatch.setattr(_CoradicalState, "_images", record)
     state = _CoradicalState(p, bound)
@@ -518,12 +519,12 @@ def test_level_one_reads_only_left_legs_at_pivots_of_lighter_primitives(monkeypa
     lighter = {w: set(primitive_space(J, w - 1).pivots()) for w in range(1, 10)}
     images, reads = _CoradicalState._images, []
 
-    def record(self, elim, coproducts, budget):
-        coproducts = list(coproducts)
+    def record(self, elim, positions, budget):
+        positions = list(positions)
         if not self.chain:
-            for pos, terms, _ in coproducts:
-                reads.extend((pos, self.position[u]) for u in terms[0::3] if self.left[u] is not None)
-        images(self, elim, coproducts, budget)
+            for pos in positions:
+                reads.extend((pos, self.position[u]) for u in self._delta(pos)[0::3] if self.left[u] is not None)
+        images(self, elim, positions, budget)
 
     monkeypatch.setattr(_CoradicalState, "_images", record)
     state = _CoradicalState(J, 9)
@@ -801,7 +802,7 @@ class _FractionEchelon:
                 self.kernel.append(tag)
             return None
         pivot = min(rem)
-        inv = 1 / rem[pivot]
+        inv = Fraction(1) / rem[pivot]
         self.rows[pivot] = {c: v * inv for c, v in rem.items()}
         if tag is not None:
             self.tags[pivot] = {c: v * inv for c, v in tag.items()}
@@ -910,6 +911,46 @@ def test_clear_blocks_skips_a_hit_whose_column_cancelled():
     elim.rows = rows
     elim._reduce(block0)
     assert block0 == {}
+
+
+def test_echelon_insert_takes_over_only_a_tagless_map_of_nonzero_ints():
+    """insert stores a tagless map of nonzero ints as the object passed,
+    edited into its primitive row; a Fraction map, a map with a zero entry
+    and a tagged map are cleared into fresh integer copies and left as they
+    were.  The stored row is the same primitive row either way, and a zero
+    entry never becomes a pivot."""
+    from hopfkit.subspace import _TAGS
+
+    ints = {2: 4, 5: -6}
+    taken = _Echelon()
+    assert taken.insert(ints) == 2
+    assert taken.rows[2] is ints and ints == {2: 2, 5: -3}
+    others = [({2: Fraction(2, 3), 5: Fraction(-1)}, None), ({0: 0, 2: 4, 5: -6}, None),
+              ({2: 4, 5: -6}, {0: 2})]
+    for vec, tag in others:
+        before, elim = (dict(vec), tag and dict(tag)), _Echelon()
+        assert elim.insert(vec, tag) == 2
+        assert (vec, tag) == before and [type(v) for v in vec.values()] == [type(v) for v in before[0].values()]
+        row = elim.rows[2]
+        assert row is not vec and all(type(v) is int for v in row.values())
+        assert row == ({2: 2, 5: -3} if tag is None else {2: 2, 5: -3, _TAGS: 1})
+
+
+def test_add_vector_leaves_its_input_as_it_was():
+    """Subspace.add_vector hands _Echelon.insert a copy, so an int map, a
+    map with a zero entry and a Fraction map are each left as they were,
+    none is stored, and the zero entry never becomes a pivot."""
+    space = Subspace(MonomialIndex(builtin("L"), 3))
+    vecs = [{1: 2, 3: -4}, {0: 0, 2: 3}, {1: Fraction(1, 2), 4: Fraction(2, 3)}]
+    before = [dict(vec) for vec in vecs]
+    assert all(space.add_vector(vec) for vec in vecs)
+    assert vecs == before
+    assert [[type(v) for v in vec.values()] for vec in vecs] == [[int, int], [int, int], [Fraction, Fraction]]
+    assert not any(row is vec for row in space._elim.rows.values() for vec in vecs)
+    assert space.pivots() == [1, 2, 3]
+    assert [b.terms for b in space.basis()] == [
+        b.terms for b in Subspace(space.index, [space.index.element(vec) for vec in before]).basis()
+    ]
 
 
 # J with d scaled by 6/5: the correction of its coproduct is fractional,
@@ -1031,7 +1072,7 @@ def _reference_chain(p, bound):
                 for col, cv in kappa[v].items():
                     _acc(image, size * size + u * size + col, c * cv)
             image[_TAGS + pos] = factor
-            elim.insert_cleared(image)
+            elim.insert(image)
         level = Subspace(index)
         for tag in elim.kernel:
             level.add_vector(tag)
@@ -1358,16 +1399,17 @@ def test_a_restart_raises_when_its_images_have_a_kernel(monkeypatch):
     # a^2's, as empty feeds a zero image, which must trip the check
     from hopfkit.subspace import _CoradicalState
 
-    images = _CoradicalState._images
+    images, delta, empty = _CoradicalState._images, _CoradicalState._delta, set()
 
-    def emptied(self, elim, coproducts, budget):
+    def emptied(self, elim, positions, budget):
+        positions = list(positions)
         if self.restarts and not elim.rows:  # the restart's fresh elimination
-            (pos, _, factor), *rest = coproducts
-            assert self.index.monomials[pos] == (2, 0, 0, 0, 0, 0)
-            coproducts = [(pos, (), factor), *rest]
-        images(self, elim, coproducts, budget)
+            assert self.index.monomials[positions[0]] == (2, 0, 0, 0, 0, 0)
+            empty.add(positions[0])
+        images(self, elim, positions, budget)
 
     monkeypatch.setattr(_CoradicalState, "_images", emptied)
+    monkeypatch.setattr(_CoradicalState, "_delta", lambda self, pos: () if pos in empty else delta(self, pos))
     state = _CoradicalState(builtin("J"), 6)
     with pytest.raises(AssertionError, match=r"^coradical chain: the images of the non-pivots of "
                                              r"weight <= 3 have a kernel of dimension 1$"):
@@ -1492,16 +1534,14 @@ def _cut_state(p, bound):
 
 def _assert_cut_matches_machine(p, bound):
     """Every tuple the chain builds is the machine's tuple with the terms
-    whose left leg is outside V dropped, term for term and in order, and
-    its factor clears the kept coefficients."""
+    whose left leg is outside V dropped, term for term and in order."""
     from hopfkit import hopf
 
     state, mach = _cut_state(p, bound), hopf._machine(p)
     for pos in range(1, len(state.index)):
         flat = iter(mach.delta(state.ids[pos]))
         cut = tuple(x for t in zip(flat, flat, flat) if t[0] in state.v for x in t)
-        factor = lcm(*(Fraction(c).denominator for c in cut[2::3]))
-        assert state._coproduct(pos) == (pos, cut, factor), state.index.monomials[pos]
+        assert state._delta(pos) == cut, state.index.monomials[pos]
     return state
 
 
@@ -1566,7 +1606,7 @@ def test_cut_coproducts_match_the_machine_on_l_heavy(bound):
 
 @pytest.mark.parametrize("text,bound", [(J_SCALED_D, 7), (NESTED, 7)], ids=["J_scaled_d", "nested"])
 def test_cut_coproducts_match_the_machine_with_fractions_and_nested_pivots(text, bound):
-    # J_scaled_d clears by the factors 5 and 25; NESTED has the pivot a^2
+    # J_scaled_d's tuples hold Fractions of denominators 5 and 25; NESTED has the pivot a^2
     _assert_cut_matches_machine(parse_presentation(text), bound)
 
 
@@ -1672,8 +1712,7 @@ def _image_pass_rows(state):
     from hopfkit.freealg import term_budget
 
     pivots, elim = state.chain[0]._elim.rows, _Echelon()
-    state._images(elim, (state._coproduct(pos) for pos in range(1, len(state.index))
-                         if pos not in pivots), term_budget())
+    state._images(elim, (pos for pos in range(1, len(state.index)) if pos not in pivots), term_budget())
     assert not elim.kernel
     return list(elim.rows.items())
 

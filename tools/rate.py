@@ -120,9 +120,9 @@ signature  window monomials per second of signature on H6 at window 9, J
            rows that signature feeds (Presentation._multiply_ids calls),
            and inserts, the vectors it inserts into its own echelon
            (_Echelon.insert calls, products and level rows both; the
-           coradical chain inserts its integer vectors through
-           _Echelon.insert_cleared, so it adds none).  They move with the
-           code.
+           coradical chain inserts through the same method, so it is
+           built uncounted first and handed to signature).  They move
+           with the code.
 parse      presentations per second of parse_presentation, on the dump of
            each builtin and on each presentations/*.hopf beside the source
            directory, PARSE_COPIES parses per case and pass; every text
@@ -374,11 +374,11 @@ def kernel_reads(p, bound):
     state, reads = _CoradicalState(p, bound), 0
     images = state._images
 
-    def counted(elim, coproducts, budget):
+    def counted(elim, positions, budget):
         nonlocal reads
-        coproducts = list(coproducts)
-        reads += sum(state.left[u] is not None for _, terms, _ in coproducts for u in terms[0::3])
-        images(elim, coproducts, budget)
+        positions = list(positions)
+        reads += sum(state.left[u] is not None for pos in positions for u in state._delta(pos)[0::3])
+        images(elim, positions, budget)
 
     state._images = counted
     while not state.stable:
@@ -406,14 +406,15 @@ def signature_counts(hopfkit, p, bound):
     """(products, inserts) of one signature call, on an untimed pass.
 
     products counts the presentation's _multiply_ids calls; inserts counts
-    the _Echelon.insert calls, all signature's own: the coradical chain,
-    which signature builds first, inserts its integer vectors with
-    _Echelon.insert_cleared.
+    the _Echelon.insert calls of signature's own echelon.  The coradical
+    chain, which signature builds first, inserts through _Echelon.insert
+    too, so it is built beforehand, uncounted, and signature is handed it.
     """
     from hopfkit import subspace
 
     counts = [0, 0]
-    multiply, insert = p._multiply_ids, subspace._Echelon.insert
+    multiply, insert, chain = p._multiply_ids, subspace._Echelon.insert, subspace._coradical_chain
+    built = chain(p, bound)
 
     def counted_multiply(xs, ys):
         counts[0] += 1
@@ -424,11 +425,12 @@ def signature_counts(hopfkit, p, bound):
         return insert(elim, vec, tag)
 
     p._multiply_ids, subspace._Echelon.insert = counted_multiply, counted_insert
+    subspace._coradical_chain = lambda p, bound: built
     try:
         hopfkit.signature(p, bound)
     finally:
         del p._multiply_ids
-        subspace._Echelon.insert = insert
+        subspace._Echelon.insert, subspace._coradical_chain = insert, chain
     return counts
 
 
